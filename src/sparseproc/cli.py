@@ -16,11 +16,10 @@ from . import harness
 from .dantzig import cross_validate_lambda, default_lambda_grid, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
-                     RankError, StationarityError)
-from .scores import build_regression_score, lagged_design
-from .simulate import (bin_counts, read_series_csv, simulate_hawkes, simulate_inar,
-                       simulate_minar1, simulate_ou, spec_from_dict, write_series_csv,
-                       InarSpec, Minar1Spec, OuSpec, HawkesSpec, SeriesSample)
+                     RankError, StationarityError, UncertifiedFitError)
+from .scores import lagged_design
+from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
+                       spec_from_dict, write_series_csv)
 from .twostep import estimate_diffusion_sigma2, two_step_fit, two_step_to_dict
 
 CONFIG_ERROR = 2
@@ -42,21 +41,14 @@ def _write_out(text: str, path) -> None:
 
 def _cmd_simulate(args) -> int:
     spec = spec_from_dict(_load_json(args.config))
-    if isinstance(spec, InarSpec):
-        sample = simulate_inar(spec, args.n, args.seed)
-    elif isinstance(spec, Minar1Spec):
-        sample = simulate_minar1(spec, args.n, args.seed)
-    elif isinstance(spec, OuSpec):
-        sample = simulate_ou(spec, args.seed)
-    elif isinstance(spec, HawkesSpec):
+    if isinstance(spec, HawkesSpec):
         events = simulate_hawkes(spec, args.seed)
-        if args.bin_delta:
-            sample = bin_counts(events, args.bin_delta, spec.horizon)
-        else:
+        if not args.bin_delta:
             _write_out("\n".join(repr(t) for t in events) + "\n", args.out)
             return 0
+        sample = bin_counts(events, args.bin_delta, spec.horizon)
     else:
-        raise ValueError("unsupported spec type")
+        sample = harness.simulate_series(spec, args.n, args.seed)
     write_series_csv(sample, args.out)
     return 0
 
@@ -102,8 +94,7 @@ def _cmd_experiment(args) -> int:
         config = harness.CaseConfig.from_dict(_load_json(args.config))
     else:
         config = harness.builtin_case(args.case, n=args.n, reps=args.reps,
-                                      base_seed=args.seed, tau=args.tau,
-                                      lambda_value=args.lam,
+                                      tau=args.tau, lambda_value=args.lam,
                                       lambda_mode="fixed" if args.lam is not None else None)
     if args.reps:
         config.reps = args.reps
@@ -137,8 +128,7 @@ def _cmd_hawkes_support(args) -> int:
     if args.config:
         config = harness.CaseConfig.from_dict(_load_json(args.config))
     else:
-        config = harness.builtin_case("hawkes", n=args.n, reps=args.reps,
-                                      base_seed=args.seed, tau=args.tau)
+        config = harness.builtin_case("hawkes", n=args.n, reps=args.reps, tau=args.tau)
     if args.reps:
         config.reps = args.reps
     if args.seed is not None:
@@ -226,7 +216,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RankError, NuisanceError, DegenerateVarianceError, DomainError,
-            np.linalg.LinAlgError, ArithmeticError) as exc:
+            UncertifiedFitError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except (StationarityError, ValueError, KeyError, TypeError,

@@ -17,7 +17,7 @@ returned vertex deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,8 +192,7 @@ def default_lambda_grid(moment: np.ndarray, num: int = 20,
 
 
 def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
-                          grid: Sequence[float], folds: int = 5,
-                          score_builder: Optional[Callable] = None) -> CvReport:
+                          grid: Sequence[float], folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
     ``design`` must carry the intercept in column 0; each fold centers the
@@ -214,15 +213,13 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
     n = y.size
     if n < 2 * folds:
         raise ValueError("series too short for the requested fold count")
-    if score_builder is None:
-        score_builder = build_regression_score
     blocks = np.array_split(np.arange(n), folds)
     losses = np.zeros((folds, grid.size))
     for k, val in enumerate(blocks):
         train = np.setdiff1d(np.arange(n), val, assume_unique=True)
         z_bar = z[train].mean(axis=0)
         y_bar = y[train].mean()
-        sys = score_builder(z[train] - z_bar, y[train] - y_bar)
+        sys = build_regression_score(z[train] - z_bar, y[train] - y_bar)
         zc_val = z[val] - z_bar
         for g, lam in enumerate(grid):
             fit = solve_dantzig(sys, lam)

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class NuisanceError(ValueError):
-    """Estimated conditional variance is nonpositive after flooring."""
+    """Estimated conditional variance is not finite."""
 
 
 class RankError(ValueError):
@@ -19,3 +19,7 @@ class RankError(ValueError):
 
 class DegenerateVarianceError(ValueError):
     """Sample has no variation where positive variance is required."""
+
+
+class UncertifiedFitError(ValueError):
+    """A first-step LP ended without an optimality certificate."""

@@ -20,6 +20,8 @@ import numpy as np
 
 from .dantzig import cross_validate_lambda, default_lambda_grid, solve_dantzig, threshold_support
 from .diagnostics import royston_test, selection_and_errors
+from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
+                     StationarityError, UncertifiedFitError)
 from .rng import derive_seed, make_rng
 from .scores import build_regression_score, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
@@ -170,17 +172,19 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
 
 
 def _draw_projection(config: CaseConfig) -> np.ndarray:
-    """Unit direction over the lag coefficients, drawn once from the base seed."""
+    """Unit direction over the lag coefficients, drawn from the base seed alone."""
     rng = make_rng(config.base_seed)
     u = rng.uniform(-1.0, 1.0, size=config.p)
     return u / np.linalg.norm(u)
 
 
-def _choose_lambda(config: CaseConfig, design: np.ndarray, response: np.ndarray) -> float:
+def _choose_lambda(config: CaseConfig, design: np.ndarray, response: np.ndarray,
+                   fisher: float) -> float:
+    """lambda by the configured mode; the rate mode scales with ``fisher``."""
     if config.lambda_mode == "fixed":
         return float(config.lambda_value)
     if config.lambda_mode == "rate":
-        return config.rate_c * float(np.sqrt(np.log(config.p) / response.size))
+        return config.rate_c * float(np.sqrt(np.log(config.p) / fisher))
     if config.cv_grid is not None:
         grid = config.cv_grid
     else:
@@ -191,116 +195,99 @@ def _choose_lambda(config: CaseConfig, design: np.ndarray, response: np.ndarray)
     return report.chosen_lambda
 
 
-def _simulate_for(config: CaseConfig, seed: int) -> SeriesSample:
-    if isinstance(config.model, InarSpec):
-        return simulate_inar(config.model, config.n, seed)
-    if isinstance(config.model, Minar1Spec):
-        return simulate_minar1(config.model, config.n, seed)
+def simulate_series(model, n: int, seed: int) -> SeriesSample:
+    """Simulate a count or diffusion spec; Hawkes specs give events, not a series."""
+    if isinstance(model, InarSpec):
+        return simulate_inar(model, n, seed)
+    if isinstance(model, Minar1Spec):
+        return simulate_minar1(model, n, seed)
+    if isinstance(model, OuSpec):
+        return simulate_ou(model, seed)
+    raise TypeError(f"cannot simulate a series from {type(model).__name__}")
+
+
+def _case_rep(config: CaseConfig, rep: int) -> dict:
+    """One replication of a count-model (univariate or first-row) or OU case."""
+    seed = derive_seed(config.base_seed, rep)
+    sample = simulate_series(config.model, config.n, seed)
+    record = {"rep": rep, "failed": False}
+    # per-model preparation: the Fisher scale is the number of observations
+    # for counts and the observed time n * delta for diffusions; ``offset``
+    # intercept columns lead the fit coordinates
     if isinstance(config.model, OuSpec):
-        return simulate_ou(config.model, seed)
-    raise TypeError(f"run_case cannot simulate {type(config.model).__name__}")
-
-
-def _count_rep(config: CaseConfig, rep: int, u_alpha: np.ndarray) -> dict:
-    """One replication of a count-model case (univariate or first-row)."""
-    seed = derive_seed(config.base_seed, rep)
-    sample = _simulate_for(config, seed)
-    order = config.p if sample.dim == 1 else 1
-    design, response = lagged_design(sample, order, target=config.target)
-    lam = _choose_lambda(config, design, response)
-    # simulated count cases are conditionally Poisson: variance = mean
-    fit = two_step_fit(design, response, lam, config.tau, centered=True,
-                       nuisance_mode="plugin_theta",
-                       reference_support=config.support_true)
-    alpha_true = config.theta_true[1:]
-    alpha1 = fit.theta_first[1:]
-    alpha2 = fit.theta_tilde[1:]
-    err1 = selection_and_errors(alpha1, alpha_true, fit.support.indices,
-                                config.support_true)
-    err2 = selection_and_errors(alpha2, alpha_true, fit.support.indices,
-                                config.support_true)
-    u_full = np.concatenate([[0.0], u_alpha])
-    proj = project_statistic(fit, u_full, config.theta_true, np.sqrt(response.size))
-
-    # true-support restriction (raw coordinates: intercept + shifted lags)
-    t0_raw = [0] + [j + 1 for j in config.support_true]
-    theta_t0 = fit.theta_tilde[t0_raw].tolist()
-    record = {
-        "rep": rep, "failed": False, "lambda": lam,
-        "linf1": err1["linf"], "l21": err1["l2"],
-        "sel": bool(fit.selection_flag),
-        "linf2": err2["linf"], "l22": err2["l2"],
-        "proj_stat": proj, "theta_t0": theta_t0,
-        "cover_t0": None, "proj_var_pred": None,
-    }
-    if fit.selection_flag and not fit.empty_model:
-        cov = fit.asymp_cov
-        supp = list(fit.fit_support)
-        if supp == sorted(t0_raw):
-            se = np.sqrt(np.diag(cov))
-            truth = config.theta_true[supp]
-            est = fit.theta_tilde[supp]
-            record["cover_t0"] = [bool(abs(e - t) <= 1.96 * s)
-                                  for e, t, s in zip(est, truth, se)]
-            u_supp = u_full[supp]
-            record["proj_var_pred"] = float(
-                response.size * (u_supp @ cov @ u_supp))
-    return record
-
-
-def _ou_rep(config: CaseConfig, rep: int, u_state: np.ndarray) -> dict:
-    seed = derive_seed(config.base_seed, rep)
-    sample = _simulate_for(config, seed)
-    design = sample.values[:-1, :]
-    dx = np.diff(sample.values[:, config.target])
-    delta = sample.delta
-    nuis = estimate_diffusion_sigma2(sample, target=config.target)
-    if config.lambda_mode == "fixed":
-        lam = float(config.lambda_value)
-    elif config.lambda_mode == "rate":
-        lam = config.rate_c * float(np.sqrt(np.log(config.p) / (dx.size * delta)))
+        if config.lambda_mode == "cv":
+            raise ValueError("OU case supports fixed or rate lambda modes")
+        design = sample.values[:-1, :]
+        response = np.diff(sample.values[:, config.target])
+        nuis = estimate_diffusion_sigma2(sample, target=config.target)
+        fisher = response.size * sample.delta
+        fit_kwargs = {"model_tag": "diffusion", "delta": sample.delta, "nuisance": nuis}
+        offset = 0
+        record["sigma2_hat"] = float(nuis.values)
     else:
-        raise ValueError("OU case supports fixed or rate lambda modes")
-    fit = two_step_fit(design, dx, lam, config.tau, model_tag="diffusion",
-                       delta=delta, nuisance=nuis,
-                       reference_support=config.support_true)
-    n_eff = dx.size
-    scale = np.sqrt(n_eff * delta)
-    err1 = selection_and_errors(fit.theta_first, config.theta_true,
-                                fit.support.indices, config.support_true)
-    err2 = selection_and_errors(fit.theta_tilde, config.theta_true,
-                                fit.support.indices, config.support_true)
-    proj = project_statistic(fit, u_state, config.theta_true, scale)
-    t0 = list(config.support_true)
-    record = {
-        "rep": rep, "failed": False, "lambda": lam,
+        order = config.p if sample.dim == 1 else 1
+        design, response = lagged_design(sample, order, target=config.target)
+        fisher = response.size
+        # simulated count cases are conditionally Poisson: variance = mean
+        fit_kwargs = {"centered": True, "nuisance_mode": "plugin_theta"}
+        offset = 1
+    lam = _choose_lambda(config, design, response, fisher)
+    fit = two_step_fit(design, response, lam, config.tau,
+                       reference_support=config.support_true, **fit_kwargs)
+
+    truth = config.theta_true[offset:]
+    err1 = selection_and_errors(fit.theta_first[offset:], truth, fit.support.indices,
+                                config.support_true)
+    err2 = selection_and_errors(fit.theta_tilde[offset:], truth, fit.support.indices,
+                                config.support_true)
+    u_fit = np.concatenate([np.zeros(offset), _draw_projection(config)])
+    proj = project_statistic(fit, u_fit, config.theta_true, np.sqrt(fisher))
+    # true-support restriction in fit coordinates (intercept + shifted lags for counts)
+    t0 = list(range(offset)) + [j + offset for j in config.support_true]
+    record.update({
+        "lambda": lam,
         "linf1": err1["linf"], "l21": err1["l2"],
         "sel": bool(fit.selection_flag),
         "linf2": err2["linf"], "l22": err2["l2"],
         "proj_stat": proj, "theta_t0": fit.theta_tilde[t0].tolist(),
         "cover_t0": None, "proj_var_pred": None,
-        "sigma2_hat": float(nuis.values),
-    }
-    if fit.selection_flag and not fit.empty_model and list(fit.fit_support) == t0:
+    })
+    supp = list(fit.fit_support)
+    if fit.selection_flag and not fit.empty_model and supp == sorted(t0):
         cov = fit.asymp_cov
         se = np.sqrt(np.diag(cov))
-        truth = config.theta_true[t0]
-        est = fit.theta_tilde[t0]
+        est = fit.theta_tilde[supp]
         record["cover_t0"] = [bool(abs(e - t) <= 1.96 * s)
-                              for e, t, s in zip(est, truth, se)]
-        u_supp = u_state[t0]
-        record["proj_var_pred"] = float(n_eff * delta * (u_supp @ cov @ u_supp))
+                              for e, t, s in zip(est, config.theta_true[supp], se)]
+        u_supp = u_fit[supp]
+        record["proj_var_pred"] = float(fisher * (u_supp @ cov @ u_supp))
     return record
 
 
-def _rep_worker(args) -> dict:
-    config, rep, u = args
+# a replication that fails on one of these is recorded; anything else is a bug
+_REP_FAILURES = (StationarityError, DomainError, NuisanceError, RankError,
+                 DegenerateVarianceError, UncertifiedFitError, np.linalg.LinAlgError)
+
+
+def _rep_worker(task) -> dict:
+    rep_fn, config, rep = task
     try:
-        if isinstance(config.model, OuSpec):
-            return _ou_rep(config, rep, u)
-        return _count_rep(config, rep, u)
-    except Exception as exc:  # a failed rep is recorded, not dropped
+        return rep_fn(config, rep)
+    except _REP_FAILURES as exc:
         return {"rep": rep, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_reps(rep_fn, config: CaseConfig, jobs: Optional[int]) -> Tuple[list, list]:
+    """All records of ``rep_fn(config, rep)`` sorted by rep, and the completed ones."""
+    jobs = jobs if jobs is not None else config.jobs
+    tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_rep_worker, tasks, chunksize=1))
+    else:
+        results = [_rep_worker(t) for t in tasks]
+    results.sort(key=lambda r: r["rep"])
+    return results, [r for r in results if not r["failed"]]
 
 
 @dataclass
@@ -358,23 +345,13 @@ def _nanmean(values) -> float:
 def run_case(config: CaseConfig, jobs: Optional[int] = None) -> CaseReport:
     """Execute all replications of a case and aggregate the table metrics.
 
-    The projection direction for the per-rep statistic is drawn once from
-    the base seed; replication r then uses its own derived stream.  The
-    report is independent of the worker count.
+    The projection direction for the per-rep statistic depends on the base
+    seed alone, so every replication shares it; replication r then uses its
+    own derived stream.  The report is independent of the worker count.
     """
     if isinstance(config.model, HawkesSpec):
         raise ValueError("use run_hawkes_support for the Hawkes case")
-    jobs = jobs if jobs is not None else config.jobs
-    u = _draw_projection(config)
-    tasks = [(config, rep, u) for rep in range(1, config.reps + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_rep_worker, tasks, chunksize=1))
-    else:
-        results = [_rep_worker(t) for t in tasks]
-    results.sort(key=lambda r: r["rep"])
-
-    ok = [r for r in results if not r["failed"]]
+    results, ok = _run_reps(_case_rep, config, jobs)
     sel = [r for r in ok if r["sel"]]
     theta_mat = np.array([r["theta_t0"] for r in ok]) if ok else np.empty((0, 0))
     theta_mat_sel = np.array([r["theta_t0"] for r in sel]) if sel else np.empty((0, 0))
@@ -384,7 +361,7 @@ def run_case(config: CaseConfig, jobs: Optional[int] = None) -> CaseReport:
             return float("nan")
         try:
             return royston_test(mat).p_value
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             return float("nan")
 
     coverage = None
@@ -430,24 +407,18 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     series = SeriesSample(values=binned.values[p:], lag_buffer=binned.values[:p],
                           kind="counts")
     design, response = lagged_design(series, p)
-    lam = _choose_lambda(config, design, response)
+    lam = _choose_lambda(config, design, response, response.size)
     zc = design[:, 1:] - design[:, 1:].mean(axis=0)
     yc = response - response.mean()
     sys1 = build_regression_score(zc, yc, model_tag="inar")
     fit = solve_dantzig(sys1, lam)
+    if fit.status != "optimal":
+        raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")
     sel = threshold_support(fit, config.tau)
     lags = [j + 1 for j in sel.indices]
     s_hat = max(lags) if lags else 0
     return {"rep": rep, "failed": False, "lambda": lam, "n_events": int(len(events)),
             "s_hat": s_hat, "tau_hat": s_hat * delta, "selected_lags": lags}
-
-
-def _hawkes_worker(args) -> dict:
-    config, rep = args
-    try:
-        return _hawkes_rep(config, rep)
-    except Exception as exc:
-        return {"rep": rep, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_hawkes_support(config: CaseConfig, jobs: Optional[int] = None) -> dict:
@@ -459,15 +430,7 @@ def run_hawkes_support(config: CaseConfig, jobs: Optional[int] = None) -> dict:
     """
     if not isinstance(config.model, HawkesSpec):
         raise ValueError("run_hawkes_support needs a Hawkes model config")
-    jobs = jobs if jobs is not None else config.jobs
-    tasks = [(config, rep) for rep in range(1, config.reps + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_hawkes_worker, tasks, chunksize=1))
-    else:
-        results = [_hawkes_worker(t) for t in tasks]
-    results.sort(key=lambda r: r["rep"])
-    ok = [r for r in results if not r["failed"]]
+    results, ok = _run_reps(_hawkes_rep, config, jobs)
     bp = config.model.kernel_breakpoints
     tau_true = float(bp[-1]) if bp.size and config.model.kernel_values.max() > 0 else 0.0
     tau_hats = np.array([r["tau_hat"] for r in ok], dtype=float)

@@ -13,7 +13,6 @@ identically 1.0, i.e. the intercept column of a raw (uncentered) design.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -50,6 +49,8 @@ class LinearScoreSystem:
             raise ValueError("gram must be square")
         if moment.shape != (gram.shape[0],):
             raise ValueError("moment length must match gram dimension")
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(moment))):
+            raise ValueError("gram and moment must be finite")
         if self.n_eff < 1:
             raise ValueError("n_eff must be positive")
         if free and not 0 <= free[0] <= free[-1] < moment.size:
@@ -58,44 +59,6 @@ class LinearScoreSystem:
     @property
     def dim(self) -> int:
         return self.moment.size
-
-    def validate(self, rng: Optional[np.random.Generator] = None) -> None:
-        """Check symmetry and positive semidefiniteness.
-
-        Small systems get a full eigenvalue check; large ones are screened
-        with random Rayleigh quotients.
-        """
-        scale = max(np.abs(self.gram).max(), 1.0)
-        if not np.allclose(self.gram, self.gram.T, atol=1e-10 * scale):
-            raise ValueError("gram is not symmetric")
-        if self.dim <= 64:
-            if np.linalg.eigvalsh(self.gram).min() < -1e-10 * scale:
-                raise ValueError("gram is not positive semidefinite")
-        else:
-            rng = rng or np.random.default_rng(0)
-            for _ in range(20):
-                v = rng.standard_normal(self.dim)
-                if v @ self.gram @ v < -1e-8 * scale * (v @ v):
-                    raise ValueError("gram fails a Rayleigh-quotient PSD check")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "gram": self.gram.ravel().tolist(),  # row-major dense
-            "moment": self.moment.tolist(),
-            "n_eff": self.n_eff,
-            "model_tag": self.model_tag,
-            "dim": self.dim,
-            "unpenalized": list(self.unpenalized),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearScoreSystem":
-        d = json.loads(text)
-        p = d["dim"]
-        return cls(gram=np.array(d["gram"]).reshape(p, p),
-                   moment=np.array(d["moment"]), n_eff=d["n_eff"],
-                   model_tag=d["model_tag"],
-                   unpenalized=d["unpenalized"])
 
 
 @dataclass(frozen=True)
@@ -229,7 +192,7 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
     increments divided by delta).  Variances are floored at
     ``VARIANCE_FLOOR`` so all-zero count histories cannot produce infinite
     weights; a floored row shows up as max weight 1/VARIANCE_FLOOR in
-    ``weights_summary``.
+    ``weights_summary``.  A non-finite variance raises ``NuisanceError``.
     """
     support = sorted(int(j) for j in support)
     if not support:
@@ -246,9 +209,9 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
         var = np.full(n, float(nuisance.values))
     else:
         raise ValueError(f"unknown nuisance kind {nuisance.kind!r}")
+    if not np.all(np.isfinite(var)):
+        raise NuisanceError("conditional variance is not finite")
     var = np.maximum(var, VARIANCE_FLOOR)
-    if np.any(var <= 0):
-        raise NuisanceError("conditional variance nonpositive after flooring")
     w = 1.0 / var
     gram_w = (z * w[:, None]).T @ z / n
     moment_w = z.T @ (w * y) / n

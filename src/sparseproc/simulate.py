@@ -163,13 +163,6 @@ class HawkesSpec:
         widths = np.diff(np.concatenate(([0.0], self.kernel_breakpoints)))
         return float(widths @ self.kernel_values)
 
-    def kernel_at(self, t: float) -> float:
-        """a(t); zero outside (0, last breakpoint]."""
-        bp = self.kernel_breakpoints
-        if t <= 0 or not bp.size or t > bp[-1]:
-            return 0.0
-        return float(self.kernel_values[np.searchsorted(bp, t, side="left")])
-
 
 @dataclass
 class SeriesSample:

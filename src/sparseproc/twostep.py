@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
-from .errors import DegenerateVarianceError, RankError
+from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from .scores import (LinearScoreSystem, WeightedScoreSystem,
                      build_regression_score, build_weighted_system)
 from .simulate import SeriesSample
@@ -129,8 +129,7 @@ def _covariance(wsys: WeightedScoreSystem) -> np.ndarray:
 
 def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
                  *, model_tag: str = "inar", delta: Optional[float] = None,
-                 centered: bool = True, keep_intercept: bool = True,
-                 nuisance: Optional[NuisanceEstimate] = None,
+                 centered: bool = True, nuisance: Optional[NuisanceEstimate] = None,
                  nuisance_mode: str = "residual",
                  reference_support: Optional[Sequence[int]] = None) -> TwoStepFit:
     """Run the full pipeline on prepared design rows.
@@ -141,8 +140,7 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     means.  Selection (and ``selection_flag`` against
     ``reference_support``) is in the coordinates of the selected vector:
     non-intercept columns 1..p reported as 0..p-1 when centered, all
-    columns otherwise.  The intercept is always carried into step two when
-    ``keep_intercept`` is set.
+    columns otherwise.  The intercept is always carried into step two.
 
     ``nuisance_mode`` picks the variance plug-in when ``nuisance`` is not
     supplied: "residual" fits the linear variance to squared first-step
@@ -154,11 +152,17 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     For ``model_tag="diffusion"`` pass the covariate rows, the raw
     increments as ``response`` and the sampling interval ``delta``; the
     constant-sigma nuisance must be supplied by the caller.
+
+    Raises ``UncertifiedFitError`` when the first-step LP does not end
+    optimal.
     """
     z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     n, d = z.shape
 
+    # per-model preparation: the first-step system, the offset from selected
+    # coordinates to design columns, the columns always carried into step
+    # two, and the second-step response
     if model_tag == "diffusion":
         if delta is None:
             raise ValueError("diffusion fits need delta")
@@ -167,49 +171,31 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
         gram = z.T @ z / n
         moment = z.T @ y / (n * delta)
         sys1 = LinearScoreSystem(gram=gram, moment=moment, n_eff=n, model_tag="diffusion")
-        fit1 = solve_dantzig(sys1, lam)
-        sel = threshold_support(fit1, tau)
-        flag = (set(sel.indices) == set(int(j) for j in reference_support)
-                if reference_support is not None else None)
-        if not sel.indices:
-            return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nuisance,
-                              asymp_cov=np.empty((0, 0)), selection_flag=flag,
-                              first_step=fit1, theta_first=fit1.theta_hat,
-                              fit_support=(), empty_model=True)
-        wsys = build_weighted_system(z, y / delta, sel.indices, nuisance, delta=delta)
-        theta_t = solve_weighted(wsys)
-        theta_full = np.zeros(d)
-        theta_full[list(sel.indices)] = theta_t
-        return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nuisance,
-                          asymp_cov=_covariance(wsys), selection_flag=flag,
-                          first_step=fit1, theta_first=fit1.theta_hat,
-                          fit_support=wsys.support)
+        offset, carried, y2 = 0, set(), y / delta
+    else:  # count / regression models: column 0 is the intercept
+        if centered:
+            zl = z[:, 1:]
+            z_bar = zl.mean(axis=0)
+            y_bar = y.mean()
+            sys1 = build_regression_score(zl - z_bar, y - y_bar, model_tag=model_tag)
+        else:
+            sys1 = build_regression_score(z, y, model_tag=model_tag)
+        offset, carried, y2 = int(centered), {0}, y
+        delta = None  # only diffusion fits scale by the sampling interval
 
-    # count / regression models: column 0 is the intercept
-    if centered:
-        zl = z[:, 1:]
-        z_bar = zl.mean(axis=0)
-        y_bar = y.mean()
-        sys1 = build_regression_score(zl - z_bar, y - y_bar, model_tag=model_tag)
-        fit1 = solve_dantzig(sys1, lam)
-        alpha1 = fit1.theta_hat
-        mu1 = y_bar - alpha1 @ z_bar  # intercept recovered from training means
-        theta_first = np.concatenate([[mu1], alpha1])
-        sel = threshold_support(fit1, tau)
-        selected_cols = [j + 1 for j in sel.indices]
-    else:
-        sys1 = build_regression_score(z, y, model_tag=model_tag)
-        fit1 = solve_dantzig(sys1, lam)
-        theta_first = fit1.theta_hat
-        sel = threshold_support(fit1, tau)
-        selected_cols = list(sel.indices)
-
+    fit1 = solve_dantzig(sys1, lam)
+    if fit1.status != "optimal":
+        raise UncertifiedFitError(f"first-step LP ended with status {fit1.status!r}")
+    theta_first = fit1.theta_hat
+    if offset:  # intercept recovered from the training means
+        theta_first = np.concatenate([[y_bar - theta_first @ z_bar], theta_first])
+    sel = threshold_support(fit1, tau)
     flag = (set(sel.indices) == set(int(j) for j in reference_support)
             if reference_support is not None else None)
 
-    support2 = sorted(set(selected_cols) | ({0} if keep_intercept else set()))
+    support2 = sorted({j + offset for j in sel.indices} | carried)
     if not support2:
-        return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=None,
+        return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nuisance,
                           asymp_cov=np.empty((0, 0)), selection_flag=flag,
                           first_step=fit1, theta_first=theta_first,
                           fit_support=(), empty_model=True)
@@ -224,7 +210,7 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
         nui = estimate_inar_nuisance(z, y, support2, theta_first, nonneg=True)
     else:
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
-    wsys = build_weighted_system(z, y, support2, nui)
+    wsys = build_weighted_system(z, y2, support2, nui, delta=delta)
     theta_t = solve_weighted(wsys)
     theta_full = np.zeros(d)
     theta_full[support2] = theta_t

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sparseproc import harness
+from sparseproc import harness, twostep
 from sparseproc.cli import main
+from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
                                 run_hawkes_support, report_to_json, write_per_rep_csv)
 from sparseproc.simulate import HawkesSpec, InarSpec
@@ -80,19 +81,35 @@ class TestRunCase:
 
     def test_failure_accounting(self, monkeypatch):
         cfg = builtin_case("case1", n=500, reps=5)
-        real = harness._count_rep
+        real = harness._case_rep
 
-        def flaky(config, rep, u):
+        def flaky(config, rep):
             if rep == 3:
-                raise RuntimeError("synthetic failure")
-            return real(config, rep, u)
+                raise RankError("synthetic failure")
+            return real(config, rep)
 
-        monkeypatch.setattr(harness, "_count_rep", flaky)
+        monkeypatch.setattr(harness, "_case_rep", flaky)
         rep = run_case(cfg, jobs=1)
         assert rep.failures == 1
         assert len(rep.per_rep) == 5
         failed = [r for r in rep.per_rep if r["failed"]]
         assert len(failed) == 1 and "synthetic failure" in failed[0]["error"]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(config, rep):
+            raise RuntimeError("bug in a replication")
+
+        monkeypatch.setattr(harness, "_case_rep", broken)
+        with pytest.raises(RuntimeError, match="bug in a replication"):
+            run_case(builtin_case("case1", n=500, reps=2), jobs=1)
+
+    def test_uncertified_first_step_counts_as_failure(self, monkeypatch):
+        real = twostep.solve_dantzig
+        monkeypatch.setattr(twostep, "solve_dantzig",
+                            lambda sys, lam: real(sys, lam, max_iter=2))
+        rep = run_case(builtin_case("case1", n=500, reps=2, lambda_mode="rate"), jobs=1)
+        assert rep.failures == 2
+        assert all(r["error"].startswith("UncertifiedFitError") for r in rep.per_rep)
 
     def test_rate_lambda_mode(self):
         cfg = builtin_case("case1", n=500, reps=2, lambda_mode="rate")
@@ -210,6 +227,33 @@ class TestCli:
                    "--jobs", "1", "--out", str(out)])
         assert rc == 0
         assert json.load(open(out))["tau_true"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--case", "case1", "--reps", "2", "--n", "300"],
+        ["hawkes-support", "--reps", "2", "--n", "200"],
+    ])
+    def test_default_seed(self, tmp_path, argv):
+        # omitting --seed runs at the package default base seed
+        default, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
+        assert main(argv + ["--out", str(default)]) == 0
+        assert main(argv + ["--seed", "20240801", "--out", str(pinned)]) == 0
+        assert json.load(open(default))["failures"] == 0
+        assert default.read_bytes() == pinned.read_bytes()
+
+    def test_uncertified_fit_exit_code(self, tmp_path, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        json.dump({"model": "inar", "mu_eps": 0.5,
+                   "alpha": [0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0],
+                   "burn_in": 200}, open(spec_path, "w"))
+        series = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(spec_path), "--n", "400",
+                     "--seed", "2", "--out", str(series)]) == 0
+        real = twostep.solve_dantzig
+        monkeypatch.setattr(twostep, "solve_dantzig",
+                            lambda sys, lam: real(sys, lam, max_iter=2))
+        rc = main(["fit", "--series", str(series), "--order", "10", "--lambda", "0.01",
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 3
 
     def test_finfty_verb(self, tmp_path):
         spec_path = tmp_path / "spec.json"

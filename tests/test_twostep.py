@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sparseproc.errors import DegenerateVarianceError, RankError
+from sparseproc import twostep
+from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.scores import build_weighted_system, lagged_design
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import (NuisanceEstimate, estimate_diffusion_sigma2,
@@ -194,6 +195,15 @@ class TestTwoStepFit:
         assert fit.empty_model
         assert_array_equal(fit.theta_tilde, np.zeros(3))
         assert fit.asymp_cov.shape == (0, 0)
+
+    def test_uncertified_first_step_raises(self, monkeypatch):
+        real = twostep.solve_dantzig
+        monkeypatch.setattr(twostep, "solve_dantzig",
+                            lambda sys, lam: real(sys, lam, max_iter=2))
+        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=83)
+        z, y = lagged_design(sample, 10)
+        with pytest.raises(UncertifiedFitError, match="iteration_limit"):
+            two_step_fit(z, y, 0.01, 0.05)
 
     def test_intercept_always_kept(self):
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.45]))
