@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .dantzig import cross_validate_lambda, default_lambda_grid, fit_to_dict
+from .dantzig import cross_validate_lambda, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError, UncertifiedFitError)
@@ -76,12 +76,10 @@ def _cmd_fit(args) -> int:
 def _cmd_cv(args) -> int:
     series = read_series_csv(args.series, kind="counts")
     design, response = lagged_design(series, args.order)
+    grid = None
     if args.grid:
         lo, hi, num = args.grid.split(",")
         grid = np.geomspace(float(lo), float(hi), int(num))
-    else:
-        zc = design[:, 1:] - design[:, 1:].mean(axis=0)
-        grid = default_lambda_grid(zc.T @ (response - response.mean()) / response.size)
     report = cross_validate_lambda(design, response, grid, folds=args.folds)
     out = {"grid": report.grid.tolist(), "cv_loss": report.cv_loss.tolist(),
            "chosen_lambda": report.chosen_lambda, "folds": report.folds}

@@ -9,9 +9,11 @@ theta = u - v into the linear program
                           -A(u - v) <= lambda - b,   u, v >= 0,
 
 with c_j = 0 for j in F and c_j = 1 otherwise, and solved exactly by a
-dense two-phase primal simplex.  Both the entering and the leaving choices
-follow Bland's lowest-index rule, which prevents cycling and makes the
-returned vertex deterministic.
+dense dual simplex.  lambda enters only the right-hand side and every cost
+is nonnegative, so the all-slack basis is dual feasible for every lambda
+and the dual simplex starts from it without a phase 1.  Both the leaving
+and the entering choices follow Bland's lowest-index rule, which prevents
+cycling and makes the returned vertex deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import UncertifiedFitError
 from .scores import LinearScoreSystem, build_regression_score
 
 
@@ -59,33 +62,6 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(colvals, tableau[row])
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_price: int,
-                 max_iter: int, tol: float) -> Tuple[str, int]:
-    """Iterate to optimality on a tableau whose last row holds reduced costs.
-
-    Only the first ``n_price`` columns are eligible to enter.  Returns the
-    status and the number of pivots performed.
-    """
-    m = tableau.shape[0] - 1
-    for it in range(max_iter):
-        reduced = tableau[-1, :n_price]
-        eligible = np.nonzero(reduced < -tol)[0]
-        if eligible.size == 0:
-            return "optimal", it
-        j = int(eligible[0])  # Bland: lowest eligible index
-        col = tableau[:m, j]
-        rows = np.nonzero(col > tol)[0]
-        if rows.size == 0:
-            return "unbounded", it
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + tol]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break on basis index
-        _pivot(tableau, leave, j)
-        basis[leave] = j
-    return "iteration_limit", max_iter
-
-
 def solve_dantzig(sys: LinearScoreSystem, lam: float,
                   max_iter: Optional[int] = None) -> DantzigFit:
     """Solve the constrained l1 minimization for one tuning value.
@@ -94,7 +70,8 @@ def solve_dantzig(sys: LinearScoreSystem, lam: float,
     columns, so the fit minimizes the l1 norm over the remaining ones.
     ``status`` is "infeasible" only when ``lam`` is below the smallest
     attainable score norm (singular gram with the moment outside its
-    range); an "iteration_limit" fit carries the last vertex visited.
+    range).  A fit that is not "optimal" carries the last basic solution
+    visited, which violates some constraint.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -105,73 +82,45 @@ def solve_dantzig(sys: LinearScoreSystem, lam: float,
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     tol = 1e-9 * scale
 
-    m = 2 * p                       # constraint rows
-    n_struct = 2 * p                # u, v columns
-    cons = np.vstack([np.hstack([a, -a]), np.hstack([-a, a])])
-    rhs = np.concatenate([b + lam, lam - b])
-
-    neg = rhs < 0
-    slack_sign = np.where(neg, -1.0, 1.0)
-    cons[neg] *= -1
-    rhs = np.abs(rhs)
-    art_rows = np.nonzero(neg)[0]
-    n_art = art_rows.size
-    n_cols = n_struct + m + n_art
-
+    m = 2 * p                       # constraint rows, one slack column each
+    n_cols = 2 * p + m              # u, v, slack columns
     tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m, :n_struct] = cons
-    tableau[np.arange(m), n_struct + np.arange(m)] = slack_sign
-    tableau[art_rows, n_struct + m + np.arange(n_art)] = 1.0
-    tableau[:m, -1] = rhs
+    tableau[:p, :p] = tableau[p:m, p:m] = a
+    tableau[:p, p:m] = tableau[p:m, :p] = -a
+    tableau[np.arange(m), m + np.arange(m)] = 1.0
+    tableau[:m, -1] = np.concatenate([b + lam, lam - b])
+    # reduced costs of the slack basis: the costs themselves, all >= 0,
+    # so the slack basis is dual feasible for every lambda
+    cost = np.ones(p)
+    cost[list(sys.unpenalized)] = 0.0
+    tableau[-1, :p] = tableau[-1, p:m] = cost
+    basis = m + np.arange(m)
 
-    basis = np.empty(m, dtype=int)
-    basis[~neg] = n_struct + np.nonzero(~neg)[0]
-    basis[neg] = n_struct + m + np.arange(n_art)
-
-    iterations = 0
-    if n_art:
-        # phase 1: minimize the sum of artificials
-        tableau[-1] = 0.0
-        tableau[-1, n_struct + m:-1] = 1.0
-        for i in art_rows:
-            tableau[-1] -= tableau[i]
-        status, it1 = _run_simplex(tableau, basis, n_cols, max_iter, tol)
-        iterations += it1
-        phase1_obj = -tableau[-1, -1]
-        if status == "iteration_limit" or phase1_obj > 1e-7 * scale:
-            final = "iteration_limit" if status == "iteration_limit" else "infeasible"
-            theta = np.zeros(p)
-            slack = lam - float(np.abs(b - a @ theta).max())
-            return DantzigFit(theta, lam, 0.0, slack, iterations, final)
-        # pivot lingering zero-level artificials out where possible
-        for i in np.nonzero(basis >= n_struct + m)[0]:
-            nz = np.nonzero(np.abs(tableau[i, : n_struct + m]) > tol)[0]
-            if nz.size:
-                _pivot(tableau, i, int(nz[0]))
-                basis[i] = int(nz[0])
-
-    # phase 2: minimize c'(u + v); artificial columns are never priced
-    cost = np.zeros(n_cols + 1)
-    cost[:n_struct] = 1.0
-    for j in sys.unpenalized:
-        cost[j] = cost[p + j] = 0.0
-    tableau[-1] = cost
-    for i in range(m):
-        if cost[basis[i]]:
-            tableau[-1] -= cost[basis[i]] * tableau[i]
-    status, it2 = _run_simplex(tableau, basis, n_struct + m, max_iter, tol)
-    iterations += it2
-    if status == "unbounded":  # cannot happen: objective bounded below by 0
-        raise RuntimeError("simplex reported an unbounded l1 objective")
+    for iterations in range(max_iter):
+        rows = np.nonzero(tableau[:m, -1] < -tol)[0]
+        if rows.size == 0:
+            status = "optimal"
+            break
+        leave = int(rows[np.argmin(basis[rows])])  # Bland: lowest basic index
+        row = tableau[leave, :n_cols]
+        cols = np.nonzero(row < -tol)[0]
+        if cols.size == 0:  # nonnegative entries times x >= 0 cannot reach a negative value
+            status = "infeasible"
+            break
+        ratios = tableau[-1, cols] / -row[cols]
+        enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])  # Bland tie-break
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+    else:
+        status, iterations = "iteration_limit", max_iter
 
     x = np.zeros(n_cols)
     x[basis] = tableau[:m, -1]
-    theta = x[:p] - x[p: 2 * p]
+    theta = x[:p] - x[p:m]
     slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
-    final = "optimal" if status == "optimal" else "iteration_limit"
     return DantzigFit(theta_hat=theta, lam=lam,
-                      l1_objective=float(np.abs(theta[cost[:p] > 0]).sum()),
-                      feasibility_slack=slack, iterations=iterations, status=final)
+                      l1_objective=float(np.abs(theta[cost > 0]).sum()),
+                      feasibility_slack=slack, iterations=iterations, status=status)
 
 
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
@@ -192,15 +141,24 @@ def default_lambda_grid(moment: np.ndarray, num: int = 20,
 
 
 def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
-                          grid: Sequence[float], folds: int = 5) -> CvReport:
+                          grid: Optional[Sequence[float]] = None,
+                          folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
     ``design`` must carry the intercept in column 0; each fold centers the
     remaining columns with training-block means, fits the constrained l1
     problem per grid value, and scores one-step-ahead squared prediction
     error on the held-out block (intercept refit from the training means).
-    Ties in the mean loss go to the largest lambda.
+    Without a ``grid``, the default grid of the whole series' centered
+    moment is used.  Ties in the mean loss go to the largest lambda.
+    Raises ``UncertifiedFitError`` when a fold's LP is not "optimal".
     """
+    z = np.asarray(design, dtype=float)[:, 1:]
+    y = np.asarray(response, dtype=float).ravel()
+    n = y.size
+    if grid is None:
+        zc = z - z.mean(axis=0)
+        grid = default_lambda_grid(zc.T @ (y - y.mean()) / n)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
@@ -208,9 +166,6 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
         raise ValueError("lambda grid must be sorted ascending")
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    z = np.asarray(design, dtype=float)[:, 1:]
-    y = np.asarray(response, dtype=float).ravel()
-    n = y.size
     if n < 2 * folds:
         raise ValueError("series too short for the requested fold count")
     blocks = np.array_split(np.arange(n), folds)
@@ -223,6 +178,9 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
         zc_val = z[val] - z_bar
         for g, lam in enumerate(grid):
             fit = solve_dantzig(sys, lam)
+            if fit.status != "optimal":
+                raise UncertifiedFitError(
+                    f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
             pred = y_bar + zc_val @ fit.theta_hat
             losses[k, g] = np.mean((y[val] - pred) ** 2)
     cv_loss = losses.mean(axis=0)

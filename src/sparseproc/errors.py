@@ -22,4 +22,4 @@ class DegenerateVarianceError(ValueError):
 
 
 class UncertifiedFitError(ValueError):
-    """A first-step LP ended without an optimality certificate."""
+    """An LP whose result the pipeline uses ended without an optimality certificate."""

@@ -1,8 +1,19 @@
-"""Independent brute-force oracles shared by the unit and acceptance suites."""
+"""Independent oracles shared by the unit and acceptance suites."""
 
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
+
+
+def _split_lp(a: np.ndarray, b: np.ndarray, lam: float, free):
+    """(constraints, right-hand side, costs) of the LP over x = (u, v)."""
+    p = a.shape[0]
+    cons = np.vstack([np.hstack([a, -a]), np.hstack([-a, a])])
+    rhs = np.concatenate([b + lam, lam - b])
+    c = np.ones(p)
+    c[list(free)] = 0.0
+    return cons, rhs, np.concatenate([c, c])
 
 
 def bruteforce_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()):
@@ -14,14 +25,10 @@ def bruteforce_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()):
     coordinates among all basic feasible points, found by enumeration
     rather than pivoting.
     """
-    p = a.shape[0]
-    m = 2 * p
-    cons = np.vstack([np.hstack([a, -a]), np.hstack([-a, a])])
-    rhs = np.concatenate([b + lam, lam - b])
+    cons, rhs, c = _split_lp(a, b, lam, free)
+    m = cons.shape[0]
     full = np.hstack([cons, np.eye(m)])
-    c = np.ones(p)
-    c[list(free)] = 0.0
-    cost = np.concatenate([c, c, np.zeros(m)])
+    cost = np.concatenate([c, np.zeros(m)])
     best = np.inf
     for cols in itertools.combinations(range(full.shape[1]), m):
         sub = full[:, cols]
@@ -31,3 +38,12 @@ def bruteforce_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()):
         if np.all(x >= -1e-9):
             best = min(best, cost[list(cols)] @ x)
     return best, np.isfinite(best)
+
+
+def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()) -> float:
+    """Optimal objective of the same LP from scipy's HiGHS solver."""
+    cons, rhs, c = _split_lp(a, b, lam, free)
+    res = linprog(c, A_ub=cons, b_ub=rhs, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not solve the LP: {res.message}")
+    return float(res.fun)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import bruteforce_l1min
+from oracles import bruteforce_l1min, highs_l1min
 
+from sparseproc import dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
                                 solve_dantzig, threshold_support)
+from sparseproc.errors import UncertifiedFitError
 from sparseproc.scores import LinearScoreSystem, build_regression_score
 from sparseproc.simulate import InarSpec, simulate_inar
 from sparseproc.scores import lagged_design
@@ -136,6 +138,46 @@ class TestSolveDantzig:
             assert abs(fit.l1_objective - np.abs(fit.theta_hat).sum()) < 1e-10
 
 
+@pytest.fixture(scope="module", params=["case3", "case4"])
+def experiment_systems(request):
+    """Centered and raw first-step systems of one case3 (p=100) or case4 (p=200) series."""
+    cfg = harness.builtin_case(request.param, reps=1, lambda_mode="rate")
+    sample = harness.simulate_series(cfg.model, cfg.n,
+                                     harness.derive_seed(cfg.base_seed, 0))
+    design, response = lagged_design(sample, 1, cfg.target)
+    zc = design[:, 1:] - design[:, 1:].mean(axis=0)
+    centered = build_regression_score(zc, response - response.mean())
+    raw = build_regression_score(design, response)
+    rate = cfg.rate_c * float(np.sqrt(np.log(cfg.p) / response.size))
+    return centered, raw, rate
+
+
+class TestHighsOracleAtExperimentDimensions:
+    """Objective and feasibility against HiGHS on the systems the experiments solve."""
+
+    @staticmethod
+    def check(sys, lam):
+        fit = solve_dantzig(sys, lam)
+        scale = max(1.0, float(np.abs(sys.gram).max()), float(np.abs(sys.moment).max()))
+        oracle = highs_l1min(sys.gram, sys.moment, lam, sys.unpenalized)
+        assert fit.status == "optimal"
+        assert fit.feasibility_slack >= -1e-8 * scale
+        assert abs(fit.l1_objective - oracle) <= 1e-6 * max(1.0, oracle)
+
+    @pytest.mark.parametrize("where", ["smallest", "middle", "largest", "rate"])
+    def test_centered_system(self, experiment_systems, where):
+        centered, _, rate = experiment_systems
+        grid = default_lambda_grid(centered.moment)
+        lam = {"smallest": grid[0], "middle": grid[grid.size // 2],
+               "largest": grid[-1], "rate": rate}[where]
+        self.check(centered, lam)
+
+    def test_raw_system_free_intercept(self, experiment_systems):
+        _, raw, rate = experiment_systems
+        assert raw.unpenalized == (0,)
+        self.check(raw, rate)
+
+
 class TestThresholdSupport:
     def test_zero_vector_empty(self):
         fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.zeros(2),
@@ -222,6 +264,23 @@ class TestCrossValidation:
         report = cross_validate_lambda(design, response, grid, folds=4)
         winners = report.grid[report.cv_loss <= report.cv_loss.min()]
         assert report.chosen_lambda == winners.max()
+
+
+    def test_default_grid_from_centered_moment(self):
+        spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2]))
+        design, response = lagged_design(simulate_inar(spec, 300, seed=4), 2)
+        zc = design[:, 1:] - design[:, 1:].mean(axis=0)
+        grid = default_lambda_grid(zc.T @ (response - response.mean()) / response.size)
+        assert_array_equal(cross_validate_lambda(design, response, folds=3).grid, grid)
+
+    def test_uncertified_cv_lp_raises(self, monkeypatch):
+        real = dantzig.solve_dantzig
+        monkeypatch.setattr(dantzig, "solve_dantzig",
+                            lambda sys, lam: real(sys, lam, max_iter=2))
+        spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
+        design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
+        with pytest.raises(UncertifiedFitError, match="iteration_limit"):
+            cross_validate_lambda(design, response, [0.001], folds=3)
 
 
 class TestDefaultGrid:
