@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: simulate, fit, cv, experiment, finfty, hawkes-support.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure,
+4 report written but some replications failed.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .twostep import estimate_diffusion_sigma2, two_step_fit, two_step_to_dict
 
 CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
+REPS_FAILED = 4
 
 
 def _load_json(path) -> dict:
@@ -37,6 +40,18 @@ def _write_out(text: str, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _failure_status(per_rep) -> int:
+    """Print one stderr line per error type of the failed replications.
+
+    Returns REPS_FAILED when any replication failed, else 0.
+    """
+    counts = Counter(r["error"].split(":", 1)[0] for r in per_rep if r["failed"])
+    for name, count in sorted(counts.items()):
+        print(f"{count} of {len(per_rep)} replications failed with {name}",
+              file=sys.stderr)
+    return REPS_FAILED if counts else 0
 
 
 def _cmd_simulate(args) -> int:
@@ -105,7 +120,7 @@ def _cmd_experiment(args) -> int:
         harness.emit_histogram(stats, args.bins, args.hist)
     if args.per_rep:
         harness.write_per_rep_csv(report, args.per_rep)
-    return 0
+    return _failure_status(report.per_rep)
 
 
 def _cmd_finfty(args) -> int:
@@ -133,7 +148,7 @@ def _cmd_hawkes_support(args) -> int:
         config.base_seed = args.seed
     report = harness.run_hawkes_support(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
-    return 0
+    return _failure_status(report["per_rep"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,8 @@ shared state, safe to call concurrently.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +23,7 @@ from .errors import DomainError, StationarityError
 from .rng import make_rng
 
 _COUNT_CAP = 1e12  # conditional mean beyond this aborts instead of overflowing
+_DRAW_BLOCK = 4096  # unit exponentials fetched per call in the Hawkes simulator
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,9 @@ class HawkesSpec:
 
     The excitation kernel a is piecewise constant: a(t) = kernel_values[k]
     on (kernel_breakpoints[k-1], kernel_breakpoints[k]] (with an implicit
-    leading breakpoint 0) and zero beyond the last breakpoint.  Its
-    integral must be < 1 (subcriticality).
+    leading breakpoint 0) and zero beyond the last breakpoint.  Every
+    field must be finite, and the kernel integral must be < 1
+    (subcriticality).
     """
 
     eta: float
@@ -144,6 +148,9 @@ class HawkesSpec:
         vals = np.asarray(self.kernel_values, dtype=float)
         object.__setattr__(self, "kernel_breakpoints", bp)
         object.__setattr__(self, "kernel_values", vals)
+        if not (np.isfinite(self.eta) and np.isfinite(self.horizon)
+                and np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("eta, horizon, breakpoints and kernel values must be finite")
         if self.eta <= 0:
             raise ValueError("baseline eta must be positive")
         if bp.ndim != 1 or vals.shape != bp.shape:
@@ -154,7 +161,7 @@ class HawkesSpec:
             raise ValueError("kernel values must be nonnegative")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.branching_ratio() >= 1.0:
+        if not self.branching_ratio() < 1.0:
             raise StationarityError(
                 f"kernel integral {self.branching_ratio():.3f} >= 1; process is supercritical"
             )
@@ -332,46 +339,58 @@ def simulate_ou(spec: OuSpec, seed: int, y0: Optional[np.ndarray] = None) -> Ser
     return SeriesSample(values=path, delta=spec.delta, kind="reals")
 
 
+def _standard_exponentials(rng: np.random.Generator):
+    """Unit exponential draws of ``rng`` one at a time, fetched in blocks.
+
+    A block draw consumes the same stream as repeated scalar draws, and
+    ``rng.exponential(scale)`` is ``scale * rng.standard_exponential()``.
+    """
+    while True:
+        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
+
+
 def simulate_hawkes(spec: HawkesSpec, seed: int) -> np.ndarray:
     """Event times in (0, horizon] drawn by Ogata thinning.
 
     Between kernel breakpoints the intensity is constant, so the local
     upper bound is the current intensity itself and every proposal that
-    stays within the current piece is accepted.
+    stays within the current piece is accepted; a proposal that crosses
+    the next breakpoint of an active event restarts just past it.  The
+    loop runs on Python floats: the intensity is summed in event order,
+    and waiting times are ``(1 / intensity) * e`` with e a unit
+    exponential, so the events equal those of scalar
+    ``rng.exponential(1 / intensity)`` draws bit for bit.
     """
-    rng = make_rng(seed)
-    bp = spec.kernel_breakpoints
-    vals = spec.kernel_values
-    tail = bp[-1] if bp.size else 0.0
+    draw = _standard_exponentials(make_rng(seed)).__next__
+    bp = spec.kernel_breakpoints.tolist()
+    vals = spec.kernel_values.tolist()
+    eta = float(spec.eta)
+    horizon = float(spec.horizon)
+    pieces = len(bp)
+    tail = bp[-1] if bp else 0.0
     events: list[float] = []
     t = 0.0
     first_active = 0  # events earlier than t - tail never contribute again
     while True:
         while first_active < len(events) and events[first_active] <= t - tail:
             first_active += 1
-        active = events[first_active:]
-        # intensity just right of t and the next time it can change
-        lam = spec.eta
-        next_change = np.inf
-        for ti in active:
-            age = t - ti
-            k = int(np.searchsorted(bp, age, side="right"))
-            if k < bp.size:
+        # intensity just right of t (lam >= eta > 0) and the next time it can change
+        lam = eta
+        next_change = math.inf
+        for ti in events[first_active:]:
+            k = bisect_right(bp, t - ti)
+            if k < pieces:
                 lam += vals[k]
                 boundary = ti + bp[k]
-                if boundary > t:  # guard: float rounding may land exactly on t
-                    next_change = min(next_change, boundary)
-        if lam <= 0:
-            if not np.isfinite(next_change) or next_change >= spec.horizon:
-                break
-            t = np.nextafter(next_change, np.inf)
-            continue
-        wait = rng.exponential(1.0 / lam)
+                # guard: float rounding may land exactly on t
+                if t < boundary < next_change:
+                    next_change = boundary
+        wait = (1.0 / lam) * draw()
         if t + wait > next_change:
-            t = np.nextafter(next_change, np.inf)
+            t = math.nextafter(next_change, math.inf)
             continue
         t = t + wait
-        if t > spec.horizon:
+        if t > horizon:
             break
         events.append(t)
     return np.array(events)

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from sparseproc.rng import make_rng
+
 
 def _split_lp(a: np.ndarray, b: np.ndarray, lam: float, free):
     """(constraints, right-hand side, costs) of the LP over x = (u, v)."""
@@ -47,3 +49,44 @@ def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()) -> float:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the LP: {res.message}")
     return float(res.fun)
+
+
+def hawkes_reference_events(spec, seed: int) -> np.ndarray:
+    """Ogata thinning with one numpy call per step: the reference for
+    ``simulate_hawkes``, which must return the same events byte for byte."""
+    rng = make_rng(seed)
+    bp = spec.kernel_breakpoints
+    vals = spec.kernel_values
+    tail = bp[-1] if bp.size else 0.0
+    events: list[float] = []
+    t = 0.0
+    first_active = 0  # events earlier than t - tail never contribute again
+    while True:
+        while first_active < len(events) and events[first_active] <= t - tail:
+            first_active += 1
+        active = events[first_active:]
+        # intensity just right of t and the next time it can change
+        lam = spec.eta
+        next_change = np.inf
+        for ti in active:
+            age = t - ti
+            k = int(np.searchsorted(bp, age, side="right"))
+            if k < bp.size:
+                lam += vals[k]
+                boundary = ti + bp[k]
+                if boundary > t:  # guard: float rounding may land exactly on t
+                    next_change = min(next_change, boundary)
+        if lam <= 0:
+            if not np.isfinite(next_change) or next_change >= spec.horizon:
+                break
+            t = np.nextafter(next_change, np.inf)
+            continue
+        wait = rng.exponential(1.0 / lam)
+        if t + wait > next_change:
+            t = np.nextafter(next_change, np.inf)
+            continue
+        t = t + wait
+        if t > spec.horizon:
+            break
+        events.append(t)
+    return np.array(events)

@@ -255,6 +255,26 @@ class TestCli:
                    "--out", str(tmp_path / "fit.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv,rep_fn", [
+        (["experiment", "--case", "case1", "--reps", "3", "--n", "500"], "_case_rep"),
+        (["hawkes-support", "--reps", "3", "--n", "200"], "_hawkes_rep"),
+    ])
+    def test_failed_reps_exit_code(self, tmp_path, monkeypatch, capsys, argv, rep_fn):
+        real = getattr(harness, rep_fn)
+
+        def flaky(config, rep):
+            if rep == 2:
+                raise RankError("synthetic failure")
+            return real(config, rep)
+
+        monkeypatch.setattr(harness, rep_fn, flaky)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 4
+        report = json.load(open(out))
+        assert report["failures"] == 1
+        assert [r["failed"] for r in report["per_rep"]] == [False, True, False]
+        assert capsys.readouterr().err == "1 of 3 replications failed with RankError\n"
+
     def test_finfty_verb(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         json.dump({"model": "inar", "mu_eps": 1.0, "alpha": [0.4, 0.2],

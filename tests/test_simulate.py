@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import hawkes_reference_events
 
 from sparseproc.errors import StationarityError
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
@@ -14,6 +15,20 @@ from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  spec_to_dict, write_series_csv)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
+
+# (eta, breakpoints, values, horizon) of the kernels the simulator must
+# reproduce byte for byte against the reference loop
+HAWKES_KERNELS = {
+    # the built-in case: more than 4,096 draws, so blocks are refilled
+    "case": (1.0, [1.0], [0.8], 1000.0),
+    "two_piece": (1.0, [0.5, 1.0], [1.0, 0.4], 200.0),
+    "zero_interior": (1.0, [0.5, 1.0, 2.0], [0.6, 0.0, 0.3], 200.0),
+    # narrow pieces: proposals often cross a breakpoint (the nextafter step)
+    "narrow_long_tail": (1.5, [0.01, 0.02, 0.03, 0.04, 6.0],
+                         [6.0, 3.0, 6.0, 3.0, 0.05], 150.0),
+    "horizon_inside_tail": (2.0, [1.0, 10.0], [0.3, 0.05], 5.0),
+    "zero_kernel": (2.0, [1.0], [0.0], 200.0),
+}
 
 
 class TestInar:
@@ -175,6 +190,55 @@ class TestHawkes:
         rates = np.array([len(simulate_hawkes(spec, 50 + s)) / spec.horizon
                           for s in range(8)])
         assert abs(rates.mean() - 5.0) < 0.5
+
+    def test_mean_rate_identity_two_piece(self):
+        spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([0.5, 1.0]),
+                          kernel_values=np.array([1.0, 0.4]), horizon=2000.0)
+        rates = np.array([len(simulate_hawkes(spec, 70 + s)) / spec.horizon
+                          for s in range(8)])
+        target = spec.eta / (1.0 - spec.branching_ratio())
+        se = rates.std(ddof=1) / np.sqrt(rates.size)
+        assert abs(rates.mean() - target) < 4 * se
+
+    @pytest.mark.parametrize("kernel", sorted(HAWKES_KERNELS))
+    def test_matches_reference_loop(self, kernel):
+        eta, bp, vals, horizon = HAWKES_KERNELS[kernel]
+        spec = HawkesSpec(eta=eta, kernel_breakpoints=np.array(bp),
+                          kernel_values=np.array(vals), horizon=horizon)
+        for seed in range(5):
+            events = simulate_hawkes(spec, seed)
+            assert events.tobytes() == hawkes_reference_events(spec, seed).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=4),
+           st.floats(0.1, 2.0), st.floats(0.5, 10.0), st.floats(0.05, 0.8),
+           st.integers(0, 2**32 - 1))
+    def test_matches_reference_random_kernels(self, pieces, eta, horizon, ratio, seed):
+        widths = np.array([w for w, _ in pieces])
+        heights = np.array([h for _, h in pieces])
+        integral = widths @ heights
+        vals = heights * (ratio / integral) if integral > 1e-3 else heights
+        spec = HawkesSpec(eta=eta, kernel_breakpoints=np.cumsum(widths),
+                          kernel_values=vals, horizon=horizon)
+        events = simulate_hawkes(spec, seed)
+        assert events.tobytes() == hawkes_reference_events(spec, seed).tobytes()
+
+    @pytest.mark.parametrize("fields", [
+        {"eta": np.nan},
+        {"eta": np.inf},
+        {"horizon": np.inf},
+        {"horizon": np.nan},
+        {"kernel_values": [np.nan, 0.1]},
+        {"kernel_breakpoints": [0.5, np.nan]},
+        {"kernel_breakpoints": [0.5, np.inf], "kernel_values": [0.5, 0.0]},
+    ])
+    def test_non_finite_spec_rejected(self, fields):
+        spec = {"eta": 1.0, "kernel_breakpoints": [0.5, 1.0],
+                "kernel_values": [0.5, 0.2], "horizon": 10.0}
+        spec.update(fields)
+        with pytest.raises(ValueError, match="finite"):
+            HawkesSpec(**spec)
 
     def test_supercritical_rejected(self):
         with pytest.raises(StationarityError):
