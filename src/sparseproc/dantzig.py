@@ -13,7 +13,10 @@ dense dual simplex.  lambda enters only the right-hand side and every cost
 is nonnegative, so the all-slack basis is dual feasible for every lambda
 and the dual simplex starts from it without a phase 1.  Both the leaving
 and the entering choices follow Bland's lowest-index rule, which prevents
-cycling and makes the returned vertex deterministic.
+cycling and makes the returned vertex deterministic.  A path of lambda
+values is solved in one Fortran-order tableau from the largest value down,
+each warm-started from the last optimal basis (parametric simplex, as in
+fastclime); every pivot is one in-place BLAS rank-1 update (dger).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import UncertifiedFitError
 from .scores import LinearScoreSystem, build_regression_score
@@ -55,72 +59,69 @@ class CvReport:
     folds: int
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    colvals = tableau[:, col].copy()
-    colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
-
-
 def solve_dantzig(sys: LinearScoreSystem, lam: float,
                   max_iter: Optional[int] = None) -> DantzigFit:
-    """Solve the constrained l1 minimization for one tuning value.
+    """Solve the constrained l1 minimization for one tuning value."""
+    return solve_dantzig_path(sys, [lam], max_iter)[0]
+
+
+def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
+                       max_iter: Optional[int] = None) -> list[DantzigFit]:
+    """Solve the constrained l1 minimization for each tuning value; fits in input order.
 
     Coordinates in ``sys.unpenalized`` get zero cost on both their u and v
-    columns, so the fit minimizes the l1 norm over the remaining ones.
-    ``status`` is "infeasible" only when ``lam`` is below the smallest
-    attainable score norm (singular gram with the moment outside its
-    range).  A fit that is not "optimal" carries the last basic solution
-    visited, which violates some constraint.
+    columns.  ``max_iter`` bounds the pivots of each value.  ``status`` is
+    "infeasible" only when lambda is below the smallest attainable score
+    norm; a fit that is not "optimal" carries the last basic solution visited.
     """
-    if lam < 0:
+    if any(lam < 0 for lam in lams):
         raise ValueError("lambda must be nonnegative")
-    a, b = sys.gram, sys.moment
-    p = sys.dim
-    if max_iter is None:
-        max_iter = 50 * 4 * p
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-    tol = 1e-9 * scale
+    a, b, p = sys.gram, sys.moment, sys.dim
+    max_iter = 50 * 4 * p if max_iter is None else max_iter
+    tol = 1e-9 * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
 
-    m = 2 * p                       # constraint rows, one slack column each
-    n_cols = 2 * p + m              # u, v, slack columns
-    tableau = np.zeros((m + 1, n_cols + 1))
+    m, n_cols = 2 * p, 4 * p        # constraint rows (one slack each); u, v, slack columns
+    tableau = np.zeros((m + 1, n_cols + 1), order="F")  # columns contiguous for dger
     tableau[:p, :p] = tableau[p:m, p:m] = a
     tableau[:p, p:m] = tableau[p:m, :p] = -a
     tableau[np.arange(m), m + np.arange(m)] = 1.0
-    tableau[:m, -1] = np.concatenate([b + lam, lam - b])
-    # reduced costs of the slack basis: the costs themselves, all >= 0,
-    # so the slack basis is dual feasible for every lambda
+    # reduced costs of the slack basis are the costs, all >= 0: dual feasible for every lambda
     cost = np.ones(p)
     cost[list(sys.unpenalized)] = 0.0
     tableau[-1, :p] = tableau[-1, p:m] = cost
     basis = m + np.arange(m)
 
-    for iterations in range(max_iter):
-        rows = np.nonzero(tableau[:m, -1] < -tol)[0]
-        if rows.size == 0:
-            status = "optimal"
-            break
-        leave = int(rows[np.argmin(basis[rows])])  # Bland: lowest basic index
-        row = tableau[leave, :n_cols]
-        cols = np.nonzero(row < -tol)[0]
-        if cols.size == 0:  # nonnegative entries times x >= 0 cannot reach a negative value
-            status = "infeasible"
-            break
-        ratios = tableau[-1, cols] / -row[cols]
-        enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])  # Bland tie-break
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
-    else:
-        status, iterations = "iteration_limit", max_iter
-
-    x = np.zeros(n_cols)
-    x[basis] = tableau[:m, -1]
-    theta = x[:p] - x[p:m]
-    slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
-    return DantzigFit(theta_hat=theta, lam=lam,
-                      l1_objective=float(np.abs(theta[cost > 0]).sum()),
-                      feasibility_slack=slack, iterations=iterations, status=status)
+    fits: list = [None] * len(lams)
+    for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
+        # the last basis stays dual feasible; the slack columns hold B^-1
+        tableau[:m, -1] = tableau[:m, m:n_cols] @ np.concatenate([b + lam, lam - b])
+        for iterations in range(max_iter):
+            rows = np.nonzero(tableau[:m, -1] < -tol)[0]
+            if rows.size == 0:
+                status = "optimal"
+                break
+            leave = int(rows[np.argmin(basis[rows])])  # Bland: lowest basic index
+            row = tableau[leave, :n_cols]
+            cols = np.nonzero(row < -tol)[0]
+            if cols.size == 0:  # nonnegative entries times x >= 0 cannot reach a negative value
+                status = "infeasible"
+                break
+            ratios = tableau[-1, cols] / -row[cols]
+            enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])  # Bland tie-break
+            pivot_row = tableau[leave] / tableau[leave, enter]
+            dger(-1.0, tableau[:, enter].copy(), pivot_row, a=tableau, overwrite_a=1)
+            tableau[leave] = pivot_row
+            basis[leave] = enter
+        else:
+            status, iterations = "iteration_limit", max_iter
+        x = np.zeros(n_cols)
+        x[basis] = tableau[:m, -1]
+        theta = x[:p] - x[p:m]
+        slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
+        fits[i] = DantzigFit(theta_hat=theta, lam=lam,
+                             l1_objective=float(np.abs(theta[cost > 0]).sum()),
+                             feasibility_slack=slack, iterations=iterations, status=status)
+    return fits
 
 
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
@@ -176,8 +177,7 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
         y_bar = y[train].mean()
         sys = build_regression_score(z[train] - z_bar, y[train] - y_bar)
         zc_val = z[val] - z_bar
-        for g, lam in enumerate(grid):
-            fit = solve_dantzig(sys, lam)
+        for g, (lam, fit) in enumerate(zip(grid, solve_dantzig_path(sys, grid))):
             if fit.status != "optimal":
                 raise UncertifiedFitError(
                     f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")

@@ -42,9 +42,11 @@ class InarSpec:
         object.__setattr__(self, "alpha", alpha)
         if alpha.ndim != 1:
             raise ValueError("alpha must be a vector")
+        if not (np.isfinite(self.mu_eps) and np.all(np.isfinite(alpha))):
+            raise ValueError("mu_eps and alpha must be finite")
         if np.any(alpha < 0) or self.mu_eps < 0:
             raise ValueError("alpha and mu_eps must be nonnegative")
-        if alpha.sum() >= 1.0:
+        if not alpha.sum() < 1.0:
             raise StationarityError(
                 f"thinning means sum to {alpha.sum():.3f} >= 1; no stationary solution"
             )
@@ -54,9 +56,6 @@ class InarSpec:
     @property
     def order(self) -> int:
         return self.alpha.size
-
-    def stationary_mean(self) -> float:
-        return self.mu_eps / (1.0 - self.alpha.sum())
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,11 @@ class Minar1Spec:
         object.__setattr__(self, "a_matrix", a)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or eta.shape != (a.shape[0],):
             raise ValueError("a_matrix must be square and match eta")
+        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(a))):
+            raise ValueError("eta and a_matrix must be finite")
         if np.any(a < 0) or np.any(eta < 0):
             raise ValueError("eta and a_matrix must be nonnegative")
-        if a.sum(axis=1).max() >= 1.0:
+        if not a.sum(axis=1).max() < 1.0:
             raise StationarityError(
                 f"max row sum of A is {a.sum(axis=1).max():.3f} >= 1; no stationary solution"
             )
@@ -86,9 +87,6 @@ class Minar1Spec:
     @property
     def dim(self) -> int:
         return self.eta.size
-
-    def stationary_mean(self) -> np.ndarray:
-        return np.linalg.solve(np.eye(self.dim) - self.a_matrix, self.eta)
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,8 @@ class OuSpec:
         object.__setattr__(self, "sigma_diag", s)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or s.shape != (a.shape[0],):
             raise ValueError("a_matrix must be square and match sigma_diag")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s)) and np.isfinite(self.delta)):
+            raise ValueError("a_matrix, sigma_diag and delta must be finite")
         if np.any(s <= 0):
             raise ValueError("sigma_diag entries must be positive")
         if self.delta <= 0 or self.n_steps < 1 or self.substeps < 1:

@@ -9,10 +9,11 @@ from oracles import bruteforce_l1min, highs_l1min
 
 from sparseproc import dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
-                                solve_dantzig, threshold_support)
+                                solve_dantzig, solve_dantzig_path, threshold_support)
 from sparseproc.errors import UncertifiedFitError
 from sparseproc.scores import LinearScoreSystem, build_regression_score
-from sparseproc.simulate import InarSpec, simulate_inar
+from sparseproc.simulate import (InarSpec, SeriesSample, bin_counts, simulate_hawkes,
+                                 simulate_inar)
 from sparseproc.scores import lagged_design
 
 
@@ -178,6 +179,91 @@ class TestHighsOracleAtExperimentDimensions:
         self.check(raw, rate)
 
 
+def cv_fold_system(design, response, fold=0, folds=5):
+    """The training-block system that ``cross_validate_lambda`` builds for one fold,
+    and the default grid it solves it over."""
+    z, y = design[:, 1:], response
+    n = y.size
+    val = np.array_split(np.arange(n), folds)[fold]
+    train = np.setdiff1d(np.arange(n), val, assume_unique=True)
+    z_bar, y_bar = z[train].mean(axis=0), y[train].mean()
+    grid = default_lambda_grid((z - z.mean(axis=0)).T @ (y - y.mean()) / n)
+    return build_regression_score(z[train] - z_bar, y[train] - y_bar), grid
+
+
+def case3_fold():
+    cfg = harness.builtin_case("case3", reps=1)
+    sample = harness.simulate_series(cfg.model, cfg.n, harness.derive_seed(cfg.base_seed, 1))
+    return cv_fold_system(*lagged_design(sample, 1, cfg.target), fold=2)
+
+
+def hawkes_fold():
+    cfg = harness.builtin_case("hawkes", reps=1)
+    events = simulate_hawkes(cfg.model, harness.derive_seed(cfg.base_seed, 1))
+    binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
+    series = SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
+    return cv_fold_system(*lagged_design(series, cfg.p), fold=4)
+
+
+class TestSolveDantzigPath:
+    """The warm-started path against HiGHS and against one-value solves."""
+
+    @pytest.mark.parametrize("fold_system", [case3_fold, hawkes_fold],
+                             ids=["case3_p100", "hawkes_p20"])
+    def test_cv_fold_grid_against_highs(self, fold_system):
+        sys, grid = fold_system()
+        assert grid.size == 20
+        scale = max(1.0, float(np.abs(sys.gram).max()), float(np.abs(sys.moment).max()))
+        fits = solve_dantzig_path(sys, grid)
+        assert [fit.lam for fit in fits] == list(grid)
+        for fit in fits:
+            oracle = highs_l1min(sys.gram, sys.moment, fit.lam, sys.unpenalized)
+            assert fit.status == "optimal"
+            assert fit.feasibility_slack >= -1e-8 * scale
+            assert abs(fit.l1_objective - oracle) <= 1e-6 * max(1.0, oracle), fit.lam
+        # warm starts: far fewer pivots than the cold solves of the same grid
+        assert sum(f.iterations for f in fits) < sum(
+            solve_dantzig(sys, lam).iterations for lam in grid[::4])
+
+    def test_unsorted_lambdas_in_input_order(self):
+        rng = np.random.default_rng(29)
+        sys = random_system(rng, 6)
+        lams = list(np.abs(sys.moment).max() * np.array([0.3, 0.05, 0.9, 0.05, 0.0, 0.6]))
+        fits = solve_dantzig_path(sys, lams)
+        assert [fit.lam for fit in fits] == lams
+        for lam, fit in zip(lams, fits):
+            single = solve_dantzig(sys, lam)
+            assert fit.status == single.status == "optimal"
+            assert abs(fit.l1_objective - single.l1_objective) < 1e-9
+            assert fit.feasibility_slack >= -1e-8
+
+    def test_singular_gram_infeasible_below_attainable_norm(self):
+        # b - A theta = (3 - theta_0, 1): its sup norm is at least 1
+        sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                moment=np.array([3.0, 1.0]), n_eff=5)
+        lams = [0.5, 1.5, 0.2, 2.0, 0.99]
+        fits = solve_dantzig_path(sys, lams)
+        assert [fit.status for fit in fits] == ["infeasible", "optimal", "infeasible",
+                                                "optimal", "infeasible"]
+        assert_allclose([fits[1].l1_objective, fits[3].l1_objective], [1.5, 1.0], atol=1e-12)
+
+    def test_iteration_limit_per_lambda(self):
+        rng = np.random.default_rng(31)
+        sys = random_system(rng, 8)
+        lams = np.geomspace(0.01, 1.0, 6) * np.abs(sys.moment).max()
+        fits = solve_dantzig_path(sys, lams, max_iter=3)
+        assert all(fit.iterations <= 3 for fit in fits)
+        assert any(fit.status == "iteration_limit" for fit in fits)
+        for fit in fits:
+            assert (fit.status == "iteration_limit") == (fit.iterations == 3)
+
+    def test_negative_lambda_and_empty_list(self):
+        sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=5)
+        with pytest.raises(ValueError):
+            solve_dantzig_path(sys, [0.5, -0.1, 0.2])
+        assert solve_dantzig_path(sys, []) == []
+
+
 class TestThresholdSupport:
     def test_zero_vector_empty(self):
         fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.zeros(2),
@@ -274,9 +360,9 @@ class TestCrossValidation:
         assert_array_equal(cross_validate_lambda(design, response, folds=3).grid, grid)
 
     def test_uncertified_cv_lp_raises(self, monkeypatch):
-        real = dantzig.solve_dantzig
-        monkeypatch.setattr(dantzig, "solve_dantzig",
-                            lambda sys, lam: real(sys, lam, max_iter=2))
+        real = dantzig.solve_dantzig_path
+        monkeypatch.setattr(dantzig, "solve_dantzig_path",
+                            lambda sys, lams: real(sys, lams, max_iter=2))
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
         design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):

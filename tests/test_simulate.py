@@ -175,6 +175,29 @@ class TestOu:
         assert np.all(np.abs(emp - v) < 0.05 * np.abs(v).max() + 0.05 * np.abs(v))
 
 
+# each spec differs from a valid one in a single non-finite field
+NON_FINITE_SPECS = {
+    "ou_sigma_inf": (OuSpec, dict(a_matrix=-np.eye(1), sigma_diag=[np.inf], delta=0.1,
+                                  n_steps=3)),
+    "ou_delta_inf": (OuSpec, dict(a_matrix=-np.eye(1), sigma_diag=[1.0], delta=np.inf,
+                                  n_steps=3)),
+    "ou_drift_nan": (OuSpec, dict(a_matrix=[[np.nan]], sigma_diag=[1.0], delta=0.1,
+                                  n_steps=3)),
+    "inar_mu_nan": (InarSpec, dict(mu_eps=np.nan, alpha=[0.3])),
+    "inar_mu_inf": (InarSpec, dict(mu_eps=np.inf, alpha=[0.3])),
+    "inar_alpha_nan": (InarSpec, dict(mu_eps=0.5, alpha=[np.nan])),
+    "minar_eta_nan": (Minar1Spec, dict(eta=[np.nan], a_matrix=[[0.3]])),
+    "minar_a_nan": (Minar1Spec, dict(eta=[1.0], a_matrix=[[np.nan]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SPECS))
+def test_non_finite_spec_rejected(name):
+    cls, fields = NON_FINITE_SPECS[name]
+    with pytest.raises(ValueError, match="finite"):
+        cls(**fields)
+
+
 class TestHawkes:
     def test_zero_kernel_is_poisson(self):
         spec = HawkesSpec(eta=2.0, kernel_breakpoints=np.array([1.0]),
