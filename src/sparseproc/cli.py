@@ -19,7 +19,7 @@ from .dantzig import cross_validate_lambda, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError, UncertifiedFitError)
-from .scores import lagged_design
+from .scores import build_inar_score, lagged_design
 from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
 from .twostep import estimate_diffusion_sigma2, two_step_fit, two_step_to_dict
@@ -79,8 +79,7 @@ def _cmd_fit(args) -> int:
     else:
         series = read_series_csv(args.series, kind="counts")
         design, response = lagged_design(series, args.order)
-        fit = two_step_fit(design, response, args.lam, args.tau,
-                           centered=not args.raw)
+        fit = two_step_fit(design, response, args.lam, args.tau)
     out = two_step_to_dict(fit)
     out["first_step"] = fit_to_dict(fit.first_step)
     out["theta_first"] = fit.theta_first.tolist()
@@ -125,9 +124,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_finfty(args) -> int:
     series = read_series_csv(args.series, kind="counts")
-    design, _ = lagged_design(series, args.order)
-    zc = design[:, 1:] - design[:, 1:].mean(axis=0)
-    gram = zc.T @ zc / zc.shape[0]
+    gram = build_inar_score(series, args.order, centered=True).gram
     support = [int(s) for s in args.support.split(",")]
     est = estimate_f_infinity(gram, support, args.samples, args.seed,
                               method=args.method)
@@ -172,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
     p_fit.add_argument("--tau", type=float, default=0.05)
     p_fit.add_argument("--delta", type=float, default=None)
-    p_fit.add_argument("--raw", action="store_true", help="skip mean-centering")
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 

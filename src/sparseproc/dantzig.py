@@ -1,22 +1,21 @@
 """l1-minimal estimation subject to an l-infinity score constraint.
 
-The program  min sum_{j not in F} |theta_j|  s.t.  ||b - A theta||_inf <= lambda,
-with F the system's unpenalized coordinates (empty for the plain Dantzig
-selector  min ||theta||_1), is rewritten with the positive/negative split
-theta = u - v into the linear program
+The Dantzig selector  min ||theta||_1  s.t.  ||b - A theta||_inf <= lambda
+is rewritten with the positive/negative split theta = u - v into the
+linear program
 
-    min c'(u + v)   s.t.   A(u - v) <= b + lambda,
+    min 1'(u + v)   s.t.   A(u - v) <= b + lambda,
                           -A(u - v) <= lambda - b,   u, v >= 0,
 
-with c_j = 0 for j in F and c_j = 1 otherwise, and solved exactly by a
-dense dual simplex.  lambda enters only the right-hand side and every cost
-is nonnegative, so the all-slack basis is dual feasible for every lambda
-and the dual simplex starts from it without a phase 1.  Both the leaving
-and the entering choices follow Bland's lowest-index rule, which prevents
-cycling and makes the returned vertex deterministic.  A path of lambda
-values is solved in one Fortran-order tableau from the largest value down,
-each warm-started from the last optimal basis (parametric simplex, as in
-fastclime); every pivot is one in-place BLAS rank-1 update (dger).
+and solved exactly by a dense dual simplex.  lambda enters only the
+right-hand side and every cost is one, so the all-slack basis is dual
+feasible for every lambda and the dual simplex starts from it without a
+phase 1.  Both the leaving and the entering choices follow Bland's
+lowest-index rule, which prevents cycling and makes the returned vertex
+deterministic.  A path of lambda values is solved in one Fortran-order
+tableau from the largest value down, each warm-started from the last
+optimal basis (parametric simplex, as in fastclime); every pivot is one
+in-place BLAS rank-1 update (dger).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from .errors import UncertifiedFitError
-from .scores import LinearScoreSystem, build_regression_score
+from .scores import LinearScoreSystem, build_regression_score, center_design
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class DantzigFit:
 
     theta_hat: np.ndarray
     lam: float
-    l1_objective: float  # l1 norm of theta_hat over penalized coordinates
+    l1_objective: float  # ||theta_hat||_1
     feasibility_slack: float  # lambda - ||b - A theta_hat||_inf
     iterations: int
     status: str  # optimal | infeasible | iteration_limit
@@ -69,8 +68,7 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
                        max_iter: Optional[int] = None) -> list[DantzigFit]:
     """Solve the constrained l1 minimization for each tuning value; fits in input order.
 
-    Coordinates in ``sys.unpenalized`` get zero cost on both their u and v
-    columns.  ``max_iter`` bounds the pivots of each value.  ``status`` is
+    ``max_iter`` bounds the pivots of each value.  ``status`` is
     "infeasible" only when lambda is below the smallest attainable score
     norm; a fit that is not "optimal" carries the last basic solution visited.
     """
@@ -85,10 +83,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     tableau[:p, :p] = tableau[p:m, p:m] = a
     tableau[:p, p:m] = tableau[p:m, :p] = -a
     tableau[np.arange(m), m + np.arange(m)] = 1.0
-    # reduced costs of the slack basis are the costs, all >= 0: dual feasible for every lambda
-    cost = np.ones(p)
-    cost[list(sys.unpenalized)] = 0.0
-    tableau[-1, :p] = tableau[-1, p:m] = cost
+    # reduced costs of the slack basis are the costs, all ones: dual feasible for every lambda
+    tableau[-1, :m] = 1.0
     basis = m + np.arange(m)
 
     fits: list = [None] * len(lams)
@@ -119,7 +115,7 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
         theta = x[:p] - x[p:m]
         slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
         fits[i] = DantzigFit(theta_hat=theta, lam=lam,
-                             l1_objective=float(np.abs(theta[cost > 0]).sum()),
+                             l1_objective=float(np.abs(theta).sum()),
                              feasibility_slack=slack, iterations=iterations, status=status)
     return fits
 
@@ -147,19 +143,19 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
     ``design`` must carry the intercept in column 0; each fold centers the
-    remaining columns with training-block means, fits the constrained l1
-    problem per grid value, and scores one-step-ahead squared prediction
-    error on the held-out block (intercept refit from the training means).
-    Without a ``grid``, the default grid of the whole series' centered
-    moment is used.  Ties in the mean loss go to the largest lambda.
-    Raises ``UncertifiedFitError`` when a fold's LP is not "optimal".
+    training block with ``center_design``, fits the constrained l1 problem
+    per grid value, and scores one-step-ahead squared prediction error on
+    the held-out block (intercept refit from the training means).  Without
+    a ``grid``, the default grid of the whole series' centered moment is
+    used.  Ties in the mean loss go to the largest lambda.  Raises
+    ``UncertifiedFitError`` when a fold's LP is not "optimal".
     """
-    z = np.asarray(design, dtype=float)[:, 1:]
+    z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     n = y.size
     if grid is None:
-        zc = z - z.mean(axis=0)
-        grid = default_lambda_grid(zc.T @ (y - y.mean()) / n)
+        zc, yc, _, _ = center_design(z, y)
+        grid = default_lambda_grid(zc.T @ yc / n)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
@@ -173,10 +169,9 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
     losses = np.zeros((folds, grid.size))
     for k, val in enumerate(blocks):
         train = np.setdiff1d(np.arange(n), val, assume_unique=True)
-        z_bar = z[train].mean(axis=0)
-        y_bar = y[train].mean()
-        sys = build_regression_score(z[train] - z_bar, y[train] - y_bar)
-        zc_val = z[val] - z_bar
+        zc, yc, z_bar, y_bar = center_design(z[train], y[train])
+        sys = build_regression_score(zc, yc)
+        zc_val = z[val, 1:] - z_bar
         for g, (lam, fit) in enumerate(zip(grid, solve_dantzig_path(sys, grid))):
             if fit.status != "optimal":
                 raise UncertifiedFitError(

@@ -25,7 +25,7 @@ from .diagnostics import royston_test, selection_and_errors
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
                      StationarityError, UncertifiedFitError)
 from .rng import derive_seed, make_rng
-from .scores import build_regression_score, lagged_design
+from .scores import build_regression_score, center_design, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict)
@@ -225,7 +225,7 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
         design, response = lagged_design(sample, order, target=config.target)
         fisher = response.size
         # simulated count cases are conditionally Poisson: variance = mean
-        fit_kwargs = {"centered": True, "nuisance_mode": "plugin_theta"}
+        fit_kwargs = {"nuisance_mode": "plugin_theta"}
         offset = 1
     lam = _choose_lambda(config, design, response, fisher)
     fit = two_step_fit(design, response, lam, config.tau,
@@ -404,9 +404,8 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
                           kind="counts")
     design, response = lagged_design(series, p)
     lam = _choose_lambda(config, design, response, response.size)
-    zc = design[:, 1:] - design[:, 1:].mean(axis=0)
-    yc = response - response.mean()
-    sys1 = build_regression_score(zc, yc, model_tag="inar")
+    zc, yc, _, _ = center_design(design, response)
+    sys1 = build_regression_score(zc, yc)
     fit = solve_dantzig(sys1, lam)
     if fit.status != "optimal":
         raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")

@@ -5,10 +5,6 @@ reduces its estimating function to this affine form; A is the Gram matrix
 and b the moment vector.  The weighted second-step systems carry the same
 structure restricted to a support set with per-observation inverse-variance
 weights.
-
-A system may mark coordinates as unpenalized: the first-step l1 objective
-leaves them free.  Regression systems mark every covariate column that is
-identically 1.0, i.e. the intercept column of a raw (uncentered) design.
 """
 
 from __future__ import annotations
@@ -26,25 +22,17 @@ VARIANCE_FLOOR = 1e-8  # applied before inverting a conditional variance
 
 @dataclass(frozen=True)
 class LinearScoreSystem:
-    """Affine score psi(theta) = moment - gram @ theta with gram symmetric PSD.
-
-    ``unpenalized`` lists the coordinates that carry no l1 cost in the
-    first-step fit (sorted, unique).
-    """
+    """Affine score psi(theta) = moment - gram @ theta with gram symmetric PSD."""
 
     gram: np.ndarray
     moment: np.ndarray
     n_eff: int
-    model_tag: str = "regression"
-    unpenalized: Tuple[int, ...] = ()
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=float)
         moment = np.asarray(self.moment, dtype=float)
-        free = tuple(sorted({int(j) for j in self.unpenalized}))
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "moment", moment)
-        object.__setattr__(self, "unpenalized", free)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be square")
         if moment.shape != (gram.shape[0],):
@@ -53,12 +41,14 @@ class LinearScoreSystem:
             raise ValueError("gram and moment must be finite")
         if self.n_eff < 1:
             raise ValueError("n_eff must be positive")
-        if free and not 0 <= free[0] <= free[-1] < moment.size:
-            raise ValueError("unpenalized coordinates must index the system")
 
     @property
     def dim(self) -> int:
         return self.moment.size
+
+    @property
+    def unpenalized(self) -> Tuple[int, ...]:
+        return ()  # read by perfbench/oracle.py; every coordinate carries l1 cost
 
 
 @dataclass(frozen=True)
@@ -86,23 +76,30 @@ def eval_score(sys: LinearScoreSystem, theta: np.ndarray) -> np.ndarray:
     return sys.moment - sys.gram @ theta
 
 
-def build_regression_score(covariates: np.ndarray, responses: np.ndarray,
-                           model_tag: str = "regression") -> LinearScoreSystem:
-    """Least-squares score: gram = Z'Z/n, moment = Z'y/n.
-
-    Columns of Z that are identically 1.0 are intercepts and are marked
-    ``unpenalized``, so the first-step l1 cost does not depend on where the
-    data are located.
-    """
+def build_regression_score(covariates: np.ndarray, responses: np.ndarray
+                           ) -> LinearScoreSystem:
+    """Least-squares score: gram = Z'Z/n, moment = Z'y/n."""
     z = np.asarray(covariates, dtype=float)
     y = np.asarray(responses, dtype=float).ravel()
     if z.ndim != 2 or z.shape[0] != y.size:
         raise ValueError("covariates must be n x p aligned with responses")
     n = y.size
-    intercepts = np.nonzero(np.all(z == 1.0, axis=0))[0]
-    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ y / n,
-                             n_eff=n, model_tag=model_tag,
-                             unpenalized=tuple(int(j) for j in intercepts))
+    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ y / n, n_eff=n)
+
+
+def center_design(design: np.ndarray, response: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(zc, yc, z_bar, y_bar): the design without its intercept column 0 and
+    the response, both mean-centered, and the means that were removed.
+
+    Count models select on the centered lag columns; the intercept is then
+    recovered as y_bar - theta' z_bar and never enters the l1 program.
+    """
+    z = np.asarray(design, dtype=float)[:, 1:]
+    y = np.asarray(response, dtype=float).ravel()
+    z_bar = z.mean(axis=0)
+    y_bar = y.mean()
+    return z - z_bar, y - y_bar, z_bar, y_bar
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0
@@ -143,19 +140,16 @@ def build_inar_score(series: SeriesSample, order: int, target: int = 0,
                      centered: bool = False) -> LinearScoreSystem:
     """Conditional least-squares score for count autoregressions.
 
-    The raw system is over theta = (intercept, lag coefficients), with the
-    intercept marked unpenalized; with ``centered=True`` the design and
-    response are mean-centered and the intercept column dropped, leaving the
-    lag coefficients only (the intercept is recovered separately after
-    selection).
+    The raw system is over theta = (intercept, lag coefficients); with
+    ``centered=True`` it is the system of ``center_design``, over the lag
+    coefficients only, which the first step solves.
     """
     if series.kind != "counts":
         raise ValueError("INAR score requires a counts series")
     design, response = lagged_design(series, order, target)
     if centered:
-        design = design[:, 1:] - design[:, 1:].mean(axis=0)
-        response = response - response.mean()
-    return build_regression_score(design, response, model_tag="inar")
+        design, response, _, _ = center_design(design, response)
+    return build_regression_score(design, response)
 
 
 def build_diffusion_score(path: SeriesSample, covariate_path: Optional[np.ndarray] = None,
@@ -178,7 +172,7 @@ def build_diffusion_score(path: SeriesSample, covariate_path: Optional[np.ndarra
         raise ValueError("covariate rows must align with left endpoints")
     gram = y.T @ y / n
     moment = y.T @ dx / (n * path.delta)
-    return LinearScoreSystem(gram=gram, moment=moment, n_eff=n, model_tag="diffusion")
+    return LinearScoreSystem(gram=gram, moment=moment, n_eff=n)
 
 
 def build_weighted_system(design: np.ndarray, response: np.ndarray,

@@ -17,8 +17,8 @@ from scipy.optimize import nnls
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (LinearScoreSystem, WeightedScoreSystem,
-                     build_regression_score, build_weighted_system)
+from .scores import (LinearScoreSystem, WeightedScoreSystem, build_regression_score,
+                     build_weighted_system, center_design)
 from .simulate import SeriesSample
 
 
@@ -59,18 +59,14 @@ class TwoStepFit:
 
 
 def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
-                           support: Sequence[int], theta_first: np.ndarray,
-                           nonneg: bool = False) -> NuisanceEstimate:
+                           support: Sequence[int], theta_first: np.ndarray
+                           ) -> NuisanceEstimate:
     """Linear-variance coefficients from squared first-step residuals.
 
-    Solves the support-restricted normal equations
-    (Z_T' Z_T / n) h = (1/n) sum r_t^2 Z_{t,T} with residuals
-    r_t = y_t - theta_first_T' Z_{t,T}.
-
-    With ``nonneg=True`` the same least-squares problem is solved over the
-    nonnegative orthant instead (the true coefficients are variances, so
-    h >= 0 coordinatewise); this keeps the fitted variance h' Z_{t,T}
-    nonnegative on every observed row of a count design.
+    Least squares of r_t^2 on Z_{t,T} over the nonnegative orthant, with
+    residuals r_t = y_t - theta_first_T' Z_{t,T}: the true coefficients are
+    variances, so h >= 0 coordinatewise, and the fitted variance h' Z_{t,T}
+    stays nonnegative on every observed row of a count design.
     """
     support = sorted(int(j) for j in support)
     if not support:
@@ -79,16 +75,7 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
     y = np.asarray(response, dtype=float).ravel()
     zt = z[:, support]
     resid = y - zt @ np.asarray(theta_first, dtype=float)[support]
-    n = y.size
-    if nonneg:
-        h, _ = nnls(zt, resid ** 2)
-    else:
-        gram = zt.T @ zt / n
-        target = zt.T @ (resid ** 2) / n
-        try:
-            h = np.linalg.solve(gram, target)
-        except np.linalg.LinAlgError as exc:
-            raise RankError(f"restricted gram is singular: {exc}") from exc
+    h, _ = nnls(zt, resid ** 2)
     return NuisanceEstimate(kind="inar_linear_variance", values=h, support=tuple(support))
 
 
@@ -129,18 +116,17 @@ def _covariance(wsys: WeightedScoreSystem) -> np.ndarray:
 
 def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
                  *, model_tag: str = "inar", delta: Optional[float] = None,
-                 centered: bool = True, nuisance: Optional[NuisanceEstimate] = None,
+                 nuisance: Optional[NuisanceEstimate] = None,
                  nuisance_mode: str = "residual",
                  reference_support: Optional[Sequence[int]] = None) -> TwoStepFit:
     """Run the full pipeline on prepared design rows.
 
     For count/regression models ``design`` carries the intercept in column
-    0; with ``centered=True`` the first step runs on mean-centered non-
-    intercept columns and the intercept is recovered from the training
-    means.  Selection (and ``selection_flag`` against
-    ``reference_support``) is in the coordinates of the selected vector:
-    non-intercept columns 1..p reported as 0..p-1 when centered, all
-    columns otherwise.  The intercept is always carried into step two.
+    0; the first step runs on the mean-centered non-intercept columns of
+    ``center_design`` and the intercept is recovered from the means.
+    Selection (and ``selection_flag`` against ``reference_support``) is in
+    the coordinates of the selected vector: non-intercept columns 1..p
+    reported as 0..p-1.  The intercept is always carried into step two.
 
     ``nuisance_mode`` picks the variance plug-in when ``nuisance`` is not
     supplied: "residual" fits the linear variance to squared first-step
@@ -170,24 +156,19 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
             raise ValueError("diffusion fits need a constant-sigma^2 nuisance estimate")
         gram = z.T @ z / n
         moment = z.T @ y / (n * delta)
-        sys1 = LinearScoreSystem(gram=gram, moment=moment, n_eff=n, model_tag="diffusion")
+        sys1 = LinearScoreSystem(gram=gram, moment=moment, n_eff=n)
         offset, carried, y2 = 0, set(), y / delta
     else:  # count / regression models: column 0 is the intercept
-        if centered:
-            zl = z[:, 1:]
-            z_bar = zl.mean(axis=0)
-            y_bar = y.mean()
-            sys1 = build_regression_score(zl - z_bar, y - y_bar, model_tag=model_tag)
-        else:
-            sys1 = build_regression_score(z, y, model_tag=model_tag)
-        offset, carried, y2 = int(centered), {0}, y
+        zc, yc, z_bar, y_bar = center_design(z, y)
+        sys1 = build_regression_score(zc, yc)
+        offset, carried, y2 = 1, {0}, y
         delta = None  # only diffusion fits scale by the sampling interval
 
     fit1 = solve_dantzig(sys1, lam)
     if fit1.status != "optimal":
         raise UncertifiedFitError(f"first-step LP ended with status {fit1.status!r}")
     theta_first = fit1.theta_hat
-    if offset:  # intercept recovered from the training means
+    if offset:  # intercept recovered from the means
         theta_first = np.concatenate([[y_bar - theta_first @ z_bar], theta_first])
     sel = threshold_support(fit1, tau)
     flag = (set(sel.indices) == set(int(j) for j in reference_support)
@@ -207,7 +188,7 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
                                values=np.maximum(theta_first[support2], 0.0),
                                support=tuple(support2))
     elif nuisance_mode == "residual":
-        nui = estimate_inar_nuisance(z, y, support2, theta_first, nonneg=True)
+        nui = estimate_inar_nuisance(z, y, support2, theta_first)
     else:
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
     wsys = build_weighted_system(z, y2, support2, nui, delta=delta)

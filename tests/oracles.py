@@ -8,44 +8,41 @@ from scipy.optimize import linprog
 from sparseproc.rng import make_rng
 
 
-def _split_lp(a: np.ndarray, b: np.ndarray, lam: float, free):
-    """(constraints, right-hand side, costs) of the LP over x = (u, v)."""
-    p = a.shape[0]
+def _split_lp(a: np.ndarray, b: np.ndarray, lam: float):
+    """(constraints, right-hand side) of the LP over x = (u, v)."""
     cons = np.vstack([np.hstack([a, -a]), np.hstack([-a, a])])
     rhs = np.concatenate([b + lam, lam - b])
-    c = np.ones(p)
-    c[list(free)] = 0.0
-    return cons, rhs, np.concatenate([c, c])
+    return cons, rhs
 
 
-def bruteforce_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()):
+def bruteforce_l1min(a: np.ndarray, b: np.ndarray, lam: float):
     """Enumerate basic solutions of the standard-form LP.
 
-    min c'(u+v) s.t. A(u-v) <= b + lam, -A(u-v) <= lam - b, u, v >= 0,
-    with c_j = 0 for j in ``free`` and 1 otherwise.  Returns
-    (objective, feasible): the minimal l1 norm over the penalized
-    coordinates among all basic feasible points, found by enumeration
-    rather than pivoting.
+    min 1'(u+v) s.t. A(u-v) <= b + lam, -A(u-v) <= lam - b, u, v >= 0.
+    Returns (objective, feasible): the minimal l1 norm among all basic
+    feasible points, found by enumeration rather than pivoting.  The
+    determinants and solves of all bases are stacked into one call each.
     """
-    cons, rhs, c = _split_lp(a, b, lam, free)
-    m = cons.shape[0]
+    cons, rhs = _split_lp(a, b, lam)
+    m, k = cons.shape
     full = np.hstack([cons, np.eye(m)])
-    cost = np.concatenate([c, np.zeros(m)])
-    best = np.inf
-    for cols in itertools.combinations(range(full.shape[1]), m):
-        sub = full[:, cols]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        x = np.linalg.solve(sub, rhs)
-        if np.all(x >= -1e-9):
-            best = min(best, cost[list(cols)] @ x)
+    cost = np.concatenate([np.ones(k), np.zeros(m)])
+    bases = np.array(list(itertools.combinations(range(full.shape[1]), m)))
+    subs = np.moveaxis(full[:, bases], 1, 0)  # one m x m basis matrix per row of bases
+    keep = np.abs(np.linalg.det(subs)) >= 1e-10
+    rhs_stack = np.broadcast_to(rhs, (int(keep.sum()), m))
+    x = np.linalg.solve(subs[keep], rhs_stack[..., None])[..., 0]
+    feasible = np.all(x >= -1e-9, axis=1)
+    objs = np.einsum("ij,ij->i", cost[bases[keep][feasible]], x[feasible])
+    best = objs.min() if objs.size else np.inf
     return best, np.isfinite(best)
 
 
-def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float, free=()) -> float:
+def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float) -> float:
     """Optimal objective of the same LP from scipy's HiGHS solver."""
-    cons, rhs, c = _split_lp(a, b, lam, free)
-    res = linprog(c, A_ub=cons, b_ub=rhs, bounds=(0, None), method="highs")
+    cons, rhs = _split_lp(a, b, lam)
+    res = linprog(np.ones(cons.shape[1]), A_ub=cons, b_ub=rhs, bounds=(0, None),
+                  method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the LP: {res.message}")
     return float(res.fun)

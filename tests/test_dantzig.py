@@ -61,25 +61,6 @@ class TestSolveDantzig:
             assert abs(fit.l1_objective - oracle) < 1e-6, f"trial {trial}"
             assert fit.feasibility_slack >= -1e-8
 
-    def test_free_coordinate_oracle_equivalence(self):
-        # one coordinate carries no l1 cost: objective matches enumeration
-        rng = np.random.default_rng(20240811)
-        cheaper = 0
-        for trial in range(100):
-            p = int(rng.integers(1, 5))
-            base = random_system(rng, p)
-            free = (int(rng.integers(0, p)),)
-            sys = LinearScoreSystem(gram=base.gram, moment=base.moment, n_eff=10,
-                                    unpenalized=free)
-            lam = float(rng.uniform(0.0, 1.2) * np.abs(sys.moment).max())
-            fit = solve_dantzig(sys, lam)
-            oracle, feasible = bruteforce_l1min(sys.gram, sys.moment, lam, free)
-            assert feasible and fit.status == "optimal"
-            assert abs(fit.l1_objective - oracle) < 1e-6, f"trial {trial}"
-            assert fit.feasibility_slack >= -1e-8
-            cheaper += oracle < bruteforce_l1min(sys.gram, sys.moment, lam)[0] - 1e-6
-        assert cheaper > 0  # freeing a coordinate matters on some instances
-
     def test_infeasible_detected(self):
         # singular gram with moment outside its range
         sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -141,16 +122,15 @@ class TestSolveDantzig:
 
 @pytest.fixture(scope="module", params=["case3", "case4"])
 def experiment_systems(request):
-    """Centered and raw first-step systems of one case3 (p=100) or case4 (p=200) series."""
+    """Centered first-step system of one case3 (p=100) or case4 (p=200) series."""
     cfg = harness.builtin_case(request.param, reps=1, lambda_mode="rate")
     sample = harness.simulate_series(cfg.model, cfg.n,
                                      harness.derive_seed(cfg.base_seed, 0))
     design, response = lagged_design(sample, 1, cfg.target)
     zc = design[:, 1:] - design[:, 1:].mean(axis=0)
     centered = build_regression_score(zc, response - response.mean())
-    raw = build_regression_score(design, response)
     rate = cfg.rate_c * float(np.sqrt(np.log(cfg.p) / response.size))
-    return centered, raw, rate
+    return centered, rate
 
 
 class TestHighsOracleAtExperimentDimensions:
@@ -160,23 +140,18 @@ class TestHighsOracleAtExperimentDimensions:
     def check(sys, lam):
         fit = solve_dantzig(sys, lam)
         scale = max(1.0, float(np.abs(sys.gram).max()), float(np.abs(sys.moment).max()))
-        oracle = highs_l1min(sys.gram, sys.moment, lam, sys.unpenalized)
+        oracle = highs_l1min(sys.gram, sys.moment, lam)
         assert fit.status == "optimal"
         assert fit.feasibility_slack >= -1e-8 * scale
         assert abs(fit.l1_objective - oracle) <= 1e-6 * max(1.0, oracle)
 
     @pytest.mark.parametrize("where", ["smallest", "middle", "largest", "rate"])
     def test_centered_system(self, experiment_systems, where):
-        centered, _, rate = experiment_systems
+        centered, rate = experiment_systems
         grid = default_lambda_grid(centered.moment)
         lam = {"smallest": grid[0], "middle": grid[grid.size // 2],
                "largest": grid[-1], "rate": rate}[where]
         self.check(centered, lam)
-
-    def test_raw_system_free_intercept(self, experiment_systems):
-        _, raw, rate = experiment_systems
-        assert raw.unpenalized == (0,)
-        self.check(raw, rate)
 
 
 def cv_fold_system(design, response, fold=0, folds=5):
@@ -217,7 +192,7 @@ class TestSolveDantzigPath:
         fits = solve_dantzig_path(sys, grid)
         assert [fit.lam for fit in fits] == list(grid)
         for fit in fits:
-            oracle = highs_l1min(sys.gram, sys.moment, fit.lam, sys.unpenalized)
+            oracle = highs_l1min(sys.gram, sys.moment, fit.lam)
             assert fit.status == "optimal"
             assert fit.feasibility_slack >= -1e-8 * scale
             assert abs(fit.l1_objective - oracle) <= 1e-6 * max(1.0, oracle), fit.lam
@@ -288,22 +263,6 @@ class TestThresholdSupport:
         sel = set(threshold_support(fit, tau).indices)
         for j in range(theta.size):
             assert (j in sel) == (abs(theta[j]) > tau)
-
-
-class TestRawPipelineSelection:
-    def test_raw_fit_recovers_intercept_and_lags(self):
-        # uncentered design: the true support is {0,..,4} (intercept + 4 lags)
-        spec = InarSpec(mu_eps=0.5,
-                        alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
-        hits = 0
-        reps = 20
-        for r in range(reps):
-            sample = simulate_inar(spec, 2000, seed=3300 + r)
-            sys = build_regression_score(*lagged_design(sample, 10))
-            fit = solve_dantzig(sys, 0.12)
-            if set(threshold_support(fit, 0.05).indices) == {0, 1, 2, 3, 4}:
-                hits += 1
-        assert hits >= 0.7 * reps
 
 
 class TestCrossValidation:

@@ -1,7 +1,10 @@
 """Harness tests: pinned configs, determinism, report formats, CLI surface."""
 
 import csv
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from sparseproc.cli import main
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
                                 run_hawkes_support, report_to_json, write_per_rep_csv)
+from sparseproc.scores import LinearScoreSystem
 from sparseproc.simulate import HawkesSpec, InarSpec
 
 
@@ -188,6 +192,21 @@ class TestOutputs:
         assert doc["schema"] == 1
         assert doc["case_id"] == "case1"
         assert len(doc["per_rep"]) == 2
+
+
+class TestBenchmarkNames:
+    def test_traced_names_resolve(self):
+        # perfbench/tracing.py wraps functions by (module, name) and perfbench/oracle.py
+        # reads system.unpenalized; loaded by path, without installing the wrappers
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for mod_name, attr, _, _ in tracing._WRAPS:
+            module = importlib.import_module(f"sparseproc.{mod_name}")
+            assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
+        sys1 = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=2)
+        assert sys1.unpenalized == ()
 
 
 class TestCli:

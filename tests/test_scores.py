@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from sparseproc.errors import NuisanceError
 from sparseproc.scores import (VARIANCE_FLOOR, LinearScoreSystem, build_diffusion_score,
                                build_inar_score, build_regression_score,
-                               build_weighted_system, eval_score, lagged_design)
+                               build_weighted_system, center_design, eval_score,
+                               lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import NuisanceEstimate
 
@@ -38,12 +39,18 @@ class TestRegressionScore:
         sys = build_regression_score(z, z @ theta0)
         assert np.abs(eval_score(sys, theta0)).max() < 1e-12
 
-    def test_intercept_column_unpenalized(self):
-        z = np.column_stack([np.ones(5), np.arange(5.0), np.ones(5)])
-        assert build_regression_score(z, np.arange(5.0)).unpenalized == (0, 2)
-        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA[:2]), 50, seed=0)
-        assert build_inar_score(sample, order=2).unpenalized == (0,)
-        assert build_inar_score(sample, order=2, centered=True).unpenalized == ()
+    def test_center_design_recovers_intercept(self):
+        # noiseless y = 0.5 + Z theta: the centered system has theta as its root,
+        # and y_bar - theta' z_bar is the intercept
+        rng = np.random.default_rng(3)
+        z = np.column_stack([np.ones(30), rng.poisson(2.0, size=(30, 3)).astype(float)])
+        theta = np.array([0.3, 0.0, 0.2])
+        zc, yc, z_bar, y_bar = center_design(z, 0.5 + z[:, 1:] @ theta)
+        assert zc.shape == (30, 3)
+        assert_allclose(zc.mean(axis=0), 0.0, atol=1e-14)
+        assert_allclose(z_bar, z[:, 1:].mean(axis=0), rtol=0, atol=0)
+        assert np.abs(eval_score(build_regression_score(zc, yc), theta)).max() < 1e-12
+        assert y_bar - theta @ z_bar == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -44,15 +44,31 @@ class TestInarNuisance:
         assert_allclose(est.values, [np.mean(resid ** 2)], atol=1e-12)
 
     def test_hand_solved_normal_equations(self):
+        # the normal-equations solution is interior, so the nonnegative fit equals it
         z = np.column_stack([np.ones(5), np.array([1.0, 2.0, 0.0, 3.0, 1.0])])
-        y = np.array([2.0, 1.0, 4.0, 0.0, 3.0])
+        y = np.array([3.5, 0.0, 2.0, 5.5, 3.0])
         theta = np.array([1.0, 0.5])
         resid = y - z[:, [0, 1]] @ theta[[0, 1]]
         gram = z.T @ z / 5
         target = z.T @ (resid ** 2) / 5
         expected = np.linalg.solve(gram, target)
+        assert np.all(expected > 0)
         est = estimate_inar_nuisance(z, y, [0, 1], theta)
         assert_allclose(est.values, expected, atol=1e-10)
+
+    def test_boundary_solution_satisfies_kkt(self):
+        # the normal equations give a negative slope here; the fit sits on h_1 = 0
+        z = np.column_stack([np.ones(5), np.array([1.0, 2.0, 0.0, 3.0, 1.0])])
+        y = np.array([2.0, 1.0, 4.0, 0.0, 3.0])
+        theta = np.array([1.0, 0.5])
+        r2 = (y - z @ theta) ** 2
+        assert np.linalg.solve(z.T @ z, z.T @ r2)[1] < 0
+        h = estimate_inar_nuisance(z, y, [0, 1], theta).values
+        grad = z.T @ (z @ h - r2)
+        assert np.all(h >= 0)
+        assert np.all(grad >= -1e-10)
+        assert np.all(np.abs(grad[h > 0]) <= 1e-10)
+        assert h[1] == 0.0
 
     def test_poisson_mean_equals_variance(self):
         # fitted variance coefficients approach the mean coefficients
@@ -67,16 +83,11 @@ class TestInarNuisance:
         se = hs.std(axis=0, ddof=1) / np.sqrt(len(hs))
         assert np.all(np.abs(hs.mean(axis=0) - theta0) < 4 * se)
 
-    def test_singular_gram_raises(self):
-        z = np.column_stack([np.ones(4), np.ones(4)])
-        with pytest.raises(RankError):
-            estimate_inar_nuisance(z, np.ones(4), [0, 1], np.zeros(2))
-
     def test_nonneg_projection(self):
         rng = np.random.default_rng(2)
         z = np.column_stack([np.ones(50), rng.poisson(3, size=(50, 2)).astype(float)])
         y = rng.poisson(3, size=50).astype(float)
-        est = estimate_inar_nuisance(z, y, [0, 1, 2], np.zeros(3), nonneg=True)
+        est = estimate_inar_nuisance(z, y, [0, 1, 2], np.zeros(3))
         assert np.all(est.values >= 0)
         assert np.all(z[:, [0, 1, 2]] @ est.values >= 0)
 
@@ -165,7 +176,7 @@ class TestTwoStepFit:
         y = z @ theta0
         nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
         fit = two_step_fit(z, y, lam=1e-10, tau=0.05, model_tag="regression",
-                           centered=True, nuisance=nuis)
+                           nuisance=nuis)
         assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
 
     def test_oracle_vs_estimated_nuisance_agree(self):
