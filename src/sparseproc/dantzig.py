@@ -72,8 +72,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     "infeasible" only when lambda is below the smallest attainable score
     norm; a fit that is not "optimal" carries the last basic solution visited.
     """
-    if any(lam < 0 for lam in lams):
-        raise ValueError("lambda must be nonnegative")
+    if not all(np.isfinite(lam) and lam >= 0 for lam in lams):
+        raise ValueError("lambda must be finite and nonnegative")
     a, b, p = sys.gram, sys.moment, sys.dim
     max_iter = 50 * 4 * p if max_iter is None else max_iter
     tol = 1e-9 * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))

@@ -61,7 +61,6 @@ class CaseConfig:
     support_true: Tuple[int, ...] = ()          # true support in selected-vector coords
     target: int = 0                             # target coordinate (multivariate/OU)
     hawkes_bin_delta: Optional[float] = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.reps < 1:
@@ -103,7 +102,7 @@ class CaseConfig:
         if d.get("cv_grid") is not None:
             d["cv_grid"] = np.array(d["cv_grid"], dtype=float)
         d["support_true"] = tuple(d.get("support_true", ()))
-        d.pop("jobs", None)
+        d.pop("jobs", None)  # the worker count is a run argument, not config
         return cls(**d)
 
 
@@ -273,9 +272,8 @@ def _rep_worker(task) -> dict:
         return {"rep": rep, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_reps(rep_fn, config: CaseConfig, jobs: Optional[int]) -> Tuple[list, list]:
+def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
     """All records of ``rep_fn(config, rep)`` sorted by rep, and the completed ones."""
-    jobs = jobs if jobs is not None else config.jobs
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -338,7 +336,7 @@ def _nanmean(values) -> float:
     return float(arr.mean()) if arr.size else float("nan")
 
 
-def run_case(config: CaseConfig, jobs: Optional[int] = None) -> CaseReport:
+def run_case(config: CaseConfig, jobs: int = 1) -> CaseReport:
     """Execute all replications of a case and aggregate the table metrics.
 
     The projection direction for the per-rep statistic depends on the base
@@ -416,7 +414,7 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
             "s_hat": s_hat, "tau_hat": s_hat * delta, "selected_lags": lags}
 
 
-def run_hawkes_support(config: CaseConfig, jobs: Optional[int] = None) -> dict:
+def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> dict:
     """Support recovery for the binned Hawkes representation.
 
     Each replication bins the simulated events at the configured width,

@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import nnls
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
@@ -68,6 +67,9 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
     variances, so h >= 0 coordinatewise, and the fitted variance h' Z_{t,T}
     stays nonnegative on every observed row of a count design.
     """
+    # deferred: scipy.optimize costs about 0.2 s and 17 MB at import, and only this fit uses it
+    from scipy.optimize import nnls
+
     support = sorted(int(j) for j in support)
     if not support:
         raise ValueError("support must be nonempty")
@@ -142,6 +144,8 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     Raises ``UncertifiedFitError`` when the first-step LP does not end
     optimal.
     """
+    if model_tag not in ("inar", "regression", "diffusion"):
+        raise ValueError(f"unknown model_tag {model_tag!r}")
     z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     n, d = z.shape

@@ -79,6 +79,15 @@ class TestSolveDantzig:
         with pytest.raises(ValueError):
             solve_dantzig(sys, -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # without the check, NaN and inf right-hand sides end "optimal" at theta = 0
+        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, 0.2, 0.5]), n_eff=10)
+        with pytest.raises(ValueError, match="finite"):
+            solve_dantzig(sys, lam)
+        with pytest.raises(ValueError, match="finite"):
+            solve_dantzig_path(sys, [0.5, lam, 0.1])
+
     def test_minimality_against_feasible_points(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -285,6 +294,8 @@ class TestCrossValidation:
             cross_validate_lambda(z, y, [0.1], folds=1)
         with pytest.raises(ValueError, match="short"):
             cross_validate_lambda(np.ones((6, 2)), np.zeros(6), [0.1], folds=5)
+        with pytest.raises(ValueError, match="finite"):
+            cross_validate_lambda(z, y, [0.1, np.nan, 0.5], folds=2)
 
     def test_pure_noise_prefers_large_lambda(self):
         # under the null the sparsest model predicts best

@@ -4,6 +4,9 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,10 @@ class TestBuiltinCases:
         assert back.case_id == "case3"
         assert_array_equal(back.model.a_matrix, cfg.model.a_matrix)
         assert back.support_true == cfg.support_true
+        # the worker count is an argument of run_case, never part of a config
+        d = cfg.to_dict()
+        assert "jobs" not in d
+        assert CaseConfig.from_dict(dict(d, jobs=4)).to_dict() == d
 
 
 class TestRunCase:
@@ -194,6 +201,40 @@ class TestOutputs:
         assert len(doc["per_rep"]) == 2
 
 
+IMPORT_GRAPH_SCRIPT = """
+import json, sys
+import sparseproc
+seen = {"import": "scipy.optimize" in sys.modules}
+from sparseproc.harness import builtin_case, run_case, run_hawkes_support
+failures = run_case(builtin_case("case1", n=300, reps=1, lambda_mode="rate"), jobs=1).failures
+failures += run_case(builtin_case("ou", n=300, reps=1), jobs=1).failures
+seen["count_and_ou"] = "scipy.optimize" in sys.modules
+failures += run_hawkes_support(builtin_case("hawkes", n=200, reps=1), jobs=1)["failures"]
+seen["hawkes"] = "scipy.optimize" in sys.modules
+from sparseproc.scores import lagged_design
+from sparseproc.simulate import InarSpec, simulate_inar
+z, y = lagged_design(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), 500, 3), 2)
+fit = sparseproc.two_step_fit(z, y, 0.1, 0.05, nuisance_mode="residual")
+seen["residual"] = "scipy.optimize" in sys.modules
+print(json.dumps({"seen": seen, "failures": failures, "nuisance": fit.nuisance.kind}))
+"""
+
+
+class TestImportGraph:
+    def test_scipy_optimize_loads_only_for_residual_nuisance(self):
+        # a fresh interpreter, so no earlier test has imported scipy.optimize
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["seen"] == {"import": False, "count_and_ou": False, "hawkes": False,
+                               "residual": True}
+        assert out["failures"] == 0
+        assert out["nuisance"] == "inar_linear_variance"
+
+
 class TestBenchmarkNames:
     def test_traced_names_resolve(self):
         # perfbench/tracing.py wraps functions by (module, name) and perfbench/oracle.py
@@ -306,6 +347,18 @@ class TestCli:
                    "--support", "0,1", "--samples", "500", "--out", str(out)])
         assert rc == 0
         assert json.load(open(out))["value"] > 0
+
+    def test_non_finite_lambda_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        json.dump({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
+                   "burn_in": 100}, open(spec_path, "w"))
+        series = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(spec_path), "--n", "300",
+                     "--seed", "2", "--out", str(series)]) == 0
+        rc = main(["fit", "--series", str(series), "--order", "2", "--lambda", "nan",
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2

@@ -216,6 +216,12 @@ class TestTwoStepFit:
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
             two_step_fit(z, y, 0.01, 0.05)
 
+    def test_unknown_model_tag_rejected(self):
+        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 500, seed=85)
+        z, y = lagged_design(sample, 10)
+        with pytest.raises(ValueError, match="model_tag 'difusion'"):
+            two_step_fit(z, y, 0.1, 0.05, model_tag="difusion", delta=0.1)
+
     def test_intercept_always_kept(self):
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.45]))
         sample = simulate_inar(spec, 3000, seed=81)
