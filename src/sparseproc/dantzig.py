@@ -27,7 +27,9 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from .errors import UncertifiedFitError
-from .scores import LinearScoreSystem, build_regression_score, center_design
+from .scores import LinearScoreSystem, center_design
+# no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
+from .scores import build_regression_score  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
 
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
     """Coordinates with |theta_hat_j| strictly greater than tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and nonnegative")
     idx = np.nonzero(np.abs(fit.theta_hat) > tau)[0]
     return SupportEstimate(indices=tuple(int(j) for j in idx), threshold=float(tau))
 
@@ -142,19 +144,24 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
                           folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
-    ``design`` must carry the intercept in column 0; each fold centers the
-    training block with ``center_design``, fits the constrained l1 problem
-    per grid value, and scores one-step-ahead squared prediction error on
-    the held-out block (intercept refit from the training means).  Without
-    a ``grid``, the default grid of the whole series' centered moment is
-    used.  Ties in the mean loss go to the largest lambda.  Raises
+    ``design`` must carry the intercept in column 0.  The whole series is
+    centered once with ``center_design`` and split into ``folds``
+    contiguous blocks; each block contributes its cross-products and
+    column sums about that common mean.  Fold k's training system, the
+    least-squares score of the other blocks centered at their own mean, is
+    merged from those sums without copying a row (shifted sums as in
+    Chan, Golub & LeVeque, 1983), solved along the grid, and scored by the
+    one-step-ahead squared prediction error on the held-out block
+    (intercept refit from the training means).  Without a ``grid``, the
+    default grid of the whole series' centered moment is used.  Ties in
+    the mean loss go to the largest lambda.  Raises
     ``UncertifiedFitError`` when a fold's LP is not "optimal".
     """
     z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     n = y.size
+    zc, yc, _, _ = center_design(z, y)
     if grid is None:
-        zc, yc, _, _ = center_design(z, y)
         grid = default_lambda_grid(zc.T @ yc / n)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -165,19 +172,27 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
         raise ValueError("folds must be >= 2")
     if n < 2 * folds:
         raise ValueError("series too short for the requested fold count")
-    blocks = np.array_split(np.arange(n), folds)
+    z_blocks, y_blocks = np.array_split(zc, folds), np.array_split(yc, folds)  # views
+    cross = np.array([zb.T @ zb for zb in z_blocks])
+    cross_y = np.array([zb.T @ yb for zb, yb in zip(z_blocks, y_blocks)])
+    sums = np.array([zb.sum(axis=0) for zb in z_blocks])
+    sums_y = np.array([yb.sum() for yb in y_blocks])
     losses = np.zeros((folds, grid.size))
-    for k, val in enumerate(blocks):
-        train = np.setdiff1d(np.arange(n), val, assume_unique=True)
-        zc, yc, z_bar, y_bar = center_design(z[train], y[train])
-        sys = build_regression_score(zc, yc)
-        zc_val = z[val, 1:] - z_bar
-        for g, (lam, fit) in enumerate(zip(grid, solve_dantzig_path(sys, grid))):
+    for k, (z_val, y_val) in enumerate(zip(z_blocks, y_blocks)):
+        train = np.arange(folds) != k
+        m = n - y_val.size
+        d = sums[train].sum(axis=0) / m     # training means, relative to the full ones
+        e = sums_y[train].sum() / m
+        sys = LinearScoreSystem(gram=cross[train].sum(axis=0) / m - np.outer(d, d),
+                                moment=cross_y[train].sum(axis=0) / m - d * e, n_eff=m)
+        fits = solve_dantzig_path(sys, grid)
+        for lam, fit in zip(grid, fits):
             if fit.status != "optimal":
                 raise UncertifiedFitError(
                     f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
-            pred = y_bar + zc_val @ fit.theta_hat
-            losses[k, g] = np.mean((y[val] - pred) ** 2)
+        thetas = np.column_stack([fit.theta_hat for fit in fits])
+        resid = (y_val - e)[:, None] - (z_val - d) @ thetas
+        losses[k] = np.mean(resid ** 2, axis=0)
     cv_loss = losses.mean(axis=0)
     winners = np.nonzero(cv_loss <= cv_loss.min())[0]
     return CvReport(grid=grid, cv_loss=cv_loss,

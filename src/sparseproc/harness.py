@@ -69,6 +69,8 @@ class CaseConfig:
             raise ValueError("lambda_mode must be 'cv', 'fixed', or 'rate'")
         if self.lambda_mode == "fixed" and self.lambda_value is None:
             raise ValueError("fixed lambda mode needs lambda_value")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError("tau must be finite and nonnegative")
         if self.theta_true is not None:
             self.theta_true = np.asarray(self.theta_true, dtype=float)
         if self.cv_grid is not None:

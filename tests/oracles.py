@@ -1,11 +1,15 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
 import itertools
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
+from sparseproc.dantzig import CvReport, default_lambda_grid, solve_dantzig_path
+from sparseproc.errors import UncertifiedFitError
 from sparseproc.rng import make_rng
+from sparseproc.scores import build_regression_score, center_design
 
 
 def _split_lp(a: np.ndarray, b: np.ndarray, lam: float):
@@ -87,3 +91,54 @@ def hawkes_reference_events(spec, seed: int) -> np.ndarray:
             break
         events.append(t)
     return np.array(events)
+
+
+def reference_cross_validate(design: np.ndarray, response: np.ndarray,
+                               grid: Optional[Sequence[float]] = None,
+                               folds: int = 5) -> CvReport:
+    """Cross-validation with one copy, centering and gram per fold: the reference
+    for ``cross_validate_lambda``, which merges per-block sums instead and must
+    choose the same lambda with the same losses up to rounding.
+
+    Pick lambda by contiguous-block K-fold, preserving time order.
+
+    ``design`` must carry the intercept in column 0; each fold centers the
+    training block with ``center_design``, fits the constrained l1 problem
+    per grid value, and scores one-step-ahead squared prediction error on
+    the held-out block (intercept refit from the training means).  Without
+    a ``grid``, the default grid of the whole series' centered moment is
+    used.  Ties in the mean loss go to the largest lambda.  Raises
+    ``UncertifiedFitError`` when a fold's LP is not "optimal".
+    """
+    z = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
+    n = y.size
+    if grid is None:
+        zc, yc, _, _ = center_design(z, y)
+        grid = default_lambda_grid(zc.T @ yc / n)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("lambda grid is empty")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("lambda grid must be sorted ascending")
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if n < 2 * folds:
+        raise ValueError("series too short for the requested fold count")
+    blocks = np.array_split(np.arange(n), folds)
+    losses = np.zeros((folds, grid.size))
+    for k, val in enumerate(blocks):
+        train = np.setdiff1d(np.arange(n), val, assume_unique=True)
+        zc, yc, z_bar, y_bar = center_design(z[train], y[train])
+        sys = build_regression_score(zc, yc)
+        zc_val = z[val, 1:] - z_bar
+        for g, (lam, fit) in enumerate(zip(grid, solve_dantzig_path(sys, grid))):
+            if fit.status != "optimal":
+                raise UncertifiedFitError(
+                    f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
+            pred = y_bar + zc_val @ fit.theta_hat
+            losses[k, g] = np.mean((y[val] - pred) ** 2)
+    cv_loss = losses.mean(axis=0)
+    winners = np.nonzero(cv_loss <= cv_loss.min())[0]
+    return CvReport(grid=grid, cv_loss=cv_loss,
+                    chosen_lambda=float(grid[winners.max()]), folds=folds)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import bruteforce_l1min, highs_l1min
+from oracles import bruteforce_l1min, highs_l1min, reference_cross_validate
 
 from sparseproc import dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
@@ -175,18 +175,25 @@ def cv_fold_system(design, response, fold=0, folds=5):
     return build_regression_score(z[train] - z_bar, y[train] - y_bar), grid
 
 
+def case_design(case_id):
+    """(design, response) of replication 1 of a built-in case at its default seed."""
+    cfg = harness.builtin_case(case_id, reps=1)
+    seed = harness.derive_seed(cfg.base_seed, 1)
+    if case_id == "hawkes":
+        events = simulate_hawkes(cfg.model, seed)
+        binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
+        series = SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
+        return lagged_design(series, cfg.p)
+    sample = harness.simulate_series(cfg.model, cfg.n, seed)
+    return lagged_design(sample, cfg.p if sample.dim == 1 else 1, cfg.target)
+
+
 def case3_fold():
-    cfg = harness.builtin_case("case3", reps=1)
-    sample = harness.simulate_series(cfg.model, cfg.n, harness.derive_seed(cfg.base_seed, 1))
-    return cv_fold_system(*lagged_design(sample, 1, cfg.target), fold=2)
+    return cv_fold_system(*case_design("case3"), fold=2)
 
 
 def hawkes_fold():
-    cfg = harness.builtin_case("hawkes", reps=1)
-    events = simulate_hawkes(cfg.model, harness.derive_seed(cfg.base_seed, 1))
-    binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
-    series = SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
-    return cv_fold_system(*lagged_design(series, cfg.p), fold=4)
+    return cv_fold_system(*case_design("hawkes"), fold=4)
 
 
 class TestSolveDantzigPath:
@@ -273,6 +280,13 @@ class TestThresholdSupport:
         for j in range(theta.size):
             assert (j in sel) == (abs(theta[j]) > tau)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_tau_rejected(self, tau):
+        fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.ones(2),
+                                              n_eff=2), 0.1)
+        with pytest.raises(ValueError, match="tau"):
+            threshold_support(fit, tau)
+
 
 class TestCrossValidation:
     def test_single_grid_element(self):
@@ -337,6 +351,51 @@ class TestCrossValidation:
         design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
             cross_validate_lambda(design, response, [0.001], folds=3)
+
+
+class TestCrossValidationAgainstReference:
+    """The merged block sums against the per-fold copies of ``reference_cross_validate``."""
+
+    @pytest.mark.parametrize("case_id", ["case1", "case3", "hawkes"])
+    def test_same_choice_and_losses(self, case_id):
+        design, response = case_design(case_id)
+        new = cross_validate_lambda(design, response)
+        ref = reference_cross_validate(design, response)
+        assert_array_equal(new.grid, ref.grid)
+        assert new.chosen_lambda == ref.chosen_lambda
+        assert_allclose(new.cv_loss, ref.cv_loss, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case_id", ["case1", "case3", "hawkes"])
+    def test_fold_systems(self, case_id, monkeypatch):
+        design, response = case_design(case_id)
+        systems = []
+        real = dantzig.solve_dantzig_path
+
+        def recording(sys, lams):
+            systems.append(sys)
+            return real(sys, lams)
+
+        monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
+        cross_validate_lambda(design, response)
+        assert len(systems) == 5
+        for fold, sys in enumerate(systems):
+            ref, _ = cv_fold_system(design, response, fold=fold)
+            assert sys.n_eff == ref.n_eff
+            scale = max(float(np.abs(ref.gram).max()), float(np.abs(ref.moment).max()))
+            assert_allclose(sys.gram, ref.gram, rtol=0, atol=1e-12 * scale)
+            assert_allclose(sys.moment, ref.moment, rtol=0, atol=1e-12 * scale)
+
+    def test_large_offset_no_cancellation(self):
+        # a location of 1e6 on the lags and the response: sums about the series mean
+        # keep the fold systems exact, raw sums downdated per fold would not
+        design, response = case_design("case1")
+        design = design.copy()
+        design[:, 1:] += 1e6
+        response = response + 1e6
+        new = cross_validate_lambda(design, response)
+        ref = reference_cross_validate(design, response)
+        assert new.chosen_lambda == ref.chosen_lambda
+        assert_allclose(new.cv_loss, ref.cv_loss, rtol=1e-9, atol=0)
 
 
 class TestDefaultGrid:

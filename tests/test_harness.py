@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import reference_cross_validate
 
 from sparseproc import harness, twostep
 from sparseproc.cli import main
@@ -67,6 +69,11 @@ class TestBuiltinCases:
         assert "jobs" not in d
         assert CaseConfig.from_dict(dict(d, jobs=4)).to_dict() == d
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.01])
+    def test_non_finite_or_negative_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            builtin_case("case1", tau=tau)
+
 
 class TestRunCase:
     def test_single_rep_aggregates(self):
@@ -121,6 +128,15 @@ class TestRunCase:
         rep = run_case(builtin_case("case1", n=500, reps=2, lambda_mode="rate"), jobs=1)
         assert rep.failures == 2
         assert all(r["error"].startswith("UncertifiedFitError") for r in rep.per_rep)
+
+    @pytest.mark.parametrize("case_id,run", [("case1", run_case),
+                                             ("hawkes", run_hawkes_support)])
+    def test_reports_match_reference_cv(self, monkeypatch, case_id, run):
+        # per-block CV sums must choose every lambda exactly as the per-fold copies did
+        cfg = builtin_case(case_id, reps=3)
+        merged = report_to_json(run(cfg))
+        monkeypatch.setattr(harness, "cross_validate_lambda", reference_cross_validate)
+        assert report_to_json(run(cfg)) == merged
 
     def test_rate_lambda_mode(self):
         cfg = builtin_case("case1", n=500, reps=2, lambda_mode="rate")
@@ -250,6 +266,25 @@ class TestBenchmarkNames:
         assert sys1.unpenalized == ()
 
 
+class TestBenchmarkSmoke:
+    def test_traced_hawkes_run(self, tmp_path):
+        # a copy of perfbench/ over this checkout's src, so the run writes only under tmp_path
+        root = Path(__file__).resolve().parents[1]
+        shutil.copytree(root / "perfbench", tmp_path / "perfbench",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        (tmp_path / "src").symlink_to(root / "src")
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload",
+             "hawkes_cv", "--seed", "0", "--seconds", "1", "--trace", "1"],
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True,
+            text=True, timeout=170)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True, proc.stderr
+        assert result["failed"] == 0
+        assert (tmp_path / "perfbench" / "out" / "trace-hawkes_cv-seed0.json").is_file()
+
+
 class TestCli:
     def test_simulate_fit_cv_pipeline(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -359,6 +394,20 @@ class TestCli:
                    "--out", str(tmp_path / "fit.json")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_tau_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        json.dump({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
+                   "burn_in": 100}, open(spec_path, "w"))
+        series = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(spec_path), "--n", "300",
+                     "--seed", "2", "--out", str(series)]) == 0
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--series", str(series), "--order", "2", "--lambda", "0.1",
+                   "--tau", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "tau" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
