@@ -15,7 +15,8 @@ lowest-index rule, which prevents cycling and makes the returned vertex
 deterministic.  A path of lambda values is solved in one Fortran-order
 tableau from the largest value down, each warm-started from the last
 optimal basis (parametric simplex, as in fastclime); every pivot is one
-in-place BLAS rank-1 update (dger).
+in-place BLAS rank-1 update (dger) through the CBLAS that numpy itself
+links (``_blas``), so no scipy module is imported on this path.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dger
 
+from ._blas import rank1_updater
 from .errors import UncertifiedFitError
 from .scores import LinearScoreSystem, center_design
 # no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
@@ -88,6 +89,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     # reduced costs of the slack basis are the costs, all ones: dual feasible for every lambda
     tableau[-1, :m] = 1.0
     basis = m + np.arange(m)
+    pivot_row, enter_col = np.empty(n_cols + 1), np.empty(m + 1)
+    eliminate = rank1_updater(tableau, enter_col, pivot_row)  # -= outer(enter_col, pivot_row)
 
     fits: list = [None] * len(lams)
     for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
@@ -106,8 +109,9 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
                 break
             ratios = tableau[-1, cols] / -row[cols]
             enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])  # Bland tie-break
-            pivot_row = tableau[leave] / tableau[leave, enter]
-            dger(-1.0, tableau[:, enter].copy(), pivot_row, a=tableau, overwrite_a=1)
+            np.divide(tableau[leave], tableau[leave, enter], out=pivot_row)
+            np.copyto(enter_col, tableau[:, enter])
+            eliminate()
             tableau[leave] = pivot_row
             basis[leave] = enter
         else:

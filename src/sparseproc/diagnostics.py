@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import DegenerateVarianceError
 
@@ -160,6 +159,9 @@ _SW_C2 = np.array([-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0])
 
 
 def _sw_coefficients(n: int) -> np.ndarray:
+    # deferred: scipy.special costs about 50 ms at import, and only the normality tests use it
+    from scipy.special import ndtri
+
     if n == 3:
         return np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
@@ -213,6 +215,8 @@ def shapiro_wilk(sample: np.ndarray) -> NormalityReport:
     Valid for 3 <= n <= 5000; the n = 3 p-value uses the exact small-sample
     formula, larger n the normalizing transform of W.
     """
+    from scipy.special import ndtr
+
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
     if not 3 <= n <= 5000:
@@ -237,6 +241,8 @@ def royston_test(sample: np.ndarray) -> NormalityReport:
     the inter-column correlations.  The p-value is the chi-square-e upper
     tail.
     """
+    from scipy.special import chdtrc, ndtr, ndtri
+
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("sample must be an n x d matrix with d >= 2")

@@ -194,12 +194,13 @@ class SeriesSample:
         self.lag_buffer = buf.reshape(-1, 1) if buf.ndim == 1 else buf
         if self.kind not in ("counts", "reals"):
             raise ValueError("kind must be 'counts' or 'reals'")
-        if self.kind == "counts":
-            allv = np.concatenate([self.values.ravel(), self.lag_buffer.ravel()])
-            if np.any(allv < 0) or np.any(allv != np.round(allv)):
-                raise ValueError("counts series must contain nonnegative integers")
-        if self.kind == "reals" and self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+        allv = np.concatenate([self.values.ravel(), self.lag_buffer.ravel()])
+        if not np.all(np.isfinite(allv)):
+            raise ValueError("series values and lag buffer must be finite")
+        if self.kind == "counts" and (np.any(allv < 0) or np.any(allv != np.round(allv))):
+            raise ValueError("counts series must contain nonnegative integers")
+        if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and positive")
 
     @property
     def n(self) -> int:

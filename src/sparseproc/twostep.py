@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
@@ -94,13 +93,18 @@ def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEs
     return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2))
 
 
-def solve_weighted(wsys: WeightedScoreSystem) -> np.ndarray:
-    """Solve gram_w theta = moment_w by Cholesky; gram_w must be SPD."""
+def _check_positive_definite(gram: np.ndarray) -> None:
+    """Raise ``RankError`` unless ``gram`` has a Cholesky factor."""
     try:
-        factor = cho_factor(wsys.gram_w, lower=True)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"weighted gram not positive definite: {exc}") from exc
-    theta = cho_solve(factor, wsys.moment_w)
+
+
+def solve_weighted(wsys: WeightedScoreSystem) -> np.ndarray:
+    """Solve gram_w theta = moment_w; gram_w must be SPD."""
+    _check_positive_definite(wsys.gram_w)
+    theta = np.linalg.solve(wsys.gram_w, wsys.moment_w)
     resid = np.abs(wsys.gram_w @ theta - wsys.moment_w).max()
     tol = 1e-8 * (1.0 + np.abs(wsys.moment_w).max())
     if resid > tol:
@@ -110,8 +114,8 @@ def solve_weighted(wsys: WeightedScoreSystem) -> np.ndarray:
 
 def _covariance(wsys: WeightedScoreSystem) -> np.ndarray:
     """Plug-in covariance of theta_tilde: gram_w^{-1} / n (or /(n delta))."""
-    k = wsys.gram_w.shape[0]
-    inv = cho_solve(cho_factor(wsys.gram_w, lower=True), np.eye(k))
+    _check_positive_definite(wsys.gram_w)
+    inv = np.linalg.inv(wsys.gram_w)
     scale = wsys.n_eff * (wsys.delta if wsys.delta is not None else 1.0)
     return 0.5 * (inv + inv.T) / scale
 

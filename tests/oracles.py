@@ -4,10 +4,11 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 from sparseproc.dantzig import CvReport, default_lambda_grid, solve_dantzig_path
-from sparseproc.errors import UncertifiedFitError
+from sparseproc.errors import RankError, UncertifiedFitError
 from sparseproc.rng import make_rng
 from sparseproc.scores import build_regression_score, center_design
 
@@ -50,6 +51,29 @@ def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float) -> float:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the LP: {res.message}")
     return float(res.fun)
+
+
+def reference_solve_weighted(wsys) -> np.ndarray:
+    """scipy's Cholesky factor and triangular solves: the reference for
+    ``twostep.solve_weighted``, which must agree up to rounding."""
+    try:
+        factor = cho_factor(wsys.gram_w, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise RankError(f"weighted gram not positive definite: {exc}") from exc
+    theta = cho_solve(factor, wsys.moment_w)
+    resid = np.abs(wsys.gram_w @ theta - wsys.moment_w).max()
+    tol = 1e-8 * (1.0 + np.abs(wsys.moment_w).max())
+    if resid > tol:
+        raise RankError(f"weighted solve residual {resid:.2e} exceeds {tol:.2e}")
+    return theta
+
+
+def reference_covariance(wsys) -> np.ndarray:
+    """The same for ``twostep._covariance``: gram_w^{-1} / n (or /(n delta))."""
+    k = wsys.gram_w.shape[0]
+    inv = cho_solve(cho_factor(wsys.gram_w, lower=True), np.eye(k))
+    scale = wsys.n_eff * (wsys.delta if wsys.delta is not None else 1.0)
+    return 0.5 * (inv + inv.T) / scale
 
 
 def hawkes_reference_events(spec, seed: int) -> np.ndarray:

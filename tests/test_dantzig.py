@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import bruteforce_l1min, highs_l1min, reference_cross_validate
 
-from sparseproc import dantzig, harness
+from sparseproc import _blas, dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
                                 solve_dantzig, solve_dantzig_path, threshold_support)
 from sparseproc.errors import UncertifiedFitError
@@ -253,6 +253,56 @@ class TestSolveDantzigPath:
         with pytest.raises(ValueError):
             solve_dantzig_path(sys, [0.5, -0.1, 0.2])
         assert solve_dantzig_path(sys, []) == []
+
+
+class TestRank1Binding:
+    """The CBLAS dger bound from numpy's own BLAS, and its scipy fallback."""
+
+    @pytest.mark.parametrize("shape", [(41, 81), (201, 401), (401, 801)])
+    def test_bit_equal_to_scipy_dger(self, shape):
+        from scipy.linalg.blas import dger
+
+        rng = np.random.default_rng(shape[0])
+        a = np.asfortranarray(rng.standard_normal(shape))
+        ref = a.copy(order="F")
+        x, y = np.empty(shape[0]), np.empty(shape[1])
+        update = _blas.rank1_updater(a, x, y)
+        for _ in range(50):  # refilled in place, as the simplex refills its buffers
+            x[:] = rng.standard_normal(shape[0])
+            y[:] = rng.standard_normal(shape[1])
+            update()
+            ref = dger(-1.0, x, y, a=ref, overwrite_a=1)
+        assert_array_equal(a, ref)
+
+    @pytest.mark.parametrize("fold_system", [case3_fold, hawkes_fold],
+                             ids=["case3_p100", "hawkes_p20"])
+    def test_scipy_fallback_same_fits(self, fold_system, monkeypatch):
+        sys, grid = fold_system()
+        primary = solve_dantzig_path(sys, grid)
+        monkeypatch.setattr(_blas, "CBLAS_DGER", None)
+        fallback = solve_dantzig_path(sys, grid)
+        for p_fit, f_fit in zip(primary, fallback):
+            assert_array_equal(p_fit.theta_hat, f_fit.theta_hat)
+            assert (p_fit.iterations, p_fit.status) == (f_fit.iterations, f_fit.status)
+            assert p_fit.feasibility_slack == f_fit.feasibility_slack
+
+    def test_invalid_buffers_rejected(self):
+        a = np.zeros((3, 4), order="F")
+        x, y = np.zeros(3), np.zeros(4)
+        raw = np.zeros(3 * 4 * 8 + 1, dtype=np.uint8)[1:].view(np.float64)  # off by one byte
+        bad = [
+            (np.zeros((3, 4)), x, y),                        # C order
+            (a.astype(np.float32, order="F"), x, y),         # float32 tableau
+            (a, x.astype(np.float32), y),                    # float32 vector
+            (raw.reshape(4, 3).T, x, y),                     # misaligned tableau
+            (a, raw[:3], y),                                 # misaligned vector
+            (a, np.zeros(6)[::2], y),                        # strided vector
+            (a, x, np.zeros(5)),                             # wrong length
+        ]
+        assert not raw.flags.aligned
+        for args in bad:
+            with pytest.raises(ValueError):
+                _blas.rank1_updater(*args)
 
 
 class TestThresholdSupport:

@@ -219,36 +219,65 @@ class TestOutputs:
 
 IMPORT_GRAPH_SCRIPT = """
 import json, sys
+def any_scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import sparseproc
+from sparseproc import _blas
 seen = {"import": "scipy.optimize" in sys.modules}
+scipy_loaded = {"import": any_scipy()}
 from sparseproc.harness import builtin_case, run_case, run_hawkes_support
 failures = run_case(builtin_case("case1", n=300, reps=1, lambda_mode="rate"), jobs=1).failures
 failures += run_case(builtin_case("ou", n=300, reps=1), jobs=1).failures
 seen["count_and_ou"] = "scipy.optimize" in sys.modules
+scipy_loaded["count_and_ou"] = any_scipy()
 failures += run_hawkes_support(builtin_case("hawkes", n=200, reps=1), jobs=1)["failures"]
 seen["hawkes"] = "scipy.optimize" in sys.modules
+scipy_loaded["hawkes"] = any_scipy()
 from sparseproc.scores import lagged_design
 from sparseproc.simulate import InarSpec, simulate_inar
 z, y = lagged_design(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), 500, 3), 2)
 fit = sparseproc.two_step_fit(z, y, 0.1, 0.05, nuisance_mode="residual")
 seen["residual"] = "scipy.optimize" in sys.modules
-print(json.dumps({"seen": seen, "failures": failures, "nuisance": fit.nuisance.kind}))
+print(json.dumps({"seen": seen, "scipy_loaded": scipy_loaded, "failures": failures,
+                  "nuisance": fit.nuisance.kind, "cblas": _blas.CBLAS_DGER is not None}))
+"""
+
+NORMALITY_IMPORT_SCRIPT = """
+import json, sys
+import numpy as np
+import sparseproc
+before = "scipy.special" in sys.modules
+sample = np.random.default_rng(0).standard_normal((40, 2))
+getattr(sparseproc, sys.argv[1])(sample if sys.argv[1] == "royston_test" else sample[:, 0])
+print(json.dumps({"before": before, "after": "scipy.special" in sys.modules}))
 """
 
 
+def run_fresh(script: str, *args: str) -> dict:
+    """Last stdout line, as JSON, of ``script`` in a fresh interpreter over this src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImportGraph:
+    # fresh interpreters, so no earlier test has imported scipy
     def test_scipy_optimize_loads_only_for_residual_nuisance(self):
-        # a fresh interpreter, so no earlier test has imported scipy.optimize
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        out = json.loads(proc.stdout.splitlines()[-1])
+        out = run_fresh(IMPORT_GRAPH_SCRIPT)
         assert out["seen"] == {"import": False, "count_and_ou": False, "hawkes": False,
                                "residual": True}
         assert out["failures"] == 0
         assert out["nuisance"] == "inar_linear_variance"
+        if out["cblas"]:  # without a CBLAS dger in numpy's BLAS the pivot uses scipy's
+            assert out["scipy_loaded"] == {"import": [], "count_and_ou": [], "hawkes": []}
+
+    @pytest.mark.parametrize("test_name", ["shapiro_wilk", "royston_test"])
+    def test_scipy_special_loads_only_for_normality_tests(self, test_name):
+        assert run_fresh(NORMALITY_IMPORT_SCRIPT, test_name) == {"before": False,
+                                                                  "after": True}
 
 
 class TestBenchmarkNames:
@@ -407,6 +436,21 @@ class TestCli:
                    "--tau", "nan", "--out", str(out)])
         assert rc == 2
         assert "tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,row,message", [
+        (["--order", "2"], "2,inf", "series values and lag buffer must be finite"),
+        (["--model", "diffusion", "--delta", "nan"], "2,1.5", "delta must be finite"),
+    ], ids=["inf_count", "nan_delta"])
+    def test_non_finite_series_exit_code(self, tmp_path, capsys, argv, row, message):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-2, 40))
+                          + row + "\n")
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--series", str(series), "--lambda", "0.1", *argv,
+                   "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -326,6 +326,16 @@ class TestSeriesIo:
             SeriesSample(values=np.array([1.0, -2.0]), kind="counts")
         with pytest.raises(ValueError):
             SeriesSample(values=np.array([1.5]), kind="counts")
+        for kind in ("counts", "reals"):
+            for bad in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SeriesSample(values=np.array([1.0, bad]), kind=kind)
+                with pytest.raises(ValueError, match="finite"):
+                    SeriesSample(values=np.ones(3), lag_buffer=np.array([bad]), kind=kind)
+            for delta in (np.nan, np.inf, 0.0, -0.1):
+                with pytest.raises(ValueError, match="delta"):
+                    SeriesSample(values=np.ones(3), delta=delta, kind=kind)
+            assert SeriesSample(values=np.ones(3), delta=0.1, kind=kind).delta == 0.1
 
     def test_spec_dict_roundtrip(self):
         specs = [

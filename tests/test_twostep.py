@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import reference_covariance, reference_solve_weighted
 
-from sparseproc import twostep
+from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.scores import build_weighted_system, lagged_design
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
@@ -159,13 +160,46 @@ class TestSolveWeighted:
         theta = solve_weighted(w)
         assert np.abs(gram @ theta - mom).max() <= 1e-8 * (1 + np.abs(mom).max())
 
-    def test_indefinite_raises(self):
+    @staticmethod
+    def assert_rank_error(gram):
         from sparseproc.scores import WeightedScoreSystem
-        w = WeightedScoreSystem(gram_w=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                moment_w=np.ones(2), support=(0, 1),
+        w = WeightedScoreSystem(gram_w=np.array(gram), moment_w=np.ones(2), support=(0, 1),
                                 weights_summary=(1.0, 1.0), n_eff=5)
-        with pytest.raises(RankError):
-            solve_weighted(w)
+        for solve in (solve_weighted, twostep._covariance, reference_solve_weighted):
+            with pytest.raises(RankError):
+                solve(w)
+
+    def test_indefinite_raises(self):
+        self.assert_rank_error([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_singular_raises(self):
+        self.assert_rank_error([[1.0, 1.0], [1.0, 1.0]])
+
+
+def captured_weighted_systems(case_id, monkeypatch, reps=2):
+    """The weighted systems the first ``reps`` replications of a built-in case solve."""
+    systems = []
+    real = twostep.build_weighted_system
+
+    def recording(*args, **kwargs):
+        systems.append(real(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(twostep, "build_weighted_system", recording)
+    report = harness.run_case(harness.builtin_case(case_id, reps=reps), jobs=1)
+    assert report.failures == 0 and len(systems) == reps
+    return systems
+
+
+class TestSecondStepAgainstCholeskyReference:
+    """numpy's solve and inverse against scipy's Cholesky solves on experiment systems."""
+
+    @pytest.mark.parametrize("case_id", ["case1", "case3", "ou"])
+    def test_case_systems(self, case_id, monkeypatch):
+        for wsys in captured_weighted_systems(case_id, monkeypatch):
+            for new, ref in ((solve_weighted(wsys), reference_solve_weighted(wsys)),
+                             (twostep._covariance(wsys), reference_covariance(wsys))):
+                assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestTwoStepFit:
