@@ -18,13 +18,13 @@ from .harness import (CaseConfig, CaseReport, builtin_case, emit_histogram,
 from .rng import derive_seed, make_rng
 from .scores import (LinearScoreSystem, WeightedScoreSystem, build_diffusion_score,
                      build_inar_score, build_regression_score, build_weighted_system,
-                     eval_score, lagged_design)
+                     diffusion_design, eval_score, lagged_design)
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, lyapunov_covariance, read_series_csv,
                        simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,
                        write_series_csv)
 from .twostep import (NuisanceEstimate, TwoStepFit, estimate_diffusion_sigma2,
-                      estimate_inar_nuisance, project_statistic, solve_weighted,
-                      two_step_fit)
+                      estimate_inar_nuisance, first_step, project_statistic,
+                      solve_weighted, two_step_fit)
 
 __version__ = "0.1.0"

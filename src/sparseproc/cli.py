@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -19,7 +20,7 @@ from .dantzig import cross_validate_lambda, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError, UncertifiedFitError)
-from .scores import build_inar_score, lagged_design
+from .scores import build_inar_score, diffusion_design, lagged_design
 from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
 from .twostep import estimate_diffusion_sigma2, two_step_fit, two_step_to_dict
@@ -71,11 +72,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if args.model == "diffusion":
         path = read_series_csv(args.series, kind="reals", delta=args.delta)
-        design = path.values[:-1, :]
-        dx = np.diff(path.values[:, 0])
-        nuis = estimate_diffusion_sigma2(path)
-        fit = two_step_fit(design, dx, args.lam, args.tau, model_tag="diffusion",
-                           delta=path.delta, nuisance=nuis)
+        design, dx = diffusion_design(path)
+        fit = two_step_fit(design, dx, args.lam, args.tau, delta=path.delta,
+                           nuisance=estimate_diffusion_sigma2(path))
     else:
         series = read_series_csv(args.series, kind="counts")
         design, response = lagged_design(series, args.order)
@@ -101,17 +100,20 @@ def _cmd_cv(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _load_case(args, case_id: str, **builtin_kwargs) -> harness.CaseConfig:
+    """The ``--config`` JSON or the built-in case, with --reps and --seed applied."""
     if args.config:
         config = harness.CaseConfig.from_dict(_load_json(args.config))
     else:
-        config = harness.builtin_case(args.case, n=args.n, reps=args.reps,
-                                      tau=args.tau, lambda_value=args.lam,
-                                      lambda_mode="fixed" if args.lam is not None else None)
-    if args.reps:
-        config.reps = args.reps
-    if args.seed is not None:
-        config.base_seed = args.seed
+        config = harness.builtin_case(case_id, n=args.n, tau=args.tau, **builtin_kwargs)
+    overrides = {"reps": args.reps, "base_seed": args.seed}
+    # replace() validates the overridden config again
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _cmd_experiment(args) -> int:
+    config = _load_case(args, args.case, lambda_value=args.lam,
+                        lambda_mode="fixed" if args.lam is not None else None)
     report = harness.run_case(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
     if args.hist:
@@ -124,7 +126,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_finfty(args) -> int:
     series = read_series_csv(args.series, kind="counts")
-    gram = build_inar_score(series, args.order, centered=True).gram
+    gram = build_inar_score(series, args.order).gram
     support = [int(s) for s in args.support.split(",")]
     est = estimate_f_infinity(gram, support, args.samples, args.seed,
                               method=args.method)
@@ -135,14 +137,7 @@ def _cmd_finfty(args) -> int:
 
 
 def _cmd_hawkes_support(args) -> int:
-    if args.config:
-        config = harness.CaseConfig.from_dict(_load_json(args.config))
-    else:
-        config = harness.builtin_case("hawkes", n=args.n, reps=args.reps, tau=args.tau)
-    if args.reps:
-        config.reps = args.reps
-    if args.seed is not None:
-        config.base_seed = args.seed
+    config = _load_case(args, "hawkes")
     report = harness.run_hawkes_support(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
     return _failure_status(report["per_rep"])

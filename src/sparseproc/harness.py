@@ -18,18 +18,19 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dantzig import cross_validate_lambda, solve_dantzig, threshold_support
-# no longer called here; perfbench/tracing.py still wraps harness.default_lambda_grid by name
-from .dantzig import default_lambda_grid  # noqa: F401
+from .dantzig import cross_validate_lambda
+# not called here; perfbench/tracing.py still wraps these four harness names
+from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # noqa: F401
+from .scores import build_regression_score  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
                      StationarityError, UncertifiedFitError)
 from .rng import derive_seed, make_rng
-from .scores import build_regression_score, center_design, lagged_design
+from .scores import diffusion_design, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict)
-from .twostep import estimate_diffusion_sigma2, project_statistic, two_step_fit
+from .twostep import estimate_diffusion_sigma2, first_step, project_statistic, two_step_fit
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +40,10 @@ _MINAR_BLOCK = np.array([
     [0.0, 0.2, 0.3, 0.2],
     [0.0, 0.0, 0.2, 0.3],
 ])
+
+
+def _finite_nonnegative(x) -> bool:
+    return x is not None and bool(np.isfinite(x)) and x >= 0
 
 
 @dataclass
@@ -65,11 +70,17 @@ class CaseConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.lambda_mode not in ("cv", "fixed", "rate"):
             raise ValueError("lambda_mode must be 'cv', 'fixed', or 'rate'")
-        if self.lambda_mode == "fixed" and self.lambda_value is None:
-            raise ValueError("fixed lambda mode needs lambda_value")
-        if not (np.isfinite(self.tau) and self.tau >= 0):
+        if self.lambda_mode == "fixed" and not _finite_nonnegative(self.lambda_value):
+            raise ValueError("fixed lambda mode needs a finite nonnegative lambda_value")
+        if not _finite_nonnegative(self.rate_c):
+            raise ValueError("rate_c must be finite and nonnegative")
+        if self.lambda_mode == "cv" and isinstance(self.model, OuSpec):
+            raise ValueError("OU case supports fixed or rate lambda modes")
+        if not _finite_nonnegative(self.tau):
             raise ValueError("tau must be finite and nonnegative")
         if self.theta_true is not None:
             self.theta_true = np.asarray(self.theta_true, dtype=float)
@@ -114,6 +125,10 @@ def _case_alphas(p: int) -> np.ndarray:
     return alpha
 
 
+def _default(value, default):
+    return default if value is None else value
+
+
 def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = None,
                  base_seed: int = 20240801, tau: float = 0.05,
                  lambda_mode: Optional[str] = None,
@@ -130,7 +145,8 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
         p = 10 if case_id == "case1" else 20
         spec = InarSpec(mu_eps=0.5, alpha=_case_alphas(p))
         return CaseConfig(
-            case_id=case_id, model=spec, n=n or 2000, p=p, reps=reps or 200,
+            case_id=case_id, model=spec, n=_default(n, 2000), p=p,
+            reps=_default(reps, 200),
             lambda_mode=lambda_mode or "cv", lambda_value=lambda_value,
             tau=tau, base_seed=base_seed,
             theta_true=np.concatenate([[0.5], _case_alphas(p)]),
@@ -143,7 +159,8 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
             a[4 * b: 4 * b + 4, 4 * b: 4 * b + 4] = _MINAR_BLOCK
         spec = Minar1Spec(eta=np.full(p, 0.5), a_matrix=a)
         return CaseConfig(
-            case_id=case_id, model=spec, n=n or 2000, p=p, reps=reps or 100,
+            case_id=case_id, model=spec, n=_default(n, 2000), p=p,
+            reps=_default(reps, 100),
             lambda_mode=lambda_mode or "cv", lambda_value=lambda_value,
             tau=tau, base_seed=base_seed,
             theta_true=np.concatenate([[0.5], a[0]]),
@@ -153,22 +170,22 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
         drift = np.zeros((dim, dim))
         for b in range(dim // 4):
             drift[4 * b: 4 * b + 4, 4 * b: 4 * b + 4] = _MINAR_BLOCK - np.eye(4)
-        n_steps = n or 2000
+        n_steps = _default(n, 2000)
         spec = OuSpec(a_matrix=drift, sigma_diag=np.ones(dim), delta=0.05,
                       n_steps=n_steps, substeps=10)
         return CaseConfig(
-            case_id="ou", model=spec, n=n_steps, p=dim, reps=reps or 100,
+            case_id="ou", model=spec, n=n_steps, p=dim, reps=_default(reps, 100),
             lambda_mode=lambda_mode or ("fixed" if lambda_value is not None else "rate"),
             lambda_value=lambda_value,
             tau=tau, base_seed=base_seed,
             theta_true=drift[0].copy(), support_true=(0, 1, 2, 3))
     if case_id == "hawkes":
-        horizon = float(n) if n else 1000.0
+        horizon = float(_default(n, 1000))
         spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
                           kernel_values=np.array([0.8]), horizon=horizon)
         return CaseConfig(
             case_id="hawkes", model=spec, n=int(horizon / 0.1), p=20,
-            reps=reps or 100, lambda_mode=lambda_mode or "cv",
+            reps=_default(reps, 100), lambda_mode=lambda_mode or "cv",
             lambda_value=lambda_value, tau=tau, base_seed=base_seed,
             hawkes_bin_delta=0.1)
     raise ValueError(f"unknown case id {case_id!r}")
@@ -212,13 +229,10 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     # for counts and the observed time n * delta for diffusions; ``offset``
     # intercept columns lead the fit coordinates
     if isinstance(config.model, OuSpec):
-        if config.lambda_mode == "cv":
-            raise ValueError("OU case supports fixed or rate lambda modes")
-        design = sample.values[:-1, :]
-        response = np.diff(sample.values[:, config.target])
+        design, response = diffusion_design(sample, config.target)
         nuis = estimate_diffusion_sigma2(sample, target=config.target)
         fisher = response.size * sample.delta
-        fit_kwargs = {"model_tag": "diffusion", "delta": sample.delta, "nuisance": nuis}
+        fit_kwargs = {"delta": sample.delta, "nuisance": nuis}
         offset = 0
         record["sigma2_hat"] = float(nuis.values)
     else:
@@ -229,8 +243,7 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
         fit_kwargs = {"nuisance_mode": "plugin_theta"}
         offset = 1
     lam = _choose_lambda(config, design, response, fisher)
-    fit = two_step_fit(design, response, lam, config.tau,
-                       reference_support=config.support_true, **fit_kwargs)
+    fit = two_step_fit(design, response, lam, config.tau, **fit_kwargs)
 
     truth = config.theta_true[offset:]
     err1 = selection_and_errors(fit.theta_first[offset:], truth, fit.support.indices,
@@ -244,13 +257,13 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     record.update({
         "lambda": lam,
         "linf1": err1["linf"], "l21": err1["l2"],
-        "sel": bool(fit.selection_flag),
+        "sel": err1["exact"],
         "linf2": err2["linf"], "l22": err2["l2"],
         "proj_stat": proj, "theta_t0": fit.theta_tilde[t0].tolist(),
         "cover_t0": None, "proj_var_pred": None,
     })
     supp = list(fit.fit_support)
-    if fit.selection_flag and not fit.empty_model and supp == sorted(t0):
+    if err1["exact"] and not fit.empty_model and supp == sorted(t0):
         cov = fit.asymp_cov
         se = np.sqrt(np.diag(cov))
         est = fit.theta_tilde[supp]
@@ -404,12 +417,7 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
                           kind="counts")
     design, response = lagged_design(series, p)
     lam = _choose_lambda(config, design, response, response.size)
-    zc, yc, _, _ = center_design(design, response)
-    sys1 = build_regression_score(zc, yc)
-    fit = solve_dantzig(sys1, lam)
-    if fit.status != "optimal":
-        raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")
-    sel = threshold_support(fit, config.tau)
+    _, _, sel = first_step(design, response, lam, config.tau)
     lags = [j + 1 for j in sel.indices]
     s_hat = max(lags) if lags else 0
     return {"rep": rep, "failed": False, "lambda": lam, "n_events": int(len(events)),

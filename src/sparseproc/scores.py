@@ -58,7 +58,6 @@ class WeightedScoreSystem:
     gram_w: np.ndarray
     moment_w: np.ndarray
     support: Tuple[int, ...]
-    weights_summary: Tuple[float, float]
     n_eff: int
     delta: Optional[float] = None
 
@@ -136,43 +135,47 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
     return design, response
 
 
-def build_inar_score(series: SeriesSample, order: int, target: int = 0,
-                     centered: bool = False) -> LinearScoreSystem:
+def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> LinearScoreSystem:
     """Conditional least-squares score for count autoregressions.
 
-    The raw system is over theta = (intercept, lag coefficients); with
-    ``centered=True`` it is the system of ``center_design``, over the lag
-    coefficients only, which the first step solves.
+    The system of ``center_design`` over the lag coefficients, which the
+    first step solves; the raw system over (intercept, lags) is
+    ``build_regression_score(*lagged_design(series, order, target))``.
     """
     if series.kind != "counts":
         raise ValueError("INAR score requires a counts series")
-    design, response = lagged_design(series, order, target)
-    if centered:
-        design, response, _, _ = center_design(design, response)
+    design, response, _, _ = center_design(*lagged_design(series, order, target))
     return build_regression_score(design, response)
 
 
-def build_diffusion_score(path: SeriesSample, covariate_path: Optional[np.ndarray] = None,
-                          target: int = 0) -> LinearScoreSystem:
-    """Drift score from discrete observations.
+def diffusion_design(path: SeriesSample, target: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Covariate rows Y_k = X_k at the left endpoints and increments of ``target``.
 
-    gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k (X_{k+1} - X_k)
-    with Y_k the covariate row at the left endpoint (defaulting to the full
-    observed state) and X the ``target`` coordinate of the path.
+    The layout every diffusion drift fit uses: ``values[:-1]`` against
+    ``diff(values[:, target])``.
     """
     if path.delta is None:
         raise ValueError("diffusion path must carry a sampling interval delta")
-    x = path.values[:, target]
-    dx = np.diff(x)
-    n = dx.size
-    if n < 1:
+    if path.n < 2:
         raise ValueError("path must contain at least two points")
-    y = path.values[:-1, :] if covariate_path is None else np.asarray(covariate_path, float)
-    if y.shape[0] != n:
-        raise ValueError("covariate rows must align with left endpoints")
-    gram = y.T @ y / n
-    moment = y.T @ dx / (n * path.delta)
-    return LinearScoreSystem(gram=gram, moment=moment, n_eff=n)
+    return path.values[:-1, :], np.diff(path.values[:, target])
+
+
+def build_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
+                          delta: float) -> LinearScoreSystem:
+    """Drift score from discrete observations.
+
+    gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k (X_{k+1} - X_k)
+    on the rows of ``diffusion_design``.
+    """
+    z = np.asarray(covariates, dtype=float)
+    dx = np.asarray(increments, dtype=float).ravel()
+    if z.ndim != 2 or z.shape[0] != dx.size:
+        raise ValueError("covariate rows must align with increments")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and positive")
+    n = dx.size
+    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ dx / (n * delta), n_eff=n)
 
 
 def build_weighted_system(design: np.ndarray, response: np.ndarray,
@@ -185,8 +188,7 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
     paths the constant quadratic-variation estimate (responses must then be
     increments divided by delta).  Variances are floored at
     ``VARIANCE_FLOOR`` so all-zero count histories cannot produce infinite
-    weights; a floored row shows up as max weight 1/VARIANCE_FLOOR in
-    ``weights_summary``.  A non-finite variance raises ``NuisanceError``.
+    weights.  A non-finite variance raises ``NuisanceError``.
     """
     support = sorted(int(j) for j in support)
     if not support:
@@ -210,6 +212,4 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
     gram_w = (z * w[:, None]).T @ z / n
     moment_w = z.T @ (w * y) / n
     return WeightedScoreSystem(gram_w=gram_w, moment_w=moment_w,
-                               support=tuple(support),
-                               weights_summary=(float(w.min()), float(w.max())),
-                               n_eff=n, delta=delta)
+                               support=tuple(support), n_eff=n, delta=delta)

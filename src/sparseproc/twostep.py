@@ -15,8 +15,8 @@ import numpy as np
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (LinearScoreSystem, WeightedScoreSystem, build_regression_score,
-                     build_weighted_system, center_design)
+from .scores import (WeightedScoreSystem, build_diffusion_score, build_regression_score,
+                     build_weighted_system, center_design, diffusion_design)
 from .simulate import SeriesSample
 
 
@@ -49,7 +49,6 @@ class TwoStepFit:
     theta_tilde: np.ndarray
     nuisance: Optional[NuisanceEstimate]
     asymp_cov: np.ndarray
-    selection_flag: Optional[bool]
     first_step: DantzigFit
     theta_first: np.ndarray        # first-step estimate on the same coordinates
     fit_support: Tuple[int, ...]   # coordinates actually solved in step two
@@ -82,11 +81,7 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
 
 def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEstimate:
     """Quadratic-variation estimate sigma^2 = sum (dX)^2 / (n delta)."""
-    if path.delta is None or path.delta <= 0:
-        raise ValueError("path must carry a positive sampling interval")
-    dx = np.diff(path.values[:, target])
-    if dx.size < 1:
-        raise ValueError("path must contain at least two points")
+    _, dx = diffusion_design(path, target)
     s2 = float(dx @ dx / (dx.size * path.delta))
     if s2 <= 0:
         raise DegenerateVarianceError("constant path: quadratic variation is zero")
@@ -120,19 +115,45 @@ def _covariance(wsys: WeightedScoreSystem) -> np.ndarray:
     return 0.5 * (inv + inv.T) / scale
 
 
+def first_step(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
+               delta: Optional[float] = None
+               ) -> Tuple[DantzigFit, np.ndarray, SupportEstimate]:
+    """The Dantzig fit, the first-step estimate and its thresholded support.
+
+    Without ``delta`` the rows are a count/regression design with the
+    intercept in column 0: the LP runs on the mean-centered non-intercept
+    columns of ``center_design``, the support is in those coordinates
+    (columns 1..p reported as 0..p-1), and the intercept is recovered from
+    the means.  With ``delta`` the rows are those of ``diffusion_design``
+    and the LP runs on ``build_diffusion_score``.
+
+    Raises ``UncertifiedFitError`` when the LP does not end optimal.
+    """
+    z = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
+    if delta is None:
+        zc, yc, z_bar, y_bar = center_design(z, y)
+        sys1 = build_regression_score(zc, yc)
+    else:
+        sys1 = build_diffusion_score(z, y, delta)
+    fit = solve_dantzig(sys1, lam)
+    if fit.status != "optimal":
+        raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")
+    theta_first = fit.theta_hat
+    if delta is None:
+        theta_first = np.concatenate([[y_bar - theta_first @ z_bar], theta_first])
+    return fit, theta_first, threshold_support(fit, tau)
+
+
 def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
-                 *, model_tag: str = "inar", delta: Optional[float] = None,
+                 *, delta: Optional[float] = None,
                  nuisance: Optional[NuisanceEstimate] = None,
-                 nuisance_mode: str = "residual",
-                 reference_support: Optional[Sequence[int]] = None) -> TwoStepFit:
+                 nuisance_mode: str = "residual") -> TwoStepFit:
     """Run the full pipeline on prepared design rows.
 
-    For count/regression models ``design`` carries the intercept in column
-    0; the first step runs on the mean-centered non-intercept columns of
-    ``center_design`` and the intercept is recovered from the means.
-    Selection (and ``selection_flag`` against ``reference_support``) is in
-    the coordinates of the selected vector: non-intercept columns 1..p
-    reported as 0..p-1.  The intercept is always carried into step two.
+    The first step is ``first_step``; a fit is a diffusion fit exactly when
+    ``delta`` is given.  A count/regression fit always carries the
+    intercept (column 0) into step two.
 
     ``nuisance_mode`` picks the variance plug-in when ``nuisance`` is not
     supplied: "residual" fits the linear variance to squared first-step
@@ -141,53 +162,28 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     conditionally Poisson counts where the conditional variance equals the
     conditional mean.
 
-    For ``model_tag="diffusion"`` pass the covariate rows, the raw
-    increments as ``response`` and the sampling interval ``delta``; the
-    constant-sigma nuisance must be supplied by the caller.
-
-    Raises ``UncertifiedFitError`` when the first-step LP does not end
-    optimal.
+    For a diffusion fit pass the rows of ``diffusion_design``, the sampling
+    interval ``delta`` and the constant-sigma nuisance of
+    ``estimate_diffusion_sigma2``.
     """
-    if model_tag not in ("inar", "regression", "diffusion"):
-        raise ValueError(f"unknown model_tag {model_tag!r}")
     z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
-    n, d = z.shape
-
-    # per-model preparation: the first-step system, the offset from selected
-    # coordinates to design columns, the columns always carried into step
-    # two, and the second-step response
-    if model_tag == "diffusion":
-        if delta is None:
-            raise ValueError("diffusion fits need delta")
+    d = z.shape[1]
+    # the offset from selected coordinates to design columns, the columns
+    # always carried into step two, and the second-step response
+    if delta is None:
+        offset, carried, y2 = 1, {0}, y
+    else:
         if nuisance is None or nuisance.kind != "diffusion_constant_sigma2":
             raise ValueError("diffusion fits need a constant-sigma^2 nuisance estimate")
-        gram = z.T @ z / n
-        moment = z.T @ y / (n * delta)
-        sys1 = LinearScoreSystem(gram=gram, moment=moment, n_eff=n)
         offset, carried, y2 = 0, set(), y / delta
-    else:  # count / regression models: column 0 is the intercept
-        zc, yc, z_bar, y_bar = center_design(z, y)
-        sys1 = build_regression_score(zc, yc)
-        offset, carried, y2 = 1, {0}, y
-        delta = None  # only diffusion fits scale by the sampling interval
 
-    fit1 = solve_dantzig(sys1, lam)
-    if fit1.status != "optimal":
-        raise UncertifiedFitError(f"first-step LP ended with status {fit1.status!r}")
-    theta_first = fit1.theta_hat
-    if offset:  # intercept recovered from the means
-        theta_first = np.concatenate([[y_bar - theta_first @ z_bar], theta_first])
-    sel = threshold_support(fit1, tau)
-    flag = (set(sel.indices) == set(int(j) for j in reference_support)
-            if reference_support is not None else None)
-
+    fit1, theta_first, sel = first_step(z, y, lam, tau, delta)
     support2 = sorted({j + offset for j in sel.indices} | carried)
     if not support2:
         return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nuisance,
-                          asymp_cov=np.empty((0, 0)), selection_flag=flag,
-                          first_step=fit1, theta_first=theta_first,
-                          fit_support=(), empty_model=True)
+                          asymp_cov=np.empty((0, 0)), first_step=fit1,
+                          theta_first=theta_first, fit_support=(), empty_model=True)
 
     if nuisance is not None:
         nui = nuisance
@@ -204,9 +200,8 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     theta_full = np.zeros(d)
     theta_full[support2] = theta_t
     return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nui,
-                      asymp_cov=_covariance(wsys), selection_flag=flag,
-                      first_step=fit1, theta_first=theta_first,
-                      fit_support=wsys.support)
+                      asymp_cov=_covariance(wsys), first_step=fit1,
+                      theta_first=theta_first, fit_support=wsys.support)
 
 
 def two_step_to_dict(fit: TwoStepFit) -> dict:
@@ -221,7 +216,6 @@ def two_step_to_dict(fit: TwoStepFit) -> dict:
             "values": np.atleast_1d(fit.nuisance.values).tolist(),
             "support": list(fit.nuisance.support)},
         "cov": fit.asymp_cov.tolist(),
-        "selection_flag": fit.selection_flag,
         "empty_model": fit.empty_model,
     }
 

@@ -116,7 +116,7 @@ def test_criterion_5_rate_in_n():
         errs = []
         for r in range(100):
             sample = simulate_inar(spec, n, seed=derive_seed(515, 1000 * n + r))
-            sys = build_inar_score(sample, order=10, centered=True)
+            sys = build_inar_score(sample, order=10)
             fit = solve_dantzig(sys, lam)
             errs.append(np.abs(fit.theta_hat - alpha0).max())
         medians.append(float(np.median(errs)))

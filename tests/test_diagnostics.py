@@ -39,7 +39,7 @@ class TestFInfinity:
     def test_case1_gram_positive_and_seed_stable(self):
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
         sample = simulate_inar(spec, 20_000, seed=3)
-        sys = build_inar_score(sample, order=10, centered=True)
+        sys = build_inar_score(sample, order=10)
         vals = [estimate_f_infinity(sys.gram, [0, 1, 2, 3], 4000, seed=s).value
                 for s in range(4)]
         vals = np.array(vals)

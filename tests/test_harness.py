@@ -1,6 +1,7 @@
 """Harness tests: pinned configs, determinism, report formats, CLI surface."""
 
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -20,8 +21,9 @@ from sparseproc.cli import main
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
                                 run_hawkes_support, report_to_json, write_per_rep_csv)
-from sparseproc.scores import LinearScoreSystem
-from sparseproc.simulate import HawkesSpec, InarSpec
+from sparseproc.scores import LinearScoreSystem, diffusion_design
+from sparseproc.simulate import HawkesSpec, InarSpec, read_series_csv
+from sparseproc.twostep import estimate_diffusion_sigma2, two_step_fit
 
 
 class TestBuiltinCases:
@@ -73,6 +75,34 @@ class TestBuiltinCases:
     def test_non_finite_or_negative_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau"):
             builtin_case("case1", tau=tau)
+
+    @pytest.mark.parametrize("case_id", ["case1", "case3", "ou", "hawkes"])
+    @pytest.mark.parametrize("arg", ["n", "reps"])
+    def test_zero_is_not_the_default(self, case_id, arg):
+        # n=0 and reps=0 are rejected, never replaced by the pinned defaults
+        with pytest.raises(ValueError):
+            builtin_case(case_id, **{arg: 0})
+
+
+class TestCaseConfigValidation:
+    @pytest.mark.parametrize("case_id,changes,message", [
+        ("case1", {"n": 0}, "n must be"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": None}, "lambda_value"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": float("nan")}, "lambda_value"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": float("inf")}, "lambda_value"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": -0.1}, "lambda_value"),
+        ("case1", {"lambda_mode": "rate", "rate_c": float("nan")}, "rate_c"),
+        ("case1", {"lambda_mode": "rate", "rate_c": -1.0}, "rate_c"),
+        ("ou", {"lambda_mode": "cv"}, "OU case"),
+    ])
+    def test_bad_config_rejected_at_construction(self, case_id, changes, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(builtin_case(case_id, reps=1), **changes)
+
+    def test_fixed_zero_lambda_accepted(self):
+        cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="fixed",
+                                  lambda_value=0.0)
+        assert cfg.lambda_value == 0.0
 
 
 class TestRunCase:
@@ -138,6 +168,23 @@ class TestRunCase:
         monkeypatch.setattr(harness, "cross_validate_lambda", reference_cross_validate)
         assert report_to_json(run(cfg)) == merged
 
+    def test_selection_flag(self, monkeypatch):
+        # a replication's "sel" is exact recovery of the true support by its fit,
+        # and only such replications carry a coverage record
+        fits = []
+        real = harness.two_step_fit
+
+        def recording(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(harness, "two_step_fit", recording)
+        rep = run_case(builtin_case("case1", n=500, reps=8), jobs=1)
+        sels = [r["sel"] for r in rep.per_rep]
+        assert sels == [set(f.support.indices) == {0, 1, 2, 3} for f in fits]
+        assert True in sels and False in sels
+        assert all(r["cover_t0"] is None for r in rep.per_rep if not r["sel"])
+
     def test_rate_lambda_mode(self):
         cfg = builtin_case("case1", n=500, reps=2, lambda_mode="rate")
         cfg.rate_c = 2.0
@@ -168,6 +215,14 @@ class TestHawkesSupport:
             out[delta] = run_hawkes_support(cfg, jobs=2)["mean_tau_hat"]
         # s_hat roughly doubles so tau_hat = s_hat * delta stays put
         assert abs(out[0.05] - out[0.1]) <= 0.3 * out[0.1]
+
+    def test_uncertified_first_step_counts_as_failure(self, monkeypatch):
+        real = twostep.solve_dantzig
+        monkeypatch.setattr(twostep, "solve_dantzig",
+                            lambda sys, lam: real(sys, lam, max_iter=2))
+        report = run_hawkes_support(builtin_case("hawkes", n=200, reps=2), jobs=1)
+        assert report["failures"] == 2
+        assert all(r["error"].startswith("UncertifiedFitError") for r in report["per_rep"])
 
     def test_wrong_model_rejected(self):
         cfg = builtin_case("case1", reps=1)
@@ -363,6 +418,33 @@ class TestCli:
         assert main(argv + ["--seed", "20240801", "--out", str(pinned)]) == 0
         assert json.load(open(default))["failures"] == 0
         assert default.read_bytes() == pinned.read_bytes()
+
+    def test_diffusion_fit_matches_library(self, tmp_path):
+        spec_path = tmp_path / "ou.json"
+        json.dump({"model": "ou", "a_matrix": [[-0.8, 0.3], [0.0, -0.6]],
+                   "sigma_diag": [1.0, 1.0], "delta": 0.05, "n_steps": 1500,
+                   "substeps": 5}, open(spec_path, "w"))
+        series = tmp_path / "ou.csv"
+        assert main(["simulate", "--config", str(spec_path), "--seed", "4",
+                     "--out", str(series)]) == 0
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(series), "--model", "diffusion",
+                     "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
+        got = json.load(open(out))
+        path = read_series_csv(series, kind="reals", delta=0.05)
+        fit = two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta,
+                           nuisance=estimate_diffusion_sigma2(path))
+        assert got["support"] == list(fit.support.indices)
+        assert got["theta_tilde"] == [[j, v] for j, v in enumerate(fit.theta_tilde.tolist())
+                                      if v != 0.0]
+        assert got["support"] and "selection_flag" not in got
+
+    @pytest.mark.parametrize("verb", [["experiment", "--case", "case1"], ["hawkes-support"]])
+    def test_zero_reps_exit_code(self, tmp_path, capsys, verb):
+        out = tmp_path / "report.json"
+        assert main(verb + ["--reps", "0", "--n", "200", "--out", str(out)]) == 2
+        assert "reps must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uncertified_fit_exit_code(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "spec.json"

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from sparseproc.errors import NuisanceError
 from sparseproc.scores import (VARIANCE_FLOOR, LinearScoreSystem, build_diffusion_score,
                                build_inar_score, build_regression_score,
-                               build_weighted_system, center_design, eval_score,
-                               lagged_design)
+                               build_weighted_system, center_design, diffusion_design,
+                               eval_score, lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import NuisanceEstimate
 
@@ -61,15 +61,15 @@ class TestInarScore:
     def test_constant_series_direct_summation(self):
         c = 3.0
         sample = SeriesSample(values=np.full(20, c), lag_buffer=np.full(2, c))
-        sys = build_inar_score(sample, order=2)
         design, response = lagged_design(sample, 2)
+        sys = build_regression_score(design, response)  # the raw score, intercept included
         assert_allclose(sys.gram, design.T @ design / 20, atol=1e-14)
         assert_allclose(sys.moment, design.T @ response / 20, atol=1e-14)
         assert_allclose(sys.moment, [c, c * c, c * c], atol=1e-12)
 
     def test_zero_series(self):
         sample = SeriesSample(values=np.zeros(15), lag_buffer=np.zeros(3))
-        sys = build_inar_score(sample, order=3)
+        sys = build_regression_score(*lagged_design(sample, 3))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert_array_equal(sys.gram, expected)
@@ -85,8 +85,16 @@ class TestInarScore:
         with pytest.raises(ValueError, match="counts"):
             build_inar_score(sample, order=1)
 
+    def test_is_the_centered_system(self):
+        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 300, seed=9)
+        zc, yc, _, _ = center_design(*lagged_design(sample, 10))
+        sys = build_inar_score(sample, order=10)
+        ref = build_regression_score(zc, yc)
+        assert_array_equal(sys.gram, ref.gram)
+        assert_array_equal(sys.moment, ref.moment)
+
     def test_score_at_truth_decays(self):
-        # ||psi(theta0)||_inf should shrink roughly like sqrt(log p / n)
+        # ||psi(theta0)||_inf of the raw score should shrink roughly like sqrt(log p / n)
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
         theta0 = np.concatenate([[0.5], CASE1_ALPHA])
         meds = []
@@ -94,7 +102,7 @@ class TestInarScore:
             norms = []
             for r in range(20):
                 sample = simulate_inar(spec, n, seed=1000 * n + r)
-                sys = build_inar_score(sample, order=10)
+                sys = build_regression_score(*lagged_design(sample, 10))
                 norms.append(np.abs(eval_score(sys, theta0)).max())
             meds.append(np.median(norms))
         assert meds[0] > meds[1] > meds[2]
@@ -105,19 +113,37 @@ class TestInarScore:
 class TestDiffusionScore:
     def test_constant_path_zero_moment(self):
         path = SeriesSample(values=np.ones((11, 1)), delta=0.1, kind="reals")
-        sys = build_diffusion_score(path)
+        sys = build_diffusion_score(*diffusion_design(path), path.delta)
         assert_array_equal(sys.moment, [0.0])
 
     def test_linear_path_telescoping(self):
         t = np.arange(11) * 0.1
         path = SeriesSample(values=t, delta=0.1, kind="reals")
-        sys = build_diffusion_score(path, covariate_path=np.ones((10, 1)))
+        _, dx = diffusion_design(path)
+        sys = build_diffusion_score(np.ones((10, 1)), dx, path.delta)
         assert_allclose(sys.moment, [1.0], atol=1e-12)
 
     def test_missing_delta(self):
         path = SeriesSample(values=np.ones(5), kind="reals")
         with pytest.raises(ValueError, match="delta"):
-            build_diffusion_score(path)
+            diffusion_design(path)
+
+    def test_single_point_rejected(self):
+        path = SeriesSample(values=np.ones((1, 2)), delta=0.1, kind="reals")
+        with pytest.raises(ValueError, match="two points"):
+            diffusion_design(path)
+
+    def test_layout_left_endpoints_and_target_increments(self):
+        values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
+        path = SeriesSample(values=values, delta=0.5, kind="reals")
+        design, dx = diffusion_design(path, target=1)
+        assert_array_equal(design, values[:2])
+        assert_array_equal(dx, [20.0, 30.0])
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            build_diffusion_score(np.ones((3, 1)), np.ones(3), delta)
 
     def test_ou_score_at_truth_decays(self):
         a = np.array([[-0.8, 0.3], [0.0, -0.6]])
@@ -128,7 +154,7 @@ class TestDiffusionScore:
             vals = []
             for r in range(8):
                 path = simulate_ou(spec, seed=7 * n + r)
-                sys = build_diffusion_score(path)
+                sys = build_diffusion_score(*diffusion_design(path), path.delta)
                 vals.append(np.abs(eval_score(sys, a[0])).max())
             norms.append(np.median(vals))
         assert norms[0] > norms[2]
@@ -182,7 +208,8 @@ class TestEvalScore:
         spec = InarSpec(mu_eps=1.0, alpha=np.array([0.4, 0.2]), burn_in=200)
         theta0 = np.array([1.0, 0.4, 0.2])
         scores = np.array([
-            eval_score(build_inar_score(simulate_inar(spec, 300, seed=r), 2), theta0)
+            eval_score(build_regression_score(*lagged_design(simulate_inar(spec, 300, seed=r),
+                                                             2)), theta0)
             for r in range(200)])
         se = scores.std(axis=0, ddof=1) / np.sqrt(200)
         assert np.all(np.abs(scores.mean(axis=0)) < 4 * se)
@@ -200,7 +227,6 @@ class TestWeightedSystem:
         zt = z[:, [0, 2]]
         assert_allclose(w.gram_w, zt.T @ zt / 20, atol=1e-12)
         assert_allclose(w.moment_w, zt.T @ y / 20, atol=1e-12)
-        assert w.weights_summary == (1.0, 1.0)
 
     def test_constant_design_hand_computation(self):
         z = np.column_stack([np.ones(4), np.full(4, 2.0)])
@@ -218,7 +244,10 @@ class TestWeightedSystem:
         nuis = NuisanceEstimate(kind="inar_linear_variance",
                                 values=np.array([0.0, 1.0]), support=(0, 1))
         w = build_weighted_system(z, y, [0, 1], nuis)  # first row variance 0 -> floored
-        assert w.weights_summary[1] == pytest.approx(1.0 / VARIANCE_FLOOR)
+        # row weights 1/VARIANCE_FLOOR and 1 over rows (1, 0) and (1, 1), n = 2
+        big = 1.0 / VARIANCE_FLOOR
+        assert_allclose(w.gram_w, [[(big + 1) / 2, 0.5], [0.5, 0.5]], rtol=1e-15)
+        assert_allclose(w.moment_w, [0.5, 0.5], rtol=1e-15)
 
     def test_diffusion_constant_weights(self):
         z = np.arange(8.0).reshape(4, 2)

@@ -7,10 +7,13 @@ from oracles import reference_covariance, reference_solve_weighted
 
 from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from sparseproc.scores import build_weighted_system, lagged_design
+from sparseproc.dantzig import solve_dantzig, threshold_support
+from sparseproc.scores import (build_diffusion_score, build_regression_score,
+                               build_weighted_system, center_design, diffusion_design,
+                               lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import (NuisanceEstimate, estimate_diffusion_sigma2,
-                                estimate_inar_nuisance, project_statistic,
+                                estimate_inar_nuisance, first_step, project_statistic,
                                 solve_weighted, two_step_fit)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
@@ -134,7 +137,7 @@ class TestSolveWeighted:
     def test_diagonal_coordinatewise(self):
         from sparseproc.scores import WeightedScoreSystem
         w = WeightedScoreSystem(gram_w=np.diag([2.0, 4.0]), moment_w=np.array([1.0, 1.0]),
-                                support=(0, 1), weights_summary=(1.0, 1.0), n_eff=10)
+                                support=(0, 1), n_eff=10)
         assert_allclose(solve_weighted(w), [0.5, 0.25], atol=1e-14)
 
     def test_matches_elimination_oracle(self):
@@ -146,7 +149,7 @@ class TestSolveWeighted:
             mom = rng.standard_normal(k)
             from sparseproc.scores import WeightedScoreSystem
             w = WeightedScoreSystem(gram_w=gram, moment_w=mom, support=tuple(range(k)),
-                                    weights_summary=(1.0, 1.0), n_eff=5)
+                                    n_eff=5)
             assert_allclose(solve_weighted(w), gaussian_elimination(gram, mom), atol=1e-9)
 
     def test_residual_certificate(self):
@@ -156,7 +159,7 @@ class TestSolveWeighted:
         mom = rng.standard_normal(4)
         from sparseproc.scores import WeightedScoreSystem
         w = WeightedScoreSystem(gram_w=gram, moment_w=mom, support=(0, 1, 2, 3),
-                                weights_summary=(1.0, 1.0), n_eff=5)
+                                n_eff=5)
         theta = solve_weighted(w)
         assert np.abs(gram @ theta - mom).max() <= 1e-8 * (1 + np.abs(mom).max())
 
@@ -164,7 +167,7 @@ class TestSolveWeighted:
     def assert_rank_error(gram):
         from sparseproc.scores import WeightedScoreSystem
         w = WeightedScoreSystem(gram_w=np.array(gram), moment_w=np.ones(2), support=(0, 1),
-                                weights_summary=(1.0, 1.0), n_eff=5)
+                                n_eff=5)
         for solve in (solve_weighted, twostep._covariance, reference_solve_weighted):
             with pytest.raises(RankError):
                 solve(w)
@@ -209,8 +212,7 @@ class TestTwoStepFit:
         theta0 = np.array([0.7, 1.0, 0.0, -2.0, 0.0, 0.0])
         y = z @ theta0
         nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
-        fit = two_step_fit(z, y, lam=1e-10, tau=0.05, model_tag="regression",
-                           nuisance=nuis)
+        fit = two_step_fit(z, y, lam=1e-10, tau=0.05, nuisance=nuis)
         assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
 
     def test_oracle_vs_estimated_nuisance_agree(self):
@@ -235,8 +237,7 @@ class TestTwoStepFit:
         z = rng.standard_normal((50, 3))
         dx = 0.01 * rng.standard_normal(50)
         nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
-        fit = two_step_fit(z, dx, lam=100.0, tau=0.05, model_tag="diffusion",
-                           delta=0.1, nuisance=nuis)
+        fit = two_step_fit(z, dx, lam=100.0, tau=0.05, delta=0.1, nuisance=nuis)
         assert fit.empty_model
         assert_array_equal(fit.theta_tilde, np.zeros(3))
         assert fit.asymp_cov.shape == (0, 0)
@@ -250,11 +251,35 @@ class TestTwoStepFit:
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
             two_step_fit(z, y, 0.01, 0.05)
 
-    def test_unknown_model_tag_rejected(self):
-        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 500, seed=85)
+    def test_delta_makes_a_diffusion_fit(self):
+        # with delta the first step solves the diffusion score of the rows as given
+        spec = OuSpec(a_matrix=np.array([[-0.8, 0.3], [0.0, -0.6]]), sigma_diag=np.ones(2),
+                      delta=0.05, n_steps=2000, substeps=5)
+        path = simulate_ou(spec, seed=87)
+        z, dx = diffusion_design(path)
+        fit = two_step_fit(z, dx, 0.1, 0.05, delta=path.delta,
+                           nuisance=estimate_diffusion_sigma2(path))
+        ref = solve_dantzig(build_diffusion_score(z, dx, path.delta), 0.1)
+        assert_array_equal(fit.first_step.theta_hat, ref.theta_hat)
+        assert_array_equal(fit.theta_first, ref.theta_hat)
+        assert fit.support == threshold_support(ref, 0.05)
+        assert fit.fit_support == fit.support.indices
+
+    def test_diffusion_fit_needs_sigma2_nuisance(self):
+        z, dx = np.ones((10, 2)), np.ones(10)
+        with pytest.raises(ValueError, match="constant-sigma"):
+            two_step_fit(z, dx, 0.1, 0.05, delta=0.1)
+
+    def test_first_step_count_intercept(self):
+        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=89)
         z, y = lagged_design(sample, 10)
-        with pytest.raises(ValueError, match="model_tag 'difusion'"):
-            two_step_fit(z, y, 0.1, 0.05, model_tag="difusion", delta=0.1)
+        fit, theta_first, sel = first_step(z, y, 0.1, 0.05)
+        zc, yc, z_bar, y_bar = center_design(z, y)
+        ref = solve_dantzig(build_regression_score(zc, yc), 0.1)
+        assert_array_equal(fit.theta_hat, ref.theta_hat)
+        assert theta_first[0] == y_bar - ref.theta_hat @ z_bar
+        assert_array_equal(theta_first[1:], ref.theta_hat)
+        assert sel == threshold_support(ref, 0.05)
 
     def test_intercept_always_kept(self):
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.45]))
@@ -270,15 +295,6 @@ class TestTwoStepFit:
         fit = two_step_fit(z, y, 0.12, 0.05)
         off = np.setdiff1d(np.arange(11), list(fit.fit_support))
         assert np.all(fit.theta_tilde[off] == 0.0)
-
-    def test_selection_flag(self):
-        spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
-        sample = simulate_inar(spec, 4000, seed=95)
-        z, y = lagged_design(sample, 10)
-        fit = two_step_fit(z, y, 0.12, 0.05, reference_support=(0, 1, 2, 3))
-        assert fit.selection_flag == (set(fit.support.indices) == {0, 1, 2, 3})
-        fit2 = two_step_fit(z, y, 0.12, 0.05)
-        assert fit2.selection_flag is None
 
     def test_efficiency_ordering_heteroskedastic(self):
         # trace of weighted estimator covariance <= unweighted, within MC error
