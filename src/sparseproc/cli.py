@@ -101,11 +101,22 @@ def _cmd_cv(args) -> int:
 
 
 def _load_case(args, case_id: str, **builtin_kwargs) -> harness.CaseConfig:
-    """The ``--config`` JSON or the built-in case, with --reps and --seed applied."""
+    """The ``--config`` JSON or the built-in case, with --reps and --seed applied.
+
+    --n, --tau and --lambda shape a built-in case only: next to ``--config``
+    they raise ``ValueError`` rather than being dropped.
+    """
+    shaping = {"--n": args.n, "--tau": args.tau, "--lambda": getattr(args, "lam", None)}
     if args.config:
+        given = [flag for flag, value in shaping.items() if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --config; "
+                             "set the value in the config JSON")
         config = harness.CaseConfig.from_dict(_load_json(args.config))
     else:
-        config = harness.builtin_case(case_id, n=args.n, tau=args.tau, **builtin_kwargs)
+        if args.tau is not None:
+            builtin_kwargs["tau"] = args.tau
+        config = harness.builtin_case(case_id, n=args.n, **builtin_kwargs)
     overrides = {"reps": args.reps, "base_seed": args.seed}
     # replace() validates the overridden config again
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n", type=int, default=None)
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_exp.add_argument("--tau", type=float, default=0.05)
+    p_exp.add_argument("--tau", type=float, default=None, help="default 0.05")
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--hist", default=None, help="histogram CSV of projected statistics")
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--reps", type=int, default=None)
     p_h.add_argument("--n", type=int, default=None, help="horizon in time units")
     p_h.add_argument("--seed", type=int, default=None)
-    p_h.add_argument("--tau", type=float, default=0.05)
+    p_h.add_argument("--tau", type=float, default=None, help="default 0.05")
     p_h.add_argument("--jobs", type=int, default=1)
     p_h.add_argument("--out", default=None)
     p_h.set_defaults(func=_cmd_hawkes_support)

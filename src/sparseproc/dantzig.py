@@ -1,24 +1,31 @@
 """l1-minimal estimation subject to an l-infinity score constraint.
 
 The Dantzig selector  min ||theta||_1  s.t.  ||b - A theta||_inf <= lambda
-is rewritten with the positive/negative split theta = u - v into the
-linear program
+is written on p ranged rows
 
-    min 1'(u + v)   s.t.   A(u - v) <= b + lambda,
-                          -A(u - v) <= lambda - b,   u, v >= 0,
+    min sum_j |theta_j|   s.t.   A theta + s = b,   -lambda <= s <= lambda,
 
-and solved exactly by a dense dual simplex.  lambda enters only the
-right-hand side and every cost is one, so the all-slack basis is dual
+and solved exactly by a dense bounded dual simplex (Fourer, Math. Prog. 33,
+1985; Koberstein, PhD thesis, Paderborn 2005).  The tableau is
+(p+1) x (2p+1): one column B^-1 A_j per free theta_j, the slack columns,
+which hold B^-1, and the values of the basic variables in the last column.
+|theta_j| has two pieces: raising theta_j costs its reduced cost d_j and
+lowering it 2 - d_j, so the slack basis, where every d_j is 1, is dual
 feasible for every lambda and the dual simplex starts from it without a
-phase 1.  Both the leaving and the entering choices follow Bland's
-lowest-index rule, which prevents cycling and makes the returned vertex
-deterministic.  A path of lambda values is solved in one Fortran-order
-tableau from the largest value down, each warm-started from the last
-optimal basis (parametric simplex, as in fastclime); every pivot is one
-in-place BLAS rank-1 update (dger) through the CBLAS that numpy itself
-links (``_blas``), so no scipy module is imported on this path.
+phase 1.  lambda moves only the bounds of the nonbasic slacks.  A basic
+variable leaves at the bound it violates; a basic theta_j whose sign
+disagrees with its piece leaves at 0, and may re-enter on the other piece
+in the same pivot.  Both choices follow Bland's lowest-index rule, in the
+numbering of the split form theta = u - v (u_j = j, v_j = p + j, slack
+2p + i) for the leaving variable and by stored column for the entering
+one, which prevents cycling and makes the returned vertex deterministic.
+A path of lambda values is solved in one Fortran-order tableau from the
+largest value down, each warm-started from the last optimal basis
+(parametric simplex, as in fastclime); every pivot is one in-place BLAS
+rank-1 update (dger) through the CBLAS that numpy itself links
+(``_blas``), so no scipy module is imported on this path.  A fit is
+"optimal" only when its slack, recomputed from theta, certifies it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -32,6 +39,10 @@ from .scores import LinearScoreSystem, center_design
 # no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
 from .scores import build_regression_score  # noqa: F401
 
+# the reductions behind ndarray.min/max/sum, without their Python-level wrappers:
+# the CV path solves thousands of small LPs, where call overhead outweighs the work
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
 
 @dataclass(frozen=True)
 class DantzigFit:
@@ -42,7 +53,7 @@ class DantzigFit:
     l1_objective: float  # ||theta_hat||_1
     feasibility_slack: float  # lambda - ||b - A theta_hat||_inf
     iterations: int
-    status: str  # optimal | infeasible | iteration_limit
+    status: str  # optimal | inaccurate | infeasible | iteration_limit
 
 
 @dataclass(frozen=True)
@@ -73,55 +84,99 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
 
     ``max_iter`` bounds the pivots of each value.  ``status`` is
     "infeasible" only when lambda is below the smallest attainable score
-    norm; a fit that is not "optimal" carries the last basic solution visited.
+    norm, and "inaccurate" when the pivots ended but the recomputed slack
+    falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
+    "optimal" carries the last basic solution visited.
     """
     if not all(np.isfinite(lam) and lam >= 0 for lam in lams):
         raise ValueError("lambda must be finite and nonnegative")
     a, b, p = sys.gram, sys.moment, sys.dim
     max_iter = 50 * 4 * p if max_iter is None else max_iter
-    tol = 1e-9 * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    tol = 1e-9 * scale
 
-    m, n_cols = 2 * p, 4 * p        # constraint rows (one slack each); u, v, slack columns
-    tableau = np.zeros((m + 1, n_cols + 1), order="F")  # columns contiguous for dger
-    tableau[:p, :p] = tableau[p:m, p:m] = a
-    tableau[:p, p:m] = tableau[p:m, :p] = -a
-    tableau[np.arange(m), m + np.arange(m)] = 1.0
-    # reduced costs of the slack basis are the costs, all ones: dual feasible for every lambda
-    tableau[-1, :m] = 1.0
-    basis = m + np.arange(m)
-    pivot_row, enter_col = np.empty(n_cols + 1), np.empty(m + 1)
+    n_cols = 2 * p                  # theta columns, then the slack columns (which hold B^-1)
+    tableau = np.zeros((p + 1, n_cols + 1), order="F")  # columns contiguous for dger
+    tableau[:p, :p] = a
+    tableau[np.arange(p), p + np.arange(p)] = 1.0
+    # last row: the reduced cost d_j of raising theta_j (1 at the slack basis; a basic theta on
+    # its negative piece holds 2) and the reduced cost of each slack
+    tableau[-1, :p] = 1.0
+    x = tableau[:p, -1]             # values of the basic variables
+    basis = p + np.arange(p)        # stored column of each row's basic variable
+    order = 2 * p + np.arange(p)    # its Bland index: u_j = j, v_j = p + j, s_i = 2p + i
+    bounds = np.empty((2, p))       # of the basic variables, widened by tol
+    lo, hi = bounds
+    slack_bounds = np.empty((2, 1))  # the current (lower, upper) bound of a basic slack
+    side = np.zeros(p)              # -1 / +1 for a slack nonbasic at -lambda / +lambda
+    lower_cost = np.zeros(n_cols)   # lowering theta_j costs 2 - (cost of raising it)
+    lower_cost[:p] = 2.0
+    flip, gap, ratios = np.empty(n_cols), np.empty(n_cols), np.empty(n_cols)
+    pivot_row, enter_col = np.empty(n_cols + 1), np.empty(p + 1)
     eliminate = rank1_updater(tableau, enter_col, pivot_row)  # -= outer(enter_col, pivot_row)
 
     fits: list = [None] * len(lams)
     for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
-        # the last basis stays dual feasible; the slack columns hold B^-1
-        tableau[:m, -1] = tableau[:m, m:n_cols] @ np.concatenate([b + lam, lam - b])
+        # the last basis stays dual feasible: lambda moves only the nonbasic slacks' bounds
+        x[:] = tableau[:p, p:n_cols] @ (b - lam * side)
+        slack_bounds[:, 0] = -lam - tol, lam + tol
+        np.copyto(bounds, slack_bounds, where=basis >= p)
         for iterations in range(max_iter):
-            rows = np.nonzero(tableau[:m, -1] < -tol)[0]
+            rows = ((x < lo) | (x > hi)).nonzero()[0]
             if rows.size == 0:
                 status = "optimal"
                 break
-            leave = int(rows[np.argmin(basis[rows])])  # Bland: lowest basic index
-            row = tableau[leave, :n_cols]
-            cols = np.nonzero(row < -tol)[0]
-            if cols.size == 0:  # nonnegative entries times x >= 0 cannot reach a negative value
+            leave = int(rows[order[rows].argmin()])  # Bland: lowest basic index
+            out, x_r = int(basis[leave]), float(x[leave])
+            # up: the leaving variable must rise to its lower bound, else fall to its upper
+            up = x_r < lo[leave]
+            bound = 0.0 if out < p else -lam if up else lam
+            # rho < 0: raising the column's variable moves x_r the right way
+            rho = tableau[leave, :n_cols] if up else np.negative(tableau[leave, :n_cols], out=flip)
+            np.abs(rho[:p], out=gap[:p])             # a theta moves either way
+            np.multiply(rho[p:], side, out=gap[p:])  # a slack only away from its bound
+            # per unit of gap: raising costs the reduced cost d, lowering a theta 2 - d
+            # and lowering a slack -d
+            cost = np.where(rho > 0, lower_cost - tableau[-1, :n_cols], tableau[-1, :n_cols])
+            ratios.fill(np.inf)
+            np.divide(cost, gap, out=ratios, where=gap > tol)
+            best = _min(ratios)
+            if best == np.inf:  # no nonbasic variable can move x_r toward its bound
                 status = "infeasible"
                 break
-            ratios = tableau[-1, cols] / -row[cols]
-            enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])  # Bland tie-break
+            enter = int((ratios <= best + tol).argmax())  # Bland: lowest column among ties
+            lowering = enter < p and rho[enter] > 0
+            x[leave] = x_r - bound  # the pivot row's last entry becomes the entering step
             np.divide(tableau[leave], tableau[leave, enter], out=pivot_row)
             np.copyto(enter_col, tableau[:, enter])
+            if lowering:
+                enter_col[-1] -= 2.0  # the reduced cost of theta_j's negative piece
             eliminate()
             tableau[leave] = pivot_row
+            if out >= p:
+                side[out - p] = -1.0 if up else 1.0
             basis[leave] = enter
+            if enter >= p:
+                x[leave] += lam * side[enter - p]  # the slack's old value
+                side[enter - p] = 0.0
+                order[leave] = p + enter
+                lo[leave], hi[leave] = slack_bounds[:, 0]
+            elif lowering:
+                order[leave] = p + enter
+                lo[leave], hi[leave] = -np.inf, tol
+            else:
+                order[leave] = enter
+                lo[leave], hi[leave] = -tol, np.inf
         else:
             status, iterations = "iteration_limit", max_iter
-        x = np.zeros(n_cols)
-        x[basis] = tableau[:m, -1]
-        theta = x[:p] - x[p:m]
-        slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
+        xs = np.zeros(n_cols)
+        xs[basis] = x
+        theta = xs[:p]
+        slack = lam - float(_max(np.abs(b - a @ theta))) if p else lam
+        if status == "optimal" and slack < -1e-8 * scale:
+            status = "inaccurate"
         fits[i] = DantzigFit(theta_hat=theta, lam=lam,
-                             l1_objective=float(np.abs(theta).sum()),
+                             l1_objective=float(_sum(np.abs(theta))),
                              feasibility_slack=slack, iterations=iterations, status=status)
     return fits
 

@@ -88,18 +88,23 @@ def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEs
     return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2))
 
 
-def _check_positive_definite(gram: np.ndarray) -> None:
-    """Raise ``RankError`` unless ``gram`` has a Cholesky factor."""
+def _inverse_factor(gram: np.ndarray) -> np.ndarray:
+    """L^{-1} of the Cholesky factor gram = L L'; ``RankError`` unless gram is SPD."""
     try:
-        np.linalg.cholesky(gram)
+        return np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError as exc:
         raise RankError(f"weighted gram not positive definite: {exc}") from exc
 
 
-def solve_weighted(wsys: WeightedScoreSystem) -> np.ndarray:
-    """Solve gram_w theta = moment_w; gram_w must be SPD."""
-    _check_positive_definite(wsys.gram_w)
-    theta = np.linalg.solve(wsys.gram_w, wsys.moment_w)
+def solve_weighted(wsys: WeightedScoreSystem,
+                   linv: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve gram_w theta = moment_w; gram_w must be SPD.
+
+    ``linv`` is ``_inverse_factor(gram_w)`` when the caller already has it.
+    """
+    if linv is None:
+        linv = _inverse_factor(wsys.gram_w)
+    theta = linv.T @ (linv @ wsys.moment_w)
     resid = np.abs(wsys.gram_w @ theta - wsys.moment_w).max()
     tol = 1e-8 * (1.0 + np.abs(wsys.moment_w).max())
     if resid > tol:
@@ -107,10 +112,11 @@ def solve_weighted(wsys: WeightedScoreSystem) -> np.ndarray:
     return theta
 
 
-def _covariance(wsys: WeightedScoreSystem) -> np.ndarray:
+def _covariance(wsys: WeightedScoreSystem, linv: Optional[np.ndarray] = None) -> np.ndarray:
     """Plug-in covariance of theta_tilde: gram_w^{-1} / n (or /(n delta))."""
-    _check_positive_definite(wsys.gram_w)
-    inv = np.linalg.inv(wsys.gram_w)
+    if linv is None:
+        linv = _inverse_factor(wsys.gram_w)
+    inv = linv.T @ linv
     scale = wsys.n_eff * (wsys.delta if wsys.delta is not None else 1.0)
     return 0.5 * (inv + inv.T) / scale
 
@@ -196,11 +202,12 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     else:
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
     wsys = build_weighted_system(z, y2, support2, nui, delta=delta)
-    theta_t = solve_weighted(wsys)
+    linv = _inverse_factor(wsys.gram_w)  # one factor for the solve and the covariance
+    theta_t = solve_weighted(wsys, linv)
     theta_full = np.zeros(d)
     theta_full[support2] = theta_t
     return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nui,
-                      asymp_cov=_covariance(wsys), first_step=fit1,
+                      asymp_cov=_covariance(wsys, linv), first_step=fit1,
                       theta_first=theta_first, fit_support=wsys.support)
 
 

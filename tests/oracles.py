@@ -7,7 +7,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
-from sparseproc.dantzig import CvReport, default_lambda_grid, solve_dantzig_path
+from sparseproc._blas import rank1_updater
+from sparseproc.dantzig import CvReport, DantzigFit, default_lambda_grid, solve_dantzig_path
 from sparseproc.errors import RankError, UncertifiedFitError
 from sparseproc.rng import make_rng
 from sparseproc.scores import build_regression_score, center_design
@@ -51,6 +52,66 @@ def highs_l1min(a: np.ndarray, b: np.ndarray, lam: float) -> float:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the LP: {res.message}")
     return float(res.fun)
+
+
+def reference_solve_dantzig_path(sys, lams: Sequence[float],
+                                 max_iter: Optional[int] = None) -> list:
+    """The mirrored-row dual simplex: the reference for ``solve_dantzig_path``,
+    which must end with the same status and the same objective up to rounding.
+
+    The LP  min 1'(u + v)  s.t.  A(u - v) <= b + lambda,  -A(u - v) <= lambda - b,
+    u, v >= 0  in one (2p+1) x (4p+1) tableau from the slack basis, with
+    Bland's rule for the leaving and the entering variable and each value of
+    the path warm-started from the last optimal basis.  ``status`` is
+    "optimal", "infeasible" or "iteration_limit"; the slack is not certified.
+    """
+    if not all(np.isfinite(lam) and lam >= 0 for lam in lams):
+        raise ValueError("lambda must be finite and nonnegative")
+    a, b, p = sys.gram, sys.moment, sys.dim
+    max_iter = 50 * 4 * p if max_iter is None else max_iter
+    tol = 1e-9 * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+
+    m, n_cols = 2 * p, 4 * p        # constraint rows (one slack each); u, v, slack columns
+    tableau = np.zeros((m + 1, n_cols + 1), order="F")
+    tableau[:p, :p] = tableau[p:m, p:m] = a
+    tableau[:p, p:m] = tableau[p:m, :p] = -a
+    tableau[np.arange(m), m + np.arange(m)] = 1.0
+    tableau[-1, :m] = 1.0
+    basis = m + np.arange(m)
+    pivot_row, enter_col = np.empty(n_cols + 1), np.empty(m + 1)
+    eliminate = rank1_updater(tableau, enter_col, pivot_row)
+
+    fits: list = [None] * len(lams)
+    for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
+        tableau[:m, -1] = tableau[:m, m:n_cols] @ np.concatenate([b + lam, lam - b])
+        for iterations in range(max_iter):
+            rows = np.nonzero(tableau[:m, -1] < -tol)[0]
+            if rows.size == 0:
+                status = "optimal"
+                break
+            leave = int(rows[np.argmin(basis[rows])])
+            row = tableau[leave, :n_cols]
+            cols = np.nonzero(row < -tol)[0]
+            if cols.size == 0:
+                status = "infeasible"
+                break
+            ratios = tableau[-1, cols] / -row[cols]
+            enter = int(cols[np.nonzero(ratios <= ratios.min() + tol)[0][0]])
+            np.divide(tableau[leave], tableau[leave, enter], out=pivot_row)
+            np.copyto(enter_col, tableau[:, enter])
+            eliminate()
+            tableau[leave] = pivot_row
+            basis[leave] = enter
+        else:
+            status, iterations = "iteration_limit", max_iter
+        x = np.zeros(n_cols)
+        x[basis] = tableau[:m, -1]
+        theta = x[:p] - x[p:m]
+        slack = lam - float(np.abs(b - a @ theta).max()) if p else lam
+        fits[i] = DantzigFit(theta_hat=theta, lam=lam,
+                             l1_objective=float(np.abs(theta).sum()),
+                             feasibility_slack=slack, iterations=iterations, status=status)
+    return fits
 
 
 def reference_solve_weighted(wsys) -> np.ndarray:

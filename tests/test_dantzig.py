@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import bruteforce_l1min, highs_l1min, reference_cross_validate
+from oracles import (bruteforce_l1min, highs_l1min, reference_cross_validate,
+                     reference_solve_dantzig_path)
 
 from sparseproc import _blas, dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
                                 solve_dantzig, solve_dantzig_path, threshold_support)
 from sparseproc.errors import UncertifiedFitError
 from sparseproc.scores import LinearScoreSystem, build_regression_score
+from sparseproc.twostep import first_step
 from sparseproc.simulate import (InarSpec, SeriesSample, bin_counts, simulate_hawkes,
                                  simulate_inar)
 from sparseproc.scores import lagged_design
@@ -253,6 +255,96 @@ class TestSolveDantzigPath:
         with pytest.raises(ValueError):
             solve_dantzig_path(sys, [0.5, -0.1, 0.2])
         assert solve_dantzig_path(sys, []) == []
+
+
+def experiment_path(experiment_systems):
+    """The centered system with its default grid and rate lambda, as one path."""
+    centered, rate = experiment_systems
+    return centered, [*default_lambda_grid(centered.moment), rate]
+
+
+class TestAgainstMirroredReference:
+    """The ranged-row tableau against the mirrored-row solver it replaced."""
+
+    @staticmethod
+    def check(sys, lams):
+        new = solve_dantzig_path(sys, lams)
+        ref = reference_solve_dantzig_path(sys, lams)
+        scale = max(1.0, float(np.abs(sys.gram).max()), float(np.abs(sys.moment).max()))
+        assert [f.status for f in new] == [f.status for f in ref]
+        for fit, old in zip(new, ref):
+            assert fit.lam == old.lam
+            assert fit.feasibility_slack >= -1e-8 * scale
+            assert abs(fit.l1_objective - old.l1_objective) <= 1e-9 * max(1.0, old.l1_objective)
+        return new, ref
+
+    def test_experiment_paths(self, experiment_systems):
+        self.check(*experiment_path(experiment_systems))
+
+    def test_no_more_pivots_than_mirrored(self, experiment_systems):
+        new, ref = self.check(*experiment_path(experiment_systems))
+        assert sum(f.iterations for f in new) <= sum(f.iterations for f in ref)
+
+    @pytest.mark.parametrize("fold_system", [case3_fold, hawkes_fold],
+                             ids=["case3_p100", "hawkes_p20"])
+    def test_cv_fold_paths(self, fold_system):
+        self.check(*fold_system())
+
+    def test_basic_theta_changes_sign_along_path(self):
+        # theta_1 is basic and negative at lambda = 0.184; restarted at 0 its value is
+        # positive, so it leaves its negative piece and re-enters on the positive one
+        a = np.array([[0.63, 0.07, 0.1, 0.69], [0.07, 0.78, 0.4, 0.04],
+                      [0.1, 0.4, 0.44, -0.04], [0.69, 0.04, -0.04, 1.22]])
+        b = np.array([0.09, -0.74, -0.92, -0.46])
+        lams = [0.92, 0.736, 0.552, 0.368, 0.184, 0.0]
+        new, _ = self.check(LinearScoreSystem(gram=a, moment=b, n_eff=10), lams)
+        assert new[4].theta_hat[1] < -0.3 and new[5].theta_hat[1] > 0.8
+        for lam, fit in zip(lams, new):
+            oracle, feasible = bruteforce_l1min(a, b, lam)
+            assert feasible and fit.status == "optimal"
+            assert abs(fit.l1_objective - oracle) < 1e-9 * max(1.0, oracle)
+
+
+def corrupting_updater(monkeypatch):
+    """Make every pivot add one to the new basic variable's value after the update."""
+    real = dantzig.rank1_updater
+
+    def updater(a, x, y):
+        update = real(a, x, y)
+
+        def corrupted():
+            update()
+            y[-1] += 1.0  # the pivot row, written into the tableau after the update
+        return corrupted
+
+    monkeypatch.setattr(dantzig, "rank1_updater", updater)
+
+
+class TestSlackCertification:
+    """A fit is "optimal" only when its recomputed slack certifies it."""
+
+    def test_corrupted_tableau_is_inaccurate(self, monkeypatch):
+        sys = LinearScoreSystem(gram=np.array([[2.0]]), moment=np.array([1.0]), n_eff=5)
+        assert solve_dantzig(sys, 0.5).status == "optimal"
+        corrupting_updater(monkeypatch)
+        fit = solve_dantzig(sys, 0.5)
+        # theta = 1.25 instead of 0.25 passes every bound in the tableau
+        assert fit.status == "inaccurate" and fit.iterations == 1
+        assert fit.feasibility_slack == pytest.approx(-1.0)
+
+    def test_first_step_and_cv_raise(self, monkeypatch):
+        design, response = case_design("case1")
+        corrupting_updater(monkeypatch)
+        with pytest.raises(UncertifiedFitError, match="inaccurate"):
+            first_step(design, response, 0.05, 0.05)
+        with pytest.raises(UncertifiedFitError, match="inaccurate"):
+            cross_validate_lambda(design, response)
+
+    def test_run_case_counts_failed_reps(self, monkeypatch):
+        corrupting_updater(monkeypatch)
+        report = harness.run_case(harness.builtin_case("case1", n=500, reps=2), jobs=1)
+        assert report.failures == 2
+        assert all(r["error"].startswith("UncertifiedFitError") for r in report.per_rep)
 
 
 class TestRank1Binding:

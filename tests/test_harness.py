@@ -419,6 +419,30 @@ class TestCli:
         assert json.load(open(default))["failures"] == 0
         assert default.read_bytes() == pinned.read_bytes()
 
+    @pytest.mark.parametrize("verb,case_id,flags", [
+        (["experiment"], "case1", [["--n", "5000"], ["--tau", "0.2"], ["--lambda", "0.1"]]),
+        (["hawkes-support"], "hawkes", [["--n", "500"], ["--tau", "0.2"]]),
+    ], ids=["experiment", "hawkes-support"])
+    def test_case_flags_rejected_next_to_config(self, tmp_path, capsys, verb, case_id, flags):
+        # the config JSON fixes n, tau and lambda; a flag that would be ignored is an error
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(builtin_case(case_id, n=300, reps=1).to_dict()))
+        out = tmp_path / "report.json"
+        for flag in flags:
+            assert main(verb + ["--config", str(config), *flag, "--out", str(out)]) == 2
+            assert f"{flag[0]} cannot be combined with --config" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(verb + ["--config", str(config), "--reps", "1", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("verb", [["experiment", "--case", "case1"], ["hawkes-support"]])
+    def test_tau_default_and_override(self, tmp_path, verb):
+        taus = []
+        for extra in ([], ["--tau", "0.2"]):
+            out = tmp_path / "report.json"
+            assert main(verb + ["--reps", "1", "--n", "300", *extra, "--out", str(out)]) == 0
+            taus.append(json.load(open(out))["config"]["tau"])
+        assert taus == [0.05, 0.2]
+
     def test_diffusion_fit_matches_library(self, tmp_path):
         spec_path = tmp_path / "ou.json"
         json.dump({"model": "ou", "a_matrix": [[-0.8, 0.3], [0.0, -0.6]],

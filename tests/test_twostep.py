@@ -195,7 +195,7 @@ def captured_weighted_systems(case_id, monkeypatch, reps=2):
 
 
 class TestSecondStepAgainstCholeskyReference:
-    """numpy's solve and inverse against scipy's Cholesky solves on experiment systems."""
+    """numpy's inverse Cholesky factor against scipy's Cholesky solves on experiment systems."""
 
     @pytest.mark.parametrize("case_id", ["case1", "case3", "ou"])
     def test_case_systems(self, case_id, monkeypatch):
