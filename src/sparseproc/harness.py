@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .dantzig import cross_validate_lambda
 # not called here; perfbench/tracing.py still wraps these four harness names
 from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # noqa: F401
@@ -288,13 +289,21 @@ def _rep_worker(task) -> dict:
 
 
 def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
-    """All records of ``rep_fn(config, rep)`` sorted by rep, and the completed ones."""
+    """All records of ``rep_fn(config, rep)`` sorted by rep, and the completed ones.
+
+    numpy's BLAS runs on one thread meanwhile, in this process and in the
+    ``jobs`` workers forked from it, so workers never compete for cores with
+    BLAS threads; the caller's thread count is restored afterwards.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_rep_worker, tasks, chunksize=1))
-    else:
-        results = [_rep_worker(t) for t in tasks]
+    with one_blas_thread():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_rep_worker, tasks, chunksize=1))
+        else:
+            results = [_rep_worker(t) for t in tasks]
     results.sort(key=lambda r: r["rep"])
     return results, [r for r in results if not r["failed"]]
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _countsim
 from .errors import DomainError, StationarityError
 from .rng import make_rng
 
@@ -38,7 +39,7 @@ class InarSpec:
     burn_in: int = 1000
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.asarray(self.alpha, dtype=float, order="C")
         object.__setattr__(self, "alpha", alpha)
         if alpha.ndim != 1:
             raise ValueError("alpha must be a vector")
@@ -67,8 +68,8 @@ class Minar1Spec:
     burn_in: int = 1000
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        a = np.asarray(self.a_matrix, dtype=float)
+        eta = np.asarray(self.eta, dtype=float, order="C")
+        a = np.asarray(self.a_matrix, dtype=float, order="C")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "a_matrix", a)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or eta.shape != (a.shape[0],):
@@ -220,24 +221,18 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
 
     Starts from the all-zero state, discards ``spec.burn_in`` draws, and
     returns the series together with the final p pre-sample values as the
-    lag buffer.
+    lag buffer.  The steps run in the compiled loop of ``_countsim`` where it
+    loads and in the numpy loop otherwise; both give the same series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     p = spec.order
-    alpha = spec.alpha
-    history = np.zeros(max(p, 1))  # history[0] = X_{t-1}, ... , history[p-1] = X_{t-p}
     out = np.empty(spec.burn_in + n)
-    for t in range(spec.burn_in + n):
-        lam = spec.mu_eps + (alpha @ history[:p] if p else 0.0)
-        if lam > _COUNT_CAP:
-            raise DomainError("conditional mean overflow in INAR simulation")
-        x = rng.poisson(lam)
-        if p:
-            history[1:p] = history[: p - 1]
-            history[0] = x
-        out[t] = x
+    kernel = _countsim.load()
+    steps = _inar_steps if kernel is None else kernel.inar
+    if steps(rng, spec.mu_eps, spec.alpha, out, _COUNT_CAP) < out.size:
+        raise DomainError("conditional mean overflow in INAR simulation")
     values = out[spec.burn_in:]
     # chronological buffer: the p values immediately before the first kept one
     buf = out[max(spec.burn_in - p, 0): spec.burn_in]
@@ -245,26 +240,57 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     return SeriesSample(values=_column(values), lag_buffer=_column(buf), kind="counts")
 
 
+def _inar_steps(rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
+                out: np.ndarray, cap: float) -> int:
+    """The numpy loop of ``_countsim.CountKernel.inar``: fill ``out``, return the steps drawn."""
+    p = alpha.size
+    history = np.zeros(max(p, 1))  # history[0] = X_{t-1}, ... , history[p-1] = X_{t-p}
+    for t in range(out.size):
+        lam = mu_eps + (alpha @ history[:p] if p else 0.0)
+        if lam > cap:
+            return t
+        x = rng.poisson(lam)
+        if p:
+            history[1:p] = history[: p - 1]
+            history[0] = x
+        out[t] = x
+    return out.size
+
+
 def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
-    """Simulate the p-dimensional Poisson INAR(1): lambda_t = eta + A Y_{t-1}."""
+    """Simulate the p-dimensional Poisson INAR(1): lambda_t = eta + A Y_{t-1}.
+
+    Runs in the compiled loop of ``_countsim`` where it loads, as
+    :func:`simulate_inar` does.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     d = spec.dim
-    y = np.zeros(d)
     out = np.empty((spec.burn_in + n, d))
-    for t in range(spec.burn_in + n):
-        lam = spec.eta + spec.a_matrix @ y
-        if lam.max() > _COUNT_CAP:
-            raise DomainError("conditional mean overflow in INAR simulation")
-        y = rng.poisson(lam).astype(float)
-        out[t] = y
+    kernel = _countsim.load()
+    steps = _minar1_steps if kernel is None else kernel.minar1
+    if steps(rng, spec.eta, spec.a_matrix, out, _COUNT_CAP) < out.shape[0]:
+        raise DomainError("conditional mean overflow in INAR simulation")
     values = out[spec.burn_in:]
     if spec.burn_in >= 1:
         buf = out[spec.burn_in - 1: spec.burn_in]
     else:
         buf = np.zeros((1, d))
     return SeriesSample(values=values, lag_buffer=buf, kind="counts")
+
+
+def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
+                  out: np.ndarray, cap: float) -> int:
+    """The numpy loop of ``_countsim.CountKernel.minar1``: fill the rows of ``out``."""
+    y = np.zeros(eta.size)
+    for t in range(out.shape[0]):
+        lam = eta + a_matrix @ y
+        if lam.max() > cap:
+            return t
+        y = rng.poisson(lam).astype(float)
+        out[t] = y
+    return out.shape[0]
 
 
 def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray,

@@ -1,6 +1,11 @@
-"""Independent oracles shared by the unit and acceptance suites."""
+"""Independent oracles shared by the unit and acceptance suites, and a fresh-interpreter runner."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -227,3 +232,21 @@ def reference_cross_validate(design: np.ndarray, response: np.ndarray,
     winners = np.nonzero(cv_loss <= cv_loss.min())[0]
     return CvReport(grid=grid, cv_loss=cv_loss,
                     chosen_lambda=float(grid[winners.max()]), folds=folds)
+
+
+def run_fresh(script: str, *args: str, **env: Optional[str]) -> dict:
+    """Last stdout line, as JSON, of ``script`` in a fresh interpreter over this src.
+
+    ``env`` entries override the inherited environment; None removes a variable.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, value in env.items():
+        if value is None:
+            full_env.pop(name, None)
+        else:
+            full_env[name] = value
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=full_env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])

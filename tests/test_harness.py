@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import reference_cross_validate
+from oracles import reference_cross_validate, run_fresh
 
-from sparseproc import harness, twostep
+from sparseproc import _blas, harness, twostep
 from sparseproc.cli import main
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
@@ -193,6 +193,64 @@ class TestRunCase:
         assert rep.per_rep[0]["lambda"] == pytest.approx(expected)
 
 
+def _blas_threads_rep(config, rep):
+    return {"rep": rep, "failed": False, "threads": _blas.BLAS_THREADS[1]()}
+
+
+WORKER_THREADS_SCRIPT = """
+import json
+from sparseproc import _blas, harness
+from sparseproc.harness import builtin_case
+if _blas.BLAS_THREADS is None:
+    print(json.dumps(None))
+    raise SystemExit
+get_threads = _blas.BLAS_THREADS[1]
+def rep_fn(config, rep):
+    return {"rep": rep, "failed": False, "threads": get_threads()}
+before = get_threads()
+results, _ = harness._run_reps(rep_fn, builtin_case("case1", n=300, reps=4), 2)
+print(json.dumps({"before": before, "workers": [r["threads"] for r in results],
+                  "after": get_threads()}))
+"""
+
+
+class TestBlasThreads:
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                harness._run_reps(harness._case_rep, builtin_case("case1", reps=2), jobs)
+
+    def test_forked_workers_run_one_thread(self):
+        # BLAS threads left at their default in a fresh interpreter
+        out = run_fresh(WORKER_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=None,
+                        OMP_NUM_THREADS=None, GOTO_NUM_THREADS=None)
+        if out is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        assert out["workers"] == [1, 1, 1, 1]
+        assert out["after"] == out["before"]
+
+    def test_caller_count_restored(self):
+        if _blas.BLAS_THREADS is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        setter, getter = _blas.BLAS_THREADS
+        before = getter()
+        setter(2)
+        caller = getter()
+        cfg = builtin_case("case1", reps=2)
+        try:
+            results, _ = harness._run_reps(_blas_threads_rep, cfg, 1)
+            assert [r["threads"] for r in results] == [1, 1]
+            assert getter() == caller
+
+            def broken(config, rep):
+                raise RuntimeError("bug in a replication")
+            with pytest.raises(RuntimeError, match="bug in a replication"):
+                harness._run_reps(broken, cfg, 1)
+            assert getter() == caller
+        finally:
+            setter(before)
+
+
 class TestHawkesSupport:
     def test_zero_kernel_mostly_empty_support(self):
         spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
@@ -306,16 +364,6 @@ sample = np.random.default_rng(0).standard_normal((40, 2))
 getattr(sparseproc, sys.argv[1])(sample if sys.argv[1] == "royston_test" else sample[:, 0])
 print(json.dumps({"before": before, "after": "scipy.special" in sys.modules}))
 """
-
-
-def run_fresh(script: str, *args: str) -> dict:
-    """Last stdout line, as JSON, of ``script`` in a fresh interpreter over this src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestImportGraph:
@@ -468,6 +516,15 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(verb + ["--reps", "0", "--n", "200", "--out", str(out)]) == 2
         assert "reps must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    @pytest.mark.parametrize("verb", [["experiment", "--case", "case1"], ["hawkes-support"]])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, verb, jobs):
+        out = tmp_path / "report.json"
+        assert main(verb + ["--reps", "2", "--n", "300", "--jobs", jobs,
+                            "--out", str(out)]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_uncertified_fit_exit_code(self, tmp_path, monkeypatch):

@@ -1,13 +1,18 @@
 """Simulator tests: degenerate cases, long-run identities, determinism."""
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import hawkes_reference_events
+from oracles import hawkes_reference_events, run_fresh
 
-from sparseproc.errors import StationarityError
+from sparseproc import _countsim
+from sparseproc.errors import DomainError, StationarityError
+from sparseproc.harness import builtin_case
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, lyapunov_covariance,
                                  read_series_csv, simulate_hawkes, simulate_inar,
@@ -122,6 +127,201 @@ class TestMinar1:
     def test_row_sum_one_rejected(self):
         with pytest.raises(StationarityError):
             Minar1Spec(eta=np.ones(2), a_matrix=np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """``fn(*args)`` with the compiled count loop unavailable, so the numpy loop runs."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(_countsim, "load", lambda: None)
+            return fn(*args)
+    return run
+
+
+@pytest.fixture
+def kernel():
+    compiled = _countsim.load()
+    if compiled is None:
+        pytest.skip("the compiled count loop cannot be built here")
+    return compiled
+
+
+def assert_same_series(a: SeriesSample, b: SeriesSample):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.lag_buffer.tobytes() == b.lag_buffer.tobytes()
+
+
+def random_count_specs(count: int, seed: int):
+    """INAR and MINAR(1) specs of every order from 0, means up to 30, some burn_in=0."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        p = i % 25
+        alpha = rng.dirichlet(np.ones(p)) * rng.uniform(0.0, 0.95) if p else np.zeros(0)
+        burn_in = 0 if i % 4 == 0 else int(rng.integers(1, 300))
+        specs.append(InarSpec(mu_eps=rng.uniform(0.0, 30.0), alpha=alpha, burn_in=burn_in))
+        d = 1 + i % 12
+        a = rng.uniform(0.0, 1.0, (d, d)) * (rng.uniform(size=(d, d)) < 0.4)
+        a *= rng.uniform(0.0, 0.95) / max(a.sum(axis=1).max(), 1.0)
+        specs.append(Minar1Spec(eta=rng.uniform(0.0, 30.0, d), a_matrix=a, burn_in=burn_in))
+    return specs
+
+
+# two 8 x 8 circulant blocks with rows (0.2, 0.1, ..., 0.1)
+TENTHS_BLOCKS = np.kron(np.eye(2), [np.roll([0.2] + [0.1] * 7, k) for k in range(8)])
+
+
+def simulate_count(spec, n: int, seed: int) -> SeriesSample:
+    fn = simulate_inar if isinstance(spec, InarSpec) else simulate_minar1
+    return fn(spec, n, seed)
+
+
+class TestCompiledCountLoop:
+    """The compiled loop of ``_countsim`` against the numpy loop it stands in for."""
+
+    def test_case1_case2_seeds(self, kernel, numpy_loop):
+        for case_id in ("case1", "case2"):
+            spec = builtin_case(case_id).model
+            for seed in range(100):
+                assert_same_series(simulate_inar(spec, 2000, seed),
+                                   numpy_loop(simulate_inar, spec, 2000, seed))
+
+    def test_case1_seeds_cross_the_poisson_switch(self):
+        # at seed 19 the exact mean 0.5 + 0.3a + 0.2(b + c + d) is 10 at some step while
+        # numpy's rounded lambda is below 10: that step takes the multiplication method,
+        # where a sum rounded to 10 in another order would take transformed rejection
+        spec = builtin_case("case1").model
+        x = simulate_inar(InarSpec(mu_eps=0.5, alpha=spec.alpha, burn_in=0), 3000, 19).values
+        x = x[:, 0]
+        lams = [spec.mu_eps + spec.alpha @ x[t - 10:t][::-1].copy() for t in range(10, x.size)]
+        exact = 5 + 3 * x[9:-1] + 2 * (x[8:-2] + x[7:-3] + x[6:-4])  # 10 x exact mean
+        assert np.any((exact == 100) & (np.array(lams) < 10.0))
+
+    def test_case3_case4_seeds(self, kernel, numpy_loop):
+        for case_id in ("case3", "case4"):
+            spec = builtin_case(case_id).model
+            for seed in range(20):
+                assert_same_series(simulate_minar1(spec, 500, seed),
+                                   numpy_loop(simulate_minar1, spec, 500, seed))
+
+    def test_minar_means_at_ten(self, kernel, numpy_loop):
+        # rows of eight tenths: lambda is often exactly 10 in exact arithmetic, and a
+        # sequential row sum rounds some of those to the other side of 10 from dgemv
+        spec = Minar1Spec(eta=np.full(16, 0.5), a_matrix=TENTHS_BLOCKS)
+        y = simulate_minar1(Minar1Spec(spec.eta, spec.a_matrix, burn_in=0), 3000, 0).values
+        lams = np.array([spec.eta + spec.a_matrix @ row for row in y[:-1]])
+        sequential = spec.eta + np.cumsum(spec.a_matrix * y[:-1, None, :], axis=2)[..., -1]
+        assert np.any((lams >= 10.0) != (sequential >= 10.0))
+        for seed in range(10):
+            assert_same_series(simulate_minar1(spec, 2000, seed),
+                               numpy_loop(simulate_minar1, spec, 2000, seed))
+
+    def test_random_specs(self, kernel, numpy_loop):
+        specs = random_count_specs(20, seed=2024)
+        assert min(s.order for s in specs if isinstance(s, InarSpec)) == 0
+        for i, spec in enumerate(specs):
+            n = 1 if i % 5 == 0 else 400
+            for seed in (i, 1000 + i):
+                assert_same_series(simulate_count(spec, n, seed),
+                                   numpy_loop(simulate_count, spec, n, seed))
+
+    @pytest.mark.parametrize("spec", [
+        InarSpec(mu_eps=0.0, alpha=np.zeros(3), burn_in=5),
+        InarSpec(mu_eps=25.0, alpha=np.zeros(0), burn_in=0),
+        InarSpec(mu_eps=12.0, alpha=np.array([0.4, 0.3]), burn_in=0),
+        Minar1Spec(eta=np.full(5, 15.0), a_matrix=np.zeros((5, 5)), burn_in=0),
+        Minar1Spec(eta=np.array([0.0, 9.5]), a_matrix=np.array([[0.0, 0.0], [0.5, 0.4]])),
+        Minar1Spec(eta=np.array([3.0]), a_matrix=np.array([[0.7]])),
+    ], ids=["zero_mean", "p0_lambda25", "lambda_above_10", "zero_a", "zero_eta", "d1"])
+    def test_edge_specs(self, kernel, numpy_loop, spec):
+        for n in (1, 50):
+            assert_same_series(simulate_count(spec, n, 7), numpy_loop(simulate_count, spec, n, 7))
+
+    @pytest.mark.parametrize("spec", [
+        InarSpec(mu_eps=2e12, alpha=np.array([0.1])),
+        InarSpec(mu_eps=9e11, alpha=np.array([0.5]), burn_in=0),  # exceeds at the 2nd step
+        Minar1Spec(eta=np.array([1.0, 2e12]), a_matrix=np.zeros((2, 2))),
+        Minar1Spec(eta=np.array([9e11]), a_matrix=np.array([[0.5]]), burn_in=0),
+    ], ids=["inar_first", "inar_later", "minar_first", "minar_later"])
+    def test_overflow_raises_on_both_paths(self, kernel, numpy_loop, spec):
+        with pytest.raises(DomainError, match="conditional mean overflow") as compiled:
+            simulate_count(spec, 10, 1)
+        with pytest.raises(DomainError, match="conditional mean overflow") as reference:
+            numpy_loop(simulate_count, spec, 10, 1)
+        assert str(compiled.value) == str(reference.value)
+
+    def test_rejects_buffers_it_cannot_read(self, kernel):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            kernel.inar(rng, 0.5, np.zeros(4)[::2], np.empty(3), 1e12)
+        with pytest.raises(ValueError, match="d x d"):
+            kernel.minar1(rng, np.zeros(2), np.zeros((3, 3)), np.empty((3, 2)), 1e12)
+        # specs hold C-contiguous copies of strided input
+        spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 9.0, 0.2, 9.0])[::2])
+        assert spec.alpha.flags.c_contiguous
+
+    def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PATH", str(empty_bin))
+        monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
+        monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+        spec = builtin_case("case1").model
+        assert _countsim.load() is None
+        assert_same_series(simulate_inar(spec, 300, 5), numpy_loop(simulate_inar, spec, 300, 5))
+        # the failed build leaves no temporary file behind
+        assert list(cache.iterdir()) == []
+
+    def test_failed_or_interrupted_build_leaves_no_file(self, monkeypatch, tmp_path):
+        cache = tmp_path / "cache"
+        broken = tmp_path / "_countsim.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
+        monkeypatch.setattr(_countsim, "_SOURCE", str(broken))
+        monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+        if shutil.which("cc"):
+            assert _countsim.load() is None  # cc exits non-zero
+            assert list(cache.iterdir()) == []
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(subprocess, "run", interrupted)
+        monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+        with pytest.raises(KeyboardInterrupt):
+            _countsim.load()
+        assert list(cache.iterdir()) == []
+
+    def test_warm_cache_loads_without_compiler(self, kernel, tmp_path):
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        out = run_fresh(WARM_CACHE_SCRIPT, PATH=str(empty_bin))
+        assert out["kernel"] is True
+        spec = builtin_case("case3").model
+        assert out["values"] == simulate_minar1(spec, 20, 3).values.tolist()
+
+    def test_import_neither_builds_nor_loads(self):
+        assert run_fresh(IMPORT_SCRIPT) == {"unset": True, "mapped": False}
+
+
+WARM_CACHE_SCRIPT = """
+import json
+from sparseproc import _countsim
+from sparseproc.harness import builtin_case
+from sparseproc.simulate import simulate_minar1
+values = simulate_minar1(builtin_case("case3").model, 20, 3).values.tolist()
+print(json.dumps({"kernel": _countsim.load() is not None, "values": values}))
+"""
+
+IMPORT_SCRIPT = """
+import json, os
+import sparseproc
+from sparseproc import _countsim
+maps = "/proc/self/maps"
+mapped = os.path.exists(maps) and "_countsim." in open(maps).read()
+print(json.dumps({"unset": _countsim._kernel is _countsim._UNSET, "mapped": mapped}))
+"""
 
 
 class TestOu:
