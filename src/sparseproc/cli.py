@@ -94,9 +94,7 @@ def _cmd_cv(args) -> int:
         lo, hi, num = args.grid.split(",")
         grid = np.geomspace(float(lo), float(hi), int(num))
     report = cross_validate_lambda(design, response, grid, folds=args.folds)
-    out = {"grid": report.grid.tolist(), "cv_loss": report.cv_loss.tolist(),
-           "chosen_lambda": report.chosen_lambda, "folds": report.folds}
-    _write_out(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _write_out(harness.report_to_json(report), args.out)
     return 0
 
 
@@ -141,9 +139,7 @@ def _cmd_finfty(args) -> int:
     support = [int(s) for s in args.support.split(",")]
     est = estimate_f_infinity(gram, support, args.samples, args.seed,
                               method=args.method)
-    out = {"value": est.value, "method": est.method,
-           "samples": est.samples, "support": list(est.support)}
-    _write_out(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _write_out(harness.report_to_json(est), args.out)
     return 0
 
 

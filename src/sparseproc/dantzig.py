@@ -43,6 +43,9 @@ from .scores import build_regression_score  # noqa: F401
 # the CV path solves thousands of small LPs, where call overhead outweighs the work
 _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
+# the default CV grid: how many values, and its ends as multiples of the score norm
+_GRID_NUM, _GRID_LO, _GRID_HI = 20, 0.01, 1.0
+
 
 @dataclass(frozen=True)
 class DantzigFit:
@@ -189,13 +192,12 @@ def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
     return SupportEstimate(indices=tuple(int(j) for j in idx), threshold=float(tau))
 
 
-def default_lambda_grid(moment: np.ndarray, num: int = 20,
-                        lo: float = 0.01, hi: float = 1.0) -> np.ndarray:
-    """Log-spaced grid spanning [lo, hi] times the unconstrained score norm."""
+def default_lambda_grid(moment: np.ndarray) -> np.ndarray:
+    """Log-spaced grid spanning [0.01, 1] times the unconstrained score norm."""
     b_inf = float(np.abs(np.asarray(moment)).max())
     if b_inf <= 0:
         return np.array([0.0])
-    return np.geomspace(lo * b_inf, hi * b_inf, num)
+    return np.geomspace(_GRID_LO * b_inf, _GRID_HI * b_inf, _GRID_NUM)
 
 
 def cross_validate_lambda(design: np.ndarray, response: np.ndarray,

@@ -67,9 +67,11 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
     m = np.asarray(m, dtype=float)
     p = m.shape[0]
     t_idx = np.array(sorted(int(j) for j in support), dtype=int)
-    tc_idx = np.setdiff1d(np.arange(p), t_idx)
     if t_idx.size == 0:
         raise ValueError("support must be nonempty")
+    if t_idx[0] < 0 or t_idx[-1] >= p or np.any(np.diff(t_idx) == 0):
+        raise ValueError(f"support must hold distinct indices in [0, {p}), got {list(support)}")
+    tc_idx = np.setdiff1d(np.arange(p), t_idx)
     if method == "grid_oracle":
         return _f_infinity_grid(m, t_idx, tc_idx)
     if method != "cone_sampling":

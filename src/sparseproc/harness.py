@@ -30,7 +30,7 @@ from .rng import derive_seed, make_rng
 from .scores import diffusion_design, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
-                       simulate_ou, spec_from_dict, spec_to_dict)
+                       simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
 from .twostep import estimate_diffusion_sigma2, first_step, project_statistic, two_step_fit
 
 SCHEMA_VERSION = 1
@@ -83,6 +83,18 @@ class CaseConfig:
             raise ValueError("OU case supports fixed or rate lambda modes")
         if not _finite_nonnegative(self.tau):
             raise ValueError("tau must be finite and nonnegative")
+        if self.lambda_mode == "cv" and self.cv_folds < 2:
+            raise ValueError("cv lambda mode needs cv_folds >= 2")
+        dim = self.model.dim if isinstance(self.model, (Minar1Spec, OuSpec)) else 1
+        if not 0 <= self.target < dim:
+            raise ValueError(f"target must lie in [0, {dim}), got {self.target}")
+        if isinstance(self.model, HawkesSpec):
+            # the replication checks both again, for configs changed after construction
+            delta = self.hawkes_bin_delta
+            if not (_finite_nonnegative(delta) and delta > 0):
+                raise ValueError("a Hawkes model needs a finite positive hawkes_bin_delta")
+            if int(np.ceil(self.model.horizon / delta)) <= self.p:
+                raise ValueError("horizon too short for the requested lag order")
         if self.theta_true is not None:
             self.theta_true = np.asarray(self.theta_true, dtype=float)
         if self.cv_grid is not None:
@@ -90,32 +102,11 @@ class CaseConfig:
         self.support_true = tuple(int(j) for j in self.support_true)
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "model": spec_to_dict(self.model),
-            "n": self.n, "p": self.p, "reps": self.reps,
-            "lambda_mode": self.lambda_mode,
-            "lambda_value": self.lambda_value,
-            "rate_c": self.rate_c,
-            "cv_grid": None if self.cv_grid is None else self.cv_grid.tolist(),
-            "cv_folds": self.cv_folds,
-            "tau": self.tau,
-            "base_seed": self.base_seed,
-            "theta_true": None if self.theta_true is None else self.theta_true.tolist(),
-            "support_true": list(self.support_true),
-            "target": self.target,
-            "hawkes_bin_delta": self.hawkes_bin_delta,
-        }
+        return dict(to_jsonable(self), model=spec_to_dict(self.model))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaseConfig":
-        d = dict(d)
-        d["model"] = spec_from_dict(d["model"])
-        if d.get("theta_true") is not None:
-            d["theta_true"] = np.array(d["theta_true"], dtype=float)
-        if d.get("cv_grid") is not None:
-            d["cv_grid"] = np.array(d["cv_grid"], dtype=float)
-        d["support_true"] = tuple(d.get("support_true", ()))
+        d = dict(d, model=spec_from_dict(d["model"]))
         d.pop("jobs", None)  # the worker count is a run argument, not config
         return cls(**d)
 
@@ -124,6 +115,15 @@ def _case_alphas(p: int) -> np.ndarray:
     alpha = np.zeros(p)
     alpha[:4] = [0.3, 0.2, 0.2, 0.2]
     return alpha
+
+
+def _block_diagonal(block: np.ndarray, count: int) -> np.ndarray:
+    # slice assignment, not np.kron: kron writes -0.0 beside negative entries
+    k = block.shape[0]
+    a = np.zeros((k * count, k * count))
+    for b in range(count):
+        a[k * b: k * b + k, k * b: k * b + k] = block
+    return a
 
 
 def _default(value, default):
@@ -142,54 +142,39 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
     built from 4x4 blocks, first-row target.  ou: block OU drift-row fit.
     hawkes: binned support recovery for a 0.8 * 1_(0,1] kernel.
     """
+    n_obs = _default(n, 2000)
+    default_reps, default_mode = 100, "cv"
+    theta_true, support_true, bin_delta = None, (0, 1, 2, 3), None
     if case_id in ("case1", "case2"):
         p = 10 if case_id == "case1" else 20
-        spec = InarSpec(mu_eps=0.5, alpha=_case_alphas(p))
-        return CaseConfig(
-            case_id=case_id, model=spec, n=_default(n, 2000), p=p,
-            reps=_default(reps, 200),
-            lambda_mode=lambda_mode or "cv", lambda_value=lambda_value,
-            tau=tau, base_seed=base_seed,
-            theta_true=np.concatenate([[0.5], _case_alphas(p)]),
-            support_true=(0, 1, 2, 3))
-    if case_id in ("case3", "case4"):
+        model = InarSpec(mu_eps=0.5, alpha=_case_alphas(p))
+        theta_true = np.concatenate([[0.5], _case_alphas(p)])
+        default_reps = 200
+    elif case_id in ("case3", "case4"):
         p = 100 if case_id == "case3" else 200
-        blocks = p // 4
-        a = np.zeros((p, p))
-        for b in range(blocks):
-            a[4 * b: 4 * b + 4, 4 * b: 4 * b + 4] = _MINAR_BLOCK
-        spec = Minar1Spec(eta=np.full(p, 0.5), a_matrix=a)
-        return CaseConfig(
-            case_id=case_id, model=spec, n=_default(n, 2000), p=p,
-            reps=_default(reps, 100),
-            lambda_mode=lambda_mode or "cv", lambda_value=lambda_value,
-            tau=tau, base_seed=base_seed,
-            theta_true=np.concatenate([[0.5], a[0]]),
-            support_true=(0, 1, 2, 3))
-    if case_id == "ou":
-        dim = 16
-        drift = np.zeros((dim, dim))
-        for b in range(dim // 4):
-            drift[4 * b: 4 * b + 4, 4 * b: 4 * b + 4] = _MINAR_BLOCK - np.eye(4)
-        n_steps = _default(n, 2000)
-        spec = OuSpec(a_matrix=drift, sigma_diag=np.ones(dim), delta=0.05,
-                      n_steps=n_steps, substeps=10)
-        return CaseConfig(
-            case_id="ou", model=spec, n=n_steps, p=dim, reps=_default(reps, 100),
-            lambda_mode=lambda_mode or ("fixed" if lambda_value is not None else "rate"),
-            lambda_value=lambda_value,
-            tau=tau, base_seed=base_seed,
-            theta_true=drift[0].copy(), support_true=(0, 1, 2, 3))
-    if case_id == "hawkes":
+        a = _block_diagonal(_MINAR_BLOCK, p // 4)
+        model = Minar1Spec(eta=np.full(p, 0.5), a_matrix=a)
+        theta_true = np.concatenate([[0.5], a[0]])
+    elif case_id == "ou":
+        p = 16
+        drift = _block_diagonal(_MINAR_BLOCK - np.eye(4), p // 4)
+        model = OuSpec(a_matrix=drift, sigma_diag=np.ones(p), delta=0.05,
+                       n_steps=n_obs, substeps=10)
+        theta_true = drift[0].copy()
+        default_mode = "fixed" if lambda_value is not None else "rate"
+    elif case_id == "hawkes":
+        p, bin_delta, support_true = 20, 0.1, ()
         horizon = float(_default(n, 1000))
-        spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
-                          kernel_values=np.array([0.8]), horizon=horizon)
-        return CaseConfig(
-            case_id="hawkes", model=spec, n=int(horizon / 0.1), p=20,
-            reps=_default(reps, 100), lambda_mode=lambda_mode or "cv",
-            lambda_value=lambda_value, tau=tau, base_seed=base_seed,
-            hawkes_bin_delta=0.1)
-    raise ValueError(f"unknown case id {case_id!r}")
+        model = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
+                           kernel_values=np.array([0.8]), horizon=horizon)
+        n_obs = int(horizon / bin_delta)
+    else:
+        raise ValueError(f"unknown case id {case_id!r}")
+    return CaseConfig(
+        case_id=case_id, model=model, n=n_obs, p=p, reps=_default(reps, default_reps),
+        lambda_mode=lambda_mode or default_mode, lambda_value=lambda_value,
+        tau=tau, base_seed=base_seed, theta_true=theta_true,
+        support_true=support_true, hawkes_bin_delta=bin_delta)
 
 
 def _draw_projection(config: CaseConfig) -> np.ndarray:
@@ -331,28 +316,7 @@ class CaseReport:
     proj_var_pred: float
     mean_lambda: float
     per_rep: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d = {"schema": SCHEMA_VERSION}
-        d.update(self.__dict__)
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(_jsonable(self.to_dict()), sort_keys=True, indent=2) + "\n"
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and np.isnan(obj):
-        return None
-    return obj
+    schema: int = SCHEMA_VERSION
 
 
 def _nanmean(values) -> float:
@@ -469,19 +433,17 @@ def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> dict:
 
 
 def report_to_json(report) -> str:
-    if isinstance(report, CaseReport):
-        return report.to_json()
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Any report or result as indented JSON with sorted keys (see ``to_jsonable``)."""
+    return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
-def write_per_rep_csv(report, path) -> None:
+def write_per_rep_csv(report: CaseReport, path) -> None:
     """Stream per-rep records to CSV (columns fixed for table tooling)."""
-    rows = report.per_rep if isinstance(report, CaseReport) else report["per_rep"]
     cols = ["rep", "linf1", "l21", "sel", "linf2", "l22", "proj_stat", "failed"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for r in rows:
+        for r in report.per_rep:
             w.writerow([r.get(c, "") if not isinstance(r.get(c), bool)
                         else int(r[c]) for c in cols])
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from .rng import make_rng
 
 _COUNT_CAP = 1e12  # conditional mean beyond this aborts instead of overflowing
 _DRAW_BLOCK = 4096  # unit exponentials fetched per call in the Hawkes simulator
+_MAX_DRIFT_BLOCK = 8  # largest drift block whose Lyapunov equation is solved densely
 
 
 @dataclass(frozen=True)
@@ -293,11 +294,10 @@ def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarra
     return out.shape[0]
 
 
-def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray,
-                        max_block: int = 8) -> np.ndarray:
+def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
     """Stationary covariance V solving A V + V A^T + Sigma Sigma^T = 0.
 
-    The drift must decompose into diagonal blocks of size <= ``max_block``
+    The drift must decompose into diagonal blocks of size <= 8
     (after grouping coordinates connected through nonzero entries); each
     block is solved densely through the Kronecker identity
     (I (x) A + A (x) I) vec(V) = -vec(Sigma Sigma^T).
@@ -320,10 +320,9 @@ def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray,
             stack.extend(j for j in np.nonzero(adj[i])[0] if j not in block)
         unseen -= block
         idx = np.array(sorted(block))
-        if idx.size > max_block:
-            raise ValueError(
-                f"drift block of size {idx.size} exceeds the supported maximum {max_block}"
-            )
+        if idx.size > _MAX_DRIFT_BLOCK:
+            raise ValueError(f"drift block of size {idx.size} exceeds the supported "
+                             f"maximum {_MAX_DRIFT_BLOCK}")
         ab = a[np.ix_(idx, idx)]
         qb = np.diag(q_diag[idx])
         k = np.kron(np.eye(idx.size), ab) + np.kron(ab, np.eye(idx.size))
@@ -476,30 +475,43 @@ def read_series_csv(path, kind: str = "counts", delta: Optional[float] = None) -
     return SeriesSample(values=values, lag_buffer=buf, delta=delta, kind=kind)
 
 
+def to_jsonable(obj):
+    """``obj`` with JSON-ready containers: the one serialization rule of the package.
+
+    Dataclass instances become ``{field: value}``, dicts recurse, lists and
+    tuples become lists, arrays and numpy scalars their Python values, and a
+    Python float NaN becomes ``None``.
+    """
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+_MODELS = {"inar": InarSpec, "minar1": Minar1Spec, "ou": OuSpec, "hawkes": HawkesSpec}
+_TAGS = {cls: tag for tag, cls in _MODELS.items()}
+
+
 def spec_to_dict(spec) -> dict:
-    """JSON-ready dictionary mirroring the spec dataclass fields."""
-    if isinstance(spec, InarSpec):
-        return {"model": "inar", "mu_eps": spec.mu_eps,
-                "alpha": spec.alpha.tolist(), "burn_in": spec.burn_in}
-    if isinstance(spec, Minar1Spec):
-        return {"model": "minar1", "eta": spec.eta.tolist(),
-                "a_matrix": spec.a_matrix.tolist(), "burn_in": spec.burn_in}
-    if isinstance(spec, OuSpec):
-        return {"model": "ou", "a_matrix": spec.a_matrix.tolist(),
-                "sigma_diag": spec.sigma_diag.tolist(), "delta": spec.delta,
-                "n_steps": spec.n_steps, "substeps": spec.substeps}
-    if isinstance(spec, HawkesSpec):
-        return {"model": "hawkes", "eta": spec.eta,
-                "kernel_breakpoints": spec.kernel_breakpoints.tolist(),
-                "kernel_values": spec.kernel_values.tolist(), "horizon": spec.horizon}
-    raise TypeError(f"unknown spec type {type(spec).__name__}")
+    """JSON-ready dictionary of the spec's fields, tagged with its ``model`` kind."""
+    if type(spec) not in _TAGS:
+        raise TypeError(f"unknown spec type {type(spec).__name__}")
+    return {"model": _TAGS[type(spec)], **to_jsonable(spec)}
 
 
 def spec_from_dict(d: dict):
     """Inverse of :func:`spec_to_dict`."""
-    model = d.get("model")
-    body = {k: v for k, v in d.items() if k != "model"}
-    ctor = {"inar": InarSpec, "minar1": Minar1Spec, "ou": OuSpec, "hawkes": HawkesSpec}.get(model)
+    body = dict(d)
+    ctor = _MODELS.get(body.pop("model", None))
     if ctor is None:
-        raise ValueError(f"unknown model kind {model!r}")
+        raise ValueError(f"unknown model kind {d.get('model')!r}")
     return ctor(**body)

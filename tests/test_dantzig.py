@@ -542,7 +542,7 @@ class TestCrossValidationAgainstReference:
 
 class TestDefaultGrid:
     def test_spans_moment_norm(self):
-        grid = default_lambda_grid(np.array([2.0, -4.0]), num=20)
+        grid = default_lambda_grid(np.array([2.0, -4.0]))
         assert grid.shape == (20,)
         assert_allclose(grid[0], 0.04)
         assert_allclose(grid[-1], 4.0)

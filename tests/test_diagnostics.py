@@ -66,6 +66,13 @@ class TestFInfinity:
         with pytest.raises(ValueError, match="p <= 3"):
             estimate_f_infinity(np.eye(4), [0], 1, seed=0, method="grid_oracle")
 
+    @pytest.mark.parametrize("support", [[-1], [0, 0], [4], [1, 4], []])
+    @pytest.mark.parametrize("method", ["cone_sampling", "grid_oracle"])
+    def test_bad_support_rejected(self, support, method):
+        # -1 would put coordinate 3 in both T and its complement; 0,0 counts 0 twice
+        with pytest.raises(ValueError, match="support"):
+            estimate_f_infinity(np.eye(4), support, 10, seed=0, method=method)
+
 
 class TestShapiroWilk:
     def test_normal_scores_high_w(self):

@@ -18,6 +18,8 @@ from oracles import reference_cross_validate, run_fresh
 
 from sparseproc import _blas, harness, twostep
 from sparseproc.cli import main
+from sparseproc.dantzig import CvReport
+from sparseproc.diagnostics import FInftyEstimate
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
                                 run_hawkes_support, report_to_json, write_per_rep_csv)
@@ -94,10 +96,38 @@ class TestCaseConfigValidation:
         ("case1", {"lambda_mode": "rate", "rate_c": float("nan")}, "rate_c"),
         ("case1", {"lambda_mode": "rate", "rate_c": -1.0}, "rate_c"),
         ("ou", {"lambda_mode": "cv"}, "OU case"),
+        ("case3", {"target": 500}, "target"),
+        ("case3", {"target": -1}, "target"),
+        ("case3", {"target": 100}, "target"),
+        ("ou", {"target": 16}, "target"),
+        ("case1", {"target": 1}, "target"),
+        ("hawkes", {"target": 1}, "target"),
+        ("hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": 0.0}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": -0.1}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": float("nan")}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": float("inf")}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": 50.0}, "horizon too short"),
+        ("hawkes", {"p": 10000}, "horizon too short"),
+        ("case1", {"cv_folds": 1}, "cv_folds"),
+        ("hawkes", {"cv_folds": 0}, "cv_folds"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(builtin_case(case_id, reps=1), **changes)
+
+    def test_last_target_and_short_folds_outside_cv_accepted(self):
+        assert dataclasses.replace(builtin_case("case3", reps=1), target=99).target == 99
+        assert dataclasses.replace(builtin_case("ou", reps=1), target=15).target == 15
+        cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="rate",
+                                  cv_folds=1)
+        assert cfg.cv_folds == 1
+
+    def test_replication_checks_a_config_changed_after_construction(self):
+        cfg = builtin_case("hawkes", n=200, reps=1)
+        cfg.p = 5000
+        with pytest.raises(ValueError, match="horizon too short"):
+            harness._hawkes_rep(cfg, 1)
 
     def test_fixed_zero_lambda_accepted(self):
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="fixed",
@@ -324,10 +354,13 @@ class TestOutputs:
 
     def test_report_json_schema(self):
         cfg = builtin_case("case1", n=500, reps=2)
-        doc = json.loads(report_to_json(run_case(cfg)))
+        report = run_case(cfg)
+        doc = json.loads(report_to_json(report))
         assert doc["schema"] == 1
         assert doc["case_id"] == "case1"
         assert len(doc["per_rep"]) == 2
+        assert set(doc) == {f.name for f in dataclasses.fields(report)}
+        assert doc["config"] == json.loads(json.dumps(cfg.to_dict()))
 
 
 IMPORT_GRAPH_SCRIPT = """
@@ -434,7 +467,9 @@ class TestCli:
         cv_path = tmp_path / "cv.json"
         assert main(["cv", "--series", str(series), "--order", "10",
                      "--folds", "4", "--out", str(cv_path)]) == 0
-        assert json.load(open(cv_path))["chosen_lambda"] > 0
+        cv = json.load(open(cv_path))
+        assert cv["chosen_lambda"] > 0
+        assert set(cv) == {f.name for f in dataclasses.fields(CvReport)}
 
     def test_experiment_and_artifacts(self, tmp_path):
         out = tmp_path / "report.json"
@@ -573,7 +608,9 @@ class TestCli:
         rc = main(["finfty", "--series", str(series), "--order", "2",
                    "--support", "0,1", "--samples", "500", "--out", str(out)])
         assert rc == 0
-        assert json.load(open(out))["value"] > 0
+        est = json.load(open(out))
+        assert est["value"] > 0 and est["support"] == [0, 1]
+        assert set(est) == {f.name for f in dataclasses.fields(FInftyEstimate)}
 
     def test_non_finite_lambda_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -614,6 +651,32 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb,case_id,changes,message", [
+        (["experiment"], "case3", {"target": 500}, "target must lie in [0, 100)"),
+        (["experiment"], "ou", {"target": 16}, "target must lie in [0, 16)"),
+        (["hawkes-support"], "hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
+        (["hawkes-support"], "hawkes", {"cv_folds": 1}, "cv_folds"),
+    ])
+    def test_bad_config_json_exit_code(self, tmp_path, capsys, verb, case_id, changes,
+                                       message):
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(dict(builtin_case(case_id, n=300, reps=1).to_dict(),
+                                          **changes)))
+        out = tmp_path / "report.json"
+        assert main(verb + ["--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("support", ["-1", "0,0", "9"])
+    def test_finfty_bad_support_exit_code(self, tmp_path, capsys, support):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-4, 60)))
+        out = tmp_path / "f.json"
+        assert main(["finfty", "--series", str(series), "--order", "4", "--support",
+                     support, "--samples", "10", "--out", str(out)]) == 2
+        assert "support must hold distinct indices in [0, 4)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -1,5 +1,7 @@
 """Simulator tests: degenerate cases, long-run identities, determinism."""
 
+import dataclasses
+import json
 import shutil
 import subprocess
 
@@ -17,7 +19,7 @@ from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, lyapunov_covariance,
                                  read_series_csv, simulate_hawkes, simulate_inar,
                                  simulate_minar1, simulate_ou, spec_from_dict,
-                                 spec_to_dict, write_series_csv)
+                                 spec_to_dict, to_jsonable, write_series_csv)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -363,7 +365,7 @@ class TestOu:
         assert_allclose(v, np.diag([0.5, 0.25, 1.0 / 6.0]), atol=1e-12)
         big = -np.eye(9) + 0.01 * np.ones((9, 9))
         with pytest.raises(ValueError, match="exceeds"):
-            lyapunov_covariance(big, np.ones(9), max_block=8)
+            lyapunov_covariance(big, np.ones(9))
 
     def test_marginal_covariance_matches_lyapunov(self):
         a = np.array([[-0.6, 0.2], [0.0, -0.8]])
@@ -545,6 +547,35 @@ class TestSeriesIo:
             HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
                        kernel_values=np.array([0.8]), horizon=10.0),
         ]
-        for spec in specs:
-            back = spec_from_dict(spec_to_dict(spec))
+        for spec, tag in zip(specs, ["inar", "minar1", "ou", "hawkes"]):
+            d = json.loads(json.dumps(spec_to_dict(spec)))
+            names = [f.name for f in dataclasses.fields(spec)]
+            assert list(d) == ["model", *names] and d["model"] == tag
+            back = spec_from_dict(d)
             assert type(back) is type(spec)
+            for name in names:
+                assert_array_equal(getattr(back, name), getattr(spec, name))
+        for not_a_spec in (SeriesSample(values=np.ones(3)), {"model": "inar"}, None):
+            with pytest.raises(TypeError, match="unknown spec type"):
+                spec_to_dict(not_a_spec)
+
+    def test_to_jsonable_rules(self):
+        @dataclasses.dataclass
+        class Inner:
+            x: np.ndarray
+            miss: float
+
+        @dataclasses.dataclass
+        class Outer:
+            inner: Inner
+            pairs: tuple
+            count: np.int64
+
+        obj = Outer(Inner(np.array([1.5, 2.0]), float("nan")), ((1, np.float64(0.25)),),
+                    np.int64(3))
+        got = to_jsonable({"outer": obj, "nan": float("nan")})
+        assert got == {"outer": {"inner": {"x": [1.5, 2.0], "miss": None},
+                                 "pairs": [[1, 0.25]], "count": 3},
+                       "nan": None}
+        assert type(got["outer"]["count"]) is int
+        assert to_jsonable(Outer) is Outer  # a dataclass type is left alone
