@@ -1,16 +1,21 @@
 /*
- * Step loops of the count simulators, run through the code numpy itself runs.
+ * Step loops of the simulators, run through the code numpy itself runs.
  *
- * Each entry point repeats, step for step, what the numpy loop in
- * simulate.py does: the conditional mean is formed by the same CBLAS call
- * numpy's matmul makes, capped, and each count is drawn by numpy's own
- * random_poisson on the generator's bitgen_t.  numpy switches from the
- * multiplication method to transformed rejection at lambda = 10, so the
- * last bit of lambda decides which draws are taken; the same calls in the
- * same order give the same bits, and so the same series.
+ * Each entry point repeats, step for step, what the Python loop in
+ * simulate.py does.  In the count loops the conditional mean is formed by
+ * the same CBLAS call numpy's matmul makes, capped, and each count is drawn
+ * by numpy's own random_poisson on the generator's bitgen_t.  numpy switches
+ * from the multiplication method to transformed rejection at lambda = 10, so
+ * the last bit of lambda decides which draws are taken; the same calls in
+ * the same order give the same bits, and so the same series.  The Hawkes
+ * loop repeats the float operations of Ogata thinning in their order and
+ * draws by numpy's random_standard_exponential, so it gives the same events.
  *
- * Build: cc -O2 -shared -fPIC -I <numpy include> -DBLAS_INT=<int type>
+ * Build: cc -O2 -shared -fPIC -ffp-contract=off -I <numpy include>
+ *        -DBLAS_INT=<int type> _countsim.c -lm
+ * (-ffp-contract=off keeps t + (1 / lam) * e from being fused into an FMA.)
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -24,6 +29,7 @@
 #define CBLAS_TRANS 112
 
 typedef int64_t (*poisson_fn)(bitgen_t *, double);
+typedef double (*exponential_fn)(bitgen_t *);
 typedef double (*ddot_fn)(BLAS_INT, const double *, BLAS_INT, const double *, BLAS_INT);
 typedef void (*dgemv_fn)(int, int, BLAS_INT, BLAS_INT, double, const double *, BLAS_INT,
                          const double *, BLAS_INT, double, double *, BLAS_INT);
@@ -76,4 +82,59 @@ int64_t minar1(poisson_fn poisson, dgemv_fn dgemv, bitgen_t *bitgen, int64_t d,
         y = row;
     }
     return steps;
+}
+
+/*
+ * Ogata thinning of the Hawkes process with intensity eta + sum_i a(t - t_i),
+ * where a = vals[k] on (bp[k-1], bp[k]] (bp[-1] = 0) and 0 beyond bp[pieces-1].
+ * Resumes from time *t with events[0..n) drawn so far and appends events in
+ * (*t, horizon] until the buffer holds capacity of them.  Returns the event
+ * count and leaves the time reached in *t: *t > horizon once the loop has
+ * ended, and otherwise the buffer is full and the call can be resumed with a
+ * larger one.  The loop's whole state is *t and the events, and the stream is
+ * in the bitgen, so the events do not depend on the capacity.
+ */
+int64_t hawkes(exponential_fn exponential, bitgen_t *bitgen, double eta, int64_t pieces,
+               const double *bp, const double *vals, double horizon, double *events,
+               int64_t n, int64_t capacity, double *t_io)
+{
+    double t = *t_io;
+    double tail = pieces ? bp[pieces - 1] : 0.0;
+    int64_t first_active = 0; /* events earlier than t - tail never contribute again */
+    while (n < capacity) {
+        while (first_active < n && events[first_active] <= t - tail)
+            first_active++;
+        /* intensity just right of t (lam >= eta > 0) and the next time it can change */
+        double lam = eta;
+        double next_change = INFINITY;
+        for (int64_t i = first_active; i < n; i++) {
+            double age = t - events[i];
+            int64_t lo = 0, hi = pieces; /* k = #{breakpoints <= age}, as bisect_right */
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (age < bp[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            if (lo < pieces) {
+                lam += vals[lo];
+                double boundary = events[i] + bp[lo];
+                /* guard: float rounding may land exactly on t */
+                if (t < boundary && boundary < next_change)
+                    next_change = boundary;
+            }
+        }
+        double wait = (1.0 / lam) * exponential(bitgen);
+        if (t + wait > next_change) {
+            t = nextafter(next_change, INFINITY);
+            continue;
+        }
+        t = t + wait;
+        if (t > horizon)
+            break;
+        events[n++] = t;
+    }
+    *t_io = t;
+    return n;
 }

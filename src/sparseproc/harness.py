@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,19 @@ class CaseConfig:
     hawkes_bin_delta: Optional[float] = None
 
     def __post_init__(self):
+        self.validate()
+        if self.theta_true is not None:
+            self.theta_true = np.asarray(self.theta_true, dtype=float)
+        if self.cv_grid is not None:
+            self.cv_grid = np.asarray(self.cv_grid, dtype=float)
+        self.support_true = tuple(int(j) for j in self.support_true)
+
+    def validate(self) -> None:
+        """Raise ValueError where the fields do not make a runnable case.
+
+        Called when the config is built and again before the first
+        replication, since a config may be changed after construction.
+        """
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n < 1:
@@ -89,20 +102,15 @@ class CaseConfig:
         if not 0 <= self.target < dim:
             raise ValueError(f"target must lie in [0, {dim}), got {self.target}")
         if isinstance(self.model, HawkesSpec):
-            # the replication checks both again, for configs changed after construction
             delta = self.hawkes_bin_delta
             if not (_finite_nonnegative(delta) and delta > 0):
                 raise ValueError("a Hawkes model needs a finite positive hawkes_bin_delta")
             if int(np.ceil(self.model.horizon / delta)) <= self.p:
                 raise ValueError("horizon too short for the requested lag order")
-        if self.theta_true is not None:
-            self.theta_true = np.asarray(self.theta_true, dtype=float)
-        if self.cv_grid is not None:
-            self.cv_grid = np.asarray(self.cv_grid, dtype=float)
-        self.support_true = tuple(int(j) for j in self.support_true)
 
     def to_dict(self) -> dict:
-        return dict(to_jsonable(self), model=spec_to_dict(self.model))
+        return {f.name: spec_to_dict(self.model) if f.name == "model"
+                else to_jsonable(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaseConfig":
@@ -282,6 +290,7 @@ def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    config.validate()
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
     with one_blas_thread():
         if jobs > 1:

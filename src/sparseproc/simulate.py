@@ -146,8 +146,8 @@ class HawkesSpec:
     horizon: float
 
     def __post_init__(self):
-        bp = np.asarray(self.kernel_breakpoints, dtype=float)
-        vals = np.asarray(self.kernel_values, dtype=float)
+        bp = np.asarray(self.kernel_breakpoints, dtype=float, order="C")
+        vals = np.asarray(self.kernel_values, dtype=float, order="C")
         object.__setattr__(self, "kernel_breakpoints", bp)
         object.__setattr__(self, "kernel_values", vals)
         if not (np.isfinite(self.eta) and np.isfinite(self.horizon)
@@ -382,16 +382,26 @@ def simulate_hawkes(spec: HawkesSpec, seed: int) -> np.ndarray:
     upper bound is the current intensity itself and every proposal that
     stays within the current piece is accepted; a proposal that crosses
     the next breakpoint of an active event restarts just past it.  The
-    loop runs on Python floats: the intensity is summed in event order,
-    and waiting times are ``(1 / intensity) * e`` with e a unit
-    exponential, so the events equal those of scalar
-    ``rng.exponential(1 / intensity)`` draws bit for bit.
+    loop runs in the compiled file of ``_countsim`` where it loads and in
+    Python otherwise, with the same float operations in the same order:
+    the intensity is summed in event order, and waiting times are
+    ``(1 / intensity) * e`` with e a unit exponential, so the events equal
+    those of scalar ``rng.exponential(1 / intensity)`` draws bit for bit.
     """
-    draw = _standard_exponentials(make_rng(seed)).__next__
-    bp = spec.kernel_breakpoints.tolist()
-    vals = spec.kernel_values.tolist()
-    eta = float(spec.eta)
-    horizon = float(spec.horizon)
+    kernel = _countsim.load()
+    events = _hawkes_events if kernel is None else kernel.hawkes
+    return events(make_rng(seed), spec.eta, spec.kernel_breakpoints, spec.kernel_values,
+                  spec.horizon)
+
+
+def _hawkes_events(rng: np.random.Generator, eta: float, breakpoints: np.ndarray,
+                   values: np.ndarray, horizon: float) -> np.ndarray:
+    """The Python loop of ``_countsim.CountKernel.hawkes``: the event times."""
+    draw = _standard_exponentials(rng).__next__
+    bp = breakpoints.tolist()
+    vals = values.tolist()
+    eta = float(eta)
+    horizon = float(horizon)
     pieces = len(bp)
     tail = bp[-1] if bp else 0.0
     events: list[float] = []

@@ -129,6 +129,25 @@ class TestCaseConfigValidation:
         with pytest.raises(ValueError, match="horizon too short"):
             harness._hawkes_rep(cfg, 1)
 
+    @pytest.mark.parametrize("case_id, changes, message", [
+        ("case3", {"target": 500}, r"target must lie in \[0, 100\), got 500"),
+        ("hawkes", {"p": 5000}, "horizon too short"),
+        ("case1", {"reps": 0}, "reps must be >= 1"),
+    ])
+    def test_run_checks_a_config_changed_after_construction(self, monkeypatch, case_id,
+                                                            changes, message):
+        cfg = builtin_case(case_id, n=200, reps=1)
+        for name, value in changes.items():
+            setattr(cfg, name, value)
+
+        def no_rep(config, rep):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(harness, "_case_rep", no_rep)
+        monkeypatch.setattr(harness, "_hawkes_rep", no_rep)
+        run = run_hawkes_support if case_id == "hawkes" else run_case
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
     def test_fixed_zero_lambda_accepted(self):
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="fixed",
                                   lambda_value=0.0)

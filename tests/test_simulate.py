@@ -15,6 +15,7 @@ from oracles import hawkes_reference_events, run_fresh
 from sparseproc import _countsim
 from sparseproc.errors import DomainError, StationarityError
 from sparseproc.harness import builtin_case
+from sparseproc.rng import make_rng
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, lyapunov_covariance,
                                  read_series_csv, simulate_hawkes, simulate_inar,
@@ -149,6 +150,27 @@ def kernel():
     return compiled
 
 
+@pytest.fixture(scope="module", params=["compiled", "python"])
+def hawkes_path(request):
+    """``simulate_hawkes`` through the compiled loop, or with it unavailable."""
+    if request.param == "compiled":
+        if _countsim.load() is None:
+            pytest.skip("the compiled loop cannot be built here")
+        return simulate_hawkes
+
+    def python_loop(spec, seed):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_countsim, "load", lambda: None)
+            return simulate_hawkes(spec, seed)
+    return python_loop
+
+
+def hawkes_spec(name: str) -> HawkesSpec:
+    eta, bp, vals, horizon = HAWKES_KERNELS[name]
+    return HawkesSpec(eta=eta, kernel_breakpoints=np.array(bp), kernel_values=np.array(vals),
+                      horizon=horizon)
+
+
 def assert_same_series(a: SeriesSample, b: SeriesSample):
     assert a.values.tobytes() == b.values.tobytes()
     assert a.lag_buffer.tobytes() == b.lag_buffer.tobytes()
@@ -259,9 +281,17 @@ class TestCompiledCountLoop:
             kernel.inar(rng, 0.5, np.zeros(4)[::2], np.empty(3), 1e12)
         with pytest.raises(ValueError, match="d x d"):
             kernel.minar1(rng, np.zeros(2), np.zeros((3, 3)), np.empty((3, 2)), 1e12)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            kernel.hawkes(rng, 1.0, np.array([0.5, 0.7, 1.0, 2.0])[::2], np.zeros(2), 10.0)
+        with pytest.raises(ValueError, match="equal length"):
+            kernel.hawkes(rng, 1.0, np.array([0.5, 1.0]), np.zeros(3), 10.0)
         # specs hold C-contiguous copies of strided input
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 9.0, 0.2, 9.0])[::2])
         assert spec.alpha.flags.c_contiguous
+        hawkes = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([0.5, 9.0, 1.0, 9.0])[::2],
+                            kernel_values=np.array([0.4, 9.0, 0.2, 9.0])[::2], horizon=5.0)
+        assert hawkes.kernel_breakpoints.flags.c_contiguous
+        assert hawkes.kernel_values.flags.c_contiguous
 
     def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
         empty_bin = tmp_path / "bin"
@@ -273,6 +303,8 @@ class TestCompiledCountLoop:
         spec = builtin_case("case1").model
         assert _countsim.load() is None
         assert_same_series(simulate_inar(spec, 300, 5), numpy_loop(simulate_inar, spec, 300, 5))
+        hawkes = hawkes_spec("narrow_long_tail")
+        assert simulate_hawkes(hawkes, 3).tobytes() == hawkes_reference_events(hawkes, 3).tobytes()
         # the failed build leaves no temporary file behind
         assert list(cache.iterdir()) == []
 
@@ -294,6 +326,18 @@ class TestCompiledCountLoop:
         with pytest.raises(KeyboardInterrupt):
             _countsim.load()
         assert list(cache.iterdir()) == []
+
+    def test_cache_key_covers_the_compile_command(self, monkeypatch, tmp_path):
+        assert "-ffp-contract=off" in _countsim._compile_command(64, "a.c", "a.so")
+        key = _countsim._cached_path(64)
+        assert _countsim._cached_path(32) != key
+        # the same source text reached by another path keys the same file
+        copy = tmp_path / "_countsim.c"
+        shutil.copyfile(_countsim._SOURCE, copy)
+        monkeypatch.setattr(_countsim, "_SOURCE", str(copy))
+        assert _countsim._cached_path(64) == key
+        monkeypatch.setattr(_countsim, "_CFLAGS", ("-O3", "-shared", "-fPIC"))
+        assert _countsim._cached_path(64) != key
 
     def test_warm_cache_loads_without_compiler(self, kernel, tmp_path):
         empty_bin = tmp_path / "bin"
@@ -425,13 +469,11 @@ class TestHawkes:
         se = rates.std(ddof=1) / np.sqrt(rates.size)
         assert abs(rates.mean() - target) < 4 * se
 
-    @pytest.mark.parametrize("kernel", sorted(HAWKES_KERNELS))
-    def test_matches_reference_loop(self, kernel):
-        eta, bp, vals, horizon = HAWKES_KERNELS[kernel]
-        spec = HawkesSpec(eta=eta, kernel_breakpoints=np.array(bp),
-                          kernel_values=np.array(vals), horizon=horizon)
+    @pytest.mark.parametrize("name", sorted(HAWKES_KERNELS))
+    def test_matches_reference_loop(self, hawkes_path, name):
+        spec = hawkes_spec(name)
         for seed in range(5):
-            events = simulate_hawkes(spec, seed)
+            events = hawkes_path(spec, seed)
             assert events.tobytes() == hawkes_reference_events(spec, seed).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -439,15 +481,31 @@ class TestHawkes:
                     min_size=1, max_size=4),
            st.floats(0.1, 2.0), st.floats(0.5, 10.0), st.floats(0.05, 0.8),
            st.integers(0, 2**32 - 1))
-    def test_matches_reference_random_kernels(self, pieces, eta, horizon, ratio, seed):
+    def test_matches_reference_random_kernels(self, hawkes_path, pieces, eta, horizon, ratio,
+                                              seed):
         widths = np.array([w for w, _ in pieces])
         heights = np.array([h for _, h in pieces])
         integral = widths @ heights
         vals = heights * (ratio / integral) if integral > 1e-3 else heights
         spec = HawkesSpec(eta=eta, kernel_breakpoints=np.cumsum(widths),
                           kernel_values=vals, horizon=horizon)
-        events = simulate_hawkes(spec, seed)
+        events = hawkes_path(spec, seed)
         assert events.tobytes() == hawkes_reference_events(spec, seed).tobytes()
+
+    def test_builtin_case_same_events_on_both_paths(self, kernel, numpy_loop):
+        spec = builtin_case("hawkes").model
+        for seed in range(1, 21):
+            events = simulate_hawkes(spec, seed)
+            assert events.tobytes() == numpy_loop(simulate_hawkes, spec, seed).tobytes()
+
+    @pytest.mark.parametrize("name", ["case", "narrow_long_tail", "horizon_inside_tail"])
+    def test_compiled_events_do_not_depend_on_capacity(self, kernel, name):
+        # a capacity of 1 fills the buffer at 1, 2, 4, ... events, and each time resumes
+        spec = hawkes_spec(name)
+        for seed in range(3):
+            resumed = kernel.hawkes(make_rng(seed), spec.eta, spec.kernel_breakpoints,
+                                    spec.kernel_values, spec.horizon, capacity=1)
+            assert resumed.tobytes() == simulate_hawkes(spec, seed).tobytes()
 
     @pytest.mark.parametrize("fields", [
         {"eta": np.nan},
