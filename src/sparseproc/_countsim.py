@@ -71,7 +71,12 @@ def _library_path(blas_bits: int) -> str:
 
 
 def _build(blas_bits: int, path: str) -> None:
-    """Compile the source to ``path`` through a temporary file, so no half-written file shows."""
+    """Compile the source to ``path`` through a temporary file, so no half-written file shows.
+
+    Then remove the cache's other, superseded ``_countsim.*.so`` files; a
+    process that still has one loaded keeps its mapping.
+    """
+    import glob
     import subprocess
 
     os.makedirs(_CACHE_DIR, exist_ok=True)
@@ -86,6 +91,12 @@ def _build(blas_bits: int, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in glob.glob(os.path.join(glob.escape(_CACHE_DIR), "_countsim.*.so")):
+        if stale != path:
+            try:
+                os.unlink(stale)
+            except OSError:
+                pass  # gone already, or not ours to remove
 
 
 def _check_buffers(*arrays: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
 from .scores import build_inar_score, diffusion_design, lagged_design
 from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
-from .twostep import estimate_diffusion_sigma2, two_step_fit, two_step_to_dict
+from .twostep import two_step_fit, two_step_to_dict
 
 CONFIG_ERROR = 2
 NUMERIC_ERROR = 3
@@ -73,8 +73,7 @@ def _cmd_fit(args) -> int:
     if args.model == "diffusion":
         path = read_series_csv(args.series, kind="reals", delta=args.delta)
         design, dx = diffusion_design(path)
-        fit = two_step_fit(design, dx, args.lam, args.tau, delta=path.delta,
-                           nuisance=estimate_diffusion_sigma2(path))
+        fit = two_step_fit(design, dx, args.lam, args.tau, delta=path.delta)
     else:
         series = read_series_csv(args.series, kind="counts")
         design, response = lagged_design(series, args.order)

@@ -20,9 +20,10 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .dantzig import cross_validate_lambda
-# not called here; perfbench/tracing.py still wraps these four harness names
+# not called here; perfbench/tracing.py still wraps these five harness names
 from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # noqa: F401
 from .scores import build_regression_score  # noqa: F401
+from .twostep import estimate_diffusion_sigma2  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
                      StationarityError, UncertifiedFitError)
@@ -31,7 +32,7 @@ from .scores import diffusion_design, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
-from .twostep import estimate_diffusion_sigma2, first_step, project_statistic, two_step_fit
+from .twostep import first_step, project_statistic, two_step_fit
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +48,7 @@ def _finite_nonnegative(x) -> bool:
     return x is not None and bool(np.isfinite(x)) and x >= 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseConfig:
     """One experiment: model, tuning strategy, replication budget."""
 
@@ -69,19 +70,7 @@ class CaseConfig:
     hawkes_bin_delta: Optional[float] = None
 
     def __post_init__(self):
-        self.validate()
-        if self.theta_true is not None:
-            self.theta_true = np.asarray(self.theta_true, dtype=float)
-        if self.cv_grid is not None:
-            self.cv_grid = np.asarray(self.cv_grid, dtype=float)
-        self.support_true = tuple(int(j) for j in self.support_true)
-
-    def validate(self) -> None:
-        """Raise ValueError where the fields do not make a runnable case.
-
-        Called when the config is built and again before the first
-        replication, since a config may be changed after construction.
-        """
+        """Raise ValueError where the fields do not make a runnable case."""
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n < 1:
@@ -107,6 +96,11 @@ class CaseConfig:
                 raise ValueError("a Hawkes model needs a finite positive hawkes_bin_delta")
             if int(np.ceil(self.model.horizon / delta)) <= self.p:
                 raise ValueError("horizon too short for the requested lag order")
+        if self.theta_true is not None:
+            object.__setattr__(self, "theta_true", np.asarray(self.theta_true, dtype=float))
+        if self.cv_grid is not None:
+            object.__setattr__(self, "cv_grid", np.asarray(self.cv_grid, dtype=float))
+        object.__setattr__(self, "support_true", tuple(int(j) for j in self.support_true))
 
     def to_dict(self) -> dict:
         return {f.name: spec_to_dict(self.model) if f.name == "model"
@@ -224,20 +218,18 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     # intercept columns lead the fit coordinates
     if isinstance(config.model, OuSpec):
         design, response = diffusion_design(sample, config.target)
-        nuis = estimate_diffusion_sigma2(sample, target=config.target)
-        fisher = response.size * sample.delta
-        fit_kwargs = {"delta": sample.delta, "nuisance": nuis}
-        offset = 0
-        record["sigma2_hat"] = float(nuis.values)
+        delta, fisher, offset = sample.delta, response.size * sample.delta, 0
     else:
         order = config.p if sample.dim == 1 else 1
         design, response = lagged_design(sample, order, target=config.target)
-        fisher = response.size
-        # simulated count cases are conditionally Poisson: variance = mean
-        fit_kwargs = {"nuisance_mode": "plugin_theta"}
-        offset = 1
+        delta, fisher, offset = None, response.size, 1
     lam = _choose_lambda(config, design, response, fisher)
-    fit = two_step_fit(design, response, lam, config.tau, **fit_kwargs)
+    # simulated count cases are conditionally Poisson (variance = mean); a
+    # diffusion fit estimates its own sigma^2
+    fit = two_step_fit(design, response, lam, config.tau, delta=delta,
+                       nuisance_mode="plugin_theta")
+    if delta is not None:
+        record["sigma2_hat"] = float(fit.nuisance.values)
 
     truth = config.theta_true[offset:]
     err1 = selection_and_errors(fit.theta_first[offset:], truth, fit.support.indices,
@@ -290,7 +282,6 @@ def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    config.validate()
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
     with one_blas_thread():
         if jobs > 1:
@@ -393,8 +384,6 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     events = simulate_hawkes(spec, seed)
     binned = bin_counts(events, delta, spec.horizon)
     p = config.p
-    if binned.n <= p:
-        raise ValueError("horizon too short for the requested lag order")
     series = SeriesSample(values=binned.values[p:], lag_buffer=binned.values[:p],
                           kind="counts")
     design, response = lagged_design(series, p)

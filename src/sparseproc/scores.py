@@ -179,16 +179,17 @@ def build_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
 
 
 def build_weighted_system(design: np.ndarray, response: np.ndarray,
-                          support: Sequence[int], nuisance,
+                          support: Sequence[int], variance: np.ndarray,
                           delta: Optional[float] = None) -> WeightedScoreSystem:
     """Weighted system restricted to ``support``.
 
-    Weights are 1/sigma^2 per observation: for count models sigma^2 is the
-    fitted linear variance h' Y over the support coordinates, for diffusion
-    paths the constant quadratic-variation estimate (responses must then be
-    increments divided by delta).  Variances are floored at
-    ``VARIANCE_FLOOR`` so all-zero count histories cannot produce infinite
-    weights.  A non-finite variance raises ``NuisanceError``.
+    ``variance`` holds the conditional variance of each row (the
+    ``NuisanceEstimate.variance`` of the fit) and each row is weighted by
+    its inverse; for a diffusion the responses must be increments divided
+    by ``delta``.  Variances are floored at ``VARIANCE_FLOOR`` so all-zero
+    count histories cannot produce infinite weights.  A non-finite variance
+    raises ``NuisanceError``, and a ``variance`` that does not hold one
+    value per row raises ``ValueError``.
     """
     support = sorted(int(j) for j in support)
     if not support:
@@ -196,15 +197,9 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
     z = np.asarray(design, dtype=float)[:, support]
     y = np.asarray(response, dtype=float).ravel()
     n = y.size
-    if nuisance.kind == "inar_linear_variance":
-        h = np.asarray(nuisance.values, dtype=float)
-        if h.size != len(support):
-            raise ValueError("nuisance values must align with the support")
-        var = z @ h
-    elif nuisance.kind == "diffusion_constant_sigma2":
-        var = np.full(n, float(nuisance.values))
-    else:
-        raise ValueError(f"unknown nuisance kind {nuisance.kind!r}")
+    var = np.asarray(variance, dtype=float)
+    if var.shape != (n,):
+        raise ValueError(f"variance must hold one value per row: {var.shape} for {n} rows")
     if not np.all(np.isfinite(var)):
         raise NuisanceError("conditional variance is not finite")
     var = np.maximum(var, VARIANCE_FLOOR)

@@ -24,21 +24,22 @@ from .simulate import SeriesSample
 class NuisanceEstimate:
     """Fitted conditional-variance structure.
 
-    ``inar_linear_variance`` holds the linear-variance coefficients over
-    ``support``; ``diffusion_constant_sigma2`` holds a positive scalar.
+    ``variance`` holds the conditional variance of each fit row, the one
+    thing the second step reads.  ``kind``, ``values`` and ``support``
+    record the fit: ``inar_linear_variance`` coefficients h over
+    ``support`` (``variance = z[:, support] @ h``), or the
+    ``diffusion_constant_sigma2`` scalar (``variance`` is sigma^2 on every row).
     """
 
     kind: str
     values: np.ndarray
+    variance: np.ndarray
     support: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("inar_linear_variance", "diffusion_constant_sigma2"):
-            raise ValueError(f"unknown nuisance kind {self.kind!r}")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=float))
         object.__setattr__(self, "support", tuple(int(j) for j in self.support))
-        if self.kind == "diffusion_constant_sigma2" and not float(self.values) > 0:
-            raise DegenerateVarianceError("sigma^2 estimate must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class TwoStepFit:
 
     support: SupportEstimate
     theta_tilde: np.ndarray
-    nuisance: Optional[NuisanceEstimate]
+    nuisance: NuisanceEstimate
     asymp_cov: np.ndarray
     first_step: DantzigFit
     theta_first: np.ndarray        # first-step estimate on the same coordinates
@@ -76,16 +77,24 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
     zt = z[:, support]
     resid = y - zt @ np.asarray(theta_first, dtype=float)[support]
     h, _ = nnls(zt, resid ** 2)
-    return NuisanceEstimate(kind="inar_linear_variance", values=h, support=tuple(support))
+    return NuisanceEstimate(kind="inar_linear_variance", values=h, variance=zt @ h,
+                            support=tuple(support))
+
+
+def _diffusion_nuisance(increments: np.ndarray, delta: float) -> NuisanceEstimate:
+    """sigma^2 = sum (dX)^2 / (n delta) on every row; ``DegenerateVarianceError`` unless > 0."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and positive")
+    s2 = float(increments @ increments / (increments.size * delta))
+    if not s2 > 0:
+        raise DegenerateVarianceError("constant path: quadratic variation is zero")
+    return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2),
+                            variance=np.full(increments.size, s2))
 
 
 def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEstimate:
-    """Quadratic-variation estimate sigma^2 = sum (dX)^2 / (n delta)."""
-    _, dx = diffusion_design(path, target)
-    s2 = float(dx @ dx / (dx.size * path.delta))
-    if s2 <= 0:
-        raise DegenerateVarianceError("constant path: quadratic variation is zero")
-    return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2))
+    """The sigma^2 nuisance that a diffusion fit of ``diffusion_design(path, target)`` uses."""
+    return _diffusion_nuisance(diffusion_design(path, target)[1], path.delta)
 
 
 def _inverse_factor(gram: np.ndarray) -> np.ndarray:
@@ -153,55 +162,51 @@ def first_step(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
 
 def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
                  *, delta: Optional[float] = None,
-                 nuisance: Optional[NuisanceEstimate] = None,
                  nuisance_mode: str = "residual") -> TwoStepFit:
     """Run the full pipeline on prepared design rows.
 
     The first step is ``first_step``; a fit is a diffusion fit exactly when
-    ``delta`` is given.  A count/regression fit always carries the
-    intercept (column 0) into step two.
-
-    ``nuisance_mode`` picks the variance plug-in when ``nuisance`` is not
-    supplied: "residual" fits the linear variance to squared first-step
+    ``delta`` is given.  Step two weights each row by the inverse of its
+    ``NuisanceEstimate.variance``.  A count/regression fit always carries
+    the intercept (column 0) into step two, and ``nuisance_mode`` picks its
+    variance: "residual" fits the linear variance to squared first-step
     residuals (projected onto nonnegative coefficients), "plugin_theta"
     reuses the first-step coefficients themselves, which is exact for
     conditionally Poisson counts where the conditional variance equals the
     conditional mean.
 
-    For a diffusion fit pass the rows of ``diffusion_design``, the sampling
-    interval ``delta`` and the constant-sigma nuisance of
-    ``estimate_diffusion_sigma2``.
+    For a diffusion fit pass the rows of ``diffusion_design`` and the
+    sampling interval ``delta``.  The nuisance is then the quadratic
+    variation sigma^2 of the increments, so a constant path raises
+    ``DegenerateVarianceError`` before any LP runs.
     """
+    if nuisance_mode not in ("residual", "plugin_theta"):
+        raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
     z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     d = z.shape[1]
     # the offset from selected coordinates to design columns, the columns
-    # always carried into step two, and the second-step response
+    # always carried into step two, the nuisance of a diffusion (estimated
+    # before any LP runs, so it also checks delta) and the second-step response
     if delta is None:
-        offset, carried, y2 = 1, {0}, y
+        offset, carried, nui, y2 = 1, {0}, None, y
     else:
-        if nuisance is None or nuisance.kind != "diffusion_constant_sigma2":
-            raise ValueError("diffusion fits need a constant-sigma^2 nuisance estimate")
-        offset, carried, y2 = 0, set(), y / delta
+        offset, carried, nui, y2 = 0, set(), _diffusion_nuisance(y, delta), y / delta
 
     fit1, theta_first, sel = first_step(z, y, lam, tau, delta)
     support2 = sorted({j + offset for j in sel.indices} | carried)
+    if nui is None and nuisance_mode == "plugin_theta":
+        h = np.maximum(theta_first[support2], 0.0)
+        nui = NuisanceEstimate(kind="inar_linear_variance", values=h,
+                               variance=z[:, support2] @ h, support=tuple(support2))
+    elif nui is None:
+        nui = estimate_inar_nuisance(z, y, support2, theta_first)
     if not support2:
-        return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nuisance,
+        return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nui,
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
                           theta_first=theta_first, fit_support=(), empty_model=True)
 
-    if nuisance is not None:
-        nui = nuisance
-    elif nuisance_mode == "plugin_theta":
-        nui = NuisanceEstimate(kind="inar_linear_variance",
-                               values=np.maximum(theta_first[support2], 0.0),
-                               support=tuple(support2))
-    elif nuisance_mode == "residual":
-        nui = estimate_inar_nuisance(z, y, support2, theta_first)
-    else:
-        raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
-    wsys = build_weighted_system(z, y2, support2, nui, delta=delta)
+    wsys = build_weighted_system(z, y2, support2, nui.variance, delta=delta)
     linv = _inverse_factor(wsys.gram_w)  # one factor for the solve and the covariance
     theta_t = solve_weighted(wsys, linv)
     theta_full = np.zeros(d)
@@ -218,10 +223,9 @@ def two_step_to_dict(fit: TwoStepFit) -> dict:
         "tau": fit.support.threshold,
         "theta_tilde": [[int(j), float(v)] for j, v in enumerate(fit.theta_tilde)
                         if v != 0.0],
-        "nuisance": None if fit.nuisance is None else {
-            "kind": fit.nuisance.kind,
-            "values": np.atleast_1d(fit.nuisance.values).tolist(),
-            "support": list(fit.nuisance.support)},
+        "nuisance": {"kind": fit.nuisance.kind,
+                     "values": np.atleast_1d(fit.nuisance.values).tolist(),
+                     "support": list(fit.nuisance.support)},
         "cov": fit.asymp_cov.tolist(),
         "empty_model": fit.empty_model,
     }

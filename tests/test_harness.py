@@ -25,7 +25,7 @@ from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_ca
                                 run_hawkes_support, report_to_json, write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, diffusion_design
 from sparseproc.simulate import HawkesSpec, InarSpec, read_series_csv
-from sparseproc.twostep import estimate_diffusion_sigma2, two_step_fit
+from sparseproc.twostep import two_step_fit
 
 
 class TestBuiltinCases:
@@ -111,10 +111,15 @@ class TestCaseConfigValidation:
         ("hawkes", {"p": 10000}, "horizon too short"),
         ("case1", {"cv_folds": 1}, "cv_folds"),
         ("hawkes", {"cv_folds": 0}, "cv_folds"),
+        ("case1", {"reps": 0}, "reps must be >= 1"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(builtin_case(case_id, reps=1), **changes)
+
+    def test_short_horizon_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="horizon too short"):
+            dataclasses.replace(builtin_case("hawkes", n=200, reps=1), p=5000)
 
     def test_last_target_and_short_folds_outside_cv_accepted(self):
         assert dataclasses.replace(builtin_case("case3", reps=1), target=99).target == 99
@@ -123,30 +128,18 @@ class TestCaseConfigValidation:
                                   cv_folds=1)
         assert cfg.cv_folds == 1
 
-    def test_replication_checks_a_config_changed_after_construction(self):
-        cfg = builtin_case("hawkes", n=200, reps=1)
-        cfg.p = 5000
-        with pytest.raises(ValueError, match="horizon too short"):
-            harness._hawkes_rep(cfg, 1)
-
-    @pytest.mark.parametrize("case_id, changes, message", [
-        ("case3", {"target": 500}, r"target must lie in \[0, 100\), got 500"),
-        ("hawkes", {"p": 5000}, "horizon too short"),
-        ("case1", {"reps": 0}, "reps must be >= 1"),
+    @pytest.mark.parametrize("case_id, changes", [
+        ("case3", {"target": 500}),
+        ("hawkes", {"p": 5000}),
+        ("case1", {"reps": 0}),
     ])
-    def test_run_checks_a_config_changed_after_construction(self, monkeypatch, case_id,
-                                                            changes, message):
+    def test_run_config_cannot_be_changed_after_construction(self, case_id, changes):
         cfg = builtin_case(case_id, n=200, reps=1)
+        before = cfg.to_dict()
         for name, value in changes.items():
-            setattr(cfg, name, value)
-
-        def no_rep(config, rep):
-            raise AssertionError("a replication ran")
-        monkeypatch.setattr(harness, "_case_rep", no_rep)
-        monkeypatch.setattr(harness, "_hawkes_rep", no_rep)
-        run = run_hawkes_support if case_id == "hawkes" else run_case
-        with pytest.raises(ValueError, match=message):
-            run(cfg)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg.to_dict() == before
 
     def test_fixed_zero_lambda_accepted(self):
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="fixed",
@@ -235,8 +228,8 @@ class TestRunCase:
         assert all(r["cover_t0"] is None for r in rep.per_rep if not r["sel"])
 
     def test_rate_lambda_mode(self):
-        cfg = builtin_case("case1", n=500, reps=2, lambda_mode="rate")
-        cfg.rate_c = 2.0
+        cfg = dataclasses.replace(builtin_case("case1", n=500, reps=2, lambda_mode="rate"),
+                                  rate_c=2.0)
         rep = run_case(cfg)
         expected = 2.0 * np.sqrt(np.log(10) / 500)
         assert rep.per_rep[0]["lambda"] == pytest.approx(expected)
@@ -558,8 +551,7 @@ class TestCli:
                      "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
         got = json.load(open(out))
         path = read_series_csv(series, kind="reals", delta=0.05)
-        fit = two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta,
-                           nuisance=estimate_diffusion_sigma2(path))
+        fit = two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta)
         assert got["support"] == list(fit.support.indices)
         assert got["theta_tilde"] == [[j, v] for j, v in enumerate(fit.theta_tilde.tolist())
                                       if v != 0.0]

@@ -12,7 +12,6 @@ from sparseproc.scores import (VARIANCE_FLOOR, LinearScoreSystem, build_diffusio
                                build_weighted_system, center_design, diffusion_design,
                                eval_score, lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
-from sparseproc.twostep import NuisanceEstimate
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -221,9 +220,7 @@ class TestWeightedSystem:
         z = np.abs(rng.standard_normal((20, 3)))
         z[:, 0] = 1.0
         y = rng.standard_normal(20)
-        nuis = NuisanceEstimate(kind="inar_linear_variance",
-                                values=np.array([1.0, 0.0]), support=(0, 2))
-        w = build_weighted_system(z, y, [0, 2], nuis)
+        w = build_weighted_system(z, y, [0, 2], z[:, [0, 2]] @ np.array([1.0, 0.0]))
         zt = z[:, [0, 2]]
         assert_allclose(w.gram_w, zt.T @ zt / 20, atol=1e-12)
         assert_allclose(w.moment_w, zt.T @ y / 20, atol=1e-12)
@@ -231,9 +228,7 @@ class TestWeightedSystem:
     def test_constant_design_hand_computation(self):
         z = np.column_stack([np.ones(4), np.full(4, 2.0)])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        nuis = NuisanceEstimate(kind="inar_linear_variance",
-                                values=np.array([0.5, 0.25]), support=(0, 1))
-        w = build_weighted_system(z, y, [0, 1], nuis)
+        w = build_weighted_system(z, y, [0, 1], z @ np.array([0.5, 0.25]))
         # sigma^2 = 0.5 + 0.25*2 = 1 per row -> weights 1
         assert_allclose(w.gram_w, [[1.0, 2.0], [2.0, 4.0]], atol=1e-12)
         assert_allclose(w.moment_w, [2.5, 5.0], atol=1e-12)
@@ -241,9 +236,7 @@ class TestWeightedSystem:
     def test_floor_caps_weights(self):
         z = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0])
-        nuis = NuisanceEstimate(kind="inar_linear_variance",
-                                values=np.array([0.0, 1.0]), support=(0, 1))
-        w = build_weighted_system(z, y, [0, 1], nuis)  # first row variance 0 -> floored
+        w = build_weighted_system(z, y, [0, 1], np.array([0.0, 1.0]))  # first row floored
         # row weights 1/VARIANCE_FLOOR and 1 over rows (1, 0) and (1, 1), n = 2
         big = 1.0 / VARIANCE_FLOOR
         assert_allclose(w.gram_w, [[(big + 1) / 2, 0.5], [0.5, 0.5]], rtol=1e-15)
@@ -252,10 +245,17 @@ class TestWeightedSystem:
     def test_diffusion_constant_weights(self):
         z = np.arange(8.0).reshape(4, 2)
         resp = np.array([1.0, -1.0, 2.0, 0.0])
-        nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(4.0))
-        w = build_weighted_system(z, resp, [0, 1], nuis, delta=0.1)
+        w = build_weighted_system(z, resp, [0, 1], np.full(4, 4.0), delta=0.1)
         assert_allclose(w.gram_w, z.T @ z / 4 / 4.0, atol=1e-12)
         assert w.delta == 0.1
+
+    @pytest.mark.parametrize("variance", [np.ones(3), np.ones(5), np.ones((4, 1)),
+                                          np.array(1.0)],
+                             ids=["short", "long", "column", "scalar"])
+    def test_one_variance_per_row_required(self, variance):
+        z = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(ValueError, match="one value per row"):
+            build_weighted_system(z, np.ones(4), [0, 1], variance)
 
 
 class TestNonFiniteInput:
@@ -272,7 +272,5 @@ class TestNonFiniteInput:
 
     def test_nan_variance_raises(self):
         z = np.column_stack([np.ones(4), np.arange(4.0)])
-        nuis = NuisanceEstimate(kind="inar_linear_variance",
-                                values=np.array([np.nan, 1.0]), support=(0, 1))
         with pytest.raises(NuisanceError):
-            build_weighted_system(z, np.ones(4), [0, 1], nuis)
+            build_weighted_system(z, np.ones(4), [0, 1], z @ np.array([np.nan, 1.0]))

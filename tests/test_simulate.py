@@ -308,6 +308,27 @@ class TestCompiledCountLoop:
         # the failed build leaves no temporary file behind
         assert list(cache.iterdir()) == []
 
+    def test_build_removes_superseded_libraries(self, kernel, numpy_loop, monkeypatch,
+                                                tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "other.so").write_bytes(b"")
+        edited = tmp_path / "_countsim.c"
+        edited.write_text(open(_countsim._SOURCE).read() + "/* another source */\n")
+        monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
+        spec = builtin_case("case1").model
+        built = []
+        for source in (_countsim._SOURCE, str(edited)):
+            monkeypatch.setattr(_countsim, "_SOURCE", source)
+            monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+            assert _countsim.load() is not None
+            assert_same_series(simulate_inar(spec, 300, 5),
+                               numpy_loop(simulate_inar, spec, 300, 5))
+            built.append([p.name for p in cache.glob("_countsim.*")])
+            assert (cache / "other.so").exists()
+        # each build leaves one library, its own: the other key's is removed
+        assert [len(names) for names in built] == [1, 1] and built[0] != built[1]
+
     def test_failed_or_interrupted_build_leaves_no_file(self, monkeypatch, tmp_path):
         cache = tmp_path / "cache"
         broken = tmp_path / "_countsim.c"

@@ -12,9 +12,9 @@ from sparseproc.scores import (build_diffusion_score, build_regression_score,
                                build_weighted_system, center_design, diffusion_design,
                                lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
-from sparseproc.twostep import (NuisanceEstimate, estimate_diffusion_sigma2,
-                                estimate_inar_nuisance, first_step, project_statistic,
-                                solve_weighted, two_step_fit)
+from sparseproc.twostep import (estimate_diffusion_sigma2, estimate_inar_nuisance,
+                                first_step, project_statistic, solve_weighted,
+                                two_step_fit)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -128,8 +128,7 @@ class TestSolveWeighted:
         rng = np.random.default_rng(41)
         z = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
         y = rng.standard_normal(30)
-        nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
-        w = build_weighted_system(z, y, [0, 1, 2], nuis)
+        w = build_weighted_system(z, y, [0, 1, 2], np.ones(30))
         theta = solve_weighted(w)
         ols, *_ = np.linalg.lstsq(z, y, rcond=None)
         assert_allclose(theta, ols, atol=1e-10)
@@ -211,9 +210,9 @@ class TestTwoStepFit:
         z = np.column_stack([np.ones(80), rng.standard_normal((80, 5))])
         theta0 = np.array([0.7, 1.0, 0.0, -2.0, 0.0, 0.0])
         y = z @ theta0
-        nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
-        fit = two_step_fit(z, y, lam=1e-10, tau=0.05, nuisance=nuis)
-        assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
+        for mode in ("residual", "plugin_theta"):
+            fit = two_step_fit(z, y, lam=1e-10, tau=0.05, nuisance_mode=mode)
+            assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
 
     def test_oracle_vs_estimated_nuisance_agree(self):
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
@@ -222,13 +221,12 @@ class TestTwoStepFit:
         for r in range(10):
             sample = simulate_inar(spec, 20_000, seed=61 + r)
             z, y = lagged_design(sample, 10)
-            oracle = NuisanceEstimate(kind="inar_linear_variance",
-                                      values=theta0[[0, 1, 2, 3, 4]],
-                                      support=(0, 1, 2, 3, 4))
             f_est = two_step_fit(z, y, 0.05, 0.05, nuisance_mode="residual")
-            f_orc = two_step_fit(z, y, 0.05, 0.05, nuisance=oracle)
-            if f_est.fit_support == f_orc.fit_support:
-                diffs.append(np.abs(f_est.theta_tilde - f_orc.theta_tilde).max())
+            # the oracle weights by the true Poisson variance, on the same support
+            sup = list(f_est.fit_support)
+            theta_orc = solve_weighted(build_weighted_system(z, y, sup, z @ theta0))
+            if set(sup) == {0, 1, 2, 3, 4}:
+                diffs.append(np.abs(f_est.theta_tilde[sup] - theta_orc).max())
         assert len(diffs) >= 8
         assert np.median(diffs) < 0.02
 
@@ -236,11 +234,16 @@ class TestTwoStepFit:
         rng = np.random.default_rng(71)
         z = rng.standard_normal((50, 3))
         dx = 0.01 * rng.standard_normal(50)
-        nuis = NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(1.0))
-        fit = two_step_fit(z, dx, lam=100.0, tau=0.05, delta=0.1, nuisance=nuis)
+        fit = two_step_fit(z, dx, lam=100.0, tau=0.05, delta=0.1)
         assert fit.empty_model
         assert_array_equal(fit.theta_tilde, np.zeros(3))
         assert fit.asymp_cov.shape == (0, 0)
+        # the empty model still reports its sigma^2 nuisance
+        assert fit.nuisance.kind == "diffusion_constant_sigma2"
+        assert float(fit.nuisance.values) == float(dx @ dx / (50 * 0.1))
+        out = twostep.two_step_to_dict(fit)
+        assert out["nuisance"] == {"kind": "diffusion_constant_sigma2",
+                                   "values": [float(fit.nuisance.values)], "support": []}
 
     def test_uncertified_first_step_raises(self, monkeypatch):
         real = twostep.solve_dantzig
@@ -257,18 +260,46 @@ class TestTwoStepFit:
                       delta=0.05, n_steps=2000, substeps=5)
         path = simulate_ou(spec, seed=87)
         z, dx = diffusion_design(path)
-        fit = two_step_fit(z, dx, 0.1, 0.05, delta=path.delta,
-                           nuisance=estimate_diffusion_sigma2(path))
+        fit = two_step_fit(z, dx, 0.1, 0.05, delta=path.delta)
         ref = solve_dantzig(build_diffusion_score(z, dx, path.delta), 0.1)
         assert_array_equal(fit.first_step.theta_hat, ref.theta_hat)
         assert_array_equal(fit.theta_first, ref.theta_hat)
         assert fit.support == threshold_support(ref, 0.05)
         assert fit.fit_support == fit.support.indices
 
-    def test_diffusion_fit_needs_sigma2_nuisance(self):
-        z, dx = np.ones((10, 2)), np.ones(10)
-        with pytest.raises(ValueError, match="constant-sigma"):
-            two_step_fit(z, dx, 0.1, 0.05, delta=0.1)
+    def test_diffusion_fit_estimates_sigma2_of_its_increments(self):
+        spec = OuSpec(a_matrix=np.array([[-0.8, 0.3], [0.0, -0.6]]), sigma_diag=np.ones(2),
+                      delta=0.05, n_steps=2000, substeps=5)
+        path = simulate_ou(spec, seed=88)
+        for target in (0, 1):
+            fit = two_step_fit(*diffusion_design(path, target), 0.1, 0.05, delta=path.delta)
+            ref = estimate_diffusion_sigma2(path, target=target)
+            assert fit.nuisance.kind == ref.kind == "diffusion_constant_sigma2"
+            assert fit.nuisance.values.tobytes() == ref.values.tobytes()
+            assert fit.nuisance.variance.tobytes() == ref.variance.tobytes()
+            assert_array_equal(fit.nuisance.variance, np.full(path.n - 1, float(ref.values)))
+
+    def test_constant_path_raises_before_any_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran")
+        monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
+        path = SeriesSample(values=np.ones((50, 2)), delta=0.1, kind="reals")
+        with pytest.raises(DegenerateVarianceError):
+            two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta)
+
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, np.nan, np.inf])
+    def test_bad_delta_rejected(self, delta):
+        z, dx = np.ones((10, 2)), np.arange(10.0)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            two_step_fit(z, dx, 0.1, 0.05, delta=delta)
+
+    def test_unknown_nuisance_mode_raises_before_any_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran")
+        monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
+        z = np.column_stack([np.ones(10), np.arange(10.0)])
+        with pytest.raises(ValueError, match="unknown nuisance_mode"):
+            two_step_fit(z, np.arange(10.0), 0.1, 0.05, nuisance_mode="oracle")
 
     def test_first_step_count_intercept(self):
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=89)
@@ -305,12 +336,8 @@ class TestTwoStepFit:
         for r in range(300):
             sample = simulate_inar(spec, 1500, seed=2025_000 + r)
             z, y = lagged_design(sample, 2)
-            nuis_w = NuisanceEstimate(kind="inar_linear_variance", values=theta0,
-                                      support=tuple(sup))
-            nuis_u = NuisanceEstimate(kind="diffusion_constant_sigma2",
-                                      values=np.array(1.0))
-            w_est.append(solve_weighted(build_weighted_system(z, y, sup, nuis_w)))
-            u_est.append(solve_weighted(build_weighted_system(z, y, sup, nuis_u)))
+            w_est.append(solve_weighted(build_weighted_system(z, y, sup, z[:, sup] @ theta0)))
+            u_est.append(solve_weighted(build_weighted_system(z, y, sup, np.ones(y.size))))
         w_cov = np.cov(np.array(w_est).T)
         u_cov = np.cov(np.array(u_est).T)
         tr_w, tr_u = np.trace(w_cov), np.trace(u_cov)
