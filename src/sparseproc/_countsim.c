@@ -1,22 +1,28 @@
 /*
- * Step loops of the simulators, run through the code numpy itself runs.
+ * Step loops of the simulators and the pivot loop of the Dantzig LP, run
+ * through the code numpy itself runs.
  *
- * Each entry point repeats, step for step, what the Python loop in
- * simulate.py does.  In the count loops the conditional mean is formed by
- * the same CBLAS call numpy's matmul makes, capped, and each count is drawn
- * by numpy's own random_poisson on the generator's bitgen_t.  numpy switches
- * from the multiplication method to transformed rejection at lambda = 10, so
- * the last bit of lambda decides which draws are taken; the same calls in
- * the same order give the same bits, and so the same series.  The Hawkes
- * loop repeats the float operations of Ogata thinning in their order and
- * draws by numpy's random_standard_exponential, so it gives the same events.
+ * Each entry point repeats, step for step, what its Python loop does
+ * (simulate.py, dantzig.py).  In the count loops the conditional mean is
+ * formed by the same CBLAS call numpy's matmul makes, capped, and each count
+ * is drawn by numpy's own random_poisson on the generator's bitgen_t.  numpy
+ * switches from the multiplication method to transformed rejection at
+ * lambda = 10, so the last bit of lambda decides which draws are taken; the
+ * same calls in the same order give the same bits, and so the same series.
+ * The Hawkes loop repeats the float operations of Ogata thinning in their
+ * order and draws by numpy's random_standard_exponential, so it gives the
+ * same events.  The LP loop repeats the dual simplex pivots of a lambda path
+ * in their order, with numpy's dgemv for the right-hand side and its dger for
+ * each pivot, so it gives the same tableau and the same fits.
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off -I <numpy include>
  *        -DBLAS_INT=<int type> _countsim.c -lm
- * (-ffp-contract=off keeps t + (1 / lam) * e from being fused into an FMA.)
+ * (-ffp-contract=off keeps t + (1 / lam) * e and b - lam * side from being
+ * fused into an FMA.)
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/random/bitgen.h"
@@ -25,6 +31,7 @@
 #define BLAS_INT int
 #endif
 
+#define CBLAS_ROW_MAJOR 101
 #define CBLAS_COL_MAJOR 102
 #define CBLAS_TRANS 112
 
@@ -33,6 +40,8 @@ typedef double (*exponential_fn)(bitgen_t *);
 typedef double (*ddot_fn)(BLAS_INT, const double *, BLAS_INT, const double *, BLAS_INT);
 typedef void (*dgemv_fn)(int, int, BLAS_INT, BLAS_INT, double, const double *, BLAS_INT,
                          const double *, BLAS_INT, double, double *, BLAS_INT);
+typedef void (*dger_fn)(int, BLAS_INT, BLAS_INT, double, const double *, BLAS_INT,
+                        const double *, BLAS_INT, double *, BLAS_INT);
 
 /*
  * Poisson INAR(p) from the zero state: lambda_t = mu + alpha . history, with
@@ -137,4 +146,136 @@ int64_t hawkes(exponential_fn exponential, bitgen_t *bitgen, double eta, int64_t
     }
     *t_io = t;
     return n;
+}
+
+/*
+ * The pivot loop of dantzig.solve_dantzig_path over a path of lambdas, sorted
+ * from the largest down, on the column-major (p+1) x (2p+1) tableau tab as
+ * that function sets it up: theta columns, slack columns (which hold B^-1),
+ * the values x of the basic variables in the last column and the reduced
+ * costs in the last row.  Each lambda warm-starts from the last basis.  Row
+ * k of the n_lams x p matrix theta receives lambda k's theta, iterations[k]
+ * its pivot count and status[k] 0 (optimal), 1 (infeasible) or 2 (iteration
+ * limit).  Every float operation is numpy's in the same order: the reset of
+ * x is the CBLAS call numpy's matmul makes for tab[:p, p:2p] @ rhs, and each
+ * pivot is one dger.  Returns 0, or -1 where the scratch cannot be allocated.
+ */
+int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, double *tab,
+                     const double *b, int64_t n_lams, const double *lams, int64_t max_iter,
+                     double tol, double *theta, int64_t *iterations, int64_t *status)
+{
+    const int64_t ld = p + 1, n_cols = 2 * p;
+    double *work = malloc((size_t)(9 * p + 2) * sizeof(double));
+    int64_t *index = malloc((size_t)(2 * p + 1) * sizeof(int64_t));
+    if (!work || !index) {
+        free(work);
+        free(index);
+        return -1;
+    }
+    double *pivot_row = work, *enter_col = pivot_row + n_cols + 1, *ratios = enter_col + p + 1;
+    double *lo = ratios + n_cols, *hi = lo + p, *side = hi + p, *rhs = side + p;
+    int64_t *basis = index, *order = basis + p; /* stored column; Bland index */
+    double *x = tab + n_cols * ld, *cost_row = tab + p;
+    for (int64_t i = 0; i < p; i++) {
+        basis[i] = p + i;
+        order[i] = 2 * p + i;
+        side[i] = 0.0;
+    }
+    for (int64_t k = 0; k < n_lams; k++) {
+        const double lam = lams[k];
+        for (int64_t i = 0; i < p; i++)
+            rhs[i] = b[i] - lam * side[i];
+        /* numpy's matmul: a 1 x 1 product is 0.0 + ddot, a larger one dgemv on the
+           strided view read row-major with leading dimension p + 1 */
+        if (p == 1)
+            x[0] = 0.0 + ddot(1, tab + ld, 1, rhs, 1);
+        else if (p > 1)
+            dgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, (BLAS_INT)p, (BLAS_INT)p, 1.0, tab + p * ld,
+                  (BLAS_INT)ld, rhs, 1, 0.0, x, 1);
+        const double slack_lo = -lam - tol, slack_hi = lam + tol;
+        for (int64_t i = 0; i < p; i++)
+            if (basis[i] >= p) {
+                lo[i] = slack_lo;
+                hi[i] = slack_hi;
+            }
+        int64_t it = 0, code = 2;
+        for (; it < max_iter; it++) {
+            int64_t leave = -1; /* Bland: the violated row of lowest basic index */
+            for (int64_t i = 0; i < p; i++)
+                if ((x[i] < lo[i] || x[i] > hi[i]) && (leave < 0 || order[i] < order[leave]))
+                    leave = i;
+            if (leave < 0) {
+                code = 0;
+                break;
+            }
+            const int64_t out = basis[leave];
+            const double x_r = x[leave];
+            const int up = x_r < lo[leave];
+            const double bound = out < p ? 0.0 : up ? -lam : lam;
+            /* ratio test: rho = +-(pivot row); per unit of gap, raising costs d, lowering a
+               theta 2 - d and lowering a slack 0 - d */
+            double best = INFINITY;
+            for (int64_t j = 0; j < n_cols; j++) {
+                const double rho = up ? tab[j * ld + leave] : -tab[j * ld + leave];
+                const double gap = j < p ? fabs(rho) : rho * side[j - p];
+                const double d = cost_row[j * ld];
+                const double cost = rho > 0 ? (j < p ? 2.0 : 0.0) - d : d;
+                ratios[j] = gap > tol ? cost / gap : INFINITY;
+                if (isnan(ratios[j])) /* numpy's min returns it, and then no column ties */
+                    best = NAN;
+                else if (ratios[j] < best)
+                    best = ratios[j];
+            }
+            if (best == INFINITY) {
+                code = 1;
+                break;
+            }
+            int64_t enter = 0; /* Bland: the lowest column among ties */
+            while (enter < n_cols && !(ratios[enter] <= best + tol))
+                enter++;
+            if (enter == n_cols)
+                enter = 0;
+            const double rho_enter = up ? tab[enter * ld + leave] : -tab[enter * ld + leave];
+            const int lowering = enter < p && rho_enter > 0;
+            x[leave] = x_r - bound;
+            const double pivot = tab[enter * ld + leave];
+            for (int64_t j = 0; j <= n_cols; j++)
+                pivot_row[j] = tab[j * ld + leave] / pivot;
+            memcpy(enter_col, tab + enter * ld, (size_t)ld * sizeof(double));
+            if (lowering)
+                enter_col[p] -= 2.0;
+            dger(CBLAS_COL_MAJOR, (BLAS_INT)ld, (BLAS_INT)(n_cols + 1), -1.0, enter_col, 1,
+                 pivot_row, 1, tab, (BLAS_INT)ld);
+            for (int64_t j = 0; j <= n_cols; j++)
+                tab[j * ld + leave] = pivot_row[j];
+            if (out >= p)
+                side[out - p] = up ? -1.0 : 1.0;
+            basis[leave] = enter;
+            if (enter >= p) {
+                x[leave] += lam * side[enter - p];
+                side[enter - p] = 0.0;
+                order[leave] = p + enter;
+                lo[leave] = slack_lo;
+                hi[leave] = slack_hi;
+            } else if (lowering) {
+                order[leave] = p + enter;
+                lo[leave] = -INFINITY;
+                hi[leave] = tol;
+            } else {
+                order[leave] = enter;
+                lo[leave] = -tol;
+                hi[leave] = INFINITY;
+            }
+        }
+        iterations[k] = it;
+        status[k] = code;
+        double *row = theta + k * p;
+        memset(row, 0, (size_t)p * sizeof(double));
+        for (int64_t i = 0; i < p; i++)
+            if (basis[i] < p)
+                row[basis[i]] = x[i];
+    }
+    free(work);
+    free(index);
+    return 0;
 }

@@ -1,16 +1,18 @@
-"""The simulators' step loops, compiled once per source and bound with ctypes.
+"""The simulators' step loops and the LP's pivot loop, compiled once per source.
 
 ``_countsim.c`` runs every step of ``simulate_inar``, ``simulate_minar1`` and
-``simulate_hawkes`` and calls, through function pointers, the code numpy
-itself runs for that step: ``random_poisson`` and
-``random_standard_exponential`` of ``numpy.random._generator`` (the library
-numpy's own cffi example opens for them) and the CBLAS ``ddot`` and ``dgemv``
-of numpy's BLAS (``_blas``).  numpy draws a Poisson variate by multiplication
-below lambda = 10 and by transformed rejection from 10 up, so the last bit of
+``simulate_hawkes`` and every pivot of ``dantzig.solve_dantzig_path``, and
+calls, through function pointers, the code numpy itself runs for that step:
+``random_poisson`` and ``random_standard_exponential`` of
+``numpy.random._generator`` (the library numpy's own cffi example opens for
+them) and the CBLAS ``ddot``, ``dgemv`` and ``dger`` of numpy's BLAS
+(``_blas``).  numpy draws a Poisson variate by multiplication below
+lambda = 10 and by transformed rejection from 10 up, so the last bit of
 lambda picks the algorithm; making numpy's exact calls keeps every series
 bit-identical to the numpy loop in ``simulate``.  The Hawkes thinning loop
-repeats the float operations of the Python loop in their order, so its events
-equal that loop's byte for byte; the Python loop is the fallback.
+and the simplex pivot loop repeat the float operations of their Python
+loops in order, so events and fits equal those loops' byte for byte; the
+Python loops are the fallback.
 
 The first ``load()`` in a process compiles the source with ``cc`` into
 ``__pycache__/_countsim.<key>.so`` beside this file, keyed by the source,
@@ -19,7 +21,9 @@ width included, file names left out), and later processes only load it.
 The shared object is not bytecode, so ``sys.dont_write_bytecode`` does not
 stop it being written.  Where any step fails (no compiler, a directory that
 cannot be written, a missing symbol), ``load()`` returns None and the
-simulators run their Python loops.
+simulators and the LP run their Python loops.  Where numpy's BLAS has no
+CBLAS ``dger`` of the loops' integer width, only the LP does
+(``CountKernel.solves_lp``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import ctypes
 import os
 import tempfile
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +44,9 @@ _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+# the LP loop's status codes 0, 1 and 2
+_LP_STATUS = ("optimal", "infeasible", "iteration_limit")
 
 
 def _compile_command(blas_bits: int, source: str, output: str) -> list:
@@ -106,7 +113,8 @@ def _check_buffers(*arrays: np.ndarray) -> None:
 
 
 class CountKernel:
-    """The compiled ``inar``, ``minar1`` and ``hawkes`` loops with numpy's functions bound."""
+    """The compiled ``inar``, ``minar1``, ``hawkes`` and ``dantzig_path`` loops, with
+    numpy's functions bound."""
 
     def __init__(self):
         ddot, dgemv = _blas.cblas("ddot"), _blas.cblas("dgemv")
@@ -119,7 +127,15 @@ class CountKernel:
         lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(ddot[1])))
         self._poisson, self._exponential, self._ddot, self._dgemv = (
             ctypes.cast(fn, _PTR).value for fn in (poisson, exponential, ddot[0], dgemv[0]))
+        # the LP loop alone needs dger; without one of the same width it is not offered
+        dger = _blas.cblas("dger")
+        self._dger = (ctypes.cast(dger[0], _PTR).value
+                      if dger is not None and dger[1] is ddot[1] else None)
         self._inar, self._minar1, self._hawkes = lib.inar, lib.minar1, lib.hawkes
+        self._lp = lib.dantzig_path
+        self._lp.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _F64,
+                             _PTR, _PTR, _PTR]
+        self._lp.restype = _I64
         self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64]
         self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
                                  _I64, _F64]
@@ -181,6 +197,38 @@ class CountKernel:
                 if t.value > horizon:
                     return events[:n].copy()
                 events = np.concatenate([events, np.empty(events.size)])
+
+    @property
+    def solves_lp(self) -> bool:
+        """Whether ``dantzig_path`` can run: numpy's BLAS gave a CBLAS dger of this width."""
+        return self._dger is not None
+
+    def dantzig_path(self, tableau: np.ndarray, b: np.ndarray, lams: Sequence[float],
+                     max_iter: int, tol: float) -> Tuple[np.ndarray, list, list]:
+        """The pivots of ``dantzig.solve_dantzig_path`` for each lambda, largest first.
+
+        ``tableau`` is that function's set-up (p+1) x (2p+1) tableau, updated
+        in place, and ``b`` its moment.  Returns the theta of each lambda
+        (rows of one array), its pivot count and its status, in the order
+        of ``lams``, as ``dantzig._pivot_path`` does.
+        """
+        if self._dger is None:
+            raise OSError("numpy's BLAS exports no CBLAS dger of the loops' integer width")
+        _check_buffers(b)
+        p = b.size
+        if not (b.ndim == 1 and tableau.dtype == np.float64 and tableau.flags.f_contiguous
+                and tableau.flags.aligned and tableau.flags.writeable
+                and tableau.shape == (p + 1, 2 * p + 1)):
+            raise ValueError("tableau must be a writeable, aligned, Fortran-contiguous "
+                             "float64 matrix of shape (p + 1, 2p + 1) for p = b.size")
+        lams = np.array(lams, dtype=np.float64)
+        theta = np.empty((lams.size, p))
+        iterations, status = np.empty(lams.size, np.int64), np.empty(lams.size, np.int64)
+        if self._lp(self._ddot, self._dgemv, self._dger, p, tableau.ctypes.data,
+                    b.ctypes.data, lams.size, lams.ctypes.data, max_iter, tol,
+                    theta.ctypes.data, iterations.ctypes.data, status.ctypes.data):
+            raise MemoryError("no scratch memory for the LP loop")
+        return theta, iterations.tolist(), [_LP_STATUS[code] for code in status]
 
 
 _UNSET = object()

@@ -23,8 +23,11 @@ A path of lambda values is solved in one Fortran-order tableau from the
 largest value down, each warm-started from the last optimal basis
 (parametric simplex, as in fastclime); every pivot is one in-place BLAS
 rank-1 update (dger) through the CBLAS that numpy itself links
-(``_blas``), so no scipy module is imported on this path.  A fit is
-"optimal" only when its slack, recomputed from theta, certifies it.
+(``_blas``), so no scipy module is imported on this path.  The pivots of
+the whole path run in the compiled loop of ``_countsim``, which makes the
+same float operations and BLAS calls in the same order as the numpy loop
+``_pivot_path``; that loop runs where the compiled one does not load.  A
+fit is "optimal" only when its slack, recomputed from theta, certifies it.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _countsim
 from ._blas import rank1_updater
 from .errors import UncertifiedFitError
 from .scores import LinearScoreSystem, center_design
@@ -95,9 +99,12 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
         raise ValueError("lambda must be finite and nonnegative")
     a, b, p = sys.gram, sys.moment, sys.dim
     max_iter = 50 * 4 * p if max_iter is None else max_iter
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     tol = 1e-9 * scale
 
+    b = np.ascontiguousarray(b)
     n_cols = 2 * p                  # theta columns, then the slack columns (which hold B^-1)
     tableau = np.zeros((p + 1, n_cols + 1), order="F")  # columns contiguous for dger
     tableau[:p, :p] = a
@@ -105,6 +112,32 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     # last row: the reduced cost d_j of raising theta_j (1 at the slack basis; a basic theta on
     # its negative piece holds 2) and the reduced cost of each slack
     tableau[-1, :p] = 1.0
+
+    path = sorted(zip(lams, range(len(lams))), reverse=True)
+    kernel = _countsim.load()
+    pivots = kernel.dantzig_path if kernel is not None and kernel.solves_lp else _pivot_path
+    thetas, iterations, statuses = pivots(tableau, b, [lam for lam, _ in path], max_iter, tol)
+    fits: list = [None] * len(lams)
+    for (lam, i), theta, pivot_count, status in zip(path, thetas, iterations, statuses):
+        slack = lam - float(_max(np.abs(b - a @ theta))) if p else lam
+        if status == "optimal" and slack < -1e-8 * scale:
+            status = "inaccurate"
+        fits[i] = DantzigFit(theta_hat=theta, lam=lam,
+                             l1_objective=float(_sum(np.abs(theta))),
+                             feasibility_slack=slack, iterations=pivot_count, status=status)
+    return fits
+
+
+def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_iter: int,
+                tol: float) -> Tuple[np.ndarray, list, list]:
+    """The numpy loop of ``_countsim.CountKernel.dantzig_path``: the pivots of each lambda.
+
+    ``lams`` runs from the largest value down, each warm-started from the
+    last basis of the set-up ``tableau``.  Returns the theta of each lambda
+    (rows of one array), its pivot count and its status, in that order.
+    """
+    p = b.size
+    n_cols = 2 * p
     x = tableau[:p, -1]             # values of the basic variables
     basis = p + np.arange(p)        # stored column of each row's basic variable
     order = 2 * p + np.arange(p)    # its Bland index: u_j = j, v_j = p + j, s_i = 2p + i
@@ -118,8 +151,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     pivot_row, enter_col = np.empty(n_cols + 1), np.empty(p + 1)
     eliminate = rank1_updater(tableau, enter_col, pivot_row)  # -= outer(enter_col, pivot_row)
 
-    fits: list = [None] * len(lams)
-    for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
+    thetas, pivot_counts, statuses = np.zeros((len(lams), p)), [], []
+    for k, lam in enumerate(lams):
         # the last basis stays dual feasible: lambda moves only the nonbasic slacks' bounds
         x[:] = tableau[:p, p:n_cols] @ (b - lam * side)
         slack_bounds[:, 0] = -lam - tol, lam + tol
@@ -174,14 +207,10 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
             status, iterations = "iteration_limit", max_iter
         xs = np.zeros(n_cols)
         xs[basis] = x
-        theta = xs[:p]
-        slack = lam - float(_max(np.abs(b - a @ theta))) if p else lam
-        if status == "optimal" and slack < -1e-8 * scale:
-            status = "inaccurate"
-        fits[i] = DantzigFit(theta_hat=theta, lam=lam,
-                             l1_objective=float(_sum(np.abs(theta))),
-                             feasibility_slack=slack, iterations=iterations, status=status)
-    return fits
+        thetas[k] = xs[:p]
+        pivot_counts.append(iterations)
+        statuses.append(status)
+    return thetas, pivot_counts, statuses
 
 
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:

@@ -1,5 +1,7 @@
 """LP solver tests: exactness against a vertex-enumeration oracle, invariants."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import (bruteforce_l1min, highs_l1min, reference_cross_validate,
                      reference_solve_dantzig_path)
 
-from sparseproc import _blas, dantzig, harness
+from sparseproc import _blas, _countsim, dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
                                 solve_dantzig, solve_dantzig_path, threshold_support)
 from sparseproc.errors import UncertifiedFitError
@@ -25,6 +27,31 @@ def random_system(rng, p):
     return LinearScoreSystem(gram=gram, moment=rng.standard_normal(p), n_eff=10)
 
 
+def compiled_lp_kernel():
+    """The loaded kernel where its LP loop can run; skips the test elsewhere."""
+    kernel = _countsim.load()
+    if kernel is None or not kernel.solves_lp:
+        pytest.skip("the compiled LP loop cannot be built here")
+    return kernel
+
+
+@pytest.fixture(scope="module", params=["compiled", "python"])
+def lp_path(request):
+    """Which pivot loop ``solve_dantzig_path`` runs: the compiled one or the numpy one."""
+    if request.param == "compiled":
+        compiled_lp_kernel()
+    return request.param
+
+
+@pytest.fixture
+def on_lp_path(lp_path, monkeypatch):
+    """Run the test on ``lp_path``: for "python", with the compiled loops unavailable."""
+    if lp_path == "python":
+        monkeypatch.setattr(_countsim, "load", lambda: None)
+    return lp_path
+
+
+@pytest.mark.usefixtures("on_lp_path")
 class TestSolveDantzig:
     def test_origin_feasible_gives_zero(self):
         sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([0.5, -0.2, 0.1]),
@@ -144,6 +171,7 @@ def experiment_systems(request):
     return centered, rate
 
 
+@pytest.mark.usefixtures("on_lp_path")
 class TestHighsOracleAtExperimentDimensions:
     """Objective and feasibility against HiGHS on the systems the experiments solve."""
 
@@ -198,6 +226,7 @@ def hawkes_fold():
     return cv_fold_system(*case_design("hawkes"), fold=4)
 
 
+@pytest.mark.usefixtures("on_lp_path")
 class TestSolveDantzigPath:
     """The warm-started path against HiGHS and against one-value solves."""
 
@@ -254,6 +283,8 @@ class TestSolveDantzigPath:
         sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=5)
         with pytest.raises(ValueError):
             solve_dantzig_path(sys, [0.5, -0.1, 0.2])
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_dantzig_path(sys, [0.5], max_iter=-1)
         assert solve_dantzig_path(sys, []) == []
 
 
@@ -263,6 +294,7 @@ def experiment_path(experiment_systems):
     return centered, [*default_lambda_grid(centered.moment), rate]
 
 
+@pytest.mark.usefixtures("on_lp_path")
 class TestAgainstMirroredReference:
     """The ranged-row tableau against the mirrored-row solver it replaced."""
 
@@ -305,43 +337,162 @@ class TestAgainstMirroredReference:
             assert abs(fit.l1_objective - oracle) < 1e-9 * max(1.0, oracle)
 
 
-def corrupting_updater(monkeypatch):
-    """Make every pivot add one to the new basic variable's value after the update."""
-    real = dantzig.rank1_updater
+def python_loop_path(sys, lams, max_iter=None):
+    """``solve_dantzig_path`` with the compiled loops unavailable."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_countsim, "load", lambda: None)
+        return solve_dantzig_path(sys, lams, max_iter)
 
-    def updater(a, x, y):
-        update = real(a, x, y)
 
-        def corrupted():
-            update()
-            y[-1] += 1.0  # the pivot row, written into the tableau after the update
-        return corrupted
+@pytest.fixture
+def lp_kernel():
+    return compiled_lp_kernel()
 
-    monkeypatch.setattr(dantzig, "rank1_updater", updater)
+
+class TestCompiledLpLoop:
+    """The compiled pivot loop of ``_countsim`` against the numpy loop it stands in for."""
+
+    @staticmethod
+    def assert_same_fits(sys, lams, max_iter=None):
+        compiled = solve_dantzig_path(sys, lams, max_iter)
+        python = python_loop_path(sys, lams, max_iter)
+        assert len(compiled) == len(python) == len(lams)
+        for fit, ref in zip(compiled, python):
+            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
+            assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
+            assert float(fit.feasibility_slack).hex() == float(ref.feasibility_slack).hex()
+            assert fit.lam == ref.lam
+        return compiled
+
+    def test_experiment_systems(self, lp_kernel, experiment_systems):
+        fits = self.assert_same_fits(*experiment_path(experiment_systems))
+        assert sum(f.iterations for f in fits) > 0
+
+    @pytest.mark.parametrize("case_id", ["case3", "hawkes"])
+    def test_cv_fold_grids(self, lp_kernel, case_id):
+        design, response = case_design(case_id)
+        for fold in range(5):
+            self.assert_same_fits(*cv_fold_system(design, response, fold=fold))
+
+    def test_random_small_systems(self, lp_kernel):
+        # a third of the grams are singular, so low lambdas are infeasible; every fourth
+        # system cuts each lambda off after 0 to 4 pivots; lambdas repeat and include 0
+        rng = np.random.default_rng(2025)
+        statuses = set()
+        for i in range(320):
+            p = 1 + i % 13
+            rows = max(1, p // 2) if i % 3 == 0 else p + 2
+            m = rng.standard_normal((rows, p))
+            sys = LinearScoreSystem(gram=m.T @ m / rows, moment=rng.standard_normal(p),
+                                    n_eff=10)
+            lams = list(rng.uniform(0.0, 1.2, 5) * np.abs(sys.moment).max())
+            lams += [0.0, lams[1]]
+            max_iter = (i // 4) % 5 if i % 4 == 3 else None
+            statuses.update(f.status for f in self.assert_same_fits(sys, lams, max_iter))
+        assert statuses == {"optimal", "infeasible", "iteration_limit"}
+
+    def test_p1_and_empty_path(self, lp_kernel):
+        for gram, moment in [(2.0, 1.0), (0.5, -3.0), (0.0, 1.0), (1e-12, 0.7)]:
+            sys = LinearScoreSystem(gram=np.array([[gram]]), moment=np.array([moment]),
+                                    n_eff=5)
+            self.assert_same_fits(sys, [0.0, 0.3, 2.0, 0.3, 5.0])
+        assert solve_dantzig_path(random_system(np.random.default_rng(5), 4), []) == []
+
+    @pytest.mark.parametrize("gram, moment", [
+        # a pivot meets a NaN ratio: numpy's min is NaN, so column 0 enters
+        ([[-1e308, 0.5, -np.inf], [1.0, 0.0, -1e308], [np.inf, 2.0, 1e308]], [-1.0, 0.0, 1.0]),
+        ([[1e308, 1e308], [1e308, 1e308]], [1e308, -1e308]),
+        ([[np.inf]], [np.inf]),
+        ([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]], [1.0, -2.0, 0.5]),
+    ], ids=["nan_ratio", "overflow", "inf_p1", "finite"])
+    def test_entry_leaves_the_numpy_loops_tableau(self, lp_kernel, gram, moment):
+        # solve_dantzig_path's set-up on the loops themselves, final tableau included; it
+        # rejects non-finite systems, so only a direct call reaches the overflow and NaN cases
+        gram, moment = np.array(gram), np.array(moment)
+        p = moment.size
+        tableaux = []
+        for _ in range(2):
+            tableau = np.zeros((p + 1, 2 * p + 1), order="F")
+            tableau[:p, :p] = gram
+            tableau[np.arange(p), p + np.arange(p)] = 1.0
+            tableau[-1, :p] = 1.0
+            tableaux.append(tableau)
+        lams = [2.0, 0.5, 0.1, 0.0]
+        compiled = lp_kernel.dantzig_path(tableaux[0], moment, lams, 6, 1e-9)
+        with np.errstate(all="ignore"):
+            python = dantzig._pivot_path(tableaux[1], moment, lams, 6, 1e-9)
+        assert compiled[0].tobytes() == python[0].tobytes()
+        assert compiled[1:] == python[1:]
+        assert tableaux[0].tobytes() == tableaux[1].tobytes()
+
+    def test_without_dger_only_the_lp_falls_back(self, lp_kernel, monkeypatch):
+        real = _blas.cblas
+        monkeypatch.setattr(_blas, "cblas", lambda name: None if name == "dger" else real(name))
+        monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+        kernel = _countsim.load()
+        assert kernel is not None and not kernel.solves_lp  # the simulators still load
+        self.assert_same_fits(*hawkes_fold())
+
+
+@pytest.fixture
+def corrupt_pivots(on_lp_path, monkeypatch):
+    """``corrupt()`` makes every later pivot on ``on_lp_path`` add one to the new basic
+    variable's value: to the pivot row, after the rank-1 update and before the row is
+    written into the tableau."""
+    callbacks = []  # the compiled loop holds only the callback's address
+
+    def corrupt():
+        if on_lp_path == "python":
+            real = dantzig.rank1_updater
+
+            def updater(a, x, y):
+                update = real(a, x, y)
+
+                def corrupted():
+                    update()
+                    y[-1] += 1.0
+                return corrupted
+
+            monkeypatch.setattr(dantzig, "rank1_updater", updater)
+            return
+        kernel = _countsim.load()
+        int_t = _blas.cblas("dger")[1]
+        vec = ctypes.POINTER(ctypes.c_double)
+        dger_type = ctypes.CFUNCTYPE(None, ctypes.c_int, int_t, int_t, ctypes.c_double,
+                                     vec, int_t, vec, int_t, vec, int_t)
+        real_dger = dger_type(kernel._dger)
+
+        def dger(order, m, n, alpha, x, incx, y, incy, a, lda):
+            real_dger(order, m, n, alpha, x, incx, y, incy, a, lda)
+            y[n - 1] += 1.0
+
+        callbacks.append(dger_type(dger))
+        monkeypatch.setattr(kernel, "_dger", ctypes.cast(callbacks[-1], ctypes.c_void_p).value)
+    return corrupt
 
 
 class TestSlackCertification:
     """A fit is "optimal" only when its recomputed slack certifies it."""
 
-    def test_corrupted_tableau_is_inaccurate(self, monkeypatch):
+    def test_corrupted_tableau_is_inaccurate(self, corrupt_pivots):
         sys = LinearScoreSystem(gram=np.array([[2.0]]), moment=np.array([1.0]), n_eff=5)
         assert solve_dantzig(sys, 0.5).status == "optimal"
-        corrupting_updater(monkeypatch)
+        corrupt_pivots()
         fit = solve_dantzig(sys, 0.5)
         # theta = 1.25 instead of 0.25 passes every bound in the tableau
         assert fit.status == "inaccurate" and fit.iterations == 1
         assert fit.feasibility_slack == pytest.approx(-1.0)
 
-    def test_first_step_and_cv_raise(self, monkeypatch):
+    def test_first_step_and_cv_raise(self, corrupt_pivots):
         design, response = case_design("case1")
-        corrupting_updater(monkeypatch)
+        corrupt_pivots()
         with pytest.raises(UncertifiedFitError, match="inaccurate"):
             first_step(design, response, 0.05, 0.05)
         with pytest.raises(UncertifiedFitError, match="inaccurate"):
             cross_validate_lambda(design, response)
 
-    def test_run_case_counts_failed_reps(self, monkeypatch):
-        corrupting_updater(monkeypatch)
+    def test_run_case_counts_failed_reps(self, corrupt_pivots):
+        corrupt_pivots()
         report = harness.run_case(harness.builtin_case("case1", n=500, reps=2), jobs=1)
         assert report.failures == 2
         assert all(r["error"].startswith("UncertifiedFitError") for r in report.per_rep)
@@ -369,6 +520,7 @@ class TestRank1Binding:
     @pytest.mark.parametrize("fold_system", [case3_fold, hawkes_fold],
                              ids=["case3_p100", "hawkes_p20"])
     def test_scipy_fallback_same_fits(self, fold_system, monkeypatch):
+        monkeypatch.setattr(_countsim, "load", lambda: None)  # the numpy loop binds dger
         sys, grid = fold_system()
         primary = solve_dantzig_path(sys, grid)
         monkeypatch.setattr(_blas, "CBLAS_DGER", None)

@@ -1,5 +1,6 @@
 """Simulator tests: degenerate cases, long-run identities, determinism."""
 
+import ctypes
 import dataclasses
 import json
 import shutil
@@ -13,9 +14,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import hawkes_reference_events, run_fresh
 
 from sparseproc import _countsim
+from sparseproc.dantzig import solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
 from sparseproc.harness import builtin_case
 from sparseproc.rng import make_rng
+from sparseproc.scores import LinearScoreSystem
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, lyapunov_covariance,
                                  read_series_csv, simulate_hawkes, simulate_inar,
@@ -285,6 +288,16 @@ class TestCompiledCountLoop:
             kernel.hawkes(rng, 1.0, np.array([0.5, 0.7, 1.0, 2.0])[::2], np.zeros(2), 10.0)
         with pytest.raises(ValueError, match="equal length"):
             kernel.hawkes(rng, 1.0, np.array([0.5, 1.0]), np.zeros(3), 10.0)
+        tableau = np.zeros((3, 5), order="F")
+        for bad_tableau, b in [(np.zeros((3, 5)), np.zeros(2)),          # C order
+                               (np.zeros((3, 4), order="F"), np.zeros(2)),  # wrong shape
+                               (tableau, np.zeros(3)),                   # b of another p
+                               (tableau.astype(np.float32, order="F"), np.zeros(2)),
+                               (np.broadcast_to(tableau, tableau.shape), np.zeros(2))]:
+            with pytest.raises(ValueError, match="Fortran-contiguous"):
+                kernel.dantzig_path(bad_tableau, b, [0.5], 10, 1e-9)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            kernel.dantzig_path(tableau, np.zeros(4)[::2], [0.5], 10, 1e-9)
         # specs hold C-contiguous copies of strided input
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 9.0, 0.2, 9.0])[::2])
         assert spec.alpha.flags.c_contiguous
@@ -294,6 +307,11 @@ class TestCompiledCountLoop:
         assert hawkes.kernel_values.flags.c_contiguous
 
     def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((12, 10))
+        system = LinearScoreSystem(gram=m.T @ m / 12, moment=rng.standard_normal(10), n_eff=12)
+        lams = np.geomspace(0.01, 1.0, 8) * np.abs(system.moment).max()
+        expected = solve_dantzig_path(system, lams)  # by the loaded loop, where it loads
         empty_bin = tmp_path / "bin"
         empty_bin.mkdir()
         cache = tmp_path / "cache"
@@ -305,6 +323,9 @@ class TestCompiledCountLoop:
         assert_same_series(simulate_inar(spec, 300, 5), numpy_loop(simulate_inar, spec, 300, 5))
         hawkes = hawkes_spec("narrow_long_tail")
         assert simulate_hawkes(hawkes, 3).tobytes() == hawkes_reference_events(hawkes, 3).tobytes()
+        for fit, ref in zip(solve_dantzig_path(system, lams), expected, strict=True):
+            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
+            assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
         # the failed build leaves no temporary file behind
         assert list(cache.iterdir()) == []
 
@@ -527,6 +548,24 @@ class TestHawkes:
             resumed = kernel.hawkes(make_rng(seed), spec.eta, spec.kernel_breakpoints,
                                     spec.kernel_values, spec.horizon, capacity=1)
             assert resumed.tobytes() == simulate_hawkes(spec, seed).tobytes()
+
+    def test_boundary_rounded_onto_t_is_no_change(self, kernel):
+        # resumed at t = fl(1.0 + 0.2), which rounds down: the event at 1.0 is 0.2 - 2^-54
+        # old, inside its first piece, and that piece's end rounds onto t itself.  The
+        # intensity is constant right of t, so the first draw is accepted; a guard that
+        # took t as a change would restart just past t, in the second piece, and draw again
+        ti, eta, seed = 1.0, 1.0, 11
+        breakpoints, values = np.array([0.2, 1.0]), np.array([0.5, 0.3])
+        t0 = ti + breakpoints[0]
+        assert t0 - ti < breakpoints[0]
+        events, t = np.array([ti, 0.0]), ctypes.c_double(t0)
+        bitgen = make_rng(seed).bit_generator
+        with bitgen.lock:
+            n = kernel._hawkes(kernel._exponential, bitgen.ctypes.bit_generator, eta, 2,
+                               breakpoints.ctypes.data, values.ctypes.data, 100.0,
+                               events.ctypes.data, 1, 2, ctypes.byref(t))
+        e = make_rng(seed).standard_exponential()
+        assert n == 2 and events[1] == t0 + (1.0 / (eta + values[0])) * e
 
     @pytest.mark.parametrize("fields", [
         {"eta": np.nan},
