@@ -4,11 +4,13 @@
  *
  * Each entry point repeats, step for step, what its Python loop does
  * (simulate.py, dantzig.py).  In the count loops the conditional mean is
- * formed by the same CBLAS call numpy's matmul makes, capped, and each count
- * is drawn by numpy's own random_poisson on the generator's bitgen_t.  numpy
- * switches from the multiplication method to transformed rejection at
- * lambda = 10, so the last bit of lambda decides which draws are taken; the
- * same calls in the same order give the same bits, and so the same series.
+ * formed by the same CBLAS call numpy's matmul makes, or, for a MINAR(1)
+ * matrix of aligned 4 x 4 diagonal blocks, by a block sum checked to give
+ * that call's bits (block_sums); it is capped, and each count is drawn by
+ * numpy's own random_poisson on the generator's bitgen_t.  numpy switches
+ * from the multiplication method to transformed rejection at lambda = 10, so
+ * the last bit of lambda decides which draws are taken; the same sums in the
+ * same order give the same bits, and so the same series.
  * The Hawkes loop repeats the float operations of Ogata thinning in their
  * order and draws by numpy's random_standard_exponential, so it gives the
  * same events.  The LP loop repeats the dual simplex pivots of a lambda path
@@ -17,8 +19,8 @@
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off -I <numpy include>
  *        -DBLAS_INT=<int type> _countsim.c -lm
- * (-ffp-contract=off keeps t + (1 / lam) * e and b - lam * side from being
- * fused into an FMA.)
+ * (-ffp-contract=off keeps t + (1 / lam) * e, b - lam * side and the block
+ * sums' p0 + a * y from being fused into an FMA.)
  */
 #include <math.h>
 #include <stdint.h>
@@ -67,20 +69,46 @@ int64_t inar(poisson_fn poisson, ddot_fn ddot, bitgen_t *bitgen, double mu, int6
 }
 
 /*
+ * s = A y for a C-contiguous d x d matrix A that is zero outside its aligned
+ * 4 x 4 diagonal blocks, each row summed over its own block in the order
+ * (p0 + p2) + (p1 + p3), p_j = a[i, 4b + j] * y[4b + j].  With A >= 0 and
+ * y >= 0 finite, every product outside the block is a zero, and adding a
+ * zero leaves a partial sum unchanged, so a dense dgemv gives exactly its
+ * kernel's own reduction of the four block products.  This order is the one
+ * numpy's OpenBLAS dgemv kernel takes on AVX-512; another kernel may take
+ * another, so the caller takes this sum only after comparing it with numpy's
+ * A @ y (CountKernel.block_sums_match).
+ */
+void block_sums(int64_t d, const double *a, const double *y, double *s)
+{
+    for (int64_t b = 0; b < d; b += 4) {
+        const double *yb = y + b;
+        for (int64_t i = b; i < b + 4; i++) {
+            const double *ab = a + i * d + b;
+            s[i] = (ab[0] * yb[0] + ab[2] * yb[2]) + (ab[1] * yb[1] + ab[3] * yb[3]);
+        }
+    }
+}
+
+/*
  * Multivariate Poisson INAR(1) from y0: lambda_t = eta + A y_{t-1} with A a
  * C-contiguous d x d matrix, as numpy's matmul computes A @ y through
- * dgemv(ColMajor, Trans, ...).  lam is d doubles of scratch.  Row t of the
- * steps x d matrix out receives y_t; returns as inar does.
+ * dgemv(ColMajor, Trans, ...), or by block_sums where blocks is non-zero.
+ * lam is d doubles of scratch.  Row t of the steps x d matrix out receives
+ * y_t; returns as inar does.
  */
 int64_t minar1(poisson_fn poisson, dgemv_fn dgemv, bitgen_t *bitgen, int64_t d,
-               const double *eta, const double *a, const double *y0, double *lam,
-               double *out, int64_t steps, double cap)
+               const double *eta, const double *a, int64_t blocks, const double *y0,
+               double *lam, double *out, int64_t steps, double cap)
 {
     const double *y = y0;
     for (int64_t t = 0; t < steps; t++) {
         double *row = out + t * d;
-        dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)d, (BLAS_INT)d, 1.0, a, (BLAS_INT)d,
-              y, 1, 0.0, lam, 1);
+        if (blocks)
+            block_sums(d, a, y, lam);
+        else
+            dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)d, (BLAS_INT)d, 1.0, a,
+                  (BLAS_INT)d, y, 1, 0.0, lam, 1);
         for (int64_t i = 0; i < d; i++) {
             lam[i] = eta[i] + lam[i];
             if (!(lam[i] <= cap))

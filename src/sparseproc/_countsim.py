@@ -9,10 +9,14 @@ them) and the CBLAS ``ddot``, ``dgemv`` and ``dger`` of numpy's BLAS
 (``_blas``).  numpy draws a Poisson variate by multiplication below
 lambda = 10 and by transformed rejection from 10 up, so the last bit of
 lambda picks the algorithm; making numpy's exact calls keeps every series
-bit-identical to the numpy loop in ``simulate``.  The Hawkes thinning loop
-and the simplex pivot loop repeat the float operations of their Python
-loops in order, so events and fits equal those loops' byte for byte; the
-Python loops are the fallback.
+bit-identical to the numpy loop in ``simulate``.  Where a MINAR(1) matrix is
+zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
+each row's own block instead of by ``dgemv``, in the order that
+``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
+matrix, or a BLAS that sums in another order, keeps ``dgemv``.  The Hawkes
+thinning loop and the simplex pivot loop repeat the float operations of
+their Python loops in order, so events and fits equal those loops' byte
+for byte; the Python loops are the fallback.
 
 The first ``load()`` in a process compiles the source with ``cc`` into
 ``__pycache__/_countsim.<key>.so`` beside this file, keyed by the source,
@@ -47,6 +51,10 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 # the LP loop's status codes 0, 1 and 2
 _LP_STATUS = ("optimal", "infeasible", "iteration_limit")
+
+# block_sums_match compares the compiled block sum with numpy's A @ y on this
+# many vectors of counts, drawn from its own seed
+_PROBES, _PROBE_SEED = 8, 20241019
 
 
 def _compile_command(blas_bits: int, source: str, output: str) -> list:
@@ -132,13 +140,16 @@ class CountKernel:
         self._dger = (ctypes.cast(dger[0], _PTR).value
                       if dger is not None and dger[1] is ddot[1] else None)
         self._inar, self._minar1, self._hawkes = lib.inar, lib.minar1, lib.hawkes
+        self._block_sums = lib.block_sums
+        self._block_sums.argtypes = [_I64, _PTR, _PTR, _PTR]
+        self._block_sums.restype = None
         self._lp = lib.dantzig_path
         self._lp.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _F64,
                              _PTR, _PTR, _PTR]
         self._lp.restype = _I64
         self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64]
-        self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
-                                 _I64, _F64]
+        self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR,
+                                 _PTR, _I64, _F64]
         self._hawkes.argtypes = [_PTR, _PTR, _F64, _I64, _PTR, _PTR, _F64, _PTR, _I64, _I64,
                                  ctypes.POINTER(_F64)]
         self._inar.restype = self._minar1.restype = self._hawkes.restype = _I64
@@ -162,18 +173,51 @@ class CountKernel:
 
     def minar1(self, rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
                out: np.ndarray, cap: float) -> int:
-        """Fill the rows of ``out`` with MINAR(1) counts from zero; the steps drawn."""
+        """Fill the rows of ``out`` with MINAR(1) counts from zero; the steps drawn.
+
+        Each step's ``a_matrix @ y`` is the block sum where
+        :meth:`block_sums_match` allows it, and numpy's ``dgemv`` otherwise.
+        """
         _check_buffers(eta, a_matrix, out)
         d = eta.size
         if a_matrix.shape != (d, d) or out.ndim != 2 or out.shape[1] != d:
             raise ValueError("a_matrix must be d x d and out steps x d for d = eta.size")
+        blocks = self.block_sums_match(a_matrix)
         y0, lam = np.zeros(d), np.zeros(d)
         bitgen = rng.bit_generator
         with bitgen.lock:
             return self._minar1(self._poisson, self._dgemv,
                                 bitgen.ctypes.bit_generator, d, eta.ctypes.data,
-                                a_matrix.ctypes.data, y0.ctypes.data, lam.ctypes.data,
-                                out.ctypes.data, out.shape[0], cap)
+                                a_matrix.ctypes.data, int(blocks), y0.ctypes.data,
+                                lam.ctypes.data, out.ctypes.data, out.shape[0], cap)
+
+    def block_sums_match(self, a_matrix: np.ndarray) -> bool:
+        """Whether ``minar1`` may sum each row of ``a_matrix`` over its own 4 x 4 block.
+
+        True when the nonnegative d x d ``a_matrix`` is zero outside its
+        aligned 4 x 4 diagonal blocks and the compiled block sum equals
+        numpy's ``a_matrix @ y`` bit for bit on a few fixed count vectors y,
+        the rows of one matrix, as the steps' counts are.  numpy's BLAS picks
+        its kernel for the CPU, and the kernel's reduction order follows d
+        and the memory layout, not the values, so probes that tell the
+        orders apart settle it.  (Orders differ only on rows with three or
+        more non-zeros; with fewer, every order gives the same sum.)
+        """
+        _check_buffers(a_matrix)
+        d = a_matrix.shape[0] if a_matrix.ndim == 2 else 0
+        if d == 0 or d % 4 or a_matrix.shape != (d, d):
+            return False
+        k = d // 4
+        diagonal = a_matrix.reshape(k, 4, k, 4)[np.arange(k), :, np.arange(k)]
+        if np.count_nonzero(diagonal) != np.count_nonzero(a_matrix):
+            return False
+        probes = np.random.default_rng(_PROBE_SEED).integers(0, 1000, (_PROBES, d))
+        sums = np.empty(d)
+        for y in probes.astype(float):
+            self._block_sums(d, a_matrix.ctypes.data, y.ctypes.data, sums.ctypes.data)
+            if sums.tobytes() != (a_matrix @ y).tobytes():
+                return False
+        return True
 
     def hawkes(self, rng: np.random.Generator, eta: float, breakpoints: np.ndarray,
                values: np.ndarray, horizon: float, capacity: int = 4096) -> np.ndarray:

@@ -196,10 +196,11 @@ class SeriesSample:
         self.lag_buffer = buf.reshape(-1, 1) if buf.ndim == 1 else buf
         if self.kind not in ("counts", "reals"):
             raise ValueError("kind must be 'counts' or 'reals'")
-        allv = np.concatenate([self.values.ravel(), self.lag_buffer.ravel()])
-        if not np.all(np.isfinite(allv)):
+        parts = (self.values, self.lag_buffer)
+        if not all(np.isfinite(x).all() for x in parts):
             raise ValueError("series values and lag buffer must be finite")
-        if self.kind == "counts" and (np.any(allv < 0) or np.any(allv != np.round(allv))):
+        if self.kind == "counts" and any((x < 0).any() or (x != np.round(x)).any()
+                                         for x in parts):
             raise ValueError("counts series must contain nonnegative integers")
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")

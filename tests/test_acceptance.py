@@ -205,3 +205,21 @@ def test_criterion_10_determinism():
     ok = doc1 == doc2 == doc3
     check("10 (byte-identical reports)", ok,
           f"jobs=1 vs jobs=2 identical={doc1 == doc2}, rerun identical={doc2 == doc3}")
+
+
+def test_case4_routine_run():
+    # p = 200 with CV at 100 reps: a check beside criteria 1-10, with criterion 2's kind
+    # of gate; the runtime bound is generous (about 8 s on two cores)
+    t0 = time.perf_counter()
+    r = run_case(builtin_case("case4", n=2000, reps=100), jobs=JOBS)
+    runtime = time.perf_counter() - t0
+    ok = (r.failures == 0
+          and r.selection_proportion >= 0.90
+          and r.mean_linf_two <= r.mean_linf_first
+          and r.mean_l2_two <= r.mean_l2_first
+          and runtime <= 300)
+    check("case4 (p=200 routine run)", ok,
+          f"failures={r.failures} (0) sel={r.selection_proportion:.3f} (>=0.90) "
+          f"linf {r.mean_linf_two:.4f}<={r.mean_linf_first:.4f}, "
+          f"l2 {r.mean_l2_two:.4f}<={r.mean_l2_first:.4f} "
+          f"runtime={runtime:.0f}s (<=300)")

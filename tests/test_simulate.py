@@ -197,11 +197,43 @@ def random_count_specs(count: int, seed: int):
 
 # two 8 x 8 circulant blocks with rows (0.2, 0.1, ..., 0.1)
 TENTHS_BLOCKS = np.kron(np.eye(2), [np.roll([0.2] + [0.1] * 7, k) for k in range(8)])
+# four 4 x 4 circulant blocks with rows (0.3, 0.2, 0.2, 0.2), which take the block sum
+TENTHS_4X4_BLOCKS = np.kron(np.eye(4), [np.roll([0.3, 0.2, 0.2, 0.2], k) for k in range(4)])
 
 
 def simulate_count(spec, n: int, seed: int) -> SeriesSample:
     fn = simulate_inar if isinstance(spec, InarSpec) else simulate_minar1
     return fn(spec, n, seed)
+
+
+def random_block_specs(seed: int):
+    """MINAR(1) specs with aligned 4 x 4 diagonal blocks of non-tidy entries and exact
+    zeros, some eta entries 0, at d = 4, 8, 12, 100 and 200."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for d in (4, 8, 12, 100, 200):
+        a = np.zeros((d, d))
+        for b in range(0, d, 4):
+            a[b:b + 4, b:b + 4] = rng.uniform(0.0, 1.0, (4, 4)) * (rng.uniform(size=(4, 4)) < 0.7)
+        a *= rng.uniform(0.5, 0.95) / max(a.sum(axis=1).max(), 1e-3)
+        eta = rng.uniform(0.0, 30.0, d) * (rng.uniform(size=d) < 0.8)
+        specs.append(Minar1Spec(eta=eta, a_matrix=a, burn_in=int(rng.integers(0, 300))))
+    return specs
+
+
+def load_variant(monkeypatch, tmp_path, old: str, new: str):
+    """The compiled loops built from a copy of ``_countsim.c`` with ``old`` made ``new``,
+    loaded in place of the package's own for the rest of the test."""
+    source = open(_countsim._SOURCE).read()
+    assert source.count(old) == 1
+    variant = tmp_path / "_countsim.c"
+    variant.write_text(source.replace(old, new))
+    monkeypatch.setattr(_countsim, "_SOURCE", str(variant))
+    monkeypatch.setattr(_countsim, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
+    variant_kernel = _countsim.load()
+    assert variant_kernel is not None
+    return variant_kernel
 
 
 class TestCompiledCountLoop:
@@ -229,8 +261,72 @@ class TestCompiledCountLoop:
         for case_id in ("case3", "case4"):
             spec = builtin_case(case_id).model
             for seed in range(20):
-                assert_same_series(simulate_minar1(spec, 500, seed),
-                                   numpy_loop(simulate_minar1, spec, 500, seed))
+                assert_same_series(simulate_minar1(spec, 2000, seed),
+                                   numpy_loop(simulate_minar1, spec, 2000, seed))
+
+    def test_block_specs(self, kernel, numpy_loop):
+        for i, spec in enumerate(random_block_specs(seed=2026)):
+            for seed in (i, 100 + i):
+                assert_same_series(simulate_minar1(spec, 400, seed),
+                                   numpy_loop(simulate_minar1, spec, 400, seed))
+
+    def test_block_means_at_ten(self, kernel, numpy_loop):
+        # rows (0.3, 0.2, 0.2, 0.2) and eta 0.6: the exact mean 0.6 + 0.3a + 0.2(b + c + d)
+        # is often 10, and at some such steps each other order of the four block products
+        # rounds lambda to the other side of 10 from dgemv, where numpy's Poisson switches
+        spec = Minar1Spec(eta=np.full(16, 0.6), a_matrix=TENTHS_4X4_BLOCKS, burn_in=0)
+        y = simulate_minar1(spec, 3000, 0).values[:-1]
+        lams = np.array([spec.eta + spec.a_matrix @ row for row in y])
+        tenths = np.rint(10 * spec.a_matrix).astype(np.int64)
+        at_ten = 6 + y.astype(np.int64) @ tenths.T == 100  # 10 x exact mean, in integers
+        rows = np.arange(16)  # p_j[t, i] = a[i, 4b + j] * y[t, 4b + j] for row i of block b
+        p = spec.a_matrix.reshape(16, 4, 4)[rows, rows // 4] * y.reshape(-1, 4, 4)[:, rows // 4]
+        p0, p1, p2, p3 = np.moveaxis(p, 2, 0)
+        for other in (((p0 + p1) + p2) + p3, (p0 + p1) + (p2 + p3), (p0 + p3) + (p1 + p2)):
+            assert np.any(at_ten & ((lams >= 10.0) != (spec.eta + other >= 10.0)))
+        for seed in range(10):
+            assert_same_series(simulate_minar1(spec, 2000, seed),
+                               numpy_loop(simulate_minar1, spec, 2000, seed))
+
+    def test_block_sums_match_builtin_cases(self, kernel):
+        # numpy's OpenBLAS dgemv kernel for AVX-512 adds the block products in the block
+        # sum's order, so there the probe accepts it: it does not always refuse
+        for case_id in ("case3", "case4"):
+            assert kernel.block_sums_match(builtin_case(case_id).model.a_matrix)
+
+    @pytest.mark.parametrize("spec", [
+        Minar1Spec(eta=np.full(8, 0.5),
+                   a_matrix=0.8 * TENTHS_4X4_BLOCKS[:8, :8] + np.eye(8, k=4) / 20),
+        Minar1Spec(eta=np.full(6, 0.5), a_matrix=np.full((6, 6), 0.15)),
+        Minar1Spec(eta=np.full(16, 0.5), a_matrix=TENTHS_BLOCKS),
+    ], ids=["off_block_entry", "d6", "8x8_blocks"])
+    def test_other_matrices_take_dgemv(self, kernel, numpy_loop, spec):
+        assert not kernel.block_sums_match(spec.a_matrix)
+        for seed in range(3):
+            assert_same_series(simulate_minar1(spec, 1000, seed),
+                               numpy_loop(simulate_minar1, spec, 1000, seed))
+
+    def test_refused_probe_takes_dgemv(self, kernel, numpy_loop, monkeypatch):
+        monkeypatch.setattr(_countsim.CountKernel, "block_sums_match", lambda self, a: False)
+        spec = builtin_case("case4").model
+        for seed in range(3):
+            assert_same_series(simulate_minar1(spec, 2000, seed),
+                               numpy_loop(simulate_minar1, spec, 2000, seed))
+
+    def test_block_sum_in_another_order_is_refused(self, kernel, numpy_loop, monkeypatch,
+                                                   tmp_path):
+        variant = load_variant(
+            monkeypatch, tmp_path,
+            "(ab[0] * yb[0] + ab[2] * yb[2]) + (ab[1] * yb[1] + ab[3] * yb[3])",
+            "((ab[0] * yb[0] + ab[1] * yb[1]) + ab[2] * yb[2]) + ab[3] * yb[3]")
+        spec = Minar1Spec(eta=np.full(16, 0.6), a_matrix=TENTHS_4X4_BLOCKS, burn_in=0)
+        for a_matrix in (spec.a_matrix, builtin_case("case4").model.a_matrix):
+            assert not variant.block_sums_match(a_matrix)
+        reference = numpy_loop(simulate_minar1, spec, 3000, 0)
+        assert_same_series(simulate_minar1(spec, 3000, 0), reference)
+        # taken all the same, that order moves lambda across 10 and changes the series
+        monkeypatch.setattr(_countsim.CountKernel, "block_sums_match", lambda self, a: True)
+        assert simulate_minar1(spec, 3000, 0).values.tobytes() != reference.values.tobytes()
 
     def test_minar_means_at_ten(self, kernel, numpy_loop):
         # rows of eight tenths: lambda is often exactly 10 in exact arithmetic, and a
@@ -642,10 +738,19 @@ class TestSeriesIo:
         assert_array_equal(back.values, sample.values)
 
     def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            SeriesSample(values=np.array([1.0, -2.0]), kind="counts")
-        with pytest.raises(ValueError):
-            SeriesSample(values=np.array([1.5]), kind="counts")
+        for bad in (-2.0, 1.5, -0.5):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                SeriesSample(values=np.array([1.0, bad]), kind="counts")
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                SeriesSample(values=np.ones(3), lag_buffer=np.array([bad]), kind="counts")
+            # a non-finite entry anywhere is reported before a non-integer one
+            with pytest.raises(ValueError, match="finite"):
+                SeriesSample(values=np.array([bad, 1.0]), lag_buffer=np.array([np.nan]),
+                             kind="counts")
+            with pytest.raises(ValueError, match="finite"):
+                SeriesSample(values=np.array([np.inf, 1.0]), lag_buffer=np.array([bad]),
+                             kind="counts")
+            assert SeriesSample(values=np.array([1.0, bad]), kind="reals").n == 2
         for kind in ("counts", "reals"):
             for bad in (np.inf, -np.inf, np.nan):
                 with pytest.raises(ValueError, match="finite"):
