@@ -13,12 +13,12 @@ from .diagnostics import (FInftyEstimate, NormalityReport, estimate_f_infinity,
                           royston_test, selection_and_errors, shapiro_wilk)
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError)
-from .harness import (CaseConfig, CaseReport, builtin_case, emit_histogram,
-                      run_case, run_hawkes_support)
+from .harness import (CaseConfig, CaseReport, HawkesReport, builtin_case,
+                      emit_histogram, run_case, run_hawkes_support)
 from .rng import derive_seed, make_rng
-from .scores import (LinearScoreSystem, WeightedScoreSystem, build_diffusion_score,
-                     build_inar_score, build_regression_score, build_weighted_system,
-                     diffusion_design, eval_score, lagged_design)
+from .scores import (LinearScoreSystem, build_diffusion_score, build_inar_score,
+                     build_regression_score, build_weighted_system, diffusion_design,
+                     eval_score, lagged_design)
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, lyapunov_covariance, read_series_csv,
                        simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,

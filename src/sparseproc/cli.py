@@ -146,7 +146,7 @@ def _cmd_hawkes_support(args) -> int:
     config = _load_case(args, "hawkes")
     report = harness.run_hawkes_support(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
-    return _failure_status(report["per_rep"])
+    return _failure_status(report.per_rep)
 
 
 def build_parser() -> argparse.ArgumentParser:

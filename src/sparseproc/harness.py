@@ -395,7 +395,25 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
             "s_hat": s_hat, "tau_hat": s_hat * delta, "selected_lags": lags}
 
 
-def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> dict:
+@dataclass
+class HawkesReport:
+    """Aggregated support-recovery metrics for the binned Hawkes case."""
+
+    case_id: str
+    config: dict
+    reps: int
+    failures: int
+    tau_true: float
+    mean_s_hat: float
+    mean_tau_hat: float
+    frac_tau_within_30pct: float
+    zero_support_fraction: float
+    selected_lags_total: int
+    per_rep: list = field(default_factory=list)
+    schema: int = SCHEMA_VERSION
+
+
+def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> HawkesReport:
     """Support recovery for the binned Hawkes representation.
 
     Each replication bins the simulated events at the configured width,
@@ -413,21 +431,19 @@ def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> dict:
     else:
         within = float("nan")
     all_lags = [lag for r in ok for lag in r["selected_lags"]]
-    report = {
-        "schema": SCHEMA_VERSION,
-        "case_id": config.case_id,
-        "config": config.to_dict(),
-        "reps": config.reps,
-        "failures": len(results) - len(ok),
-        "tau_true": tau_true,
-        "mean_s_hat": _nanmean([r["s_hat"] for r in ok]),
-        "mean_tau_hat": float(tau_hats.mean()) if tau_hats.size else float("nan"),
-        "frac_tau_within_30pct": within,
-        "zero_support_fraction": _nanmean([float(r["s_hat"] == 0) for r in ok]),
-        "selected_lags_total": len(all_lags),
-        "per_rep": results,
-    }
-    return report
+    return HawkesReport(
+        case_id=config.case_id,
+        config=config.to_dict(),
+        reps=config.reps,
+        failures=len(results) - len(ok),
+        tau_true=tau_true,
+        mean_s_hat=_nanmean([r["s_hat"] for r in ok]),
+        mean_tau_hat=float(tau_hats.mean()) if tau_hats.size else float("nan"),
+        frac_tau_within_30pct=within,
+        zero_support_fraction=_nanmean([float(r["s_hat"] == 0) for r in ok]),
+        selected_lags_total=len(all_lags),
+        per_rep=results,
+    )
 
 
 def report_to_json(report) -> str:

@@ -2,15 +2,15 @@
 
 Every model in scope (regression, INAR counts, linear diffusion drift)
 reduces its estimating function to this affine form; A is the Gram matrix
-and b the moment vector.  The weighted second-step systems carry the same
-structure restricted to a support set with per-observation inverse-variance
+and b the moment vector.  The weighted second-step system has the same
+form, restricted to a support set with per-observation inverse-variance
 weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,22 +49,6 @@ class LinearScoreSystem:
     @property
     def unpenalized(self) -> Tuple[int, ...]:
         return ()  # read by perfbench/oracle.py; every coordinate carries l1 cost
-
-
-@dataclass(frozen=True)
-class WeightedScoreSystem:
-    """Support-restricted system with inverse-variance weights applied."""
-
-    gram_w: np.ndarray
-    moment_w: np.ndarray
-    support: Tuple[int, ...]
-    n_eff: int
-    delta: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram_w", np.asarray(self.gram_w, dtype=float))
-        object.__setattr__(self, "moment_w", np.asarray(self.moment_w, dtype=float))
-        object.__setattr__(self, "support", tuple(int(j) for j in self.support))
 
 
 def eval_score(sys: LinearScoreSystem, theta: np.ndarray) -> np.ndarray:
@@ -179,14 +163,13 @@ def build_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
 
 
 def build_weighted_system(design: np.ndarray, response: np.ndarray,
-                          support: Sequence[int], variance: np.ndarray,
-                          delta: Optional[float] = None) -> WeightedScoreSystem:
-    """Weighted system restricted to ``support``.
+                          support: Sequence[int], variance: np.ndarray) -> LinearScoreSystem:
+    """Weighted system on the columns ``support`` of ``design``, in sorted order.
 
     ``variance`` holds the conditional variance of each row (the
     ``NuisanceEstimate.variance`` of the fit) and each row is weighted by
     its inverse; for a diffusion the responses must be increments divided
-    by ``delta``.  Variances are floored at ``VARIANCE_FLOOR`` so all-zero
+    by delta.  Variances are floored at ``VARIANCE_FLOOR`` so all-zero
     count histories cannot produce infinite weights.  A non-finite variance
     raises ``NuisanceError``, and a ``variance`` that does not hold one
     value per row raises ``ValueError``.
@@ -204,7 +187,5 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
         raise NuisanceError("conditional variance is not finite")
     var = np.maximum(var, VARIANCE_FLOOR)
     w = 1.0 / var
-    gram_w = (z * w[:, None]).T @ z / n
-    moment_w = z.T @ (w * y) / n
-    return WeightedScoreSystem(gram_w=gram_w, moment_w=moment_w,
-                               support=tuple(support), n_eff=n, delta=delta)
+    return LinearScoreSystem(gram=(z * w[:, None]).T @ z / n, moment=z.T @ (w * y) / n,
+                             n_eff=n)

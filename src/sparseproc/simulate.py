@@ -235,7 +235,7 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     steps = _inar_steps if kernel is None else kernel.inar
     if steps(rng, spec.mu_eps, spec.alpha, out, _COUNT_CAP) < out.size:
         raise DomainError("conditional mean overflow in INAR simulation")
-    values = out[spec.burn_in:]
+    values = out[spec.burn_in:].copy()  # a view would keep the burn-in alive
     # chronological buffer: the p values immediately before the first kept one
     buf = out[max(spec.burn_in - p, 0): spec.burn_in]
     buf = np.concatenate([np.zeros(p - buf.size), buf])
@@ -274,9 +274,9 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     steps = _minar1_steps if kernel is None else kernel.minar1
     if steps(rng, spec.eta, spec.a_matrix, out, _COUNT_CAP) < out.shape[0]:
         raise DomainError("conditional mean overflow in INAR simulation")
-    values = out[spec.burn_in:]
+    values = out[spec.burn_in:].copy()  # views would keep the burn-in alive
     if spec.burn_in >= 1:
-        buf = out[spec.burn_in - 1: spec.burn_in]
+        buf = out[spec.burn_in - 1: spec.burn_in].copy()
     else:
         buf = np.zeros((1, d))
     return SeriesSample(values=values, lag_buffer=buf, kind="counts")

@@ -2,8 +2,10 @@
 
 After the first-step fit selects a support, the conditional-variance
 structure is estimated on that support, the score is reweighted by the
-fitted inverse variances, and the restricted linear system is solved for
-the final estimate together with its plug-in asymptotic covariance.
+fitted inverse variances, and the restricted system, a plain
+``LinearScoreSystem``, is factored once for the final estimate and the
+inverse gram; the inverse gram scaled by n (n delta for a diffusion) is the
+plug-in asymptotic covariance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (WeightedScoreSystem, build_diffusion_score, build_regression_score,
+from .scores import (LinearScoreSystem, build_diffusion_score, build_regression_score,
                      build_weighted_system, center_design, diffusion_design)
 from .simulate import SeriesSample
 
@@ -97,37 +99,25 @@ def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEs
     return _diffusion_nuisance(diffusion_design(path, target)[1], path.delta)
 
 
-def _inverse_factor(gram: np.ndarray) -> np.ndarray:
-    """L^{-1} of the Cholesky factor gram = L L'; ``RankError`` unless gram is SPD."""
+def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """theta solving gram theta = moment, and gram^{-1}, from one Cholesky factor.
+
+    Raises ``RankError`` unless gram is SPD and the residual
+    max |gram theta - moment| is at most 1e-8 (1 + max |moment|).  The
+    inverse is returned symmetrized; ``two_step_fit`` divides it by n (n
+    delta for a diffusion) for the plug-in covariance.
+    """
     try:
-        return np.linalg.inv(np.linalg.cholesky(gram))
+        linv = np.linalg.inv(np.linalg.cholesky(wsys.gram))
     except np.linalg.LinAlgError as exc:
         raise RankError(f"weighted gram not positive definite: {exc}") from exc
-
-
-def solve_weighted(wsys: WeightedScoreSystem,
-                   linv: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve gram_w theta = moment_w; gram_w must be SPD.
-
-    ``linv`` is ``_inverse_factor(gram_w)`` when the caller already has it.
-    """
-    if linv is None:
-        linv = _inverse_factor(wsys.gram_w)
-    theta = linv.T @ (linv @ wsys.moment_w)
-    resid = np.abs(wsys.gram_w @ theta - wsys.moment_w).max()
-    tol = 1e-8 * (1.0 + np.abs(wsys.moment_w).max())
+    theta = linv.T @ (linv @ wsys.moment)
+    resid = np.abs(wsys.gram @ theta - wsys.moment).max()
+    tol = 1e-8 * (1.0 + np.abs(wsys.moment).max())
     if resid > tol:
         raise RankError(f"weighted solve residual {resid:.2e} exceeds {tol:.2e}")
-    return theta
-
-
-def _covariance(wsys: WeightedScoreSystem, linv: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plug-in covariance of theta_tilde: gram_w^{-1} / n (or /(n delta))."""
-    if linv is None:
-        linv = _inverse_factor(wsys.gram_w)
     inv = linv.T @ linv
-    scale = wsys.n_eff * (wsys.delta if wsys.delta is not None else 1.0)
-    return 0.5 * (inv + inv.T) / scale
+    return theta, 0.5 * (inv + inv.T)
 
 
 def first_step(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
@@ -206,14 +196,14 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
                           theta_first=theta_first, fit_support=(), empty_model=True)
 
-    wsys = build_weighted_system(z, y2, support2, nui.variance, delta=delta)
-    linv = _inverse_factor(wsys.gram_w)  # one factor for the solve and the covariance
-    theta_t = solve_weighted(wsys, linv)
+    wsys = build_weighted_system(z, y2, support2, nui.variance)
+    theta_t, inv = solve_weighted(wsys)
     theta_full = np.zeros(d)
     theta_full[support2] = theta_t
+    asymp_cov = inv / (wsys.n_eff * (delta if delta is not None else 1.0))
     return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nui,
-                      asymp_cov=_covariance(wsys, linv), first_step=fit1,
-                      theta_first=theta_first, fit_support=wsys.support)
+                      asymp_cov=asymp_cov, first_step=fit1,
+                      theta_first=theta_first, fit_support=tuple(support2))
 
 
 def two_step_to_dict(fit: TwoStepFit) -> dict:

@@ -120,26 +120,25 @@ def reference_solve_dantzig_path(sys, lams: Sequence[float],
 
 
 def reference_solve_weighted(wsys) -> np.ndarray:
-    """scipy's Cholesky factor and triangular solves: the reference for
-    ``twostep.solve_weighted``, which must agree up to rounding."""
+    """scipy's Cholesky factor and triangular solves on a ``LinearScoreSystem``:
+    the reference for the theta of ``twostep.solve_weighted``, which must
+    agree up to rounding."""
     try:
-        factor = cho_factor(wsys.gram_w, lower=True)
+        factor = cho_factor(wsys.gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"weighted gram not positive definite: {exc}") from exc
-    theta = cho_solve(factor, wsys.moment_w)
-    resid = np.abs(wsys.gram_w @ theta - wsys.moment_w).max()
-    tol = 1e-8 * (1.0 + np.abs(wsys.moment_w).max())
+    theta = cho_solve(factor, wsys.moment)
+    resid = np.abs(wsys.gram @ theta - wsys.moment).max()
+    tol = 1e-8 * (1.0 + np.abs(wsys.moment).max())
     if resid > tol:
         raise RankError(f"weighted solve residual {resid:.2e} exceeds {tol:.2e}")
     return theta
 
 
 def reference_covariance(wsys) -> np.ndarray:
-    """The same for ``twostep._covariance``: gram_w^{-1} / n (or /(n delta))."""
-    k = wsys.gram_w.shape[0]
-    inv = cho_solve(cho_factor(wsys.gram_w, lower=True), np.eye(k))
-    scale = wsys.n_eff * (wsys.delta if wsys.delta is not None else 1.0)
-    return 0.5 * (inv + inv.T) / scale
+    """The same for the symmetrized gram^{-1} of ``twostep.solve_weighted``."""
+    inv = cho_solve(cho_factor(wsys.gram, lower=True), np.eye(wsys.dim))
+    return 0.5 * (inv + inv.T)
 
 
 def hawkes_reference_events(spec, seed: int) -> np.ndarray:

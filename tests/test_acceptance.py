@@ -168,11 +168,11 @@ def test_criterion_7_diffusion():
 def test_criterion_8_hawkes_support():
     cfg = builtin_case("hawkes", reps=100)
     rep = run_hawkes_support(cfg, jobs=JOBS)
-    frac = rep["frac_tau_within_30pct"]
-    ok = frac >= 0.70 and rep["failures"] == 0
+    frac = rep.frac_tau_within_30pct
+    ok = frac >= 0.70 and rep.failures == 0
     check("8 (hawkes support recovery)", ok,
           f"tau_hat within 30% of 1.0 in {frac:.2f} of {cfg.reps} reps (>=0.70), "
-          f"mean tau_hat={rep['mean_tau_hat']:.3f}")
+          f"mean tau_hat={rep.mean_tau_hat:.3f}")
 
 
 def test_criterion_9_test_calibration():

@@ -21,8 +21,9 @@ from sparseproc.cli import main
 from sparseproc.dantzig import CvReport
 from sparseproc.diagnostics import FInftyEstimate
 from sparseproc.errors import RankError
-from sparseproc.harness import (CaseConfig, builtin_case, emit_histogram, run_case,
-                                run_hawkes_support, report_to_json, write_per_rep_csv)
+from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_histogram,
+                                run_case, run_hawkes_support, report_to_json,
+                                write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, diffusion_design
 from sparseproc.simulate import HawkesSpec, InarSpec, read_series_csv
 from sparseproc.twostep import two_step_fit
@@ -301,7 +302,7 @@ class TestHawkesSupport:
                          lambda_mode="cv", tau=0.05, base_seed=5,
                          hawkes_bin_delta=0.1)
         rep = run_hawkes_support(cfg, jobs=2)
-        zero_frac = rep["zero_support_fraction"]
+        zero_frac = rep.zero_support_fraction
         assert zero_frac >= 0.9
 
     def test_halved_delta_stable_tau(self):
@@ -312,7 +313,7 @@ class TestHawkesSupport:
             cfg = CaseConfig(case_id="hawkes", model=spec, n=int(600 / delta), p=p,
                              reps=10, lambda_mode="cv", tau=0.05, base_seed=11,
                              hawkes_bin_delta=delta)
-            out[delta] = run_hawkes_support(cfg, jobs=2)["mean_tau_hat"]
+            out[delta] = run_hawkes_support(cfg, jobs=2).mean_tau_hat
         # s_hat roughly doubles so tau_hat = s_hat * delta stays put
         assert abs(out[0.05] - out[0.1]) <= 0.3 * out[0.1]
 
@@ -321,8 +322,8 @@ class TestHawkesSupport:
         monkeypatch.setattr(twostep, "solve_dantzig",
                             lambda sys, lam: real(sys, lam, max_iter=2))
         report = run_hawkes_support(builtin_case("hawkes", n=200, reps=2), jobs=1)
-        assert report["failures"] == 2
-        assert all(r["error"].startswith("UncertifiedFitError") for r in report["per_rep"])
+        assert report.failures == 2
+        assert all(r["error"].startswith("UncertifiedFitError") for r in report.per_rep)
 
     def test_wrong_model_rejected(self):
         cfg = builtin_case("case1", reps=1)
@@ -388,7 +389,7 @@ failures = run_case(builtin_case("case1", n=300, reps=1, lambda_mode="rate"), jo
 failures += run_case(builtin_case("ou", n=300, reps=1), jobs=1).failures
 seen["count_and_ou"] = "scipy.optimize" in sys.modules
 scipy_loaded["count_and_ou"] = any_scipy()
-failures += run_hawkes_support(builtin_case("hawkes", n=200, reps=1), jobs=1)["failures"]
+failures += run_hawkes_support(builtin_case("hawkes", n=200, reps=1), jobs=1).failures
 seen["hawkes"] = "scipy.optimize" in sys.modules
 scipy_loaded["hawkes"] = any_scipy()
 from sparseproc.scores import lagged_design
@@ -500,7 +501,9 @@ class TestCli:
         rc = main(["hawkes-support", "--reps", "2", "--n", "200", "--seed", "1",
                    "--jobs", "1", "--out", str(out)])
         assert rc == 0
-        assert json.load(open(out))["tau_true"] == 1.0
+        doc = json.load(open(out))
+        assert doc["tau_true"] == 1.0
+        assert set(doc) == {f.name for f in dataclasses.fields(HawkesReport)}
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "--case", "case1", "--reps", "2", "--n", "300"],

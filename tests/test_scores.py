@@ -222,16 +222,16 @@ class TestWeightedSystem:
         y = rng.standard_normal(20)
         w = build_weighted_system(z, y, [0, 2], z[:, [0, 2]] @ np.array([1.0, 0.0]))
         zt = z[:, [0, 2]]
-        assert_allclose(w.gram_w, zt.T @ zt / 20, atol=1e-12)
-        assert_allclose(w.moment_w, zt.T @ y / 20, atol=1e-12)
+        assert_allclose(w.gram, zt.T @ zt / 20, atol=1e-12)
+        assert_allclose(w.moment, zt.T @ y / 20, atol=1e-12)
 
     def test_constant_design_hand_computation(self):
         z = np.column_stack([np.ones(4), np.full(4, 2.0)])
         y = np.array([1.0, 2.0, 3.0, 4.0])
         w = build_weighted_system(z, y, [0, 1], z @ np.array([0.5, 0.25]))
         # sigma^2 = 0.5 + 0.25*2 = 1 per row -> weights 1
-        assert_allclose(w.gram_w, [[1.0, 2.0], [2.0, 4.0]], atol=1e-12)
-        assert_allclose(w.moment_w, [2.5, 5.0], atol=1e-12)
+        assert_allclose(w.gram, [[1.0, 2.0], [2.0, 4.0]], atol=1e-12)
+        assert_allclose(w.moment, [2.5, 5.0], atol=1e-12)
 
     def test_floor_caps_weights(self):
         z = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -239,15 +239,14 @@ class TestWeightedSystem:
         w = build_weighted_system(z, y, [0, 1], np.array([0.0, 1.0]))  # first row floored
         # row weights 1/VARIANCE_FLOOR and 1 over rows (1, 0) and (1, 1), n = 2
         big = 1.0 / VARIANCE_FLOOR
-        assert_allclose(w.gram_w, [[(big + 1) / 2, 0.5], [0.5, 0.5]], rtol=1e-15)
-        assert_allclose(w.moment_w, [0.5, 0.5], rtol=1e-15)
+        assert_allclose(w.gram, [[(big + 1) / 2, 0.5], [0.5, 0.5]], rtol=1e-15)
+        assert_allclose(w.moment, [0.5, 0.5], rtol=1e-15)
 
     def test_diffusion_constant_weights(self):
         z = np.arange(8.0).reshape(4, 2)
         resp = np.array([1.0, -1.0, 2.0, 0.0])
-        w = build_weighted_system(z, resp, [0, 1], np.full(4, 4.0), delta=0.1)
-        assert_allclose(w.gram_w, z.T @ z / 4 / 4.0, atol=1e-12)
-        assert w.delta == 0.1
+        w = build_weighted_system(z, resp, [0, 1], np.full(4, 4.0))
+        assert_allclose(w.gram, z.T @ z / 4 / 4.0, atol=1e-12)
 
     @pytest.mark.parametrize("variance", [np.ones(3), np.ones(5), np.ones((4, 1)),
                                           np.array(1.0)],

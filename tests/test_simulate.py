@@ -236,6 +236,18 @@ def load_variant(monkeypatch, tmp_path, old: str, new: str):
     return variant_kernel
 
 
+@pytest.mark.parametrize("spec", [
+    InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA, burn_in=300),
+    Minar1Spec(eta=np.ones(4), a_matrix=np.full((4, 4), 0.1), burn_in=300),
+], ids=["inar", "minar1"])
+def test_sample_holds_no_burn_in(spec):
+    # the returned arrays own their memory, or share it only with a reshape of themselves
+    simulate = simulate_inar if isinstance(spec, InarSpec) else simulate_minar1
+    sample = simulate(spec, 50, seed=4)
+    for arr, rows in ((sample.values, 50), (sample.lag_buffer, sample.lag_buffer.shape[0])):
+        assert arr.base is None or arr.base.shape[0] == rows
+
+
 class TestCompiledCountLoop:
     """The compiled loop of ``_countsim`` against the numpy loop it stands in for."""
 

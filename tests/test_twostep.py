@@ -8,9 +8,9 @@ from oracles import reference_covariance, reference_solve_weighted
 from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.dantzig import solve_dantzig, threshold_support
-from sparseproc.scores import (build_diffusion_score, build_regression_score,
-                               build_weighted_system, center_design, diffusion_design,
-                               lagged_design)
+from sparseproc.scores import (LinearScoreSystem, build_diffusion_score,
+                               build_regression_score, build_weighted_system, center_design,
+                               diffusion_design, lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import (estimate_diffusion_sigma2, estimate_inar_nuisance,
                                 first_step, project_statistic, solve_weighted,
@@ -129,15 +129,15 @@ class TestSolveWeighted:
         z = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
         y = rng.standard_normal(30)
         w = build_weighted_system(z, y, [0, 1, 2], np.ones(30))
-        theta = solve_weighted(w)
+        theta, _ = solve_weighted(w)
         ols, *_ = np.linalg.lstsq(z, y, rcond=None)
         assert_allclose(theta, ols, atol=1e-10)
 
     def test_diagonal_coordinatewise(self):
-        from sparseproc.scores import WeightedScoreSystem
-        w = WeightedScoreSystem(gram_w=np.diag([2.0, 4.0]), moment_w=np.array([1.0, 1.0]),
-                                support=(0, 1), n_eff=10)
-        assert_allclose(solve_weighted(w), [0.5, 0.25], atol=1e-14)
+        w = LinearScoreSystem(gram=np.diag([2.0, 4.0]), moment=np.array([1.0, 1.0]), n_eff=10)
+        theta, inv = solve_weighted(w)
+        assert_allclose(theta, [0.5, 0.25], atol=1e-14)
+        assert_allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
 
     def test_matches_elimination_oracle(self):
         rng = np.random.default_rng(43)
@@ -146,28 +146,22 @@ class TestSolveWeighted:
             m = rng.standard_normal((k + 3, k))
             gram = m.T @ m / (k + 3) + 0.1 * np.eye(k)
             mom = rng.standard_normal(k)
-            from sparseproc.scores import WeightedScoreSystem
-            w = WeightedScoreSystem(gram_w=gram, moment_w=mom, support=tuple(range(k)),
-                                    n_eff=5)
-            assert_allclose(solve_weighted(w), gaussian_elimination(gram, mom), atol=1e-9)
+            w = LinearScoreSystem(gram=gram, moment=mom, n_eff=5)
+            assert_allclose(solve_weighted(w)[0], gaussian_elimination(gram, mom), atol=1e-9)
 
     def test_residual_certificate(self):
         rng = np.random.default_rng(47)
         m = rng.standard_normal((10, 4))
         gram = m.T @ m / 10 + 0.05 * np.eye(4)
         mom = rng.standard_normal(4)
-        from sparseproc.scores import WeightedScoreSystem
-        w = WeightedScoreSystem(gram_w=gram, moment_w=mom, support=(0, 1, 2, 3),
-                                n_eff=5)
-        theta = solve_weighted(w)
+        w = LinearScoreSystem(gram=gram, moment=mom, n_eff=5)
+        theta, _ = solve_weighted(w)
         assert np.abs(gram @ theta - mom).max() <= 1e-8 * (1 + np.abs(mom).max())
 
     @staticmethod
     def assert_rank_error(gram):
-        from sparseproc.scores import WeightedScoreSystem
-        w = WeightedScoreSystem(gram_w=np.array(gram), moment_w=np.ones(2), support=(0, 1),
-                                n_eff=5)
-        for solve in (solve_weighted, twostep._covariance, reference_solve_weighted):
+        w = LinearScoreSystem(gram=np.array(gram), moment=np.ones(2), n_eff=5)
+        for solve in (solve_weighted, reference_solve_weighted):
             with pytest.raises(RankError):
                 solve(w)
 
@@ -199,9 +193,28 @@ class TestSecondStepAgainstCholeskyReference:
     @pytest.mark.parametrize("case_id", ["case1", "case3", "ou"])
     def test_case_systems(self, case_id, monkeypatch):
         for wsys in captured_weighted_systems(case_id, monkeypatch):
-            for new, ref in ((solve_weighted(wsys), reference_solve_weighted(wsys)),
-                             (twostep._covariance(wsys), reference_covariance(wsys))):
+            theta, inv = solve_weighted(wsys)
+            for new, ref in ((theta, reference_solve_weighted(wsys)),
+                             (inv, reference_covariance(wsys))):
                 assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("model", ["count", "ou"])
+    def test_asymp_cov_scale(self, model):
+        # asymp_cov is gram^{-1} / n for a count fit and gram^{-1} / (n delta) for a diffusion
+        if model == "ou":
+            path = simulate_ou(harness.builtin_case("ou").model, seed=2)
+            z, dx = diffusion_design(path)
+            fit = two_step_fit(z, dx, 0.05, 0.05, delta=path.delta)
+            response, scale = dx / path.delta, dx.size * path.delta
+        else:
+            sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 2000, seed=5)
+            z, response = lagged_design(sample, 10)
+            fit = two_step_fit(z, response, 0.12, 0.05)
+            scale = response.size
+        assert len(fit.fit_support) >= 2
+        wsys = build_weighted_system(z, response, fit.fit_support, fit.nuisance.variance)
+        ref = reference_covariance(wsys) / scale
+        assert np.abs(fit.asymp_cov - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestTwoStepFit:
@@ -224,7 +237,7 @@ class TestTwoStepFit:
             f_est = two_step_fit(z, y, 0.05, 0.05, nuisance_mode="residual")
             # the oracle weights by the true Poisson variance, on the same support
             sup = list(f_est.fit_support)
-            theta_orc = solve_weighted(build_weighted_system(z, y, sup, z @ theta0))
+            theta_orc, _ = solve_weighted(build_weighted_system(z, y, sup, z @ theta0))
             if set(sup) == {0, 1, 2, 3, 4}:
                 diffs.append(np.abs(f_est.theta_tilde[sup] - theta_orc).max())
         assert len(diffs) >= 8
@@ -336,8 +349,10 @@ class TestTwoStepFit:
         for r in range(300):
             sample = simulate_inar(spec, 1500, seed=2025_000 + r)
             z, y = lagged_design(sample, 2)
-            w_est.append(solve_weighted(build_weighted_system(z, y, sup, z[:, sup] @ theta0)))
-            u_est.append(solve_weighted(build_weighted_system(z, y, sup, np.ones(y.size))))
+            w_theta, _ = solve_weighted(build_weighted_system(z, y, sup, z[:, sup] @ theta0))
+            u_theta, _ = solve_weighted(build_weighted_system(z, y, sup, np.ones(y.size)))
+            w_est.append(w_theta)
+            u_est.append(u_theta)
         w_cov = np.cov(np.array(w_est).T)
         u_cov = np.cov(np.array(u_est).T)
         tr_w, tr_u = np.trace(w_cov), np.trace(u_cov)
