@@ -16,9 +16,9 @@ from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
 from .harness import (CaseConfig, CaseReport, HawkesReport, builtin_case,
                       emit_histogram, run_case, run_hawkes_support)
 from .rng import derive_seed, make_rng
-from .scores import (LinearScoreSystem, build_diffusion_score, build_inar_score,
-                     build_regression_score, build_weighted_system, diffusion_design,
-                     eval_score, lagged_design)
+from .scores import (CenteredDesign, LinearScoreSystem, build_diffusion_score,
+                     build_inar_score, build_regression_score, build_weighted_system,
+                     center_design, diffusion_design, eval_score, lagged_design)
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, lyapunov_covariance, read_series_csv,
                        simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,

@@ -20,7 +20,7 @@ from .dantzig import cross_validate_lambda, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError, UncertifiedFitError)
-from .scores import build_inar_score, diffusion_design, lagged_design
+from .scores import build_inar_score, center_design, diffusion_design, lagged_design
 from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
 from .twostep import two_step_fit, two_step_to_dict
@@ -72,12 +72,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if args.model == "diffusion":
         path = read_series_csv(args.series, kind="reals", delta=args.delta)
-        design, dx = diffusion_design(path)
-        fit = two_step_fit(design, dx, args.lam, args.tau, delta=path.delta)
+        fit = two_step_fit(diffusion_design(path), args.lam, args.tau, delta=path.delta)
     else:
         series = read_series_csv(args.series, kind="counts")
-        design, response = lagged_design(series, args.order)
-        fit = two_step_fit(design, response, args.lam, args.tau)
+        fit = two_step_fit(center_design(*lagged_design(series, args.order)), args.lam,
+                           args.tau)
     out = two_step_to_dict(fit)
     out["first_step"] = fit_to_dict(fit.first_step)
     out["theta_first"] = fit.theta_first.tolist()
@@ -87,12 +86,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_cv(args) -> int:
     series = read_series_csv(args.series, kind="counts")
-    design, response = lagged_design(series, args.order)
+    data = center_design(*lagged_design(series, args.order))
     grid = None
     if args.grid:
         lo, hi, num = args.grid.split(",")
         grid = np.geomspace(float(lo), float(hi), int(num))
-    report = cross_validate_lambda(design, response, grid, folds=args.folds)
+    report = cross_validate_lambda(data, grid, folds=args.folds)
     _write_out(harness.report_to_json(report), args.out)
     return 0
 

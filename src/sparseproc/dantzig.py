@@ -39,7 +39,7 @@ import numpy as np
 from . import _countsim
 from ._blas import rank1_updater
 from .errors import UncertifiedFitError
-from .scores import LinearScoreSystem, center_design
+from .scores import CenteredDesign, LinearScoreSystem
 # no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
 from .scores import build_regression_score  # noqa: F401
 
@@ -95,7 +95,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
     "optimal" carries the last basic solution visited.
     """
-    if not all(np.isfinite(lam) and lam >= 0 for lam in lams):
+    lam_values = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lam_values) & (lam_values >= 0)):
         raise ValueError("lambda must be finite and nonnegative")
     a, b, p = sys.gram, sys.moment, sys.dim
     max_iter = 50 * 4 * p if max_iter is None else max_iter
@@ -114,16 +115,22 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     tableau[-1, :p] = 1.0
 
     path = sorted(zip(lams, range(len(lams))), reverse=True)
+    path_lams = [lam for lam, _ in path]
     kernel = _countsim.load()
     pivots = kernel.dantzig_path if kernel is not None and kernel.solves_lp else _pivot_path
-    thetas, iterations, statuses = pivots(tableau, b, [lam for lam, _ in path], max_iter, tol)
+    thetas, iterations, statuses = pivots(tableau, b, path_lams, max_iter, tol)
+    # the certificate of every fit at once: a stacked matmul is one dgemv per theta, as
+    # a @ theta is (a dgemm over all thetas would round differently)
+    slacks = np.array(path_lams, dtype=float) - _max(np.abs(b - np.matmul(a, thetas[:, :, None])[..., 0]), axis=1)
+    inaccurate = slacks < -1e-8 * scale
+    l1 = _sum(np.abs(thetas), axis=1)
     fits: list = [None] * len(lams)
-    for (lam, i), theta, pivot_count, status in zip(path, thetas, iterations, statuses):
-        slack = lam - float(_max(np.abs(b - a @ theta))) if p else lam
-        if status == "optimal" and slack < -1e-8 * scale:
+    for (lam, i), theta, slack, short, objective, pivot_count, status in zip(
+            path, thetas, slacks.tolist(), inaccurate.tolist(), l1.tolist(), iterations,
+            statuses):
+        if status == "optimal" and short:
             status = "inaccurate"
-        fits[i] = DantzigFit(theta_hat=theta, lam=lam,
-                             l1_objective=float(_sum(np.abs(theta))),
+        fits[i] = DantzigFit(theta_hat=theta, lam=lam, l1_objective=objective,
                              feasibility_slack=slack, iterations=pivot_count, status=status)
     return fits
 
@@ -229,30 +236,26 @@ def default_lambda_grid(moment: np.ndarray) -> np.ndarray:
     return np.geomspace(_GRID_LO * b_inf, _GRID_HI * b_inf, _GRID_NUM)
 
 
-def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
-                          grid: Optional[Sequence[float]] = None,
+def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] = None,
                           folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
-    ``design`` must carry the intercept in column 0.  The whole series is
-    centered once with ``center_design`` and split into ``folds``
+    ``data`` is the ``center_design`` of the whole series, which the first
+    step then reuses.  The centered series is split into ``folds``
     contiguous blocks; each block contributes its cross-products and
-    column sums about that common mean.  Fold k's training system, the
+    column sums about the common mean.  Fold k's training system, the
     least-squares score of the other blocks centered at their own mean, is
     merged from those sums without copying a row (shifted sums as in
     Chan, Golub & LeVeque, 1983), solved along the grid, and scored by the
     one-step-ahead squared prediction error on the held-out block
     (intercept refit from the training means).  Without a ``grid``, the
-    default grid of the whole series' centered moment is used.  Ties in
-    the mean loss go to the largest lambda.  Raises
-    ``UncertifiedFitError`` when a fold's LP is not "optimal".
+    default grid of ``data.moment`` is used.  Ties in the mean loss go to
+    the largest lambda.  Raises ``UncertifiedFitError`` when a fold's LP is
+    not "optimal".
     """
-    z = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    n = y.size
-    zc, yc, _, _ = center_design(z, y)
+    zc, yc, n = data.zc, data.yc, data.n
     if grid is None:
-        grid = default_lambda_grid(zc.T @ yc / n)
+        grid = default_lambda_grid(data.moment)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
@@ -268,6 +271,7 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
     sums = np.array([zb.sum(axis=0) for zb in z_blocks])
     sums_y = np.array([yb.sum() for yb in y_blocks])
     losses = np.zeros((folds, grid.size))
+    z_held = np.empty_like(z_blocks[0])  # the largest block comes first
     for k, (z_val, y_val) in enumerate(zip(z_blocks, y_blocks)):
         train = np.arange(folds) != k
         m = n - y_val.size
@@ -281,8 +285,10 @@ def cross_validate_lambda(design: np.ndarray, response: np.ndarray,
                 raise UncertifiedFitError(
                     f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
         thetas = np.column_stack([fit.theta_hat for fit in fits])
-        resid = (y_val - e)[:, None] - (z_val - d) @ thetas
-        losses[k] = np.mean(resid ** 2, axis=0)
+        z_dev = np.subtract(z_val, d, out=z_held[:y_val.size])
+        resid = z_dev @ thetas
+        np.subtract((y_val - e)[:, None], resid, out=resid)
+        losses[k] = np.mean(np.square(resid, out=resid), axis=0)
     cv_loss = losses.mean(axis=0)
     winners = np.nonzero(cv_loss <= cv_loss.min())[0]
     return CvReport(grid=grid, cv_loss=cv_loss,

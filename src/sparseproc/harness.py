@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
@@ -28,11 +27,11 @@ from .diagnostics import royston_test, selection_and_errors
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
                      StationarityError, UncertifiedFitError)
 from .rng import derive_seed, make_rng
-from .scores import diffusion_design, lagged_design
+from .scores import center_design, diffusion_design, lagged_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
-from .twostep import first_step, project_statistic, two_step_fit
+from .twostep import FitData, first_step, project_statistic, two_step_fit
 
 SCHEMA_VERSION = 1
 
@@ -186,14 +185,17 @@ def _draw_projection(config: CaseConfig) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _choose_lambda(config: CaseConfig, design: np.ndarray, response: np.ndarray,
-                   fisher: float) -> float:
-    """lambda by the configured mode; the rate mode scales with ``fisher``."""
+def _choose_lambda(config: CaseConfig, data: FitData, fisher: float) -> float:
+    """lambda by the configured mode; the rate mode scales with ``fisher``.
+
+    ``data`` is the ``two_step_fit`` input of the replication; CV reads
+    its ``CenteredDesign``.
+    """
     if config.lambda_mode == "fixed":
         return float(config.lambda_value)
     if config.lambda_mode == "rate":
         return config.rate_c * float(np.sqrt(np.log(config.p) / fisher))
-    report = cross_validate_lambda(design, response, config.cv_grid, folds=config.cv_folds)
+    report = cross_validate_lambda(data, config.cv_grid, folds=config.cv_folds)
     return report.chosen_lambda
 
 
@@ -213,21 +215,21 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     seed = derive_seed(config.base_seed, rep)
     sample = simulate_series(config.model, config.n, seed)
     record = {"rep": rep, "failed": False}
-    # per-model preparation: the Fisher scale is the number of observations
-    # for counts and the observed time n * delta for diffusions; ``offset``
-    # intercept columns lead the fit coordinates
+    # per-model preparation: a count design is centered once, for CV and the
+    # fit; the Fisher scale is the number of observations for counts and the
+    # observed time n * delta for diffusions; ``offset`` intercept columns lead
+    # the fit coordinates
     if isinstance(config.model, OuSpec):
-        design, response = diffusion_design(sample, config.target)
-        delta, fisher, offset = sample.delta, response.size * sample.delta, 0
+        data = diffusion_design(sample, config.target)
+        delta, fisher, offset = sample.delta, data[1].size * sample.delta, 0
     else:
         order = config.p if sample.dim == 1 else 1
-        design, response = lagged_design(sample, order, target=config.target)
-        delta, fisher, offset = None, response.size, 1
-    lam = _choose_lambda(config, design, response, fisher)
+        data = center_design(*lagged_design(sample, order, target=config.target))
+        delta, fisher, offset = None, data.n, 1
+    lam = _choose_lambda(config, data, fisher)
     # simulated count cases are conditionally Poisson (variance = mean); a
     # diffusion fit estimates its own sigma^2
-    fit = two_step_fit(design, response, lam, config.tau, delta=delta,
-                       nuisance_mode="plugin_theta")
+    fit = two_step_fit(data, lam, config.tau, delta=delta, nuisance_mode="plugin_theta")
     if delta is not None:
         record["sigma2_hat"] = float(fit.nuisance.values)
 
@@ -285,6 +287,8 @@ def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
     with one_blas_thread():
         if jobs > 1:
+            # deferred: the process pool's modules cost about 20 ms at import
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_rep_worker, tasks, chunksize=1))
         else:
@@ -386,9 +390,9 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     p = config.p
     series = SeriesSample(values=binned.values[p:], lag_buffer=binned.values[:p],
                           kind="counts")
-    design, response = lagged_design(series, p)
-    lam = _choose_lambda(config, design, response, response.size)
-    _, _, sel = first_step(design, response, lam, config.tau)
+    data = center_design(*lagged_design(series, p))  # once, for CV and the first step
+    lam = _choose_lambda(config, data, data.n)
+    _, _, sel = first_step(data, lam, config.tau)
     lags = [j + 1 for j in sel.indices]
     s_hat = max(lags) if lags else 0
     return {"rep": rep, "failed": False, "lambda": lam, "n_events": int(len(events)),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NuisanceError
 from .simulate import SeriesSample
@@ -70,19 +71,49 @@ def build_regression_score(covariates: np.ndarray, responses: np.ndarray
     return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ y / n, n_eff=n)
 
 
-def center_design(design: np.ndarray, response: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(zc, yc, z_bar, y_bar): the design without its intercept column 0 and
-    the response, both mean-centered, and the means that were removed.
+@dataclass(frozen=True)
+class CenteredDesign:
+    """A count/regression design prepared once for every fit on it.
+
+    ``design`` (intercept in column 0) and ``response`` as given; ``zc`` and
+    ``yc``, the design without column 0 and the response, both
+    mean-centered; the means ``z_bar`` and ``y_bar`` that were removed; and
+    the centered moment ``zc' yc / n``, which both the default CV grid and
+    the first-step system read.
+    """
+
+    design: np.ndarray
+    response: np.ndarray
+    zc: np.ndarray
+    yc: np.ndarray
+    z_bar: np.ndarray
+    y_bar: float
+    moment: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.yc.size
+
+    def score(self) -> LinearScoreSystem:
+        """The least-squares score of the centered columns, which the first step solves."""
+        return LinearScoreSystem(gram=self.zc.T @ self.zc / self.n, moment=self.moment,
+                                 n_eff=self.n)
+
+
+def center_design(design: np.ndarray, response: np.ndarray) -> CenteredDesign:
+    """The ``CenteredDesign`` of rows with the intercept in column 0.
 
     Count models select on the centered lag columns; the intercept is then
     recovered as y_bar - theta' z_bar and never enters the l1 program.
     """
-    z = np.asarray(design, dtype=float)[:, 1:]
+    z = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
-    z_bar = z.mean(axis=0)
+    lags = z[:, 1:]
+    z_bar = lags.mean(axis=0)
     y_bar = y.mean()
-    return z - z_bar, y - y_bar, z_bar, y_bar
+    zc, yc = lags - z_bar, y - y_bar
+    return CenteredDesign(design=z, response=y, zc=zc, yc=yc, z_bar=z_bar, y_bar=y_bar,
+                          moment=zc.T @ yc / y.size)
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0
@@ -103,18 +134,21 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
             raise ValueError(
                 f"lag buffer has {buf.shape[0]} rows; order {order} requires at least {order}")
         full = np.concatenate([buf[:, 0], x[:, 0]])
-        off = buf.shape[0]
-        design = np.ones((n, order + 1))
-        for i in range(1, order + 1):
-            design[:, i] = full[off - i: off - i + n]
+        start = buf.shape[0] - order
+        design = np.empty((n, order + 1))
+        design[:, 0] = 1.0
+        # row t holds lags 1..order of x_t: the window of full at start + t, reversed
+        design[:, 1:] = sliding_window_view(full, order)[start: start + n, ::-1]
         response = x[:, 0]
     else:
         if order != 1:
             raise ValueError("multivariate series support order 1 only")
         if buf.shape[0] < 1:
             raise ValueError("multivariate series needs one lag-buffer row")
-        prev = np.vstack([buf[-1:], x[:-1]])
-        design = np.hstack([np.ones((n, 1)), prev])
+        design = np.empty((n, d + 1))
+        design[:, 0] = 1.0
+        design[0, 1:] = buf[-1]
+        design[1:, 1:] = x[:-1]
         response = x[:, target]
     return design, response
 
@@ -122,14 +156,13 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
 def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> LinearScoreSystem:
     """Conditional least-squares score for count autoregressions.
 
-    The system of ``center_design`` over the lag coefficients, which the
-    first step solves; the raw system over (intercept, lags) is
+    ``CenteredDesign.score`` over the lag coefficients, which the first
+    step solves; the raw system over (intercept, lags) is
     ``build_regression_score(*lagged_design(series, order, target))``.
     """
     if series.kind != "counts":
         raise ValueError("INAR score requires a counts series")
-    design, response, _, _ = center_design(*lagged_design(series, order, target))
-    return build_regression_score(design, response)
+    return center_design(*lagged_design(series, order, target)).score()
 
 
 def diffusion_design(path: SeriesSample, target: int = 0) -> Tuple[np.ndarray, np.ndarray]:

@@ -11,15 +11,22 @@ plug-in asymptotic covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (LinearScoreSystem, build_diffusion_score, build_regression_score,
-                     build_weighted_system, center_design, diffusion_design)
+from .scores import (CenteredDesign, LinearScoreSystem, build_diffusion_score,
+                     build_weighted_system, diffusion_design)
+# no longer called here; perfbench/tracing.py still wraps twostep.build_regression_score by name
+from .scores import build_regression_score  # noqa: F401
 from .simulate import SeriesSample
+
+
+# what a fit runs on: a count/regression design's CenteredDesign, or the
+# (covariates, increments) pair of diffusion_design
+FitData = Union[CenteredDesign, Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -120,42 +127,37 @@ def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
     return theta, 0.5 * (inv + inv.T)
 
 
-def first_step(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
-               delta: Optional[float] = None
+def first_step(data: FitData, lam: float, tau: float, delta: Optional[float] = None
                ) -> Tuple[DantzigFit, np.ndarray, SupportEstimate]:
     """The Dantzig fit, the first-step estimate and its thresholded support.
 
-    Without ``delta`` the rows are a count/regression design with the
-    intercept in column 0: the LP runs on the mean-centered non-intercept
-    columns of ``center_design``, the support is in those coordinates
-    (columns 1..p reported as 0..p-1), and the intercept is recovered from
-    the means.  With ``delta`` the rows are those of ``diffusion_design``
-    and the LP runs on ``build_diffusion_score``.
+    Without ``delta``, ``data`` is the ``CenteredDesign`` of a
+    count/regression design with the intercept in column 0: the LP runs on
+    its centered non-intercept columns (``CenteredDesign.score``), the
+    support is in those coordinates (columns 1..p reported as 0..p-1), and
+    the intercept is recovered from the means.  With ``delta``, ``data`` is
+    the (covariates, increments) pair of ``diffusion_design`` and the LP
+    runs on ``build_diffusion_score``.
 
     Raises ``UncertifiedFitError`` when the LP does not end optimal.
     """
-    z = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    if delta is None:
-        zc, yc, z_bar, y_bar = center_design(z, y)
-        sys1 = build_regression_score(zc, yc)
-    else:
-        sys1 = build_diffusion_score(z, y, delta)
+    sys1 = data.score() if delta is None else build_diffusion_score(*data, delta)
     fit = solve_dantzig(sys1, lam)
     if fit.status != "optimal":
         raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")
     theta_first = fit.theta_hat
     if delta is None:
-        theta_first = np.concatenate([[y_bar - theta_first @ z_bar], theta_first])
+        theta_first = np.concatenate([[data.y_bar - theta_first @ data.z_bar], theta_first])
     return fit, theta_first, threshold_support(fit, tau)
 
 
-def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: float,
-                 *, delta: Optional[float] = None,
+def two_step_fit(data: FitData, lam: float, tau: float, *, delta: Optional[float] = None,
                  nuisance_mode: str = "residual") -> TwoStepFit:
     """Run the full pipeline on prepared design rows.
 
-    The first step is ``first_step``; a fit is a diffusion fit exactly when
+    ``data`` and ``delta`` are those of ``first_step``: the
+    ``CenteredDesign`` of a count/regression design, or with ``delta`` the
+    pair of ``diffusion_design``, so a fit is a diffusion fit exactly when
     ``delta`` is given.  Step two weights each row by the inverse of its
     ``NuisanceEstimate.variance``.  A count/regression fit always carries
     the intercept (column 0) into step two, and ``nuisance_mode`` picks its
@@ -165,25 +167,25 @@ def two_step_fit(design: np.ndarray, response: np.ndarray, lam: float, tau: floa
     conditionally Poisson counts where the conditional variance equals the
     conditional mean.
 
-    For a diffusion fit pass the rows of ``diffusion_design`` and the
-    sampling interval ``delta``.  The nuisance is then the quadratic
-    variation sigma^2 of the increments, so a constant path raises
-    ``DegenerateVarianceError`` before any LP runs.
+    For a diffusion fit the nuisance is the quadratic variation sigma^2 of
+    the increments, so a constant path raises ``DegenerateVarianceError``
+    before any LP runs.
     """
     if nuisance_mode not in ("residual", "plugin_theta"):
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
-    z = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    d = z.shape[1]
-    # the offset from selected coordinates to design columns, the columns
-    # always carried into step two, the nuisance of a diffusion (estimated
-    # before any LP runs, so it also checks delta) and the second-step response
+    # the design rows and responses, the offset from selected coordinates to
+    # design columns, the columns always carried into step two, the nuisance
+    # of a diffusion (estimated before any LP runs, so it also checks delta)
+    # and the second-step response
     if delta is None:
+        z, y = data.design, data.response
         offset, carried, nui, y2 = 1, {0}, None, y
     else:
+        z, y = np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=float).ravel()
         offset, carried, nui, y2 = 0, set(), _diffusion_nuisance(y, delta), y / delta
+    d = z.shape[1]
 
-    fit1, theta_first, sel = first_step(z, y, lam, tau, delta)
+    fit1, theta_first, sel = first_step(data, lam, tau, delta)
     support2 = sorted({j + offset for j in sel.indices} | carried)
     if nui is None and nuisance_mode == "plugin_theta":
         h = np.maximum(theta_first[support2], 0.0)

@@ -182,6 +182,27 @@ def hawkes_reference_events(spec, seed: int) -> np.ndarray:
     return np.array(events)
 
 
+def reference_lagged_design(series, order: int, target: int = 0):
+    """(design, response) of ``scores.lagged_design``, one lag column at a time.
+
+    Column i of a univariate design is the series shifted by i steps into
+    its lag buffer; a multivariate design stacks the last buffer row over
+    all but the last observation, beside a column of ones.
+    """
+    x = series.values
+    buf = series.lag_buffer
+    n, d = x.shape
+    if d == 1:
+        full = np.concatenate([buf[:, 0], x[:, 0]])
+        off = buf.shape[0]
+        design = np.ones((n, order + 1))
+        for i in range(1, order + 1):
+            design[:, i] = full[off - i: off - i + n]
+        return design, x[:, 0]
+    prev = np.vstack([buf[-1:], x[:-1]])
+    return np.hstack([np.ones((n, 1)), prev]), x[:, target]
+
+
 def reference_cross_validate(design: np.ndarray, response: np.ndarray,
                                grid: Optional[Sequence[float]] = None,
                                folds: int = 5) -> CvReport:
@@ -203,8 +224,8 @@ def reference_cross_validate(design: np.ndarray, response: np.ndarray,
     y = np.asarray(response, dtype=float).ravel()
     n = y.size
     if grid is None:
-        zc, yc, _, _ = center_design(z, y)
-        grid = default_lambda_grid(zc.T @ yc / n)
+        full = center_design(z, y)
+        grid = default_lambda_grid(full.zc.T @ full.yc / n)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
@@ -218,14 +239,14 @@ def reference_cross_validate(design: np.ndarray, response: np.ndarray,
     losses = np.zeros((folds, grid.size))
     for k, val in enumerate(blocks):
         train = np.setdiff1d(np.arange(n), val, assume_unique=True)
-        zc, yc, z_bar, y_bar = center_design(z[train], y[train])
-        sys = build_regression_score(zc, yc)
-        zc_val = z[val, 1:] - z_bar
+        fold = center_design(z[train], y[train])
+        sys = build_regression_score(fold.zc, fold.yc)
+        zc_val = z[val, 1:] - fold.z_bar
         for g, (lam, fit) in enumerate(zip(grid, solve_dantzig_path(sys, grid))):
             if fit.status != "optimal":
                 raise UncertifiedFitError(
                     f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
-            pred = y_bar + zc_val @ fit.theta_hat
+            pred = fold.y_bar + zc_val @ fit.theta_hat
             losses[k, g] = np.mean((y[val] - pred) ** 2)
     cv_loss = losses.mean(axis=0)
     winners = np.nonzero(cv_loss <= cv_loss.min())[0]

@@ -14,7 +14,7 @@ from sparseproc import _blas, _countsim, dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
                                 solve_dantzig, solve_dantzig_path, threshold_support)
 from sparseproc.errors import UncertifiedFitError
-from sparseproc.scores import LinearScoreSystem, build_regression_score
+from sparseproc.scores import LinearScoreSystem, build_regression_score, center_design
 from sparseproc.twostep import first_step
 from sparseproc.simulate import (InarSpec, SeriesSample, bin_counts, simulate_hawkes,
                                  simulate_inar)
@@ -487,15 +487,69 @@ class TestSlackCertification:
         design, response = case_design("case1")
         corrupt_pivots()
         with pytest.raises(UncertifiedFitError, match="inaccurate"):
-            first_step(design, response, 0.05, 0.05)
+            first_step(center_design(design, response), 0.05, 0.05)
         with pytest.raises(UncertifiedFitError, match="inaccurate"):
-            cross_validate_lambda(design, response)
+            cross_validate_lambda(center_design(design, response))
 
     def test_run_case_counts_failed_reps(self, corrupt_pivots):
         corrupt_pivots()
         report = harness.run_case(harness.builtin_case("case1", n=500, reps=2), jobs=1)
         assert report.failures == 2
         assert all(r["error"].startswith("UncertifiedFitError") for r in report.per_rep)
+
+
+def per_fit_certificate(sys, fit):
+    """(slack, l1 objective, status) of ``fit`` by the formula, one fit at a time."""
+    a, b = sys.gram, sys.moment
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    slack = fit.lam - float(np.maximum.reduce(np.abs(b - a @ fit.theta_hat)))
+    status = fit.status
+    if status in ("optimal", "inaccurate"):  # the pivots ended; the slack decides
+        status = "inaccurate" if slack < -1e-8 * scale else "optimal"
+    return slack, float(np.add.reduce(np.abs(fit.theta_hat))), status
+
+
+class TestPathCertificate:
+    """Every fit's certificate, taken for the whole path at once, equals the per-fit
+    formula bit for bit, on the compiled loop and on the numpy loop."""
+
+    @staticmethod
+    def assert_per_fit(sys, lams, max_iter=None):
+        fits = solve_dantzig_path(sys, lams, max_iter)
+        for fit in fits:
+            slack, l1, status = per_fit_certificate(sys, fit)
+            assert type(fit.feasibility_slack) is float and type(fit.l1_objective) is float
+            assert fit.feasibility_slack.hex() == slack.hex()
+            assert fit.l1_objective.hex() == l1.hex()
+            assert fit.status == status
+        return [fit.status for fit in fits]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 20, 100, 200])
+    def test_random_systems(self, on_lp_path, p):
+        rng = np.random.default_rng(300 + p)
+        for _ in range(3):
+            m = rng.standard_normal((3 * p + 2, p))
+            sys = LinearScoreSystem(gram=m.T @ m / (3 * p + 2), moment=rng.standard_normal(p),
+                                    n_eff=10)
+            lams = list(rng.uniform(0.0, 1.0, 8) * np.abs(sys.moment).max()) + [0.0]
+            assert "optimal" in self.assert_per_fit(sys, lams)
+
+    def test_experiment_systems(self, on_lp_path, experiment_systems):
+        assert set(self.assert_per_fit(*experiment_path(experiment_systems))) == {"optimal"}
+
+    def test_infeasible_and_iteration_limit(self, on_lp_path):
+        sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                moment=np.array([3.0, 1.0]), n_eff=5)
+        assert "infeasible" in self.assert_per_fit(sys, [0.5, 1.5, 0.2, 2.0])
+        sys = random_system(np.random.default_rng(37), 20)
+        lams = np.geomspace(0.01, 1.0, 6) * np.abs(sys.moment).max()
+        assert "iteration_limit" in self.assert_per_fit(sys, lams, max_iter=2)
+
+    def test_inaccurate(self, corrupt_pivots):
+        sys = random_system(np.random.default_rng(41), 20)
+        corrupt_pivots()
+        lams = np.geomspace(0.05, 1.0, 5) * np.abs(sys.moment).max()
+        assert "inaccurate" in self.assert_per_fit(sys, lams)
 
 
 class TestRank1Binding:
@@ -587,7 +641,7 @@ class TestCrossValidation:
         rng = np.random.default_rng(23)
         z = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         y = rng.standard_normal(60)
-        report = cross_validate_lambda(z, y, [0.37], folds=3)
+        report = cross_validate_lambda(center_design(z, y), [0.37], folds=3)
         assert report.chosen_lambda == 0.37
         assert report.cv_loss.shape == (1,)
 
@@ -595,15 +649,16 @@ class TestCrossValidation:
         z = np.ones((30, 2))
         y = np.zeros(30)
         with pytest.raises(ValueError, match="empty"):
-            cross_validate_lambda(z, y, [], folds=2)
+            cross_validate_lambda(center_design(z, y), [], folds=2)
         with pytest.raises(ValueError, match="ascending"):
-            cross_validate_lambda(z, y, [0.5, 0.1], folds=2)
+            cross_validate_lambda(center_design(z, y), [0.5, 0.1], folds=2)
         with pytest.raises(ValueError, match="folds"):
-            cross_validate_lambda(z, y, [0.1], folds=1)
+            cross_validate_lambda(center_design(z, y), [0.1], folds=1)
         with pytest.raises(ValueError, match="short"):
-            cross_validate_lambda(np.ones((6, 2)), np.zeros(6), [0.1], folds=5)
+            cross_validate_lambda(center_design(np.ones((6, 2)), np.zeros(6)), [0.1],
+                                  folds=5)
         with pytest.raises(ValueError, match="finite"):
-            cross_validate_lambda(z, y, [0.1, np.nan, 0.5], folds=2)
+            cross_validate_lambda(center_design(z, y), [0.1, np.nan, 0.5], folds=2)
 
     def test_pure_noise_prefers_large_lambda(self):
         # under the null the sparsest model predicts best
@@ -615,7 +670,7 @@ class TestCrossValidation:
             y = rng.standard_normal(240)
             zc = z[:, 1:] - z[:, 1:].mean(axis=0)
             grid = default_lambda_grid(zc.T @ (y - y.mean()) / y.size)
-            report = cross_validate_lambda(z, y, grid, folds=5)
+            report = cross_validate_lambda(center_design(z, y), grid, folds=5)
             if report.chosen_lambda >= grid[-5]:
                 hits += 1
         assert hits >= 0.8 * reps
@@ -625,7 +680,7 @@ class TestCrossValidation:
         sample = simulate_inar(spec, 400, seed=2)
         design, response = lagged_design(sample, 1)
         grid = np.geomspace(0.01, 2.0, 10)
-        report = cross_validate_lambda(design, response, grid, folds=4)
+        report = cross_validate_lambda(center_design(design, response), grid, folds=4)
         winners = report.grid[report.cv_loss <= report.cv_loss.min()]
         assert report.chosen_lambda == winners.max()
 
@@ -635,7 +690,8 @@ class TestCrossValidation:
         design, response = lagged_design(simulate_inar(spec, 300, seed=4), 2)
         zc = design[:, 1:] - design[:, 1:].mean(axis=0)
         grid = default_lambda_grid(zc.T @ (response - response.mean()) / response.size)
-        assert_array_equal(cross_validate_lambda(design, response, folds=3).grid, grid)
+        report = cross_validate_lambda(center_design(design, response), folds=3)
+        assert_array_equal(report.grid, grid)
 
     def test_uncertified_cv_lp_raises(self, monkeypatch):
         real = dantzig.solve_dantzig_path
@@ -644,7 +700,7 @@ class TestCrossValidation:
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
         design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
-            cross_validate_lambda(design, response, [0.001], folds=3)
+            cross_validate_lambda(center_design(design, response), [0.001], folds=3)
 
 
 class TestCrossValidationAgainstReference:
@@ -653,7 +709,7 @@ class TestCrossValidationAgainstReference:
     @pytest.mark.parametrize("case_id", ["case1", "case3", "hawkes"])
     def test_same_choice_and_losses(self, case_id):
         design, response = case_design(case_id)
-        new = cross_validate_lambda(design, response)
+        new = cross_validate_lambda(center_design(design, response))
         ref = reference_cross_validate(design, response)
         assert_array_equal(new.grid, ref.grid)
         assert new.chosen_lambda == ref.chosen_lambda
@@ -670,7 +726,7 @@ class TestCrossValidationAgainstReference:
             return real(sys, lams)
 
         monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
-        cross_validate_lambda(design, response)
+        cross_validate_lambda(center_design(design, response))
         assert len(systems) == 5
         for fold, sys in enumerate(systems):
             ref, _ = cv_fold_system(design, response, fold=fold)
@@ -686,7 +742,7 @@ class TestCrossValidationAgainstReference:
         design = design.copy()
         design[:, 1:] += 1e6
         response = response + 1e6
-        new = cross_validate_lambda(design, response)
+        new = cross_validate_lambda(center_design(design, response))
         ref = reference_cross_validate(design, response)
         assert new.chosen_lambda == ref.chosen_lambda
         assert_allclose(new.cv_loss, ref.cv_loss, rtol=1e-9, atol=0)

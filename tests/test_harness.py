@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_cross_validate, run_fresh
 
-from sparseproc import _blas, harness, twostep
+from sparseproc import _blas, harness, scores, twostep
 from sparseproc.cli import main
 from sparseproc.dantzig import CvReport
 from sparseproc.diagnostics import FInftyEstimate
@@ -208,8 +208,31 @@ class TestRunCase:
         # per-block CV sums must choose every lambda exactly as the per-fold copies did
         cfg = builtin_case(case_id, reps=3)
         merged = report_to_json(run(cfg))
-        monkeypatch.setattr(harness, "cross_validate_lambda", reference_cross_validate)
+
+        def reference_on_raw_rows(data, grid=None, folds=5):
+            return reference_cross_validate(data.design, data.response, grid, folds)
+
+        monkeypatch.setattr(harness, "cross_validate_lambda", reference_on_raw_rows)
         assert report_to_json(run(cfg)) == merged
+
+    @pytest.mark.parametrize("case_id,rep_fn", [("case1", "_case_rep"),
+                                                ("hawkes", "_hawkes_rep")])
+    def test_one_centering_per_replication(self, monkeypatch, case_id, rep_fn):
+        # CV and the first step share the replication's CenteredDesign
+        real, calls = scores.center_design, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sparseproc") and hasattr(module, "center_design"):
+                monkeypatch.setattr(module, "center_design", counting)
+        cfg = builtin_case(case_id, n=500, reps=1)
+        assert cfg.lambda_mode == "cv"
+        record = getattr(harness, rep_fn)(cfg, 1)
+        assert not record["failed"]
+        assert len(calls) == 1
 
     def test_selection_flag(self, monkeypatch):
         # a replication's "sel" is exact recovery of the true support by its fit,
@@ -392,12 +415,16 @@ scipy_loaded["count_and_ou"] = any_scipy()
 failures += run_hawkes_support(builtin_case("hawkes", n=200, reps=1), jobs=1).failures
 seen["hawkes"] = "scipy.optimize" in sys.modules
 scipy_loaded["hawkes"] = any_scipy()
-from sparseproc.scores import lagged_design
+pool = {"jobs1": "concurrent.futures.process" in sys.modules}
+failures += run_case(builtin_case("case1", n=300, reps=2, lambda_mode="rate"), jobs=2).failures
+pool["jobs2"] = "concurrent.futures.process" in sys.modules
+from sparseproc.scores import center_design, lagged_design
 from sparseproc.simulate import InarSpec, simulate_inar
 z, y = lagged_design(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), 500, 3), 2)
-fit = sparseproc.two_step_fit(z, y, 0.1, 0.05, nuisance_mode="residual")
+fit = sparseproc.two_step_fit(center_design(z, y), 0.1, 0.05, nuisance_mode="residual")
 seen["residual"] = "scipy.optimize" in sys.modules
-print(json.dumps({"seen": seen, "scipy_loaded": scipy_loaded, "failures": failures,
+print(json.dumps({"seen": seen, "scipy_loaded": scipy_loaded, "pool": pool,
+                  "failures": failures,
                   "nuisance": fit.nuisance.kind, "cblas": _blas.CBLAS_DGER is not None}))
 """
 
@@ -412,16 +439,24 @@ print(json.dumps({"before": before, "after": "scipy.special" in sys.modules}))
 """
 
 
+@pytest.fixture(scope="class")
+def import_graph():
+    return run_fresh(IMPORT_GRAPH_SCRIPT)
+
+
 class TestImportGraph:
     # fresh interpreters, so no earlier test has imported scipy
-    def test_scipy_optimize_loads_only_for_residual_nuisance(self):
-        out = run_fresh(IMPORT_GRAPH_SCRIPT)
+    def test_scipy_optimize_loads_only_for_residual_nuisance(self, import_graph):
+        out = import_graph
         assert out["seen"] == {"import": False, "count_and_ou": False, "hawkes": False,
                                "residual": True}
         assert out["failures"] == 0
         assert out["nuisance"] == "inar_linear_variance"
         if out["cblas"]:  # without a CBLAS dger in numpy's BLAS the pivot uses scipy's
             assert out["scipy_loaded"] == {"import": [], "count_and_ou": [], "hawkes": []}
+
+    def test_process_pool_loads_only_for_jobs_above_one(self, import_graph):
+        assert import_graph["pool"] == {"jobs1": False, "jobs2": True}
 
     @pytest.mark.parametrize("test_name", ["shapiro_wilk", "royston_test"])
     def test_scipy_special_loads_only_for_normality_tests(self, test_name):
@@ -554,7 +589,7 @@ class TestCli:
                      "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
         got = json.load(open(out))
         path = read_series_csv(series, kind="reals", delta=0.05)
-        fit = two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta)
+        fit = two_step_fit(diffusion_design(path), 0.1, 0.05, delta=path.delta)
         assert got["support"] == list(fit.support.indices)
         assert got["theta_tilde"] == [[j, v] for j, v in enumerate(fit.theta_tilde.tolist())
                                       if v != 0.0]

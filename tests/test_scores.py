@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import reference_lagged_design
 
 from sparseproc.errors import NuisanceError
 from sparseproc.scores import (VARIANCE_FLOOR, LinearScoreSystem, build_diffusion_score,
@@ -44,12 +45,20 @@ class TestRegressionScore:
         rng = np.random.default_rng(3)
         z = np.column_stack([np.ones(30), rng.poisson(2.0, size=(30, 3)).astype(float)])
         theta = np.array([0.3, 0.0, 0.2])
-        zc, yc, z_bar, y_bar = center_design(z, 0.5 + z[:, 1:] @ theta)
-        assert zc.shape == (30, 3)
-        assert_allclose(zc.mean(axis=0), 0.0, atol=1e-14)
-        assert_allclose(z_bar, z[:, 1:].mean(axis=0), rtol=0, atol=0)
-        assert np.abs(eval_score(build_regression_score(zc, yc), theta)).max() < 1e-12
-        assert y_bar - theta @ z_bar == pytest.approx(0.5, abs=1e-12)
+        y = 0.5 + z[:, 1:] @ theta
+        data = center_design(z, y)
+        assert data.zc.shape == (30, 3) and data.n == 30
+        assert_array_equal(data.design, z)
+        assert_array_equal(data.response, y)
+        assert_allclose(data.zc.mean(axis=0), 0.0, atol=1e-14)
+        assert_allclose(data.z_bar, z[:, 1:].mean(axis=0), rtol=0, atol=0)
+        ref = build_regression_score(data.zc, data.yc)
+        assert np.abs(eval_score(ref, theta)).max() < 1e-12
+        assert data.y_bar - theta @ data.z_bar == pytest.approx(0.5, abs=1e-12)
+        # the moment and the score are those of the centered columns, bit for bit
+        assert data.moment.tobytes() == ref.moment.tobytes()
+        assert data.score().gram.tobytes() == ref.gram.tobytes()
+        assert data.score().moment.tobytes() == ref.moment.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -86,9 +95,9 @@ class TestInarScore:
 
     def test_is_the_centered_system(self):
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 300, seed=9)
-        zc, yc, _, _ = center_design(*lagged_design(sample, 10))
+        data = center_design(*lagged_design(sample, 10))
         sys = build_inar_score(sample, order=10)
-        ref = build_regression_score(zc, yc)
+        ref = build_regression_score(data.zc, data.yc)
         assert_array_equal(sys.gram, ref.gram)
         assert_array_equal(sys.moment, ref.moment)
 
@@ -107,6 +116,26 @@ class TestInarScore:
         assert meds[0] > meds[1] > meds[2]
         # two quadruplings of n should halve the norm each time, roughly
         assert meds[2] < 0.45 * meds[0]
+
+
+class TestLaggedDesign:
+    """The one-allocation design against the column-by-column reference, byte for byte."""
+
+    @pytest.mark.parametrize("n_buffer, order, dim, target", [
+        (15, 10, 1, 0),   # a univariate buffer longer than the order
+        (10, 10, 1, 0),   # order equal to the buffer rows
+        (1, 1, 1, 0),
+        (3, 1, 4, 2),     # multivariate, target != 0
+    ])
+    def test_matches_reference(self, n_buffer, order, dim, target):
+        rng = np.random.default_rng(17 + n_buffer + dim)
+        sample = SeriesSample(values=rng.poisson(3.0, size=(200, dim)),
+                              lag_buffer=rng.poisson(3.0, size=(n_buffer, dim)))
+        design, response = lagged_design(sample, order, target)
+        ref_design, ref_response = reference_lagged_design(sample, order, target)
+        assert design.shape == ref_design.shape and design.dtype == ref_design.dtype
+        assert design.tobytes() == ref_design.tobytes()
+        assert response.tobytes() == ref_response.tobytes()
 
 
 class TestDiffusionScore:

@@ -204,12 +204,12 @@ class TestSecondStepAgainstCholeskyReference:
         if model == "ou":
             path = simulate_ou(harness.builtin_case("ou").model, seed=2)
             z, dx = diffusion_design(path)
-            fit = two_step_fit(z, dx, 0.05, 0.05, delta=path.delta)
+            fit = two_step_fit((z, dx), 0.05, 0.05, delta=path.delta)
             response, scale = dx / path.delta, dx.size * path.delta
         else:
             sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 2000, seed=5)
             z, response = lagged_design(sample, 10)
-            fit = two_step_fit(z, response, 0.12, 0.05)
+            fit = two_step_fit(center_design(z, response), 0.12, 0.05)
             scale = response.size
         assert len(fit.fit_support) >= 2
         wsys = build_weighted_system(z, response, fit.fit_support, fit.nuisance.variance)
@@ -224,7 +224,7 @@ class TestTwoStepFit:
         theta0 = np.array([0.7, 1.0, 0.0, -2.0, 0.0, 0.0])
         y = z @ theta0
         for mode in ("residual", "plugin_theta"):
-            fit = two_step_fit(z, y, lam=1e-10, tau=0.05, nuisance_mode=mode)
+            fit = two_step_fit(center_design(z, y), lam=1e-10, tau=0.05, nuisance_mode=mode)
             assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
 
     def test_oracle_vs_estimated_nuisance_agree(self):
@@ -234,7 +234,7 @@ class TestTwoStepFit:
         for r in range(10):
             sample = simulate_inar(spec, 20_000, seed=61 + r)
             z, y = lagged_design(sample, 10)
-            f_est = two_step_fit(z, y, 0.05, 0.05, nuisance_mode="residual")
+            f_est = two_step_fit(center_design(z, y), 0.05, 0.05, nuisance_mode="residual")
             # the oracle weights by the true Poisson variance, on the same support
             sup = list(f_est.fit_support)
             theta_orc, _ = solve_weighted(build_weighted_system(z, y, sup, z @ theta0))
@@ -247,7 +247,7 @@ class TestTwoStepFit:
         rng = np.random.default_rng(71)
         z = rng.standard_normal((50, 3))
         dx = 0.01 * rng.standard_normal(50)
-        fit = two_step_fit(z, dx, lam=100.0, tau=0.05, delta=0.1)
+        fit = two_step_fit((z, dx), lam=100.0, tau=0.05, delta=0.1)
         assert fit.empty_model
         assert_array_equal(fit.theta_tilde, np.zeros(3))
         assert fit.asymp_cov.shape == (0, 0)
@@ -265,7 +265,7 @@ class TestTwoStepFit:
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=83)
         z, y = lagged_design(sample, 10)
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
-            two_step_fit(z, y, 0.01, 0.05)
+            two_step_fit(center_design(z, y), 0.01, 0.05)
 
     def test_delta_makes_a_diffusion_fit(self):
         # with delta the first step solves the diffusion score of the rows as given
@@ -273,7 +273,7 @@ class TestTwoStepFit:
                       delta=0.05, n_steps=2000, substeps=5)
         path = simulate_ou(spec, seed=87)
         z, dx = diffusion_design(path)
-        fit = two_step_fit(z, dx, 0.1, 0.05, delta=path.delta)
+        fit = two_step_fit((z, dx), 0.1, 0.05, delta=path.delta)
         ref = solve_dantzig(build_diffusion_score(z, dx, path.delta), 0.1)
         assert_array_equal(fit.first_step.theta_hat, ref.theta_hat)
         assert_array_equal(fit.theta_first, ref.theta_hat)
@@ -285,7 +285,7 @@ class TestTwoStepFit:
                       delta=0.05, n_steps=2000, substeps=5)
         path = simulate_ou(spec, seed=88)
         for target in (0, 1):
-            fit = two_step_fit(*diffusion_design(path, target), 0.1, 0.05, delta=path.delta)
+            fit = two_step_fit(diffusion_design(path, target), 0.1, 0.05, delta=path.delta)
             ref = estimate_diffusion_sigma2(path, target=target)
             assert fit.nuisance.kind == ref.kind == "diffusion_constant_sigma2"
             assert fit.nuisance.values.tobytes() == ref.values.tobytes()
@@ -298,13 +298,13 @@ class TestTwoStepFit:
         monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
         path = SeriesSample(values=np.ones((50, 2)), delta=0.1, kind="reals")
         with pytest.raises(DegenerateVarianceError):
-            two_step_fit(*diffusion_design(path), 0.1, 0.05, delta=path.delta)
+            two_step_fit(diffusion_design(path), 0.1, 0.05, delta=path.delta)
 
     @pytest.mark.parametrize("delta", [-0.1, 0.0, np.nan, np.inf])
     def test_bad_delta_rejected(self, delta):
         z, dx = np.ones((10, 2)), np.arange(10.0)
         with pytest.raises(ValueError, match="delta must be finite and positive"):
-            two_step_fit(z, dx, 0.1, 0.05, delta=delta)
+            two_step_fit((z, dx), 0.1, 0.05, delta=delta)
 
     def test_unknown_nuisance_mode_raises_before_any_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
@@ -312,16 +312,16 @@ class TestTwoStepFit:
         monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
         z = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ValueError, match="unknown nuisance_mode"):
-            two_step_fit(z, np.arange(10.0), 0.1, 0.05, nuisance_mode="oracle")
+            two_step_fit(center_design(z, np.arange(10.0)), 0.1, 0.05, nuisance_mode="oracle")
 
     def test_first_step_count_intercept(self):
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=89)
         z, y = lagged_design(sample, 10)
-        fit, theta_first, sel = first_step(z, y, 0.1, 0.05)
-        zc, yc, z_bar, y_bar = center_design(z, y)
-        ref = solve_dantzig(build_regression_score(zc, yc), 0.1)
+        data = center_design(z, y)
+        fit, theta_first, sel = first_step(data, 0.1, 0.05)
+        ref = solve_dantzig(build_regression_score(data.zc, data.yc), 0.1)
         assert_array_equal(fit.theta_hat, ref.theta_hat)
-        assert theta_first[0] == y_bar - ref.theta_hat @ z_bar
+        assert theta_first[0] == data.y_bar - ref.theta_hat @ data.z_bar
         assert_array_equal(theta_first[1:], ref.theta_hat)
         assert sel == threshold_support(ref, 0.05)
 
@@ -329,14 +329,14 @@ class TestTwoStepFit:
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.45]))
         sample = simulate_inar(spec, 3000, seed=81)
         z, y = lagged_design(sample, 1)
-        fit = two_step_fit(z, y, 0.1, 0.05)
+        fit = two_step_fit(center_design(z, y), 0.1, 0.05)
         assert 0 in fit.fit_support
 
     def test_exact_zero_off_support(self):
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
         sample = simulate_inar(spec, 2000, seed=91)
         z, y = lagged_design(sample, 10)
-        fit = two_step_fit(z, y, 0.12, 0.05)
+        fit = two_step_fit(center_design(z, y), 0.12, 0.05)
         off = np.setdiff1d(np.arange(11), list(fit.fit_support))
         assert np.all(fit.theta_tilde[off] == 0.0)
 
@@ -366,7 +366,7 @@ class TestProjectStatistic:
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
         sample = simulate_inar(spec, 2000, seed=101)
         z, y = lagged_design(sample, 10)
-        return two_step_fit(z, y, 0.12, 0.05)
+        return two_step_fit(center_design(z, y), 0.12, 0.05)
 
     def test_truth_gives_zero(self):
         fit = self._fit()
