@@ -71,12 +71,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.model == "diffusion":
-        path = read_series_csv(args.series, kind="reals", delta=args.delta)
-        fit = two_step_fit(diffusion_design(path), args.lam, args.tau, delta=path.delta)
+        data = diffusion_design(read_series_csv(args.series, kind="reals", delta=args.delta))
+    elif args.delta is not None:
+        raise ValueError("--delta applies to --model diffusion only")
     else:
         series = read_series_csv(args.series, kind="counts")
-        fit = two_step_fit(center_design(*lagged_design(series, args.order)), args.lam,
-                           args.tau)
+        data = center_design(*lagged_design(series, args.order))
+    fit = two_step_fit(data, args.lam, args.tau)
     out = two_step_to_dict(fit)
     out["first_step"] = fit_to_dict(fit.first_step)
     out["theta_first"] = fit.theta_first.tolist()
@@ -168,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--order", type=int, default=10)
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
     p_fit.add_argument("--tau", type=float, default=0.05)
-    p_fit.add_argument("--delta", type=float, default=None)
+    p_fit.add_argument("--delta", type=float, default=None,
+                       help="sampling interval of a diffusion series")
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 

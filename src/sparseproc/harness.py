@@ -100,6 +100,22 @@ class CaseConfig:
         if self.cv_grid is not None:
             object.__setattr__(self, "cv_grid", np.asarray(self.cv_grid, dtype=float))
         object.__setattr__(self, "support_true", tuple(int(j) for j in self.support_true))
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
+        if isinstance(self.model, (Minar1Spec, OuSpec)) and self.p != dim:
+            raise ValueError(f"p must equal the model dimension {dim}, got {self.p}")
+        if not all(0 <= j < self.p for j in self.support_true):
+            raise ValueError(f"support_true must lie in [0, {self.p})")
+        if not isinstance(self.model, HawkesSpec):
+            fit_dim = self.p if isinstance(self.model, OuSpec) else self.p + 1
+            if self.theta_true is None or self.theta_true.shape != (fit_dim,):
+                raise ValueError(f"theta_true must hold the {fit_dim} fit coefficients")
+        grid = self.cv_grid
+        if self.lambda_mode == "cv" and grid is not None and not (
+                grid.ndim == 1 and grid.size > 0 and np.all(np.isfinite(grid))
+                and np.all(grid >= 0) and np.all(np.diff(grid) >= 0)):
+            raise ValueError("cv_grid must be a nonempty ascending list of finite "
+                             "nonnegative values")
 
     def to_dict(self) -> dict:
         return {f.name: spec_to_dict(self.model) if f.name == "model"
@@ -185,16 +201,29 @@ def _draw_projection(config: CaseConfig) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _choose_lambda(config: CaseConfig, data: FitData, fisher: float) -> float:
-    """lambda by the configured mode; the rate mode scales with ``fisher``.
+def _fit_data(config: CaseConfig, sample: SeriesSample) -> FitData:
+    """The replication's prepared design, built once for the choice of lambda and the fit.
 
-    ``data`` is the ``two_step_fit`` input of the replication; CV reads
-    its ``CenteredDesign``.
+    A diffusion path gives its ``DiffusionDesign``; a count series the
+    ``CenteredDesign`` of its lags (order p for a univariate series, the
+    previous state vector for a multivariate one).
+    """
+    if isinstance(config.model, OuSpec):
+        return diffusion_design(sample, config.target)
+    order = config.p if sample.dim == 1 else 1
+    return center_design(*lagged_design(sample, order, target=config.target))
+
+
+def _choose_lambda(config: CaseConfig, data: FitData) -> float:
+    """lambda by the configured mode; the rate mode scales with ``data.fisher``.
+
+    ``data`` is the ``_fit_data`` of the replication; CV reads its
+    ``CenteredDesign``.
     """
     if config.lambda_mode == "fixed":
         return float(config.lambda_value)
     if config.lambda_mode == "rate":
-        return config.rate_c * float(np.sqrt(np.log(config.p) / fisher))
+        return config.rate_c * float(np.sqrt(np.log(config.p) / data.fisher))
     report = cross_validate_lambda(data, config.cv_grid, folds=config.cv_folds)
     return report.chosen_lambda
 
@@ -215,22 +244,13 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     seed = derive_seed(config.base_seed, rep)
     sample = simulate_series(config.model, config.n, seed)
     record = {"rep": rep, "failed": False}
-    # per-model preparation: a count design is centered once, for CV and the
-    # fit; the Fisher scale is the number of observations for counts and the
-    # observed time n * delta for diffusions; ``offset`` intercept columns lead
-    # the fit coordinates
-    if isinstance(config.model, OuSpec):
-        data = diffusion_design(sample, config.target)
-        delta, fisher, offset = sample.delta, data[1].size * sample.delta, 0
-    else:
-        order = config.p if sample.dim == 1 else 1
-        data = center_design(*lagged_design(sample, order, target=config.target))
-        delta, fisher, offset = None, data.n, 1
-    lam = _choose_lambda(config, data, fisher)
+    data = _fit_data(config, sample)
+    offset = data.offset  # intercept columns leading the fit coordinates
+    lam = _choose_lambda(config, data)
     # simulated count cases are conditionally Poisson (variance = mean); a
     # diffusion fit estimates its own sigma^2
-    fit = two_step_fit(data, lam, config.tau, delta=delta, nuisance_mode="plugin_theta")
-    if delta is not None:
+    fit = two_step_fit(data, lam, config.tau, nuisance_mode="plugin_theta")
+    if fit.nuisance.kind == "diffusion_constant_sigma2":
         record["sigma2_hat"] = float(fit.nuisance.values)
 
     truth = config.theta_true[offset:]
@@ -239,7 +259,7 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     err2 = selection_and_errors(fit.theta_tilde[offset:], truth, fit.support.indices,
                                 config.support_true)
     u_fit = np.concatenate([np.zeros(offset), _draw_projection(config)])
-    proj = project_statistic(fit, u_fit, config.theta_true, np.sqrt(fisher))
+    proj = project_statistic(fit, u_fit, config.theta_true, np.sqrt(data.fisher))
     # true-support restriction in fit coordinates (intercept + shifted lags for counts)
     t0 = list(range(offset)) + [j + offset for j in config.support_true]
     record.update({
@@ -258,7 +278,7 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
         record["cover_t0"] = [bool(abs(e - t) <= 1.96 * s)
                               for e, t, s in zip(est, config.theta_true[supp], se)]
         u_supp = u_fit[supp]
-        record["proj_var_pred"] = float(fisher * (u_supp @ cov @ u_supp))
+        record["proj_var_pred"] = float(data.fisher * (u_supp @ cov @ u_supp))
     return record
 
 
@@ -390,8 +410,8 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     p = config.p
     series = SeriesSample(values=binned.values[p:], lag_buffer=binned.values[:p],
                           kind="counts")
-    data = center_design(*lagged_design(series, p))  # once, for CV and the first step
-    lam = _choose_lambda(config, data, data.n)
+    data = _fit_data(config, series)
+    lam = _choose_lambda(config, data)
     _, _, sel = first_step(data, lam, config.tau)
     lags = [j + 1 for j in sel.indices]
     s_hat = max(lags) if lags else 0

@@ -10,7 +10,7 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,7 +79,9 @@ class CenteredDesign:
     ``yc``, the design without column 0 and the response, both
     mean-centered; the means ``z_bar`` and ``y_bar`` that were removed; and
     the centered moment ``zc' yc / n``, which both the default CV grid and
-    the first-step system read.
+    the first step read.  The intercept is the one (``offset``) fit
+    coordinate the first step does not select over; ``fit_coordinates``
+    recovers it from the means.
     """
 
     design: np.ndarray
@@ -90,14 +92,25 @@ class CenteredDesign:
     y_bar: float
     moment: np.ndarray
 
+    offset: ClassVar[int] = 1
+
     @property
     def n(self) -> int:
         return self.yc.size
+
+    @property
+    def fisher(self) -> int:
+        """The Fisher scale of the fit: the number of observations."""
+        return self.n
 
     def score(self) -> LinearScoreSystem:
         """The least-squares score of the centered columns, which the first step solves."""
         return LinearScoreSystem(gram=self.zc.T @ self.zc / self.n, moment=self.moment,
                                  n_eff=self.n)
+
+    def fit_coordinates(self, theta: np.ndarray) -> np.ndarray:
+        """A solution of ``score()`` led by its intercept y_bar - theta' z_bar."""
+        return np.concatenate([[self.y_bar - theta @ self.z_bar], theta])
 
 
 def center_design(design: np.ndarray, response: np.ndarray) -> CenteredDesign:
@@ -165,34 +178,60 @@ def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> Linea
     return center_design(*lagged_design(series, order, target)).score()
 
 
-def diffusion_design(path: SeriesSample, target: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Covariate rows Y_k = X_k at the left endpoints and increments of ``target``.
+@dataclass(frozen=True)
+class DiffusionDesign:
+    """A diffusion drift design: left-endpoint states against target increments.
 
-    The layout every diffusion drift fit uses: ``values[:-1]`` against
-    ``diff(values[:, target])``.
+    ``design`` holds the covariate rows Y_k = X_k, ``increments`` the
+    target's X_{k+1} - X_k, and ``delta`` the sampling interval; rows and
+    ``delta`` are checked once, here.  Every design coordinate is selected
+    (``offset = 0``), and a first-step solution is already in fit
+    coordinates.
     """
-    if path.delta is None:
-        raise ValueError("diffusion path must carry a sampling interval delta")
+
+    design: np.ndarray
+    increments: np.ndarray
+    delta: float
+
+    offset: ClassVar[int] = 0
+
+    def __post_init__(self):
+        z = np.asarray(self.design, dtype=float)
+        dx = np.asarray(self.increments, dtype=float)
+        object.__setattr__(self, "design", z)
+        object.__setattr__(self, "increments", dx)
+        if z.ndim != 2 or dx.shape != (z.shape[0],):
+            raise ValueError("covariate rows must align with increments")
+        if self.delta is None or not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and positive")
+
+    @property
+    def fisher(self) -> float:
+        """The Fisher scale of the fit: the observed time n delta."""
+        return self.increments.size * self.delta
+
+    @property
+    def response(self) -> np.ndarray:
+        """The second-step response: increments divided by delta."""
+        return self.increments / self.delta
+
+    def score(self) -> LinearScoreSystem:
+        """Drift score: gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k dX_k."""
+        z, n = self.design, self.increments.size
+        return LinearScoreSystem(gram=z.T @ z / n,
+                                 moment=z.T @ self.increments / (n * self.delta), n_eff=n)
+
+    def fit_coordinates(self, theta: np.ndarray) -> np.ndarray:
+        """A solution of ``score()``, unchanged: it has no intercept to recover."""
+        return theta
+
+
+def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:
+    """The ``DiffusionDesign`` of ``values[:-1]`` against ``diff(values[:, target])``."""
     if path.n < 2:
         raise ValueError("path must contain at least two points")
-    return path.values[:-1, :], np.diff(path.values[:, target])
-
-
-def build_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
-                          delta: float) -> LinearScoreSystem:
-    """Drift score from discrete observations.
-
-    gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k (X_{k+1} - X_k)
-    on the rows of ``diffusion_design``.
-    """
-    z = np.asarray(covariates, dtype=float)
-    dx = np.asarray(increments, dtype=float).ravel()
-    if z.ndim != 2 or z.shape[0] != dx.size:
-        raise ValueError("covariate rows must align with increments")
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be finite and positive")
-    n = dx.size
-    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ dx / (n * delta), n_eff=n)
+    return DiffusionDesign(design=path.values[:-1, :],
+                           increments=np.diff(path.values[:, target]), delta=path.delta)
 
 
 def build_weighted_system(design: np.ndarray, response: np.ndarray,
@@ -201,11 +240,11 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
 
     ``variance`` holds the conditional variance of each row (the
     ``NuisanceEstimate.variance`` of the fit) and each row is weighted by
-    its inverse; for a diffusion the responses must be increments divided
-    by delta.  Variances are floored at ``VARIANCE_FLOOR`` so all-zero
-    count histories cannot produce infinite weights.  A non-finite variance
-    raises ``NuisanceError``, and a ``variance`` that does not hold one
-    value per row raises ``ValueError``.
+    its inverse; for a diffusion the responses are ``DiffusionDesign.response``,
+    the increments divided by delta.  Variances are floored at
+    ``VARIANCE_FLOOR`` so all-zero count histories cannot produce infinite
+    weights.  A non-finite variance raises ``NuisanceError``, and a
+    ``variance`` that does not hold one value per row raises ``ValueError``.
     """
     support = sorted(int(j) for j in support)
     if not support:

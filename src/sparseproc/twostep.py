@@ -4,29 +4,28 @@ After the first-step fit selects a support, the conditional-variance
 structure is estimated on that support, the score is reweighted by the
 fitted inverse variances, and the restricted system, a plain
 ``LinearScoreSystem``, is factored once for the final estimate and the
-inverse gram; the inverse gram scaled by n (n delta for a diffusion) is the
-plug-in asymptotic covariance.
+inverse gram; the inverse gram divided by the design's Fisher scale (n, or
+n delta for a diffusion) is the plug-in asymptotic covariance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (CenteredDesign, LinearScoreSystem, build_diffusion_score,
+from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem,
                      build_weighted_system, diffusion_design)
 # no longer called here; perfbench/tracing.py still wraps twostep.build_regression_score by name
 from .scores import build_regression_score  # noqa: F401
 from .simulate import SeriesSample
 
 
-# what a fit runs on: a count/regression design's CenteredDesign, or the
-# (covariates, increments) pair of diffusion_design
-FitData = Union[CenteredDesign, Tuple[np.ndarray, np.ndarray]]
+# what a fit runs on: a prepared count/regression or diffusion design
+FitData = Union[CenteredDesign, DiffusionDesign]
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,10 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
                             support=tuple(support))
 
 
-def _diffusion_nuisance(increments: np.ndarray, delta: float) -> NuisanceEstimate:
+def _diffusion_nuisance(data: DiffusionDesign) -> NuisanceEstimate:
     """sigma^2 = sum (dX)^2 / (n delta) on every row; ``DegenerateVarianceError`` unless > 0."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be finite and positive")
-    s2 = float(increments @ increments / (increments.size * delta))
+    increments = data.increments
+    s2 = float(increments @ increments / (increments.size * data.delta))
     if not s2 > 0:
         raise DegenerateVarianceError("constant path: quadratic variation is zero")
     return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2),
@@ -103,7 +101,7 @@ def _diffusion_nuisance(increments: np.ndarray, delta: float) -> NuisanceEstimat
 
 def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEstimate:
     """The sigma^2 nuisance that a diffusion fit of ``diffusion_design(path, target)`` uses."""
-    return _diffusion_nuisance(diffusion_design(path, target)[1], path.delta)
+    return _diffusion_nuisance(diffusion_design(path, target))
 
 
 def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,8 +109,8 @@ def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
 
     Raises ``RankError`` unless gram is SPD and the residual
     max |gram theta - moment| is at most 1e-8 (1 + max |moment|).  The
-    inverse is returned symmetrized; ``two_step_fit`` divides it by n (n
-    delta for a diffusion) for the plug-in covariance.
+    inverse is returned symmetrized; ``two_step_fit`` divides it by the
+    design's Fisher scale for the plug-in covariance.
     """
     try:
         linv = np.linalg.inv(np.linalg.cholesky(wsys.gram))
@@ -127,84 +125,69 @@ def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
     return theta, 0.5 * (inv + inv.T)
 
 
-def first_step(data: FitData, lam: float, tau: float, delta: Optional[float] = None
+def first_step(data: FitData, lam: float, tau: float
                ) -> Tuple[DantzigFit, np.ndarray, SupportEstimate]:
     """The Dantzig fit, the first-step estimate and its thresholded support.
 
-    Without ``delta``, ``data`` is the ``CenteredDesign`` of a
-    count/regression design with the intercept in column 0: the LP runs on
-    its centered non-intercept columns (``CenteredDesign.score``), the
-    support is in those coordinates (columns 1..p reported as 0..p-1), and
-    the intercept is recovered from the means.  With ``delta``, ``data`` is
-    the (covariates, increments) pair of ``diffusion_design`` and the LP
-    runs on ``build_diffusion_score``.
+    The LP runs on ``data.score()``: for a ``CenteredDesign`` the centered
+    non-intercept columns, so the support is in those coordinates (columns
+    1..p reported as 0..p-1); for a ``DiffusionDesign`` the drift score of
+    the rows as given.  The first-step estimate is in fit coordinates
+    (``data.fit_coordinates``), with the intercept of a count design
+    recovered from the means.
 
     Raises ``UncertifiedFitError`` when the LP does not end optimal.
     """
-    sys1 = data.score() if delta is None else build_diffusion_score(*data, delta)
-    fit = solve_dantzig(sys1, lam)
+    fit = solve_dantzig(data.score(), lam)
     if fit.status != "optimal":
         raise UncertifiedFitError(f"first-step LP ended with status {fit.status!r}")
-    theta_first = fit.theta_hat
-    if delta is None:
-        theta_first = np.concatenate([[data.y_bar - theta_first @ data.z_bar], theta_first])
-    return fit, theta_first, threshold_support(fit, tau)
+    return fit, data.fit_coordinates(fit.theta_hat), threshold_support(fit, tau)
 
 
-def two_step_fit(data: FitData, lam: float, tau: float, *, delta: Optional[float] = None,
+def two_step_fit(data: FitData, lam: float, tau: float, *,
                  nuisance_mode: str = "residual") -> TwoStepFit:
-    """Run the full pipeline on prepared design rows.
+    """Run the full pipeline on a prepared design.
 
-    ``data`` and ``delta`` are those of ``first_step``: the
-    ``CenteredDesign`` of a count/regression design, or with ``delta`` the
-    pair of ``diffusion_design``, so a fit is a diffusion fit exactly when
-    ``delta`` is given.  Step two weights each row by the inverse of its
-    ``NuisanceEstimate.variance``.  A count/regression fit always carries
-    the intercept (column 0) into step two, and ``nuisance_mode`` picks its
-    variance: "residual" fits the linear variance to squared first-step
-    residuals (projected onto nonnegative coefficients), "plugin_theta"
-    reuses the first-step coefficients themselves, which is exact for
-    conditionally Poisson counts where the conditional variance equals the
-    conditional mean.
+    ``data`` is that of ``first_step``.  Step two solves on the selected
+    coordinates shifted by ``data.offset`` plus the ``data.offset`` leading
+    intercept columns, weights each row of ``data.design`` and
+    ``data.response`` by the inverse of its ``NuisanceEstimate.variance``,
+    and divides the inverse weighted gram by ``data.fisher``.
 
-    For a diffusion fit the nuisance is the quadratic variation sigma^2 of
-    the increments, so a constant path raises ``DegenerateVarianceError``
-    before any LP runs.
+    The nuisance is the one model switch.  A ``DiffusionDesign`` carries
+    the quadratic variation sigma^2 of its increments, estimated before any
+    LP runs, so a constant path raises ``DegenerateVarianceError`` first.
+    For a count/regression design ``nuisance_mode`` picks the variance:
+    "residual" fits the linear variance to squared first-step residuals
+    (projected onto nonnegative coefficients), "plugin_theta" reuses the
+    first-step coefficients themselves, which is exact for conditionally
+    Poisson counts where the conditional variance equals the conditional
+    mean.
     """
     if nuisance_mode not in ("residual", "plugin_theta"):
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
-    # the design rows and responses, the offset from selected coordinates to
-    # design columns, the columns always carried into step two, the nuisance
-    # of a diffusion (estimated before any LP runs, so it also checks delta)
-    # and the second-step response
-    if delta is None:
-        z, y = data.design, data.response
-        offset, carried, nui, y2 = 1, {0}, None, y
-    else:
-        z, y = np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=float).ravel()
-        offset, carried, nui, y2 = 0, set(), _diffusion_nuisance(y, delta), y / delta
-    d = z.shape[1]
+    nui = _diffusion_nuisance(data) if isinstance(data, DiffusionDesign) else None
+    z, offset = data.design, data.offset
 
-    fit1, theta_first, sel = first_step(data, lam, tau, delta)
-    support2 = sorted({j + offset for j in sel.indices} | carried)
+    fit1, theta_first, sel = first_step(data, lam, tau)
+    support2 = list(range(offset)) + [j + offset for j in sel.indices]  # indices ascend
     if nui is None and nuisance_mode == "plugin_theta":
         h = np.maximum(theta_first[support2], 0.0)
         nui = NuisanceEstimate(kind="inar_linear_variance", values=h,
                                variance=z[:, support2] @ h, support=tuple(support2))
     elif nui is None:
-        nui = estimate_inar_nuisance(z, y, support2, theta_first)
+        nui = estimate_inar_nuisance(z, data.response, support2, theta_first)
     if not support2:
-        return TwoStepFit(support=sel, theta_tilde=np.zeros(d), nuisance=nui,
+        return TwoStepFit(support=sel, theta_tilde=np.zeros(z.shape[1]), nuisance=nui,
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
                           theta_first=theta_first, fit_support=(), empty_model=True)
 
-    wsys = build_weighted_system(z, y2, support2, nui.variance)
-    theta_t, inv = solve_weighted(wsys)
-    theta_full = np.zeros(d)
+    theta_t, inv = solve_weighted(build_weighted_system(z, data.response, support2,
+                                                        nui.variance))
+    theta_full = np.zeros(z.shape[1])
     theta_full[support2] = theta_t
-    asymp_cov = inv / (wsys.n_eff * (delta if delta is not None else 1.0))
     return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nui,
-                      asymp_cov=asymp_cov, first_step=fit1,
+                      asymp_cov=inv / data.fisher, first_step=fit1,
                       theta_first=theta_first, fit_support=tuple(support2))
 
 

@@ -16,7 +16,7 @@ from sparseproc._blas import rank1_updater
 from sparseproc.dantzig import CvReport, DantzigFit, default_lambda_grid, solve_dantzig_path
 from sparseproc.errors import RankError, UncertifiedFitError
 from sparseproc.rng import make_rng
-from sparseproc.scores import build_regression_score, center_design
+from sparseproc.scores import LinearScoreSystem, build_regression_score, center_design
 
 
 def _split_lp(a: np.ndarray, b: np.ndarray, lam: float):
@@ -201,6 +201,19 @@ def reference_lagged_design(series, order: int, target: int = 0):
         return design, x[:, 0]
     prev = np.vstack([buf[-1:], x[:-1]])
     return np.hstack([np.ones((n, 1)), prev]), x[:, target]
+
+
+def reference_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
+                              delta: float) -> LinearScoreSystem:
+    """The drift score written out: gram = Y'Y / n, moment = Y' dX / (n delta).
+
+    Y holds the left-endpoint states and dX the target increments.  The
+    float operations are those a fit on a ``DiffusionDesign`` is defined
+    by, so a first step on this system matches it bit for bit.
+    """
+    n = increments.size
+    return LinearScoreSystem(gram=covariates.T @ covariates / n,
+                             moment=covariates.T @ increments / (n * delta), n_eff=n)
 
 
 def reference_cross_validate(design: np.ndarray, response: np.ndarray,

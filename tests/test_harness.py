@@ -113,6 +113,20 @@ class TestCaseConfigValidation:
         ("case1", {"cv_folds": 1}, "cv_folds"),
         ("hawkes", {"cv_folds": 0}, "cv_folds"),
         ("case1", {"reps": 0}, "reps must be >= 1"),
+        ("case1", {"p": 0}, "p must be >= 1"),
+        ("case1", {"support_true": (0, 50)}, r"support_true must lie in \[0, 10\)"),
+        ("case3", {"support_true": (-1,)}, "support_true must lie"),
+        ("ou", {"support_true": (16,)}, "support_true must lie"),
+        ("case1", {"theta_true": np.zeros(10)}, "theta_true must hold the 11"),
+        ("case3", {"theta_true": None}, "theta_true must hold the 101"),
+        ("ou", {"theta_true": np.zeros(17)}, "theta_true must hold the 16"),
+        ("case3", {"p": 50}, "p must equal the model dimension 100"),
+        ("ou", {"p": 8}, "p must equal the model dimension 16"),
+        ("case1", {"cv_grid": []}, "cv_grid"),
+        ("case1", {"cv_grid": [0.1, float("nan")]}, "cv_grid"),
+        ("case1", {"cv_grid": [0.1, float("inf")]}, "cv_grid"),
+        ("case1", {"cv_grid": [-0.1, 0.2]}, "cv_grid"),
+        ("hawkes", {"cv_grid": [0.5, 0.1]}, "cv_grid"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -126,7 +140,7 @@ class TestCaseConfigValidation:
         assert dataclasses.replace(builtin_case("case3", reps=1), target=99).target == 99
         assert dataclasses.replace(builtin_case("ou", reps=1), target=15).target == 15
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="rate",
-                                  cv_folds=1)
+                                  cv_folds=1, cv_grid=[])
         assert cfg.cv_folds == 1
 
     @pytest.mark.parametrize("case_id, changes", [
@@ -480,7 +494,10 @@ class TestBenchmarkNames:
 
 
 class TestBenchmarkSmoke:
-    def test_traced_hawkes_run(self, tmp_path):
+    # hawkes_cv runs the traced CV and first step alone; case3_cv also the two-step
+    # fit, its output checks and the HiGHS check of a count first-step LP
+    @pytest.mark.parametrize("workload", ["hawkes_cv", "case3_cv"])
+    def test_traced_run(self, tmp_path, workload):
         # a copy of perfbench/ over this checkout's src, so the run writes only under tmp_path
         root = Path(__file__).resolve().parents[1]
         shutil.copytree(root / "perfbench", tmp_path / "perfbench",
@@ -488,14 +505,14 @@ class TestBenchmarkSmoke:
         (tmp_path / "src").symlink_to(root / "src")
         proc = subprocess.run(
             [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload",
-             "hawkes_cv", "--seed", "0", "--seconds", "1", "--trace", "1"],
+             workload, "--seed", "0", "--seconds", "1", "--trace", "1"],
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True,
             text=True, timeout=170)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["correct"] is True, proc.stderr
         assert result["failed"] == 0
-        assert (tmp_path / "perfbench" / "out" / "trace-hawkes_cv-seed0.json").is_file()
+        assert (tmp_path / "perfbench" / "out" / f"trace-{workload}-seed0.json").is_file()
 
 
 class TestCli:
@@ -589,11 +606,23 @@ class TestCli:
                      "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
         got = json.load(open(out))
         path = read_series_csv(series, kind="reals", delta=0.05)
-        fit = two_step_fit(diffusion_design(path), 0.1, 0.05, delta=path.delta)
+        fit = two_step_fit(diffusion_design(path), 0.1, 0.05)
         assert got["support"] == list(fit.support.indices)
         assert got["theta_tilde"] == [[j, v] for j, v in enumerate(fit.theta_tilde.tolist())
                                       if v != 0.0]
         assert got["support"] and "selection_flag" not in got
+
+    def test_delta_rejected_for_count_fit(self, tmp_path, capsys):
+        # --delta is the sampling interval of a diffusion; a count fit would ignore it
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-4, 60)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(series), "--order", "4", "--delta", "0.1",
+                     "--lambda", "0.1", "--out", str(out)]) == 2
+        assert "--delta applies to --model diffusion only" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fit", "--series", str(series), "--order", "4", "--lambda", "0.1",
+                     "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("verb", [["experiment", "--case", "case1"], ["hawkes-support"]])
     def test_zero_reps_exit_code(self, tmp_path, capsys, verb):
@@ -705,11 +734,19 @@ class TestCli:
     @pytest.mark.parametrize("verb,case_id,changes,message", [
         (["experiment"], "case3", {"target": 500}, "target must lie in [0, 100)"),
         (["experiment"], "ou", {"target": 16}, "target must lie in [0, 16)"),
+        (["experiment"], "case1", {"support_true": [0, 50]}, "support_true must lie in [0, 10)"),
+        (["experiment"], "case1", {"theta_true": [0.5, 0.3]}, "theta_true must hold the 11"),
+        (["experiment"], "case1", {"cv_grid": [0.5, 0.1]}, "cv_grid"),
         (["hawkes-support"], "hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
         (["hawkes-support"], "hawkes", {"cv_folds": 1}, "cv_folds"),
     ])
-    def test_bad_config_json_exit_code(self, tmp_path, capsys, verb, case_id, changes,
-                                       message):
+    def test_bad_config_json_exit_code(self, tmp_path, capsys, monkeypatch, verb, case_id,
+                                       changes, message):
+        # the config is rejected before any replication runs
+        def no_rep(config, rep):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(harness, "_case_rep", no_rep)
+        monkeypatch.setattr(harness, "_hawkes_rep", no_rep)
         config = tmp_path / "case.json"
         config.write_text(json.dumps(dict(builtin_case(case_id, n=300, reps=1).to_dict(),
                                           **changes)))

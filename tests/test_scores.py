@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import reference_lagged_design
+from oracles import reference_diffusion_score, reference_lagged_design
 
 from sparseproc.errors import NuisanceError
-from sparseproc.scores import (VARIANCE_FLOOR, LinearScoreSystem, build_diffusion_score,
+from sparseproc.scores import (VARIANCE_FLOOR, DiffusionDesign, LinearScoreSystem,
                                build_inar_score, build_regression_score,
                                build_weighted_system, center_design, diffusion_design,
                                eval_score, lagged_design)
@@ -59,6 +59,9 @@ class TestRegressionScore:
         assert data.moment.tobytes() == ref.moment.tobytes()
         assert data.score().gram.tobytes() == ref.gram.tobytes()
         assert data.score().moment.tobytes() == ref.moment.tobytes()
+        # a first-step solution gains the intercept as its leading (offset) coordinate
+        assert data.offset == 1 and data.fisher == 30
+        assert_allclose(data.fit_coordinates(theta), [0.5, *theta], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -141,15 +144,40 @@ class TestLaggedDesign:
 class TestDiffusionScore:
     def test_constant_path_zero_moment(self):
         path = SeriesSample(values=np.ones((11, 1)), delta=0.1, kind="reals")
-        sys = build_diffusion_score(*diffusion_design(path), path.delta)
+        sys = diffusion_design(path).score()
         assert_array_equal(sys.moment, [0.0])
 
     def test_linear_path_telescoping(self):
         t = np.arange(11) * 0.1
         path = SeriesSample(values=t, delta=0.1, kind="reals")
-        _, dx = diffusion_design(path)
-        sys = build_diffusion_score(np.ones((10, 1)), dx, path.delta)
+        dx = diffusion_design(path).increments
+        sys = DiffusionDesign(design=np.ones((10, 1)), increments=dx, delta=path.delta).score()
         assert_allclose(sys.moment, [1.0], atol=1e-12)
+
+    def test_score_matches_per_row_sums(self):
+        # gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k (X_{k+1} - X_k)
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal((9, 3))
+        data = diffusion_design(SeriesSample(values=values, delta=0.2, kind="reals"), target=2)
+        sys = data.score()
+        rows = [(values[k], values[k + 1, 2] - values[k, 2]) for k in range(8)]
+        assert_allclose(sys.gram, sum(np.outer(y, y) for y, _ in rows) / 8, rtol=1e-13)
+        assert_allclose(sys.moment, sum(y * dx for y, dx in rows) / (8 * 0.2), rtol=1e-13)
+        assert sys.n_eff == 8
+        ref = reference_diffusion_score(values[:-1], np.diff(values[:, 2]), 0.2)
+        assert sys.gram.tobytes() == ref.gram.tobytes()
+        assert sys.moment.tobytes() == ref.moment.tobytes()
+
+    def test_fit_members(self):
+        # every coordinate is selected, the Fisher scale is the observed time n delta,
+        # and step two regresses the increments divided by delta
+        values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
+        data = diffusion_design(SeriesSample(values=values, delta=0.5, kind="reals"), 1)
+        assert data.offset == 0
+        assert data.fisher == 2 * 0.5
+        assert_array_equal(data.response, [40.0, 60.0])
+        theta = np.array([0.3, -0.2])
+        assert data.fit_coordinates(theta) is theta
 
     def test_missing_delta(self):
         path = SeriesSample(values=np.ones(5), kind="reals")
@@ -164,14 +192,25 @@ class TestDiffusionScore:
     def test_layout_left_endpoints_and_target_increments(self):
         values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
         path = SeriesSample(values=values, delta=0.5, kind="reals")
-        design, dx = diffusion_design(path, target=1)
-        assert_array_equal(design, values[:2])
-        assert_array_equal(dx, [20.0, 30.0])
+        data = diffusion_design(path, target=1)
+        assert_array_equal(data.design, values[:2])
+        assert_array_equal(data.increments, [20.0, 30.0])
+        assert data.delta == 0.5
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            build_diffusion_score(np.ones((3, 1)), np.ones(3), delta)
+        # a diffusion fit reads delta from its design, so a bad one never reaches a fit
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            DiffusionDesign(design=np.ones((3, 1)), increments=np.ones(3), delta=delta)
+
+    @pytest.mark.parametrize("design,increments", [
+        (np.ones((3, 1)), np.ones(4)),
+        (np.ones(3), np.ones(3)),
+        (np.ones((3, 1)), np.ones((3, 1))),
+    ], ids=["short", "flat-design", "column-increments"])
+    def test_misaligned_rows_rejected(self, design, increments):
+        with pytest.raises(ValueError, match="align"):
+            DiffusionDesign(design=design, increments=increments, delta=0.1)
 
     def test_ou_score_at_truth_decays(self):
         a = np.array([[-0.8, 0.3], [0.0, -0.6]])
@@ -182,7 +221,7 @@ class TestDiffusionScore:
             vals = []
             for r in range(8):
                 path = simulate_ou(spec, seed=7 * n + r)
-                sys = build_diffusion_score(*diffusion_design(path), path.delta)
+                sys = diffusion_design(path).score()
                 vals.append(np.abs(eval_score(sys, a[0])).max())
             norms.append(np.median(vals))
         assert norms[0] > norms[2]

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import reference_covariance, reference_solve_weighted
+from oracles import reference_covariance, reference_diffusion_score, reference_solve_weighted
 
 from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.dantzig import solve_dantzig, threshold_support
-from sparseproc.scores import (LinearScoreSystem, build_diffusion_score,
-                               build_regression_score, build_weighted_system, center_design,
-                               diffusion_design, lagged_design)
+from sparseproc.scores import (DiffusionDesign, LinearScoreSystem, build_regression_score,
+                               build_weighted_system, center_design, diffusion_design,
+                               lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import (estimate_diffusion_sigma2, estimate_inar_nuisance,
                                 first_step, project_statistic, solve_weighted,
@@ -203,8 +203,9 @@ class TestSecondStepAgainstCholeskyReference:
         # asymp_cov is gram^{-1} / n for a count fit and gram^{-1} / (n delta) for a diffusion
         if model == "ou":
             path = simulate_ou(harness.builtin_case("ou").model, seed=2)
-            z, dx = diffusion_design(path)
-            fit = two_step_fit((z, dx), 0.05, 0.05, delta=path.delta)
+            data = diffusion_design(path)
+            fit = two_step_fit(data, 0.05, 0.05)
+            z, dx = data.design, data.increments
             response, scale = dx / path.delta, dx.size * path.delta
         else:
             sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 2000, seed=5)
@@ -247,7 +248,8 @@ class TestTwoStepFit:
         rng = np.random.default_rng(71)
         z = rng.standard_normal((50, 3))
         dx = 0.01 * rng.standard_normal(50)
-        fit = two_step_fit((z, dx), lam=100.0, tau=0.05, delta=0.1)
+        fit = two_step_fit(DiffusionDesign(design=z, increments=dx, delta=0.1), lam=100.0,
+                           tau=0.05)
         assert fit.empty_model
         assert_array_equal(fit.theta_tilde, np.zeros(3))
         assert fit.asymp_cov.shape == (0, 0)
@@ -267,14 +269,14 @@ class TestTwoStepFit:
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
             two_step_fit(center_design(z, y), 0.01, 0.05)
 
-    def test_delta_makes_a_diffusion_fit(self):
-        # with delta the first step solves the diffusion score of the rows as given
+    def test_diffusion_design_makes_a_diffusion_fit(self):
+        # the first step solves the drift score of the rows as given
         spec = OuSpec(a_matrix=np.array([[-0.8, 0.3], [0.0, -0.6]]), sigma_diag=np.ones(2),
                       delta=0.05, n_steps=2000, substeps=5)
         path = simulate_ou(spec, seed=87)
-        z, dx = diffusion_design(path)
-        fit = two_step_fit((z, dx), 0.1, 0.05, delta=path.delta)
-        ref = solve_dantzig(build_diffusion_score(z, dx, path.delta), 0.1)
+        fit = two_step_fit(diffusion_design(path), 0.1, 0.05)
+        z, dx = path.values[:-1], np.diff(path.values[:, 0])
+        ref = solve_dantzig(reference_diffusion_score(z, dx, path.delta), 0.1)
         assert_array_equal(fit.first_step.theta_hat, ref.theta_hat)
         assert_array_equal(fit.theta_first, ref.theta_hat)
         assert fit.support == threshold_support(ref, 0.05)
@@ -285,7 +287,7 @@ class TestTwoStepFit:
                       delta=0.05, n_steps=2000, substeps=5)
         path = simulate_ou(spec, seed=88)
         for target in (0, 1):
-            fit = two_step_fit(diffusion_design(path, target), 0.1, 0.05, delta=path.delta)
+            fit = two_step_fit(diffusion_design(path, target), 0.1, 0.05)
             ref = estimate_diffusion_sigma2(path, target=target)
             assert fit.nuisance.kind == ref.kind == "diffusion_constant_sigma2"
             assert fit.nuisance.values.tobytes() == ref.values.tobytes()
@@ -298,13 +300,7 @@ class TestTwoStepFit:
         monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
         path = SeriesSample(values=np.ones((50, 2)), delta=0.1, kind="reals")
         with pytest.raises(DegenerateVarianceError):
-            two_step_fit(diffusion_design(path), 0.1, 0.05, delta=path.delta)
-
-    @pytest.mark.parametrize("delta", [-0.1, 0.0, np.nan, np.inf])
-    def test_bad_delta_rejected(self, delta):
-        z, dx = np.ones((10, 2)), np.arange(10.0)
-        with pytest.raises(ValueError, match="delta must be finite and positive"):
-            two_step_fit((z, dx), 0.1, 0.05, delta=delta)
+            two_step_fit(diffusion_design(path), 0.1, 0.05)
 
     def test_unknown_nuisance_mode_raises_before_any_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
