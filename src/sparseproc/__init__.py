@@ -18,7 +18,7 @@ from .harness import (CaseConfig, CaseReport, HawkesReport, builtin_case,
 from .rng import derive_seed, make_rng
 from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem, build_inar_score,
                      build_regression_score, build_weighted_system, center_design,
-                     diffusion_design, eval_score, lagged_design)
+                     diffusion_design, lagged_design)
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, lyapunov_covariance, read_series_csv,
                        simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,

@@ -24,10 +24,9 @@ the numpy version and the whole compile command (flags and BLAS integer
 width included, file names left out), and later processes only load it.
 The shared object is not bytecode, so ``sys.dont_write_bytecode`` does not
 stop it being written.  Where any step fails (no compiler, a directory that
-cannot be written, a missing symbol), ``load()`` returns None and the
-simulators and the LP run their Python loops.  Where numpy's BLAS has no
-CBLAS ``dger`` of the loops' integer width, only the LP does
-(``CountKernel.solves_lp``).
+cannot be written, a missing symbol, no CBLAS ``ddot``, ``dgemv`` and
+``dger`` of one integer width in numpy's BLAS), ``load()`` returns None and
+the simulators and the LP run their Python loops.
 """
 
 from __future__ import annotations
@@ -125,20 +124,18 @@ class CountKernel:
     numpy's functions bound."""
 
     def __init__(self):
-        ddot, dgemv = _blas.cblas("ddot"), _blas.cblas("dgemv")
-        if ddot is None or dgemv is None or ddot[1] is not dgemv[1]:
-            raise OSError("numpy's BLAS exports no CBLAS ddot and dgemv of one integer width")
+        ddot, dgemv, dger = (_blas.cblas(name) for name in ("ddot", "dgemv", "dger"))
+        if None in (ddot, dgemv, dger) or not (ddot[1] is dgemv[1] is dger[1]):
+            raise OSError("numpy's BLAS exports no CBLAS ddot, dgemv and dger of one "
+                          "integer width")
         import numpy.random._generator as generator
 
         draws = ctypes.CDLL(generator.__file__)
         poisson, exponential = draws.random_poisson, draws.random_standard_exponential
         lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(ddot[1])))
-        self._poisson, self._exponential, self._ddot, self._dgemv = (
-            ctypes.cast(fn, _PTR).value for fn in (poisson, exponential, ddot[0], dgemv[0]))
-        # the LP loop alone needs dger; without one of the same width it is not offered
-        dger = _blas.cblas("dger")
-        self._dger = (ctypes.cast(dger[0], _PTR).value
-                      if dger is not None and dger[1] is ddot[1] else None)
+        self._poisson, self._exponential, self._ddot, self._dgemv, self._dger = (
+            ctypes.cast(fn, _PTR).value
+            for fn in (poisson, exponential, ddot[0], dgemv[0], dger[0]))
         self._inar, self._minar1, self._hawkes = lib.inar, lib.minar1, lib.hawkes
         self._block_sums = lib.block_sums
         self._block_sums.argtypes = [_I64, _PTR, _PTR, _PTR]
@@ -242,11 +239,6 @@ class CountKernel:
                     return events[:n].copy()
                 events = np.concatenate([events, np.empty(events.size)])
 
-    @property
-    def solves_lp(self) -> bool:
-        """Whether ``dantzig_path`` can run: numpy's BLAS gave a CBLAS dger of this width."""
-        return self._dger is not None
-
     def dantzig_path(self, tableau: np.ndarray, b: np.ndarray, lams: Sequence[float],
                      max_iter: int, tol: float) -> Tuple[np.ndarray, list, list]:
         """The pivots of ``dantzig.solve_dantzig_path`` for each lambda, largest first.
@@ -256,8 +248,6 @@ class CountKernel:
         (rows of one array), its pivot count and its status, in the order
         of ``lams``, as ``dantzig._pivot_path`` does.
         """
-        if self._dger is None:
-            raise OSError("numpy's BLAS exports no CBLAS dger of the loops' integer width")
         _check_buffers(b)
         p = b.size
         if not (b.ndim == 1 and tableau.dtype == np.float64 and tableau.flags.f_contiguous

@@ -71,12 +71,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.model == "diffusion":
+        if args.order is not None:
+            raise ValueError("--order applies to count fits only")
         data = diffusion_design(read_series_csv(args.series, kind="reals", delta=args.delta))
     elif args.delta is not None:
         raise ValueError("--delta applies to --model diffusion only")
     else:
         series = read_series_csv(args.series, kind="counts")
-        data = center_design(*lagged_design(series, args.order))
+        data = center_design(*lagged_design(series, 10 if args.order is None else args.order))
     fit = two_step_fit(data, args.lam, args.tau)
     out = two_step_to_dict(fit)
     out["first_step"] = fit_to_dict(fit.first_step)
@@ -166,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="two-step fit of a series CSV")
     p_fit.add_argument("--series", required=True)
     p_fit.add_argument("--model", choices=["inar", "diffusion"], default="inar")
-    p_fit.add_argument("--order", type=int, default=10)
+    p_fit.add_argument("--order", type=int, default=None,
+                       help="lag order of a count fit (default 10)")
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
     p_fit.add_argument("--tau", type=float, default=0.05)
     p_fit.add_argument("--delta", type=float, default=None,

@@ -117,7 +117,7 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     path = sorted(zip(lams, range(len(lams))), reverse=True)
     path_lams = [lam for lam, _ in path]
     kernel = _countsim.load()
-    pivots = kernel.dantzig_path if kernel is not None and kernel.solves_lp else _pivot_path
+    pivots = _pivot_path if kernel is None else kernel.dantzig_path
     thetas, iterations, statuses = pivots(tableau, b, path_lams, max_iter, tol)
     # the certificate of every fit at once: a stacked matmul is one dgemv per theta, as
     # a @ theta is (a dgemm over all thetas would round differently)
@@ -278,7 +278,7 @@ def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] 
         d = sums[train].sum(axis=0) / m     # training means, relative to the full ones
         e = sums_y[train].sum() / m
         sys = LinearScoreSystem(gram=cross[train].sum(axis=0) / m - np.outer(d, d),
-                                moment=cross_y[train].sum(axis=0) / m - d * e, n_eff=m)
+                                moment=cross_y[train].sum(axis=0) / m - d * e)
         fits = solve_dantzig_path(sys, grid)
         for lam, fit in zip(grid, fits):
             if fit.status != "optimal":

@@ -32,9 +32,6 @@ class FInftyEstimate:
 class NormalityReport:
     statistic: float
     p_value: float
-    test: str  # shapiro_wilk | royston_h
-    dimension: int
-    n: int
 
 
 def _cone_ratio(v: np.ndarray, m: np.ndarray, t_idx: np.ndarray) -> float:
@@ -229,8 +226,7 @@ def shapiro_wilk(sample: np.ndarray) -> NormalityReport:
         p = float(np.clip(p, 0.0, 1.0))
     else:
         p = float(ndtr(-_sw_z(w, n)))  # upper tail of z
-    return NormalityReport(statistic=w, p_value=p, test="shapiro_wilk",
-                           dimension=1, n=n)
+    return NormalityReport(statistic=w, p_value=p)
 
 
 def royston_test(sample: np.ndarray) -> NormalityReport:
@@ -272,8 +268,7 @@ def royston_test(sample: np.ndarray) -> NormalityReport:
     e = d / (1.0 + (d - 1.0) * c_bar)
     h = e * psi.sum() / d
     p = float(chdtrc(e, h))  # chi-square(e) upper tail at h
-    return NormalityReport(statistic=float(h), p_value=p, test="royston_h",
-                           dimension=d, n=n)
+    return NormalityReport(statistic=float(h), p_value=p)
 
 
 def selection_and_errors(theta_est: np.ndarray, theta_true: np.ndarray,

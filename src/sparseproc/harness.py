@@ -58,7 +58,7 @@ class CaseConfig:
     reps: int
     lambda_mode: str = "cv"           # cv | fixed | rate
     lambda_value: Optional[float] = None
-    rate_c: float = 1.0               # rate mode: lambda = rate_c * sqrt(log p / n_eff)
+    rate_c: float = 1.0               # rate mode: lambda = rate_c * sqrt(log p / data.fisher)
     cv_grid: Optional[np.ndarray] = None
     cv_folds: int = 5
     tau: float = 0.05
@@ -447,8 +447,8 @@ def run_hawkes_support(config: CaseConfig, jobs: int = 1) -> HawkesReport:
     if not isinstance(config.model, HawkesSpec):
         raise ValueError("run_hawkes_support needs a Hawkes model config")
     results, ok = _run_reps(_hawkes_rep, config, jobs)
-    bp = config.model.kernel_breakpoints
-    tau_true = float(bp[-1]) if bp.size and config.model.kernel_values.max() > 0 else 0.0
+    live = np.flatnonzero(config.model.kernel_values)  # the support ends at the last live piece
+    tau_true = float(config.model.kernel_breakpoints[live[-1]]) if live.size else 0.0
     tau_hats = np.array([r["tau_hat"] for r in ok], dtype=float)
     if tau_true > 0 and tau_hats.size:
         within = float(np.mean(np.abs(tau_hats - tau_true) <= 0.3 * tau_true))

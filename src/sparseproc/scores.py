@@ -27,7 +27,6 @@ class LinearScoreSystem:
 
     gram: np.ndarray
     moment: np.ndarray
-    n_eff: int
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=float)
@@ -40,8 +39,6 @@ class LinearScoreSystem:
             raise ValueError("moment length must match gram dimension")
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(moment))):
             raise ValueError("gram and moment must be finite")
-        if self.n_eff < 1:
-            raise ValueError("n_eff must be positive")
 
     @property
     def dim(self) -> int:
@@ -52,14 +49,6 @@ class LinearScoreSystem:
         return ()  # read by perfbench/oracle.py; every coordinate carries l1 cost
 
 
-def eval_score(sys: LinearScoreSystem, theta: np.ndarray) -> np.ndarray:
-    """psi(theta) = moment - gram @ theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (sys.dim,):
-        raise ValueError(f"theta must have length {sys.dim}")
-    return sys.moment - sys.gram @ theta
-
-
 def build_regression_score(covariates: np.ndarray, responses: np.ndarray
                            ) -> LinearScoreSystem:
     """Least-squares score: gram = Z'Z/n, moment = Z'y/n."""
@@ -68,7 +57,7 @@ def build_regression_score(covariates: np.ndarray, responses: np.ndarray
     if z.ndim != 2 or z.shape[0] != y.size:
         raise ValueError("covariates must be n x p aligned with responses")
     n = y.size
-    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ y / n, n_eff=n)
+    return LinearScoreSystem(gram=z.T @ z / n, moment=z.T @ y / n)
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,7 @@ class CenteredDesign:
 
     def score(self) -> LinearScoreSystem:
         """The least-squares score of the centered columns, which the first step solves."""
-        return LinearScoreSystem(gram=self.zc.T @ self.zc / self.n, moment=self.moment,
-                                 n_eff=self.n)
+        return LinearScoreSystem(gram=self.zc.T @ self.zc / self.n, moment=self.moment)
 
     def fit_coordinates(self, theta: np.ndarray) -> np.ndarray:
         """A solution of ``score()`` led by its intercept y_bar - theta' z_bar."""
@@ -140,6 +128,8 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
     x = series.values
     buf = series.lag_buffer
     n, d = x.shape
+    if not 0 <= target < d:
+        raise ValueError(f"target must lie in [0, {d}), got {target}")
     if d == 1:
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -152,7 +142,6 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
         design[:, 0] = 1.0
         # row t holds lags 1..order of x_t: the window of full at start + t, reversed
         design[:, 1:] = sliding_window_view(full, order)[start: start + n, ::-1]
-        response = x[:, 0]
     else:
         if order != 1:
             raise ValueError("multivariate series support order 1 only")
@@ -162,8 +151,7 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
         design[:, 0] = 1.0
         design[0, 1:] = buf[-1]
         design[1:, 1:] = x[:-1]
-        response = x[:, target]
-    return design, response
+    return design, x[:, target]
 
 
 def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> LinearScoreSystem:
@@ -219,7 +207,7 @@ class DiffusionDesign:
         """Drift score: gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k dX_k."""
         z, n = self.design, self.increments.size
         return LinearScoreSystem(gram=z.T @ z / n,
-                                 moment=z.T @ self.increments / (n * self.delta), n_eff=n)
+                                 moment=z.T @ self.increments / (n * self.delta))
 
     def fit_coordinates(self, theta: np.ndarray) -> np.ndarray:
         """A solution of ``score()``, unchanged: it has no intercept to recover."""
@@ -230,6 +218,8 @@ def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:
     """The ``DiffusionDesign`` of ``values[:-1]`` against ``diff(values[:, target])``."""
     if path.n < 2:
         raise ValueError("path must contain at least two points")
+    if not 0 <= target < path.dim:
+        raise ValueError(f"target must lie in [0, {path.dim}), got {target}")
     return DiffusionDesign(design=path.values[:-1, :],
                            increments=np.diff(path.values[:, target]), delta=path.delta)
 
@@ -259,5 +249,4 @@ def build_weighted_system(design: np.ndarray, response: np.ndarray,
         raise NuisanceError("conditional variance is not finite")
     var = np.maximum(var, VARIANCE_FLOOR)
     w = 1.0 / var
-    return LinearScoreSystem(gram=(z * w[:, None]).T @ z / n, moment=z.T @ (w * y) / n,
-                             n_eff=n)
+    return LinearScoreSystem(gram=(z * w[:, None]).T @ z / n, moment=z.T @ (w * y) / n)

@@ -61,7 +61,11 @@ class TwoStepFit:
     first_step: DantzigFit
     theta_first: np.ndarray        # first-step estimate on the same coordinates
     fit_support: Tuple[int, ...]   # coordinates actually solved in step two
-    empty_model: bool = False
+
+    @property
+    def empty_model(self) -> bool:
+        """Whether step two had no coordinate to solve on, so it solved no weighted system."""
+        return not self.fit_support
 
 
 def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
@@ -180,7 +184,7 @@ def two_step_fit(data: FitData, lam: float, tau: float, *,
     if not support2:
         return TwoStepFit(support=sel, theta_tilde=np.zeros(z.shape[1]), nuisance=nui,
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
-                          theta_first=theta_first, fit_support=(), empty_model=True)
+                          theta_first=theta_first, fit_support=())
 
     theta_t, inv = solve_weighted(build_weighted_system(z, data.response, support2,
                                                         nui.variance))

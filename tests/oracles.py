@@ -213,7 +213,7 @@ def reference_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
     """
     n = increments.size
     return LinearScoreSystem(gram=covariates.T @ covariates / n,
-                             moment=covariates.T @ increments / (n * delta), n_eff=n)
+                             moment=covariates.T @ increments / (n * delta))
 
 
 def reference_cross_validate(design: np.ndarray, response: np.ndarray,

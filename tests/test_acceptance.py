@@ -92,7 +92,7 @@ def test_criterion_4_lp_oracle_equivalence():
         p = int(rng.integers(1, 5))
         m = rng.standard_normal((p + 2, p))
         sys = LinearScoreSystem(gram=m.T @ m / (p + 2),
-                                moment=rng.standard_normal(p), n_eff=10)
+                                moment=rng.standard_normal(p))
         lam = float(rng.uniform(0.0, 1.2) * np.abs(sys.moment).max())
         fit = solve_dantzig(sys, lam)
         oracle, feasible = bruteforce_l1min(sys.gram, sys.moment, lam)

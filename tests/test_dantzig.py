@@ -24,13 +24,13 @@ from sparseproc.scores import lagged_design
 def random_system(rng, p):
     m = rng.standard_normal((p + 2, p))
     gram = m.T @ m / (p + 2)
-    return LinearScoreSystem(gram=gram, moment=rng.standard_normal(p), n_eff=10)
+    return LinearScoreSystem(gram=gram, moment=rng.standard_normal(p))
 
 
 def compiled_lp_kernel():
-    """The loaded kernel where its LP loop can run; skips the test elsewhere."""
+    """The loaded kernel; skips the test where it cannot be built."""
     kernel = _countsim.load()
-    if kernel is None or not kernel.solves_lp:
+    if kernel is None:
         pytest.skip("the compiled LP loop cannot be built here")
     return kernel
 
@@ -54,8 +54,7 @@ def on_lp_path(lp_path, monkeypatch):
 @pytest.mark.usefixtures("on_lp_path")
 class TestSolveDantzig:
     def test_origin_feasible_gives_zero(self):
-        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([0.5, -0.2, 0.1]),
-                                n_eff=5)
+        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([0.5, -0.2, 0.1]))
         fit = solve_dantzig(sys, lam=0.5)
         assert fit.status == "optimal"
         assert_array_equal(fit.theta_hat, np.zeros(3))
@@ -63,7 +62,7 @@ class TestSolveDantzig:
         assert fit.iterations == 0
 
     def test_zero_lambda_unique_point(self):
-        sys = LinearScoreSystem(gram=np.eye(2), moment=np.array([1.0, -2.0]), n_eff=5)
+        sys = LinearScoreSystem(gram=np.eye(2), moment=np.array([1.0, -2.0]))
         fit = solve_dantzig(sys, lam=0.0)
         assert fit.status == "optimal"
         assert_allclose(fit.theta_hat, [1.0, -2.0], atol=1e-9)
@@ -72,7 +71,7 @@ class TestSolveDantzig:
     def test_p2_example_against_oracle(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, 1.0])
-        sys = LinearScoreSystem(gram=a, moment=b, n_eff=5)
+        sys = LinearScoreSystem(gram=a, moment=b)
         fit = solve_dantzig(sys, lam=0.25)
         oracle, _ = bruteforce_l1min(a, b, 0.25)
         assert abs(fit.l1_objective - oracle) < 1e-6
@@ -93,7 +92,7 @@ class TestSolveDantzig:
     def test_infeasible_detected(self):
         # singular gram with moment outside its range
         sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                                moment=np.array([0.0, 1.0]), n_eff=5)
+                                moment=np.array([0.0, 1.0]))
         fit = solve_dantzig(sys, lam=0.5)
         assert fit.status == "infeasible"
 
@@ -104,14 +103,14 @@ class TestSolveDantzig:
         assert fit.status == "iteration_limit"
 
     def test_negative_lambda_rejected(self):
-        sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=5)
+        sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
         with pytest.raises(ValueError):
             solve_dantzig(sys, -0.1)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         # without the check, NaN and inf right-hand sides end "optimal" at theta = 0
-        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, 0.2, 0.5]), n_eff=10)
+        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, 0.2, 0.5]))
         with pytest.raises(ValueError, match="finite"):
             solve_dantzig(sys, lam)
         with pytest.raises(ValueError, match="finite"):
@@ -262,7 +261,7 @@ class TestSolveDantzigPath:
     def test_singular_gram_infeasible_below_attainable_norm(self):
         # b - A theta = (3 - theta_0, 1): its sup norm is at least 1
         sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                                moment=np.array([3.0, 1.0]), n_eff=5)
+                                moment=np.array([3.0, 1.0]))
         lams = [0.5, 1.5, 0.2, 2.0, 0.99]
         fits = solve_dantzig_path(sys, lams)
         assert [fit.status for fit in fits] == ["infeasible", "optimal", "infeasible",
@@ -280,7 +279,7 @@ class TestSolveDantzigPath:
             assert (fit.status == "iteration_limit") == (fit.iterations == 3)
 
     def test_negative_lambda_and_empty_list(self):
-        sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=5)
+        sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
         with pytest.raises(ValueError):
             solve_dantzig_path(sys, [0.5, -0.1, 0.2])
         with pytest.raises(ValueError, match="max_iter"):
@@ -329,7 +328,7 @@ class TestAgainstMirroredReference:
                       [0.1, 0.4, 0.44, -0.04], [0.69, 0.04, -0.04, 1.22]])
         b = np.array([0.09, -0.74, -0.92, -0.46])
         lams = [0.92, 0.736, 0.552, 0.368, 0.184, 0.0]
-        new, _ = self.check(LinearScoreSystem(gram=a, moment=b, n_eff=10), lams)
+        new, _ = self.check(LinearScoreSystem(gram=a, moment=b), lams)
         assert new[4].theta_hat[1] < -0.3 and new[5].theta_hat[1] > 0.8
         for lam, fit in zip(lams, new):
             oracle, feasible = bruteforce_l1min(a, b, lam)
@@ -383,8 +382,7 @@ class TestCompiledLpLoop:
             p = 1 + i % 13
             rows = max(1, p // 2) if i % 3 == 0 else p + 2
             m = rng.standard_normal((rows, p))
-            sys = LinearScoreSystem(gram=m.T @ m / rows, moment=rng.standard_normal(p),
-                                    n_eff=10)
+            sys = LinearScoreSystem(gram=m.T @ m / rows, moment=rng.standard_normal(p))
             lams = list(rng.uniform(0.0, 1.2, 5) * np.abs(sys.moment).max())
             lams += [0.0, lams[1]]
             max_iter = (i // 4) % 5 if i % 4 == 3 else None
@@ -393,8 +391,7 @@ class TestCompiledLpLoop:
 
     def test_p1_and_empty_path(self, lp_kernel):
         for gram, moment in [(2.0, 1.0), (0.5, -3.0), (0.0, 1.0), (1e-12, 0.7)]:
-            sys = LinearScoreSystem(gram=np.array([[gram]]), moment=np.array([moment]),
-                                    n_eff=5)
+            sys = LinearScoreSystem(gram=np.array([[gram]]), moment=np.array([moment]))
             self.assert_same_fits(sys, [0.0, 0.3, 2.0, 0.3, 5.0])
         assert solve_dantzig_path(random_system(np.random.default_rng(5), 4), []) == []
 
@@ -425,13 +422,16 @@ class TestCompiledLpLoop:
         assert compiled[1:] == python[1:]
         assert tableaux[0].tobytes() == tableaux[1].tobytes()
 
-    def test_without_dger_only_the_lp_falls_back(self, lp_kernel, monkeypatch):
+    def test_without_dger_nothing_loads(self, lp_kernel, monkeypatch):
+        sys, grid = hawkes_fold()
+        compiled = solve_dantzig_path(sys, grid)
         real = _blas.cblas
         monkeypatch.setattr(_blas, "cblas", lambda name: None if name == "dger" else real(name))
         monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-        kernel = _countsim.load()
-        assert kernel is not None and not kernel.solves_lp  # the simulators still load
-        self.assert_same_fits(*hawkes_fold())
+        assert _countsim.load() is None  # the simulators fall back with the LP
+        for fit, ref in zip(solve_dantzig_path(sys, grid), compiled, strict=True):
+            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
+            assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
 
 
 @pytest.fixture
@@ -475,7 +475,7 @@ class TestSlackCertification:
     """A fit is "optimal" only when its recomputed slack certifies it."""
 
     def test_corrupted_tableau_is_inaccurate(self, corrupt_pivots):
-        sys = LinearScoreSystem(gram=np.array([[2.0]]), moment=np.array([1.0]), n_eff=5)
+        sys = LinearScoreSystem(gram=np.array([[2.0]]), moment=np.array([1.0]))
         assert solve_dantzig(sys, 0.5).status == "optimal"
         corrupt_pivots()
         fit = solve_dantzig(sys, 0.5)
@@ -529,8 +529,7 @@ class TestPathCertificate:
         rng = np.random.default_rng(300 + p)
         for _ in range(3):
             m = rng.standard_normal((3 * p + 2, p))
-            sys = LinearScoreSystem(gram=m.T @ m / (3 * p + 2), moment=rng.standard_normal(p),
-                                    n_eff=10)
+            sys = LinearScoreSystem(gram=m.T @ m / (3 * p + 2), moment=rng.standard_normal(p))
             lams = list(rng.uniform(0.0, 1.0, 8) * np.abs(sys.moment).max()) + [0.0]
             assert "optimal" in self.assert_per_fit(sys, lams)
 
@@ -539,7 +538,7 @@ class TestPathCertificate:
 
     def test_infeasible_and_iteration_limit(self, on_lp_path):
         sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                                moment=np.array([3.0, 1.0]), n_eff=5)
+                                moment=np.array([3.0, 1.0]))
         assert "infeasible" in self.assert_per_fit(sys, [0.5, 1.5, 0.2, 2.0])
         sys = random_system(np.random.default_rng(37), 20)
         lams = np.geomspace(0.01, 1.0, 6) * np.abs(sys.moment).max()
@@ -605,8 +604,7 @@ class TestRank1Binding:
 
 class TestThresholdSupport:
     def test_zero_vector_empty(self):
-        fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.zeros(2),
-                                              n_eff=2), 1.0)
+        fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.zeros(2)), 1.0)
         assert threshold_support(fit, 0.05).indices == ()
 
     def test_strict_inequality(self):
@@ -630,8 +628,7 @@ class TestThresholdSupport:
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.1])
     def test_non_finite_or_negative_tau_rejected(self, tau):
-        fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.ones(2),
-                                              n_eff=2), 0.1)
+        fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.ones(2)), 0.1)
         with pytest.raises(ValueError, match="tau"):
             threshold_support(fit, tau)
 
@@ -730,7 +727,6 @@ class TestCrossValidationAgainstReference:
         assert len(systems) == 5
         for fold, sys in enumerate(systems):
             ref, _ = cv_fold_system(design, response, fold=fold)
-            assert sys.n_eff == ref.n_eff
             scale = max(float(np.abs(ref.gram).max()), float(np.abs(ref.moment).max()))
             assert_allclose(sys.gram, ref.gram, rtol=0, atol=1e-12 * scale)
             assert_allclose(sys.moment, ref.moment, rtol=0, atol=1e-12 * scale)

@@ -367,6 +367,17 @@ class TestHawkesSupport:
         with pytest.raises(ValueError):
             run_hawkes_support(cfg)
 
+    def test_tau_true_ends_at_the_last_live_piece(self):
+        # a zero last piece adds no excitation, so the support ends at the first breakpoint
+        spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0, 2.0]),
+                          kernel_values=np.array([0.8, 0.0]), horizon=300.0)
+        cfg = CaseConfig(case_id="hawkes", model=spec, n=3000, p=20, reps=3,
+                         lambda_mode="cv", tau=0.05, base_seed=11, hawkes_bin_delta=0.1)
+        rep = run_hawkes_support(cfg, jobs=1)
+        assert rep.tau_true == 1.0
+        tau_hats = np.array([r["tau_hat"] for r in rep.per_rep])
+        assert rep.frac_tau_within_30pct == np.mean(np.abs(tau_hats - 1.0) <= 0.3)
+
 
 class TestOutputs:
     def test_histogram_empty(self, tmp_path):
@@ -489,14 +500,15 @@ class TestBenchmarkNames:
         for mod_name, attr, _, _ in tracing._WRAPS:
             module = importlib.import_module(f"sparseproc.{mod_name}")
             assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
-        sys1 = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2), n_eff=2)
+        sys1 = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
         assert sys1.unpenalized == ()
 
 
 class TestBenchmarkSmoke:
     # hawkes_cv runs the traced CV and first step alone; case3_cv also the two-step
-    # fit, its output checks and the HiGHS check of a count first-step LP
-    @pytest.mark.parametrize("workload", ["hawkes_cv", "case3_cv"])
+    # fit, its output checks and the HiGHS check of a count first-step LP; case4_rate
+    # the rate lambda, with no CV, on p = 200 first-step LPs
+    @pytest.mark.parametrize("workload", ["hawkes_cv", "case3_cv", "case4_rate"])
     def test_traced_run(self, tmp_path, workload):
         # a copy of perfbench/ over this checkout's src, so the run writes only under tmp_path
         root = Path(__file__).resolve().parents[1]
@@ -623,6 +635,18 @@ class TestCli:
         assert not out.exists()
         assert main(["fit", "--series", str(series), "--order", "4", "--lambda", "0.1",
                      "--out", str(out)]) == 0
+
+    def test_order_rejected_for_diffusion_fit(self, tmp_path, capsys):
+        # a diffusion fit regresses on the whole previous state and has no lag order
+        series = tmp_path / "ou.csv"
+        series.write_text("t,x1,x2\n" + "".join(f"{k},{k % 3},{k % 5}\n" for k in range(40)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(series), "--model", "diffusion", "--order", "3",
+                     "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 2
+        assert "--order applies to count fits only" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fit", "--series", str(series), "--model", "diffusion",
+                     "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("verb", [["experiment", "--case", "case1"], ["hawkes-support"]])
     def test_zero_reps_exit_code(self, tmp_path, capsys, verb):

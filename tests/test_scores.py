@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_diffusion_score, reference_lagged_design
 
@@ -11,7 +9,7 @@ from sparseproc.errors import NuisanceError
 from sparseproc.scores import (VARIANCE_FLOOR, DiffusionDesign, LinearScoreSystem,
                                build_inar_score, build_regression_score,
                                build_weighted_system, center_design, diffusion_design,
-                               eval_score, lagged_design)
+                               lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
@@ -37,7 +35,7 @@ class TestRegressionScore:
         z = rng.standard_normal((40, 5))
         theta0 = np.array([1.0, 0.0, -2.0, 0.5, 0.0])
         sys = build_regression_score(z, z @ theta0)
-        assert np.abs(eval_score(sys, theta0)).max() < 1e-12
+        assert np.abs(sys.moment - sys.gram @ theta0).max() < 1e-12
 
     def test_center_design_recovers_intercept(self):
         # noiseless y = 0.5 + Z theta: the centered system has theta as its root,
@@ -53,7 +51,7 @@ class TestRegressionScore:
         assert_allclose(data.zc.mean(axis=0), 0.0, atol=1e-14)
         assert_allclose(data.z_bar, z[:, 1:].mean(axis=0), rtol=0, atol=0)
         ref = build_regression_score(data.zc, data.yc)
-        assert np.abs(eval_score(ref, theta)).max() < 1e-12
+        assert np.abs(ref.moment - ref.gram @ theta).max() < 1e-12
         assert data.y_bar - theta @ data.z_bar == pytest.approx(0.5, abs=1e-12)
         # the moment and the score are those of the centered columns, bit for bit
         assert data.moment.tobytes() == ref.moment.tobytes()
@@ -114,7 +112,7 @@ class TestInarScore:
             for r in range(20):
                 sample = simulate_inar(spec, n, seed=1000 * n + r)
                 sys = build_regression_score(*lagged_design(sample, 10))
-                norms.append(np.abs(eval_score(sys, theta0)).max())
+                norms.append(np.abs(sys.moment - sys.gram @ theta0).max())
             meds.append(np.median(norms))
         assert meds[0] > meds[1] > meds[2]
         # two quadruplings of n should halve the norm each time, roughly
@@ -140,6 +138,12 @@ class TestLaggedDesign:
         assert design.tobytes() == ref_design.tobytes()
         assert response.tobytes() == ref_response.tobytes()
 
+    @pytest.mark.parametrize("dim, target", [(2, -1), (2, 2), (1, 1)])
+    def test_target_out_of_range_rejected(self, dim, target):
+        sample = SeriesSample(values=np.ones((10, dim)), lag_buffer=np.ones((1, dim)))
+        with pytest.raises(ValueError, match=rf"target must lie in \[0, {dim}\)"):
+            lagged_design(sample, 1, target)
+
 
 class TestDiffusionScore:
     def test_constant_path_zero_moment(self):
@@ -163,7 +167,6 @@ class TestDiffusionScore:
         rows = [(values[k], values[k + 1, 2] - values[k, 2]) for k in range(8)]
         assert_allclose(sys.gram, sum(np.outer(y, y) for y, _ in rows) / 8, rtol=1e-13)
         assert_allclose(sys.moment, sum(y * dx for y, dx in rows) / (8 * 0.2), rtol=1e-13)
-        assert sys.n_eff == 8
         ref = reference_diffusion_score(values[:-1], np.diff(values[:, 2]), 0.2)
         assert sys.gram.tobytes() == ref.gram.tobytes()
         assert sys.moment.tobytes() == ref.moment.tobytes()
@@ -188,6 +191,12 @@ class TestDiffusionScore:
         path = SeriesSample(values=np.ones((1, 2)), delta=0.1, kind="reals")
         with pytest.raises(ValueError, match="two points"):
             diffusion_design(path)
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_out_of_range_rejected(self, target):
+        path = SeriesSample(values=np.ones((5, 2)), delta=0.1, kind="reals")
+        with pytest.raises(ValueError, match=r"target must lie in \[0, 2\)"):
+            diffusion_design(path, target)
 
     def test_layout_left_endpoints_and_target_increments(self):
         values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
@@ -222,21 +231,14 @@ class TestDiffusionScore:
             for r in range(8):
                 path = simulate_ou(spec, seed=7 * n + r)
                 sys = diffusion_design(path).score()
-                vals.append(np.abs(eval_score(sys, a[0])).max())
+                vals.append(np.abs(sys.moment - sys.gram @ a[0]).max())
             norms.append(np.median(vals))
         assert norms[0] > norms[2]
         assert norms[2] < 0.6 * norms[0]
 
 
 class TestEvalScore:
-    def test_zero_theta_returns_moment(self):
-        sys = LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, 2.0, 3.0]), n_eff=5)
-        assert_array_equal(eval_score(sys, np.zeros(3)), sys.moment)
-
-    def test_identity_root(self):
-        b = np.array([0.5, -1.5])
-        sys = LinearScoreSystem(gram=np.eye(2), moment=b, n_eff=5)
-        assert_array_equal(eval_score(sys, b), np.zeros(2))
+    """The score psi(theta) = moment - gram @ theta of the built systems."""
 
     def test_matches_per_observation_summation(self):
         rng = np.random.default_rng(5)
@@ -245,20 +247,7 @@ class TestEvalScore:
         theta = rng.standard_normal(4)
         sys = build_regression_score(z, y)
         direct = np.mean([z[t] * (y[t] - theta @ z[t]) for t in range(30)], axis=0)
-        assert_allclose(eval_score(sys, theta), direct, atol=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_affine_difference_identity(self, seed):
-        # psi(t1) - psi(t2) = -A (t1 - t2), exactly (up to float assoc.)
-        rng = np.random.default_rng(seed)
-        p = rng.integers(1, 6)
-        m = rng.standard_normal((p + 2, p))
-        sys = LinearScoreSystem(gram=m.T @ m, moment=rng.standard_normal(p), n_eff=3)
-        t1, t2 = rng.standard_normal(p), rng.standard_normal(p)
-        lhs = eval_score(sys, t1) - eval_score(sys, t2)
-        rhs = -sys.gram @ (t1 - t2)
-        assert_allclose(lhs, rhs, atol=1e-9 * max(1, np.abs(rhs).max()))
+        assert_allclose(sys.moment - sys.gram @ theta, direct, atol=1e-12)
 
     def test_gram_reorder_invariance(self):
         rng = np.random.default_rng(6)
@@ -274,10 +263,9 @@ class TestEvalScore:
         # martingale-difference analog: average score over 200 sims near 0
         spec = InarSpec(mu_eps=1.0, alpha=np.array([0.4, 0.2]), burn_in=200)
         theta0 = np.array([1.0, 0.4, 0.2])
-        scores = np.array([
-            eval_score(build_regression_score(*lagged_design(simulate_inar(spec, 300, seed=r),
-                                                             2)), theta0)
-            for r in range(200)])
+        systems = [build_regression_score(*lagged_design(simulate_inar(spec, 300, seed=r), 2))
+                   for r in range(200)]
+        scores = np.array([sys.moment - sys.gram @ theta0 for sys in systems])
         se = scores.std(axis=0, ddof=1) / np.sqrt(200)
         assert np.all(np.abs(scores.mean(axis=0)) < 4 * se)
 
@@ -329,13 +317,13 @@ class TestNonFiniteInput:
     def test_nan_moment_rejected(self):
         # would otherwise solve as "optimal" with a NaN feasibility slack
         with pytest.raises(ValueError, match="finite"):
-            LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, np.nan, 0.5]), n_eff=1)
+            LinearScoreSystem(gram=np.eye(3), moment=np.array([1.0, np.nan, 0.5]))
 
     def test_inf_gram_rejected(self):
         gram = np.eye(2)
         gram[0, 1] = gram[1, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            LinearScoreSystem(gram=gram, moment=np.zeros(2), n_eff=1)
+            LinearScoreSystem(gram=gram, moment=np.zeros(2))
 
     def test_nan_variance_raises(self):
         z = np.column_stack([np.ones(4), np.arange(4.0)])

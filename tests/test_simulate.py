@@ -417,7 +417,7 @@ class TestCompiledCountLoop:
     def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((12, 10))
-        system = LinearScoreSystem(gram=m.T @ m / 12, moment=rng.standard_normal(10), n_eff=12)
+        system = LinearScoreSystem(gram=m.T @ m / 12, moment=rng.standard_normal(10))
         lams = np.geomspace(0.01, 1.0, 8) * np.abs(system.moment).max()
         expected = solve_dantzig_path(system, lams)  # by the loaded loop, where it loads
         empty_bin = tmp_path / "bin"
