@@ -35,6 +35,7 @@
 
 #define CBLAS_ROW_MAJOR 101
 #define CBLAS_COL_MAJOR 102
+#define CBLAS_NO_TRANS 111
 #define CBLAS_TRANS 112
 
 typedef int64_t (*poisson_fn)(bitgen_t *, double);
@@ -44,6 +45,8 @@ typedef void (*dgemv_fn)(int, int, BLAS_INT, BLAS_INT, double, const double *, B
                          const double *, BLAS_INT, double, double *, BLAS_INT);
 typedef void (*dger_fn)(int, BLAS_INT, BLAS_INT, double, const double *, BLAS_INT,
                         const double *, BLAS_INT, double *, BLAS_INT);
+typedef void (*dgemm_fn)(int, int, int, BLAS_INT, BLAS_INT, BLAS_INT, double, const double *,
+                         BLAS_INT, const double *, BLAS_INT, double, double *, BLAS_INT);
 
 /*
  * Poisson INAR(p) from the zero state: lambda_t = mu + alpha . history, with
@@ -306,4 +309,227 @@ int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, doub
     free(work);
     free(index);
     return 0;
+}
+
+/*
+ * numpy's add.reduce of the n doubles a[0..n) in one contiguous run: pairwise
+ * summation with eight accumulators in blocks of at most 128, added to the
+ * reduction's initial 0.0 by the caller.
+ */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/*
+ * out = rows[keep].sum(axis=0) for the n x len matrix rows, where keep is
+ * every row but row skip (every row where skip < 0), as numpy sums it: from
+ * 0.0, row after row, or, where a row is one value and the kept values are
+ * then one contiguous run, pairwise over them, gathered in scratch.
+ */
+static void sum_rows(const double *rows, int64_t n, int64_t len, int64_t skip, double *out,
+                     double *scratch)
+{
+    if (len == 1) {
+        int64_t m = 0;
+        for (int64_t r = 0; r < n; r++)
+            if (r != skip)
+                scratch[m++] = rows[r];
+        out[0] = 0.0 + pairwise_sum(scratch, m);
+        return;
+    }
+    for (int64_t j = 0; j < len; j++)
+        out[j] = 0.0;
+    for (int64_t r = 0; r < n; r++)
+        if (r != skip)
+            for (int64_t j = 0; j < len; j++)
+                out[j] += rows[r * len + j];
+}
+
+/*
+ * The fold loop of dantzig.cross_validate_lambda over a grid sorted ascending.
+ * zc (n x p) and yc are the centered series, split into folds blocks at the
+ * row offsets bounds[0..folds]; cross (folds x p x p) and cross_y (folds x p)
+ * are each block's cross-products, as numpy's matmul forms them.  As the
+ * numpy loop dantzig._cv_folds does, the loop sums each block's columns and
+ * then, for each fold k:
+ * - merges the training system from the other blocks' sums by the same
+ *   operations in the same order;
+ * - dantzig_path solves it from the largest lambda down, on the tableau of
+ *   solve_dantzig_path;
+ * - each fit's slack lambda - |b - A theta|_inf takes A theta from the dgemv
+ *   (or, for p = 1, 0.0 + ddot) of numpy's stacked matmul, and a fit whose
+ *   pivots ended "optimal" but whose slack is below -1e-8 * scale is
+ *   "inaccurate" (status 3);
+ * - the held-out rows' mean squared error of each fit, with z_dev @ thetas
+ *   as numpy's matmul forms it: dgemm for several lambdas, dgemv for one,
+ *   and 0.0 + z * theta without BLAS for p = 1.
+ * iterations, status, slacks and losses are folds x n_grid in grid order.
+ * The loop stops after a fold with a fit that is not optimal.  Returns the
+ * number of folds run, -1 where the scratch cannot be allocated, or -2 - k
+ * where fold k's training system is not finite.
+ */
+int64_t cv_folds(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, dgemm_fn dgemm, int64_t p,
+                 int64_t folds, const int64_t *bounds, const double *zc, const double *yc,
+                 const double *cross, const double *cross_y, int64_t n_grid,
+                 const double *grid, int64_t max_iter, int64_t *iterations, int64_t *status,
+                 double *slacks, double *losses)
+{
+    const int64_t n = bounds[folds], ld = p + 1;
+    int64_t held_max = 0, ret = folds;
+    for (int64_t k = 0; k < folds; k++)
+        if (bounds[k + 1] - bounds[k] > held_max)
+            held_max = bounds[k + 1] - bounds[k];
+    /* tab; gram and moment; path, path_theta and thetas; d and ax; sums and sums_y;
+       z_dev and resid; gather, for a block's values or the folds' */
+    const size_t n_doubles = (size_t)(ld * (2 * p + 1) + ld * p + n_grid * (1 + 2 * p) + 2 * p
+                                      + folds * (p + 1) + held_max * (p + n_grid)
+                                      + held_max + folds);
+    double *work = malloc(n_doubles * sizeof(double));
+    int64_t *codes = malloc((size_t)(2 * n_grid) * sizeof(int64_t));
+    if (!work || !codes) {
+        ret = -1;
+        goto done;
+    }
+    double *tab = work, *gram = tab + ld * (2 * p + 1), *moment = gram + p * p;
+    double *path = moment + p, *path_theta = path + n_grid;
+    double *thetas = path_theta + n_grid * p, *d = thetas + n_grid * p, *ax = d + p;
+    double *sums = ax + p, *sums_y = sums + folds * p, *z_dev = sums_y + folds;
+    double *resid = z_dev + held_max * p, *gather = resid + held_max * n_grid;
+    int64_t *path_it = codes, *path_status = codes + n_grid;
+    for (int64_t k = 0; k < folds; k++) { /* zb.sum(axis=0) and yb.sum() of each block */
+        const int64_t lo = bounds[k], held = bounds[k + 1] - lo;
+        sum_rows(zc + lo * p, held, p, -1, sums + k * p, gather);
+        sum_rows(yc + lo, held, 1, -1, sums_y + k, gather);
+    }
+    for (int64_t i = 0; i < n_grid; i++)
+        path[i] = grid[n_grid - 1 - i];
+    for (int64_t k = 0; k < folds; k++) {
+        const int64_t lo = bounds[k], held = bounds[k + 1] - lo;
+        const double m = (double)(n - held);
+        double e;
+        sum_rows(sums, folds, p, k, d, gather);
+        for (int64_t j = 0; j < p; j++)
+            d[j] = d[j] / m;
+        sum_rows(sums_y, folds, 1, k, &e, gather);
+        e = e / m;
+        sum_rows(cross, folds, p * p, k, gram, gather);
+        sum_rows(cross_y, folds, p, k, moment, gather);
+        /* solve_dantzig_path: its finite system, max(1.0, |A|_max, |b|_max), its tableau */
+        double scale = 1.0;
+        int finite = 1;
+        for (int64_t i = 0; i < p; i++) {
+            for (int64_t j = 0; j < p; j++) {
+                double *g = gram + i * p + j;
+                *g = *g / m - d[i] * d[j];
+                finite &= isfinite(*g) != 0;
+                if (fabs(*g) > scale)
+                    scale = fabs(*g);
+            }
+            moment[i] = moment[i] / m - d[i] * e;
+            finite &= isfinite(moment[i]) != 0;
+            if (fabs(moment[i]) > scale)
+                scale = fabs(moment[i]);
+        }
+        if (!finite) {
+            ret = -2 - k;
+            goto done;
+        }
+        const double tol = 1e-9 * scale;
+        memset(tab, 0, (size_t)(ld * (2 * p + 1)) * sizeof(double));
+        for (int64_t j = 0; j < p; j++) {
+            for (int64_t i = 0; i < p; i++)
+                tab[j * ld + i] = gram[i * p + j];
+            tab[(p + j) * ld + j] = 1.0;
+            tab[j * ld + p] = 1.0;
+        }
+        if (dantzig_path(ddot, dgemv, dger, p, tab, moment, n_grid, path, max_iter, tol,
+                         path_theta, path_it, path_status)) {
+            ret = -1;
+            goto done;
+        }
+        int certified = 1;
+        for (int64_t i = 0; i < n_grid; i++) {
+            const double *theta = path_theta + i * p;
+            if (p == 1)
+                ax[0] = 0.0 + ddot(1, gram, 1, theta, 1);
+            else
+                dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)p, (BLAS_INT)p, 1.0, gram,
+                      (BLAS_INT)p, theta, 1, 0.0, ax, 1);
+            double worst = fabs(moment[0] - ax[0]); /* numpy's max: a NaN wins */
+            for (int64_t j = 1; j < p && !isnan(worst); j++) {
+                const double r = fabs(moment[j] - ax[j]);
+                if (isnan(r) || r > worst)
+                    worst = r;
+            }
+            const double slack = path[i] - worst;
+            int64_t code = path_status[i];
+            if (code == 0 && slack < -1e-8 * scale)
+                code = 3;
+            const int64_t g = n_grid - 1 - i;
+            iterations[k * n_grid + g] = path_it[i];
+            status[k * n_grid + g] = code;
+            slacks[k * n_grid + g] = slack;
+            certified &= code == 0;
+            for (int64_t j = 0; j < p; j++) /* thetas is p x n_grid, in grid order */
+                thetas[j * n_grid + g] = theta[j];
+        }
+        if (!certified) {
+            ret = k + 1;
+            goto done;
+        }
+        /* the held-out block: z_dev = z - d, resid = y - e - z_dev @ thetas, squared */
+        const double *z = zc + lo * p, *y = yc + lo;
+        for (int64_t r = 0; r < held; r++)
+            for (int64_t j = 0; j < p; j++)
+                z_dev[r * p + j] = z[r * p + j] - d[j];
+        if (p == 1) {
+            for (int64_t r = 0; r < held; r++)
+                for (int64_t g = 0; g < n_grid; g++)
+                    resid[r * n_grid + g] = 0.0 + z_dev[r] * thetas[g];
+        } else if (n_grid == 1) {
+            dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)p, (BLAS_INT)held, 1.0, z_dev,
+                  (BLAS_INT)p, thetas, 1, 0.0, resid, 1);
+        } else {
+            dgemm(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, CBLAS_NO_TRANS, (BLAS_INT)held,
+                  (BLAS_INT)n_grid, (BLAS_INT)p, 1.0, z_dev, (BLAS_INT)p, thetas,
+                  (BLAS_INT)n_grid, 0.0, resid, (BLAS_INT)n_grid);
+        }
+        for (int64_t r = 0; r < held; r++) {
+            const double y_e = y[r] - e;
+            for (int64_t g = 0; g < n_grid; g++) {
+                const double v = y_e - resid[r * n_grid + g];
+                resid[r * n_grid + g] = v * v;
+            }
+        }
+        /* np.mean(axis=0) */
+        sum_rows(resid, held, n_grid, -1, losses + k * n_grid, gather);
+        for (int64_t g = 0; g < n_grid; g++)
+            losses[k * n_grid + g] = losses[k * n_grid + g] / (double)held;
+    }
+done:
+    free(work);
+    free(codes);
+    return ret;
 }

@@ -1,12 +1,14 @@
-"""The simulators' step loops and the LP's pivot loop, compiled once per source.
+"""The simulators' step loops, the LP's pivot loop and the CV fold loop, compiled
+once per source.
 
 ``_countsim.c`` runs every step of ``simulate_inar``, ``simulate_minar1`` and
-``simulate_hawkes`` and every pivot of ``dantzig.solve_dantzig_path``, and
-calls, through function pointers, the code numpy itself runs for that step:
+``simulate_hawkes``, every pivot of ``dantzig.solve_dantzig_path`` and the
+whole fold loop of ``dantzig.cross_validate_lambda``, and calls, through
+function pointers, the code numpy itself runs for that step:
 ``random_poisson`` and ``random_standard_exponential`` of
 ``numpy.random._generator`` (the library numpy's own cffi example opens for
-them) and the CBLAS ``ddot``, ``dgemv`` and ``dger`` of numpy's BLAS
-(``_blas``).  numpy draws a Poisson variate by multiplication below
+them) and the CBLAS ``ddot``, ``dgemv``, ``dger`` and ``dgemm`` of numpy's
+BLAS (``_blas``).  numpy draws a Poisson variate by multiplication below
 lambda = 10 and by transformed rejection from 10 up, so the last bit of
 lambda picks the algorithm; making numpy's exact calls keeps every series
 bit-identical to the numpy loop in ``simulate``.  Where a MINAR(1) matrix is
@@ -14,9 +16,10 @@ zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
 matrix, or a BLAS that sums in another order, keeps ``dgemv``.  The Hawkes
-thinning loop and the simplex pivot loop repeat the float operations of
-their Python loops in order, so events and fits equal those loops' byte
-for byte; the Python loops are the fallback.
+thinning loop, the simplex pivot loop and the CV fold loop repeat the float
+operations of their Python loops in order (numpy's pairwise summation
+included), so events, fits and held-out losses equal those loops' byte for
+byte; the Python loops are the fallback.
 
 The first ``load()`` in a process compiles the source with ``cc`` into
 ``__pycache__/_countsim.<key>.so`` beside this file, keyed by the source,
@@ -24,9 +27,9 @@ the numpy version and the whole compile command (flags and BLAS integer
 width included, file names left out), and later processes only load it.
 The shared object is not bytecode, so ``sys.dont_write_bytecode`` does not
 stop it being written.  Where any step fails (no compiler, a directory that
-cannot be written, a missing symbol, no CBLAS ``ddot``, ``dgemv`` and
-``dger`` of one integer width in numpy's BLAS), ``load()`` returns None and
-the simulators and the LP run their Python loops.
+cannot be written, a missing symbol, no CBLAS ``ddot``, ``dgemv``, ``dger``
+and ``dgemm`` of one integer width in numpy's BLAS), ``load()`` returns None
+and the simulators, the LP and CV run their Python loops.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
-# the LP loop's status codes 0, 1 and 2
-_LP_STATUS = ("optimal", "infeasible", "iteration_limit")
+# the LP loops' status codes 0, 1 and 2, and 3 for a fit whose slack does not certify it
+_LP_STATUS = ("optimal", "infeasible", "iteration_limit", "inaccurate")
 
 # block_sums_match compares the compiled block sum with numpy's A @ y on this
 # many vectors of counts, drawn from its own seed
@@ -120,22 +123,22 @@ def _check_buffers(*arrays: np.ndarray) -> None:
 
 
 class CountKernel:
-    """The compiled ``inar``, ``minar1``, ``hawkes`` and ``dantzig_path`` loops, with
-    numpy's functions bound."""
+    """The compiled ``inar``, ``minar1``, ``hawkes``, ``dantzig_path`` and ``cv_folds``
+    loops, with numpy's functions bound."""
 
     def __init__(self):
-        ddot, dgemv, dger = (_blas.cblas(name) for name in ("ddot", "dgemv", "dger"))
-        if None in (ddot, dgemv, dger) or not (ddot[1] is dgemv[1] is dger[1]):
-            raise OSError("numpy's BLAS exports no CBLAS ddot, dgemv and dger of one "
-                          "integer width")
+        blas = [_blas.cblas(name) for name in ("ddot", "dgemv", "dger", "dgemm")]
+        if None in blas or len({int_t for _, int_t in blas}) != 1:
+            raise OSError("numpy's BLAS exports no CBLAS ddot, dgemv, dger and dgemm of "
+                          "one integer width")
         import numpy.random._generator as generator
 
         draws = ctypes.CDLL(generator.__file__)
         poisson, exponential = draws.random_poisson, draws.random_standard_exponential
-        lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(ddot[1])))
-        self._poisson, self._exponential, self._ddot, self._dgemv, self._dger = (
+        lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(blas[0][1])))
+        self._poisson, self._exponential, self._ddot, self._dgemv, self._dger, self._dgemm = (
             ctypes.cast(fn, _PTR).value
-            for fn in (poisson, exponential, ddot[0], dgemv[0], dger[0]))
+            for fn in (poisson, exponential, *(fn for fn, _ in blas)))
         self._inar, self._minar1, self._hawkes = lib.inar, lib.minar1, lib.hawkes
         self._block_sums = lib.block_sums
         self._block_sums.argtypes = [_I64, _PTR, _PTR, _PTR]
@@ -144,6 +147,10 @@ class CountKernel:
         self._lp.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _F64,
                              _PTR, _PTR, _PTR]
         self._lp.restype = _I64
+        self._cv = lib.cv_folds
+        self._cv.argtypes = [_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
+                             _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
+        self._cv.restype = _I64
         self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64]
         self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR,
                                  _PTR, _I64, _F64]
@@ -263,6 +270,41 @@ class CountKernel:
                     theta.ctypes.data, iterations.ctypes.data, status.ctypes.data):
             raise MemoryError("no scratch memory for the LP loop")
         return theta, iterations.tolist(), [_LP_STATUS[code] for code in status]
+
+    def cv_folds(self, zc: np.ndarray, yc: np.ndarray, bounds: Sequence[int],
+                 cross: np.ndarray, cross_y: np.ndarray, grid: np.ndarray,
+                 max_iter: int) -> Tuple:
+        """The fold loop of ``dantzig.cross_validate_lambda``, as ``dantzig._cv_folds``.
+
+        ``zc`` (n x p) and ``yc`` are split into blocks at the row offsets
+        ``bounds``, and ``cross`` and ``cross_y`` are the blocks'
+        cross-products.  Returns the held-out losses, pivot counts, statuses
+        and slacks of each (fold, lambda) on the ascending ``grid``, as that
+        function does.
+        """
+        _check_buffers(zc, yc, cross, cross_y)
+        bounds = np.array(bounds, dtype=np.int64)
+        grid = np.array(grid, dtype=np.float64)
+        folds = bounds.size - 1
+        n, p = zc.shape if zc.ndim == 2 else (0, 0)
+        if not (p > 0 and folds > 0 and grid.ndim == 1 and grid.size and yc.shape == (n,)
+                and bounds[0] == 0 and bounds[-1] == n and np.all(np.diff(bounds) > 0)
+                and cross.shape == (folds, p, p) and cross_y.shape == (folds, p)):
+            raise ValueError("cv_folds needs an n x p series (p > 0), blocks that cover it, "
+                             "the cross-products of each block and a grid")
+        losses, slacks = np.zeros((folds, grid.size)), np.zeros((folds, grid.size))
+        pivots, codes = np.zeros((2, folds, grid.size), np.int64)
+        ran = self._cv(self._ddot, self._dgemv, self._dger, self._dgemm, p, folds,
+                       bounds.ctypes.data, zc.ctypes.data, yc.ctypes.data, cross.ctypes.data,
+                       cross_y.ctypes.data, grid.size, grid.ctypes.data, max_iter,
+                       pivots.ctypes.data, codes.ctypes.data, slacks.ctypes.data,
+                       losses.ctypes.data)
+        if ran == -1:
+            raise MemoryError("no scratch memory for the CV loop")
+        if ran < -1:
+            raise ValueError("gram and moment must be finite")
+        statuses = [[_LP_STATUS[code] for code in row] for row in codes[:ran].tolist()]
+        return losses, pivots, statuses, slacks
 
 
 _UNSET = object()

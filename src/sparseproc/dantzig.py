@@ -28,6 +28,10 @@ the whole path run in the compiled loop of ``_countsim``, which makes the
 same float operations and BLAS calls in the same order as the numpy loop
 ``_pivot_path``; that loop runs where the compiled one does not load.  A
 fit is "optimal" only when its slack, recomputed from theta, certifies it.
+Cross-validation runs its whole fold loop (training systems, lambda paths,
+certificates and held-out losses) in one call to the compiled
+``CountKernel.cv_folds``, which stands in, byte for byte, for the numpy
+loop ``_cv_folds``; that path calls no ``solve_dantzig_path``.
 """
 from __future__ import annotations
 
@@ -49,6 +53,9 @@ _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 # the default CV grid: how many values, and its ends as multiples of the score norm
 _GRID_NUM, _GRID_LO, _GRID_HI = 20, 0.01, 1.0
+
+# the default bound on the pivots of each lambda, per coordinate
+_PIVOTS_PER_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,9 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
     "optimal" carries the last basic solution visited.
     """
-    lam_values = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lam_values) & (lam_values >= 0)):
-        raise ValueError("lambda must be finite and nonnegative")
+    _check_lambdas(np.asarray(lams, dtype=float))
     a, b, p = sys.gram, sys.moment, sys.dim
-    max_iter = 50 * 4 * p if max_iter is None else max_iter
+    max_iter = _PIVOTS_PER_DIM * p if max_iter is None else max_iter
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
@@ -133,6 +138,11 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
         fits[i] = DantzigFit(theta_hat=theta, lam=lam, l1_objective=objective,
                              feasibility_slack=slack, iterations=pivot_count, status=status)
     return fits
+
+
+def _check_lambdas(lams: np.ndarray) -> None:
+    if not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise ValueError("lambda must be finite and nonnegative")
 
 
 def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_iter: int,
@@ -220,6 +230,49 @@ def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_i
     return thetas, pivot_counts, statuses
 
 
+def _cv_folds(zc: np.ndarray, yc: np.ndarray, bounds: np.ndarray, cross: np.ndarray,
+              cross_y: np.ndarray, grid: np.ndarray, max_iter: int
+              ) -> Tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+    """The numpy loop of ``_countsim.CountKernel.cv_folds``: each fold's fits and losses.
+
+    ``zc`` and ``yc`` are split into blocks at the row offsets ``bounds``,
+    and ``cross`` and ``cross_y`` are the blocks' cross-products.  Returns,
+    per fold and value of the ascending ``grid``, the held-out mean squared
+    error, the pivot count, the status and the slack of the fit.  The loop
+    stops after a fold with a fit that is not "optimal": ``statuses`` has a
+    row for each fold run, and the later rows of the arrays stay 0.
+    """
+    folds, p = bounds.size - 1, zc.shape[1]
+    n = yc.size
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sums = np.array([zc[rows].sum(axis=0) for rows in blocks])
+    sums_y = np.array([yc[rows].sum() for rows in blocks])
+    losses, slacks = np.zeros((folds, grid.size)), np.zeros((folds, grid.size))
+    pivots = np.zeros((folds, grid.size), np.int64)
+    statuses = []
+    z_held = np.empty_like(zc[blocks[0]])  # the largest block comes first
+    for k, rows in enumerate(blocks):
+        z_val, y_val = zc[rows], yc[rows]
+        train = np.arange(folds) != k
+        m = n - y_val.size
+        d = sums[train].sum(axis=0) / m     # training means, relative to the full ones
+        e = sums_y[train].sum() / m
+        sys = LinearScoreSystem(gram=cross[train].sum(axis=0) / m - np.outer(d, d),
+                                moment=cross_y[train].sum(axis=0) / m - d * e)
+        fits = solve_dantzig_path(sys, grid, max_iter)
+        statuses.append([fit.status for fit in fits])
+        pivots[k] = [fit.iterations for fit in fits]
+        slacks[k] = [fit.feasibility_slack for fit in fits]
+        if statuses[-1].count("optimal") < grid.size:
+            break
+        thetas = np.column_stack([fit.theta_hat for fit in fits])
+        z_dev = np.subtract(z_val, d, out=z_held[:y_val.size])
+        resid = z_dev @ thetas
+        np.subtract((y_val - e)[:, None], resid, out=resid)
+        losses[k] = np.mean(np.square(resid, out=resid), axis=0)
+    return losses, pivots, statuses, slacks
+
+
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
     """Coordinates with |theta_hat_j| strictly greater than tau."""
     if not (np.isfinite(tau) and tau >= 0):
@@ -248,47 +301,44 @@ def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] 
     merged from those sums without copying a row (shifted sums as in
     Chan, Golub & LeVeque, 1983), solved along the grid, and scored by the
     one-step-ahead squared prediction error on the held-out block
-    (intercept refit from the training means).  Without a ``grid``, the
-    default grid of ``data.moment`` is used.  Ties in the mean loss go to
-    the largest lambda.  Raises ``UncertifiedFitError`` when a fold's LP is
-    not "optimal".
+    (intercept refit from the training means).  The whole fold loop runs in
+    one call to the compiled ``CountKernel.cv_folds`` of ``_countsim``,
+    which makes the float operations and BLAS calls of the numpy loop
+    ``_cv_folds`` in their order; that loop runs where the compiled one does
+    not load.  Without a ``grid``, the default grid of ``data.moment`` is
+    used.  Ties in the mean loss go to the largest lambda.  Raises
+    ``UncertifiedFitError`` when a fold's LP is not "optimal".
     """
-    zc, yc, n = data.zc, data.yc, data.n
+    n = data.n
     if grid is None:
         grid = default_lambda_grid(data.moment)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
+    _check_lambdas(grid)
     if np.any(np.diff(grid) < 0):
         raise ValueError("lambda grid must be sorted ascending")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if n < 2 * folds:
         raise ValueError("series too short for the requested fold count")
+    zc, yc = np.ascontiguousarray(data.zc), np.ascontiguousarray(data.yc)
+    if zc.shape[1] == 0:
+        raise ValueError("the design has no lag column to select")
     z_blocks, y_blocks = np.array_split(zc, folds), np.array_split(yc, folds)  # views
+    bounds = np.cumsum([0] + [yb.size for yb in y_blocks])
+    # the blocks' products by numpy's BLAS (zb.T @ zb is a dsyrk, which the kernel lacks)
     cross = np.array([zb.T @ zb for zb in z_blocks])
     cross_y = np.array([zb.T @ yb for zb, yb in zip(z_blocks, y_blocks)])
-    sums = np.array([zb.sum(axis=0) for zb in z_blocks])
-    sums_y = np.array([yb.sum() for yb in y_blocks])
-    losses = np.zeros((folds, grid.size))
-    z_held = np.empty_like(z_blocks[0])  # the largest block comes first
-    for k, (z_val, y_val) in enumerate(zip(z_blocks, y_blocks)):
-        train = np.arange(folds) != k
-        m = n - y_val.size
-        d = sums[train].sum(axis=0) / m     # training means, relative to the full ones
-        e = sums_y[train].sum() / m
-        sys = LinearScoreSystem(gram=cross[train].sum(axis=0) / m - np.outer(d, d),
-                                moment=cross_y[train].sum(axis=0) / m - d * e)
-        fits = solve_dantzig_path(sys, grid)
-        for lam, fit in zip(grid, fits):
-            if fit.status != "optimal":
+    kernel = _countsim.load()
+    fold_loop = _cv_folds if kernel is None else kernel.cv_folds
+    losses, _, statuses, _ = fold_loop(zc, yc, bounds, cross, cross_y, grid,
+                                       _PIVOTS_PER_DIM * zc.shape[1])
+    for k, row in enumerate(statuses):
+        for lam, status in zip(grid, row):
+            if status != "optimal":
                 raise UncertifiedFitError(
-                    f"CV LP of fold {k} at lambda={lam:.6g} ended with status {fit.status!r}")
-        thetas = np.column_stack([fit.theta_hat for fit in fits])
-        z_dev = np.subtract(z_val, d, out=z_held[:y_val.size])
-        resid = z_dev @ thetas
-        np.subtract((y_val - e)[:, None], resid, out=resid)
-        losses[k] = np.mean(np.square(resid, out=resid), axis=0)
+                    f"CV LP of fold {k} at lambda={lam:.6g} ended with status {status!r}")
     cv_loss = losses.mean(axis=0)
     winners = np.nonzero(cv_loss <= cv_loss.min())[0]
     return CvReport(grid=grid, cv_loss=cv_loss,

@@ -204,10 +204,10 @@ def cv_fold_system(design, response, fold=0, folds=5):
     return build_regression_score(z[train] - z_bar, y[train] - y_bar), grid
 
 
-def case_design(case_id):
-    """(design, response) of replication 1 of a built-in case at its default seed."""
+def case_design(case_id, rep=1):
+    """(design, response) of replication ``rep`` of a built-in case at its default seed."""
     cfg = harness.builtin_case(case_id, reps=1)
-    seed = harness.derive_seed(cfg.base_seed, 1)
+    seed = harness.derive_seed(cfg.base_seed, rep)
     if case_id == "hawkes":
         events = simulate_hawkes(cfg.model, seed)
         binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
@@ -422,16 +422,118 @@ class TestCompiledLpLoop:
         assert compiled[1:] == python[1:]
         assert tableaux[0].tobytes() == tableaux[1].tobytes()
 
-    def test_without_dger_nothing_loads(self, lp_kernel, monkeypatch):
+    @pytest.mark.parametrize("missing", ["dger", "dgemm", "dgemm_width"])
+    def test_without_one_blas_function_nothing_loads(self, lp_kernel, monkeypatch, missing):
         sys, grid = hawkes_fold()
         compiled = solve_dantzig_path(sys, grid)
+        cv = cross_validate_lambda(center_design(*case_design("case1")))
         real = _blas.cblas
-        monkeypatch.setattr(_blas, "cblas", lambda name: None if name == "dger" else real(name))
+
+        def cblas(name):
+            if name != missing.split("_")[0]:
+                return real(name)
+            if missing == "dgemm_width":  # a dgemm of the other integer width
+                fn, int_t = real(name)
+                return fn, ctypes.c_int32 if int_t is ctypes.c_int64 else ctypes.c_int64
+            return None
+
+        monkeypatch.setattr(_blas, "cblas", cblas)
         monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-        assert _countsim.load() is None  # the simulators fall back with the LP
+        assert _countsim.load() is None  # the simulators and CV fall back with the LP
         for fit, ref in zip(solve_dantzig_path(sys, grid), compiled, strict=True):
             assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
             assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
+        fallback = cross_validate_lambda(center_design(*case_design("case1")))
+        assert fallback.cv_loss.tobytes() == cv.cv_loss.tobytes()
+        assert fallback.chosen_lambda == cv.chosen_lambda
+
+
+def fold_loop_args(data, grid, folds):
+    """The arguments that ``cross_validate_lambda`` passes its fold loop."""
+    calls = []
+    real = dantzig._cv_folds
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_countsim, "load", lambda: None)
+        m.setattr(dantzig, "_cv_folds", lambda *args: calls.append(args) or real(*args))
+        cross_validate_lambda(data, grid, folds)
+    return calls[0]
+
+
+class TestCompiledCv:
+    """The compiled fold loop of ``_countsim`` against the numpy loop it stands in for:
+    the same bytes in every loss, pivot count, status and slack."""
+
+    @staticmethod
+    def assert_same_loops(kernel, args):
+        compiled, python = kernel.cv_folds(*args), dantzig._cv_folds(*args)
+        for ours, ref in zip(compiled, python, strict=True):
+            if isinstance(ref, list):  # the statuses
+                assert ours == ref
+            else:
+                assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+        return python
+
+    def assert_same(self, kernel, data, grid=None, folds=5):
+        self.assert_same_loops(kernel, fold_loop_args(data, grid, folds))
+        report = cross_validate_lambda(data, grid, folds)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_countsim, "load", lambda: None)
+            ref = cross_validate_lambda(data, grid, folds)
+        assert report.cv_loss.tobytes() == ref.cv_loss.tobytes()
+        assert report.chosen_lambda == ref.chosen_lambda
+        return report
+
+    @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "hawkes"])
+    def test_default_grids(self, lp_kernel, case_id):
+        for rep in range(4 if case_id == "case3" else 6):
+            data = center_design(*case_design(case_id, rep))
+            assert self.assert_same(lp_kernel, data).grid.size == 20
+
+    @pytest.mark.parametrize("folds", [2, 7, 9])
+    def test_unequal_blocks(self, lp_kernel, folds):
+        design, response = case_design("case1")
+        n = response.size - 3  # 497 rows: the first blocks hold one more row
+        assert n % folds
+        self.assert_same(lp_kernel, center_design(design[:n], response[:n]), folds=folds)
+
+    def test_one_value_grid(self, lp_kernel):
+        # numpy forms z_dev @ thetas for one column by dgemv, not dgemm
+        for case_id in ("case1", "hawkes"):
+            data = center_design(*case_design(case_id))
+            grid = default_lambda_grid(data.moment)
+            for lam in (grid[0], grid[10], grid[-1]):
+                self.assert_same(lp_kernel, data, [lam])
+
+    def test_repeated_values_and_zero(self, lp_kernel):
+        data = center_design(*case_design("case1"))
+        grid = default_lambda_grid(data.moment)
+        self.assert_same(lp_kernel, data, [*grid[:4], grid[4], grid[4], *grid[5:]])
+        self.assert_same(lp_kernel, data, [0.0, 0.0, *grid[::4]])
+        self.assert_same(lp_kernel, data, [0.0])
+
+    def test_p1(self, lp_kernel):
+        # one lag column: each block sum is one contiguous run, which numpy sums
+        # pairwise, with eight accumulators from eight training blocks (folds = 9) up
+        spec = InarSpec(mu_eps=0.5, alpha=np.array([0.4]))
+        for seed in range(3):
+            data = center_design(*lagged_design(simulate_inar(spec, 600, seed=seed), 1))
+            grid = default_lambda_grid(data.moment)
+            for folds in (2, 5, 9, 12):
+                self.assert_same(lp_kernel, data, folds=folds)
+                self.assert_same(lp_kernel, data, grid[7:8], folds=folds)
+            # more folds than rows in a block
+            short = center_design(data.design[:41], data.response[:41])
+            self.assert_same(lp_kernel, short, folds=20)
+
+    def test_iteration_limits(self, lp_kernel):
+        # a few pivots per lambda: some fits end at the limit, and both loops stop there
+        *args, max_iter = fold_loop_args(center_design(*case_design("hawkes")), None, 5)
+        seen = set()
+        for max_iter in range(6):
+            statuses = self.assert_same_loops(lp_kernel, (*args, max_iter))[2]
+            assert "iteration_limit" in statuses[-1]
+            seen.update(status for row in statuses for status in row)
+        assert seen == {"optimal", "iteration_limit"}
 
 
 @pytest.fixture
@@ -633,6 +735,70 @@ class TestThresholdSupport:
             threshold_support(fit, tau)
 
 
+@pytest.fixture
+def cv_results(on_lp_path, monkeypatch):
+    """The result of each call of the fold loop that ``on_lp_path`` runs, in order."""
+    results = []
+    if on_lp_path == "python":
+        real = dantzig._cv_folds
+
+        def recording(*args):
+            results.append(real(*args))
+            return results[-1]
+        monkeypatch.setattr(dantzig, "_cv_folds", recording)
+    else:
+        real_method = _countsim.CountKernel.cv_folds
+
+        def recording(self, *args):
+            results.append(real_method(self, *args))
+            return results[-1]
+        monkeypatch.setattr(_countsim.CountKernel, "cv_folds", recording)
+    return results
+
+
+@pytest.fixture
+def fold_systems(on_lp_path, monkeypatch):
+    """The (gram, moment) of each CV training system that ``on_lp_path`` solves, in order.
+
+    The numpy loop hands each to ``solve_dantzig_path``.  The compiled loop
+    passes them only to numpy's BLAS, so its ``dgemv`` is wrapped: a fold's
+    first row-major call resets the basic values at the slack basis, where
+    they are B^-1 b = I b, so its vector is the moment; its first square
+    column-major call after that certifies a fit against the gram.
+    """
+    systems = []
+    if on_lp_path == "python":
+        real = dantzig.solve_dantzig_path
+
+        def recording(sys, lams, max_iter=None):
+            systems.append((sys.gram.copy(), sys.moment.copy()))
+            return real(sys, lams, max_iter)
+        monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
+        return systems
+    kernel = _countsim.load()
+    int_t = _blas.cblas("dgemv")[1]
+    vec = ctypes.POINTER(ctypes.c_double)
+    dgemv_type = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_int, int_t, int_t,
+                                  ctypes.c_double, vec, int_t, vec, int_t, ctypes.c_double,
+                                  vec, int_t)
+    real_dgemv = dgemv_type(kernel._dgemv)
+    moments = []
+
+    def dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy):
+        real_dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
+        if order == 101 and len(moments) == len(systems):  # row-major, on the tableau
+            moments.append(np.ctypeslib.as_array(x, (m,)).copy())
+        elif order == 102 and m == n == lda and len(moments) > len(systems):
+            gram = np.ctypeslib.as_array(a, (m, m)).copy()  # C order: row i is gram[i]
+            systems.append((gram, moments[-1]))
+
+    callback = dgemv_type(dgemv)
+    monkeypatch.setattr(kernel, "_dgemv", ctypes.cast(callback, ctypes.c_void_p).value)
+    monkeypatch.setattr(kernel, "_recording_dgemv", callback, raising=False)  # keep it alive
+    return systems
+
+
+@pytest.mark.usefixtures("on_lp_path")
 class TestCrossValidation:
     def test_single_grid_element(self):
         rng = np.random.default_rng(23)
@@ -654,8 +820,22 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="short"):
             cross_validate_lambda(center_design(np.ones((6, 2)), np.zeros(6)), [0.1],
                                   folds=5)
-        with pytest.raises(ValueError, match="finite"):
-            cross_validate_lambda(center_design(z, y), [0.1, np.nan, 0.5], folds=2)
+        for bad in ([0.1, np.nan, 0.5], [0.1, 0.5, np.inf], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                cross_validate_lambda(center_design(z, y), bad, folds=2)
+        with pytest.raises(ValueError, match="no lag column"):
+            cross_validate_lambda(center_design(z[:, :1], y), [0.1], folds=2)
+
+    def test_non_finite_fold_system_raises(self, cv_results):
+        # block 2's cross-products overflow, so every fold that trains on it has an
+        # infinite gram: fold 0 is the first, before any LP
+        rng = np.random.default_rng(5)
+        z = np.column_stack([np.ones(50), rng.standard_normal((50, 3))])
+        z[22, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="gram and moment must be finite"):
+            cross_validate_lambda(center_design(z, rng.standard_normal(50)), [0.1], folds=5)
+        assert cv_results == []  # the compiled loop raises as the numpy loop does
 
     def test_pure_noise_prefers_large_lambda(self):
         # under the null the sparsest model predicts best
@@ -690,14 +870,38 @@ class TestCrossValidation:
         report = cross_validate_lambda(center_design(design, response), folds=3)
         assert_array_equal(report.grid, grid)
 
-    def test_uncertified_cv_lp_raises(self, monkeypatch):
-        real = dantzig.solve_dantzig_path
-        monkeypatch.setattr(dantzig, "solve_dantzig_path",
-                            lambda sys, lams: real(sys, lams, max_iter=2))
+    def test_uncertified_cv_lp_raises(self, monkeypatch, cv_results):
+        monkeypatch.setattr(dantzig, "_PIVOTS_PER_DIM", 0)  # every LP ends at the limit
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
         design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
-        with pytest.raises(UncertifiedFitError, match="iteration_limit"):
+        with pytest.raises(UncertifiedFitError) as raised:
             cross_validate_lambda(center_design(design, response), [0.001], folds=3)
+        assert str(raised.value) == ("CV LP of fold 0 at lambda=0.001 ended with status "
+                                     "'iteration_limit'")
+        (_, pivots, statuses, _), = cv_results
+        assert statuses == [["iteration_limit"]]  # the fold loop stops at fold 0
+        assert not pivots.any()
+
+    def test_uncertified_fold_and_lambda_named(self, corrupt_pivots, cv_results):
+        # every pivot is corrupted, so a fit is optimal only where it needs none: where
+        # lambda is at least its fold's |b|_inf.  lam is fold 0's norm, so the first fold
+        # whose norm exceeds it is the one named, at lam and not at 2 * top
+        spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 0.2, 0.2, 0.2] + [0.0] * 6))
+        design, response = lagged_design(simulate_inar(spec, 1000, seed=83), 10)
+        norms = [float(np.abs(cv_fold_system(design, response, fold, 3)[0].moment).max())
+                 for fold in range(3)]
+        lam, top = norms[0], max(norms)
+        fold = next(k for k, norm in enumerate(norms) if norm > lam * (1 + 1e-6))
+        assert fold > 0
+        corrupt_pivots()
+        with pytest.raises(UncertifiedFitError) as raised:
+            cross_validate_lambda(center_design(design, response), [lam, 2 * top], folds=3)
+        assert str(raised.value) == (f"CV LP of fold {fold} at lambda={lam:.6g} ended with "
+                                     "status 'inaccurate'")
+        (_, pivots, statuses, _), = cv_results
+        # the fold loop stops at that fold
+        assert statuses == [["optimal", "optimal"]] * fold + [["inaccurate", "optimal"]]
+        assert not pivots[:fold].any() and pivots[fold, 0] > 0
 
 
 class TestCrossValidationAgainstReference:
@@ -713,23 +917,15 @@ class TestCrossValidationAgainstReference:
         assert_allclose(new.cv_loss, ref.cv_loss, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case_id", ["case1", "case3", "hawkes"])
-    def test_fold_systems(self, case_id, monkeypatch):
+    def test_fold_systems(self, case_id, fold_systems):
         design, response = case_design(case_id)
-        systems = []
-        real = dantzig.solve_dantzig_path
-
-        def recording(sys, lams):
-            systems.append(sys)
-            return real(sys, lams)
-
-        monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
         cross_validate_lambda(center_design(design, response))
-        assert len(systems) == 5
-        for fold, sys in enumerate(systems):
+        assert len(fold_systems) == 5
+        for fold, (gram, moment) in enumerate(fold_systems):
             ref, _ = cv_fold_system(design, response, fold=fold)
             scale = max(float(np.abs(ref.gram).max()), float(np.abs(ref.moment).max()))
-            assert_allclose(sys.gram, ref.gram, rtol=0, atol=1e-12 * scale)
-            assert_allclose(sys.moment, ref.moment, rtol=0, atol=1e-12 * scale)
+            assert_allclose(gram, ref.gram, rtol=0, atol=1e-12 * scale)
+            assert_allclose(moment, ref.moment, rtol=0, atol=1e-12 * scale)
 
     def test_large_offset_no_cancellation(self):
         # a location of 1e6 on the lags and the response: sums about the series mean

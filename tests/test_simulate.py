@@ -14,11 +14,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import hawkes_reference_events, run_fresh
 
 from sparseproc import _countsim
-from sparseproc.dantzig import solve_dantzig_path
+from sparseproc.dantzig import cross_validate_lambda, solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
 from sparseproc.harness import builtin_case
 from sparseproc.rng import make_rng
-from sparseproc.scores import LinearScoreSystem
+from sparseproc.scores import LinearScoreSystem, center_design
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, lyapunov_covariance,
                                  read_series_csv, simulate_hawkes, simulate_inar,
@@ -406,6 +406,26 @@ class TestCompiledCountLoop:
                 kernel.dantzig_path(bad_tableau, b, [0.5], 10, 1e-9)
         with pytest.raises(ValueError, match="C-contiguous float64"):
             kernel.dantzig_path(tableau, np.zeros(4)[::2], [0.5], 10, 1e-9)
+        # cv_folds: a 6 x 2 series in blocks of 3 rows
+        zc, yc, bounds = np.zeros((6, 2)), np.zeros(6), [0, 3, 6]
+        cross, cross_y = np.zeros((2, 2, 2)), np.zeros((2, 2))
+        for bad in [(np.zeros((6, 4))[:, ::2], yc, bounds, cross, cross_y),  # strided
+                    (zc, yc.astype(np.float32), bounds, cross, cross_y),
+                    (zc, yc, bounds, cross, np.zeros((2, 4))[:, ::2])]:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                kernel.cv_folds(*bad, np.array([0.5]), 10)
+        for bad in [(np.zeros((6, 0)), yc, bounds, np.zeros((2, 0, 0)), np.zeros((2, 0))),
+                    (zc, np.zeros(5), bounds, cross, cross_y),   # y of another length
+                    (zc, yc, [0, 3, 5], cross, cross_y),          # blocks short of n
+                    (zc, yc, [0, 0, 6], cross, cross_y),          # an empty block
+                    (zc, yc, [1, 3, 6], cross, cross_y),
+                    (zc, yc, bounds, np.zeros((3, 2, 2)), cross_y),  # sums of 3 blocks
+                    (zc, yc, bounds, cross, np.zeros((2, 3)))]:
+            with pytest.raises(ValueError, match="cv_folds needs"):
+                kernel.cv_folds(*bad, np.array([0.5]), 10)
+        for bad_grid in (np.zeros((1, 1)), np.zeros(0)):
+            with pytest.raises(ValueError, match="cv_folds needs"):
+                kernel.cv_folds(zc, yc, bounds, cross, cross_y, bad_grid, 10)
         # specs hold C-contiguous copies of strided input
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.3, 9.0, 0.2, 9.0])[::2])
         assert spec.alpha.flags.c_contiguous
@@ -420,6 +440,9 @@ class TestCompiledCountLoop:
         system = LinearScoreSystem(gram=m.T @ m / 12, moment=rng.standard_normal(10))
         lams = np.geomspace(0.01, 1.0, 8) * np.abs(system.moment).max()
         expected = solve_dantzig_path(system, lams)  # by the loaded loop, where it loads
+        data = center_design(np.column_stack([np.ones(60), rng.standard_normal((60, 4))]),
+                             rng.standard_normal(60))
+        expected_cv = cross_validate_lambda(data, folds=4)
         empty_bin = tmp_path / "bin"
         empty_bin.mkdir()
         cache = tmp_path / "cache"
@@ -434,6 +457,9 @@ class TestCompiledCountLoop:
         for fit, ref in zip(solve_dantzig_path(system, lams), expected, strict=True):
             assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
             assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
+        cv = cross_validate_lambda(data, folds=4)
+        assert cv.cv_loss.tobytes() == expected_cv.cv_loss.tobytes()
+        assert cv.chosen_lambda == expected_cv.chosen_lambda
         # the failed build leaves no temporary file behind
         assert list(cache.iterdir()) == []
 
@@ -674,6 +700,19 @@ class TestHawkes:
                                events.ctypes.data, 1, 2, ctypes.byref(t))
         e = make_rng(seed).standard_exponential()
         assert n == 2 and events[1] == t0 + (1.0 / (eta + values[0])) * e
+
+    def test_narrow_piece_end_rounded_onto_t(self, hawkes_path):
+        # the second piece is 1e-14 wide, a few spacings of the doubles near t.  After a
+        # step to just past an event's end of piece 0, that event's age still falls in
+        # piece 1 while the piece's end rounds onto t itself: once at seed 7 and once at
+        # seed 8.  The Python loop cannot be resumed at a chosen t, so these runs are what
+        # reach its guard; a guard that took t as a change would restart just past t and
+        # draw again, and every later event would move
+        spec = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([0.5, 0.5 + 1e-14]),
+                          kernel_values=np.array([0.6, 0.3]), horizon=50.0)
+        for seed in (7, 8):
+            events = hawkes_path(spec, seed)
+            assert events.tobytes() == hawkes_reference_events(spec, seed).tobytes()
 
     @pytest.mark.parametrize("fields", [
         {"eta": np.nan},
