@@ -230,7 +230,7 @@ int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, doub
                 hi[i] = slack_hi;
             }
         int64_t it = 0, code = 2;
-        for (; it < max_iter; it++) {
+        for (;; it++) { /* optimality is tested after the last allowed pivot too */
             int64_t leave = -1; /* Bland: the violated row of lowest basic index */
             for (int64_t i = 0; i < p; i++)
                 if ((x[i] < lo[i] || x[i] > hi[i]) && (leave < 0 || order[i] < order[leave]))
@@ -239,6 +239,8 @@ int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, doub
                 code = 0;
                 break;
             }
+            if (it == max_iter)
+                break;
             const int64_t out = basis[leave];
             const double x_r = x[leave];
             const int up = x_r < lo[leave];

@@ -20,7 +20,7 @@ from .dantzig import cross_validate_lambda, fit_to_dict
 from .diagnostics import estimate_f_infinity
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
                      RankError, StationarityError, UncertifiedFitError)
-from .scores import build_inar_score, center_design, diffusion_design, lagged_design
+from .scores import build_inar_score, center_lags, diffusion_design
 from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
 from .twostep import two_step_fit, two_step_to_dict
@@ -78,7 +78,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("--delta applies to --model diffusion only")
     else:
         series = read_series_csv(args.series, kind="counts")
-        data = center_design(*lagged_design(series, 10 if args.order is None else args.order))
+        data = center_lags(series, 10 if args.order is None else args.order)
     fit = two_step_fit(data, args.lam, args.tau)
     out = two_step_to_dict(fit)
     out["first_step"] = fit_to_dict(fit.first_step)
@@ -89,7 +89,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_cv(args) -> int:
     series = read_series_csv(args.series, kind="counts")
-    data = center_design(*lagged_design(series, args.order))
+    data = center_lags(series, args.order)
     grid = None
     if args.grid:
         lo, hi, num = args.grid.split(",")

@@ -96,7 +96,8 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
                        max_iter: Optional[int] = None) -> list[DantzigFit]:
     """Solve the constrained l1 minimization for each tuning value; fits in input order.
 
-    ``max_iter`` bounds the pivots of each value.  ``status`` is
+    ``max_iter`` bounds the pivots of each value; a value whose basis is
+    optimal after its last allowed pivot is "optimal".  ``status`` is
     "infeasible" only when lambda is below the smallest attainable score
     norm, and "inaccurate" when the pivots ended but the recomputed slack
     falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
@@ -174,10 +175,13 @@ def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_i
         x[:] = tableau[:p, p:n_cols] @ (b - lam * side)
         slack_bounds[:, 0] = -lam - tol, lam + tol
         np.copyto(bounds, slack_bounds, where=basis >= p)
-        for iterations in range(max_iter):
+        for iterations in range(max_iter + 1):  # optimality is tested after the last pivot too
             rows = ((x < lo) | (x > hi)).nonzero()[0]
             if rows.size == 0:
                 status = "optimal"
+                break
+            if iterations == max_iter:
+                status = "iteration_limit"
                 break
             leave = int(rows[order[rows].argmin()])  # Bland: lowest basic index
             out, x_r = int(basis[leave]), float(x[leave])
@@ -220,8 +224,6 @@ def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_i
             else:
                 order[leave] = enter
                 lo[leave], hi[leave] = -tol, np.inf
-        else:
-            status, iterations = "iteration_limit", max_iter
         xs = np.zeros(n_cols)
         xs[basis] = x
         thetas[k] = xs[:p]
@@ -293,8 +295,8 @@ def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] 
                           folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
 
-    ``data`` is the ``center_design`` of the whole series, which the first
-    step then reuses.  The centered series is split into ``folds``
+    ``data`` is the ``CenteredDesign`` of the whole series (``center_lags``),
+    which the first step then reuses.  The centered series is split into ``folds``
     contiguous blocks; each block contributes its cross-products and
     column sums about the common mean.  Fold k's training system, the
     least-squares score of the other blocks centered at their own mean, is

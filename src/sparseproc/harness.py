@@ -19,15 +19,15 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .dantzig import cross_validate_lambda
-# not called here; perfbench/tracing.py still wraps these five harness names
+# not called here; perfbench/tracing.py still wraps these six harness names
 from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # noqa: F401
-from .scores import build_regression_score  # noqa: F401
+from .scores import build_regression_score, lagged_design  # noqa: F401
 from .twostep import estimate_diffusion_sigma2  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
 from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
                      StationarityError, UncertifiedFitError)
 from .rng import derive_seed, make_rng
-from .scores import center_design, diffusion_design, lagged_design
+from .scores import center_lags, diffusion_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
@@ -211,7 +211,7 @@ def _fit_data(config: CaseConfig, sample: SeriesSample) -> FitData:
     if isinstance(config.model, OuSpec):
         return diffusion_design(sample, config.target)
     order = config.p if sample.dim == 1 else 1
-    return center_design(*lagged_design(sample, order, target=config.target))
+    return center_lags(sample, order, target=config.target)
 
 
 def _choose_lambda(config: CaseConfig, data: FitData) -> float:

@@ -64,16 +64,17 @@ def build_regression_score(covariates: np.ndarray, responses: np.ndarray
 class CenteredDesign:
     """A count/regression design prepared once for every fit on it.
 
-    ``design`` (intercept in column 0) and ``response`` as given; ``zc`` and
-    ``yc``, the design without column 0 and the response, both
-    mean-centered; the means ``z_bar`` and ``y_bar`` that were removed; and
-    the centered moment ``zc' yc / n``, which both the default CV grid and
-    the first step read.  The intercept is the one (``offset``) fit
-    coordinate the first step does not select over; ``fit_coordinates``
-    recovers it from the means.
+    ``lags``, the design without its intercept column 0, and ``response``
+    as given; ``zc`` and ``yc``, both mean-centered; the means ``z_bar``
+    and ``y_bar`` that were removed; and the centered moment
+    ``zc' yc / n``, which both the default CV grid and the first step read.
+    The intercept is the one (``offset``) fit coordinate the first step
+    does not select over; ``fit_coordinates`` recovers it from the means.
+    No design with its column of ones is held: ``columns`` gathers the few
+    design columns that the second step reads.
     """
 
-    design: np.ndarray
+    lags: np.ndarray
     response: np.ndarray
     zc: np.ndarray
     yc: np.ndarray
@@ -100,31 +101,44 @@ class CenteredDesign:
         """A solution of ``score()`` led by its intercept y_bar - theta' z_bar."""
         return np.concatenate([[self.y_bar - theta @ self.z_bar], theta])
 
+    def columns(self, support: Sequence[int]) -> np.ndarray:
+        """The design columns ``support``, column 0 the intercept's ones.
 
-def center_design(design: np.ndarray, response: np.ndarray) -> CenteredDesign:
-    """The ``CenteredDesign`` of rows with the intercept in column 0.
+        Laid out in Fortran order, as numpy lays out ``design[:, support]``:
+        the BLAS calls on the result follow its layout, so a C-order copy
+        would round the second step differently.
+        """
+        width = self.lags.shape[1] + 1
+        out = np.empty((self.n, len(support)), order="F")
+        for k, j in enumerate(support):
+            if not 0 <= j < width:
+                raise IndexError(f"design column {j} is outside [0, {width})")
+            out[:, k] = self.lags[:, j - 1] if j else 1.0
+        return out
 
-    Count models select on the centered lag columns; the intercept is then
-    recovered as y_bar - theta' z_bar and never enters the l1 program.
-    """
-    z = np.asarray(design, dtype=float)
+
+def _center(lags: np.ndarray, response: np.ndarray) -> CenteredDesign:
+    """The ``CenteredDesign`` of lag columns (n x p) and responses."""
     y = np.asarray(response, dtype=float).ravel()
-    lags = z[:, 1:]
     z_bar = lags.mean(axis=0)
     y_bar = y.mean()
     zc, yc = lags - z_bar, y - y_bar
-    return CenteredDesign(design=z, response=y, zc=zc, yc=yc, z_bar=z_bar, y_bar=y_bar,
+    return CenteredDesign(lags=lags, response=y, zc=zc, yc=yc, z_bar=z_bar, y_bar=y_bar,
                           moment=zc.T @ yc / y.size)
 
 
-def lagged_design(series: SeriesSample, order: int, target: int = 0
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Design rows (1, X_{t-1}, ..., X_{t-p}) and responses X_t.
+def center_design(design: np.ndarray, response: np.ndarray) -> CenteredDesign:
+    """The ``CenteredDesign`` of explicit rows with the intercept in column 0.
 
-    Univariate series use ``order`` lags of the single coordinate; for a
-    multivariate series the design is the full previous state vector
-    (order must be 1) and the response is coordinate ``target``.
+    Count models select on the centered lag columns; the intercept is then
+    recovered as y_bar - theta' z_bar and never enters the l1 program.
+    ``center_lags`` gives the same design of a series without writing its rows.
     """
+    return _center(np.asarray(design, dtype=float)[:, 1:], response)
+
+
+def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Lag rows (X_{t-1}, ..., X_{t-p}) and responses X_t: the rule of ``lagged_design``."""
     x = series.values
     buf = series.lag_buffer
     n, d = x.shape
@@ -138,32 +152,52 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
                 f"lag buffer has {buf.shape[0]} rows; order {order} requires at least {order}")
         full = np.concatenate([buf[:, 0], x[:, 0]])
         start = buf.shape[0] - order
-        design = np.empty((n, order + 1))
-        design[:, 0] = 1.0
-        # row t holds lags 1..order of x_t: the window of full at start + t, reversed
-        design[:, 1:] = sliding_window_view(full, order)[start: start + n, ::-1]
+        # row t holds lags 1..order of x_t: the window of full at start + t, reversed (a view)
+        lags = sliding_window_view(full, order)[start: start + n, ::-1]
     else:
         if order != 1:
             raise ValueError("multivariate series support order 1 only")
         if buf.shape[0] < 1:
             raise ValueError("multivariate series needs one lag-buffer row")
-        design = np.empty((n, d + 1))
-        design[:, 0] = 1.0
-        design[0, 1:] = buf[-1]
-        design[1:, 1:] = x[:-1]
-    return design, x[:, target]
+        lags = np.concatenate([buf[-1:], x[:-1]])
+    return lags, x[:, target]
+
+
+def lagged_design(series: SeriesSample, order: int, target: int = 0
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Design rows (1, X_{t-1}, ..., X_{t-p}) and responses X_t.
+
+    Univariate series use ``order`` lags of the single coordinate; for a
+    multivariate series the design is the full previous state vector
+    (order must be 1) and the response is coordinate ``target``.
+    """
+    lags, response = _lags(series, order, target)
+    design = np.empty((lags.shape[0], lags.shape[1] + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = lags
+    return design, response
+
+
+def center_lags(series: SeriesSample, order: int, target: int = 0) -> CenteredDesign:
+    """``center_design(*lagged_design(series, order, target))``, byte for byte.
+
+    The lags are centered where they lie (a univariate series' are a view of
+    its values), so the n x (p + 1) design is never written.
+    """
+    return _center(*_lags(series, order, target))
 
 
 def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> LinearScoreSystem:
     """Conditional least-squares score for count autoregressions.
 
-    ``CenteredDesign.score`` over the lag coefficients, which the first
-    step solves; the raw system over (intercept, lags) is
+    The ``score()`` of ``center_lags(series, order, target)``: the
+    centered lag columns, which the first step solves.  The raw system over
+    (intercept, lags) is
     ``build_regression_score(*lagged_design(series, order, target))``.
     """
     if series.kind != "counts":
         raise ValueError("INAR score requires a counts series")
-    return center_design(*lagged_design(series, order, target)).score()
+    return center_lags(series, order, target).score()
 
 
 @dataclass(frozen=True)
@@ -213,6 +247,10 @@ class DiffusionDesign:
         """A solution of ``score()``, unchanged: it has no intercept to recover."""
         return theta
 
+    def columns(self, support: Sequence[int]) -> np.ndarray:
+        """The covariate columns ``support``: ``design[:, support]``."""
+        return self.design[:, support]
+
 
 def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:
     """The ``DiffusionDesign`` of ``values[:-1]`` against ``diff(values[:, target])``."""
@@ -224,22 +262,22 @@ def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:
                            increments=np.diff(path.values[:, target]), delta=path.delta)
 
 
-def build_weighted_system(design: np.ndarray, response: np.ndarray,
-                          support: Sequence[int], variance: np.ndarray) -> LinearScoreSystem:
-    """Weighted system on the columns ``support`` of ``design``, in sorted order.
+def build_weighted_system(columns: np.ndarray, response: np.ndarray,
+                          variance: np.ndarray) -> LinearScoreSystem:
+    """Weighted system on the gathered design ``columns`` (n x k, k >= 1).
 
+    ``columns`` is the ``columns(support)`` of the fit's design, and
     ``variance`` holds the conditional variance of each row (the
-    ``NuisanceEstimate.variance`` of the fit) and each row is weighted by
-    its inverse; for a diffusion the responses are ``DiffusionDesign.response``,
+    ``NuisanceEstimate.variance`` of the fit); each row is weighted by its
+    inverse.  For a diffusion the responses are ``DiffusionDesign.response``,
     the increments divided by delta.  Variances are floored at
     ``VARIANCE_FLOOR`` so all-zero count histories cannot produce infinite
     weights.  A non-finite variance raises ``NuisanceError``, and a
     ``variance`` that does not hold one value per row raises ``ValueError``.
     """
-    support = sorted(int(j) for j in support)
-    if not support:
-        raise ValueError("support must be nonempty")
-    z = np.asarray(design, dtype=float)[:, support]
+    z = np.asarray(columns, dtype=float)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("columns must be a nonempty n x k block")
     y = np.asarray(response, dtype=float).ravel()
     n = y.size
     var = np.asarray(variance, dtype=float)

@@ -35,7 +35,7 @@ class NuisanceEstimate:
     ``variance`` holds the conditional variance of each fit row, the one
     thing the second step reads.  ``kind``, ``values`` and ``support``
     record the fit: ``inar_linear_variance`` coefficients h over
-    ``support`` (``variance = z[:, support] @ h``), or the
+    ``support`` (``variance = data.columns(support) @ h``), or the
     ``diffusion_constant_sigma2`` scalar (``variance`` is sigma^2 on every row).
     """
 
@@ -68,11 +68,14 @@ class TwoStepFit:
         return not self.fit_support
 
 
-def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
+def estimate_inar_nuisance(columns: np.ndarray, response: np.ndarray,
                            support: Sequence[int], theta_first: np.ndarray
                            ) -> NuisanceEstimate:
     """Linear-variance coefficients from squared first-step residuals.
 
+    ``columns`` holds the design columns Z_T of the coordinates ``support``
+    (``data.columns(support)``) and ``theta_first`` the first-step
+    coefficients on them, in that order; ``support`` is only recorded.
     Least squares of r_t^2 on Z_{t,T} over the nonnegative orthant, with
     residuals r_t = y_t - theta_first_T' Z_{t,T}: the true coefficients are
     variances, so h >= 0 coordinatewise, and the fitted variance h' Z_{t,T}
@@ -81,13 +84,11 @@ def estimate_inar_nuisance(design: np.ndarray, response: np.ndarray,
     # deferred: scipy.optimize costs about 0.2 s and 17 MB at import, and only this fit uses it
     from scipy.optimize import nnls
 
-    support = sorted(int(j) for j in support)
-    if not support:
-        raise ValueError("support must be nonempty")
-    z = np.asarray(design, dtype=float)
+    zt = np.asarray(columns, dtype=float)
+    if zt.ndim != 2 or zt.shape[1] == 0:
+        raise ValueError("columns must be a nonempty n x k block")
     y = np.asarray(response, dtype=float).ravel()
-    zt = z[:, support]
-    resid = y - zt @ np.asarray(theta_first, dtype=float)[support]
+    resid = y - zt @ np.asarray(theta_first, dtype=float)
     h, _ = nnls(zt, resid ** 2)
     return NuisanceEstimate(kind="inar_linear_variance", values=h, variance=zt @ h,
                             support=tuple(support))
@@ -154,9 +155,11 @@ def two_step_fit(data: FitData, lam: float, tau: float, *,
 
     ``data`` is that of ``first_step``.  Step two solves on the selected
     coordinates shifted by ``data.offset`` plus the ``data.offset`` leading
-    intercept columns, weights each row of ``data.design`` and
-    ``data.response`` by the inverse of its ``NuisanceEstimate.variance``,
-    and divides the inverse weighted gram by ``data.fisher``.
+    intercept columns: it gathers those design columns once, with
+    ``data.columns``, for the nuisance and the weighted system, weights
+    each of their rows and of ``data.response`` by the inverse of its
+    ``NuisanceEstimate.variance``, and divides the inverse weighted gram by
+    ``data.fisher``.
 
     The nuisance is the one model switch.  A ``DiffusionDesign`` carries
     the quadratic variation sigma^2 of its increments, estimated before any
@@ -171,24 +174,24 @@ def two_step_fit(data: FitData, lam: float, tau: float, *,
     if nuisance_mode not in ("residual", "plugin_theta"):
         raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
     nui = _diffusion_nuisance(data) if isinstance(data, DiffusionDesign) else None
-    z, offset = data.design, data.offset
+    offset = data.offset
 
     fit1, theta_first, sel = first_step(data, lam, tau)
     support2 = list(range(offset)) + [j + offset for j in sel.indices]  # indices ascend
-    if nui is None and nuisance_mode == "plugin_theta":
-        h = np.maximum(theta_first[support2], 0.0)
-        nui = NuisanceEstimate(kind="inar_linear_variance", values=h,
-                               variance=z[:, support2] @ h, support=tuple(support2))
-    elif nui is None:
-        nui = estimate_inar_nuisance(z, data.response, support2, theta_first)
     if not support2:
-        return TwoStepFit(support=sel, theta_tilde=np.zeros(z.shape[1]), nuisance=nui,
+        return TwoStepFit(support=sel, theta_tilde=np.zeros(theta_first.size), nuisance=nui,
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
                           theta_first=theta_first, fit_support=())
+    z = data.columns(support2)
+    if nui is None and nuisance_mode == "plugin_theta":
+        h = np.maximum(theta_first[support2], 0.0)
+        nui = NuisanceEstimate(kind="inar_linear_variance", values=h, variance=z @ h,
+                               support=tuple(support2))
+    elif nui is None:
+        nui = estimate_inar_nuisance(z, data.response, support2, theta_first[support2])
 
-    theta_t, inv = solve_weighted(build_weighted_system(z, data.response, support2,
-                                                        nui.variance))
-    theta_full = np.zeros(z.shape[1])
+    theta_t, inv = solve_weighted(build_weighted_system(z, data.response, nui.variance))
+    theta_full = np.zeros(theta_first.size)
     theta_full[support2] = theta_t
     return TwoStepFit(support=sel, theta_tilde=theta_full, nuisance=nui,
                       asymp_cov=inv / data.fisher, first_step=fit1,

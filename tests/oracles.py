@@ -89,10 +89,13 @@ def reference_solve_dantzig_path(sys, lams: Sequence[float],
     fits: list = [None] * len(lams)
     for lam, i in sorted(zip(lams, range(len(lams))), reverse=True):
         tableau[:m, -1] = tableau[:m, m:n_cols] @ np.concatenate([b + lam, lam - b])
-        for iterations in range(max_iter):
+        for iterations in range(max_iter + 1):  # optimality is tested after the last pivot too
             rows = np.nonzero(tableau[:m, -1] < -tol)[0]
             if rows.size == 0:
                 status = "optimal"
+                break
+            if iterations == max_iter:
+                status = "iteration_limit"
                 break
             leave = int(rows[np.argmin(basis[rows])])
             row = tableau[leave, :n_cols]
@@ -107,8 +110,6 @@ def reference_solve_dantzig_path(sys, lams: Sequence[float],
             eliminate()
             tableau[leave] = pivot_row
             basis[leave] = enter
-        else:
-            status, iterations = "iteration_limit", max_iter
         x = np.zeros(n_cols)
         x[basis] = tableau[:m, -1]
         theta = x[:p] - x[p:m]

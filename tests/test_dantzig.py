@@ -102,6 +102,26 @@ class TestSolveDantzig:
         fit = solve_dantzig(sys, lam=0.01 * np.abs(sys.moment).max(), max_iter=1)
         assert fit.status == "iteration_limit"
 
+    def test_optimal_slack_basis_within_zero_pivots(self):
+        # b = (0.5, -0.2) lies inside the box of lambda = 1, so the slack basis is optimal
+        sys = LinearScoreSystem(gram=np.eye(2), moment=np.array([0.5, -0.2]))
+        fit = solve_dantzig(sys, lam=1.0, max_iter=0)
+        assert (fit.status, fit.iterations) == ("optimal", 0)
+        assert fit.feasibility_slack == 0.5
+        assert_array_equal(fit.theta_hat, np.zeros(2))
+
+    def test_optimal_at_the_last_allowed_pivot(self):
+        # two pivots reach the optimum: a budget of two is enough, a budget of one is not
+        sys = LinearScoreSystem(gram=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                moment=np.array([1.0, 0.6]))
+        unbounded = solve_dantzig(sys, lam=0.01)
+        assert (unbounded.status, unbounded.iterations) == ("optimal", 2)
+        fit = solve_dantzig(sys, lam=0.01, max_iter=2)
+        assert (fit.status, fit.iterations) == ("optimal", 2)
+        assert fit.theta_hat.tobytes() == unbounded.theta_hat.tobytes()
+        short = solve_dantzig(sys, lam=0.01, max_iter=1)
+        assert (short.status, short.iterations) == ("iteration_limit", 1)
+
     def test_negative_lambda_rejected(self):
         sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
         with pytest.raises(ValueError):
@@ -276,7 +296,14 @@ class TestSolveDantzigPath:
         assert all(fit.iterations <= 3 for fit in fits)
         assert any(fit.status == "iteration_limit" for fit in fits)
         for fit in fits:
-            assert (fit.status == "iteration_limit") == (fit.iterations == 3)
+            assert fit.status != "iteration_limit" or fit.iterations == 3
+        # the second-largest value takes four pivots from its warm start: a budget of
+        # exactly four ends it optimal, at the unbounded path's vertex
+        fits, unbounded = solve_dantzig_path(sys, lams, max_iter=4), solve_dantzig_path(sys, lams)
+        assert (fits[4].status, fits[4].iterations) == ("optimal", 4)
+        assert all(fit.status == "optimal" for fit in fits)
+        for fit, ref in zip(fits, unbounded):
+            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
 
     def test_negative_lambda_and_empty_list(self):
         sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
@@ -516,13 +543,14 @@ class TestCompiledCv:
         # pairwise, with eight accumulators from eight training blocks (folds = 9) up
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.4]))
         for seed in range(3):
-            data = center_design(*lagged_design(simulate_inar(spec, 600, seed=seed), 1))
+            design, response = lagged_design(simulate_inar(spec, 600, seed=seed), 1)
+            data = center_design(design, response)
             grid = default_lambda_grid(data.moment)
             for folds in (2, 5, 9, 12):
                 self.assert_same(lp_kernel, data, folds=folds)
                 self.assert_same(lp_kernel, data, grid[7:8], folds=folds)
             # more folds than rows in a block
-            short = center_design(data.design[:41], data.response[:41])
+            short = center_design(design[:41], response[:41])
             self.assert_same(lp_kernel, short, folds=20)
 
     def test_iteration_limits(self, lp_kernel):

@@ -25,7 +25,7 @@ from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_his
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, diffusion_design
-from sparseproc.simulate import HawkesSpec, InarSpec, read_series_csv
+from sparseproc.simulate import HawkesSpec, read_series_csv, spec_to_dict
 from sparseproc.twostep import two_step_fit
 
 
@@ -224,7 +224,8 @@ class TestRunCase:
         merged = report_to_json(run(cfg))
 
         def reference_on_raw_rows(data, grid=None, folds=5):
-            return reference_cross_validate(data.design, data.response, grid, folds)
+            design = np.column_stack([np.ones(data.n), data.lags])
+            return reference_cross_validate(design, data.response, grid, folds)
 
         monkeypatch.setattr(harness, "cross_validate_lambda", reference_on_raw_rows)
         assert report_to_json(run(cfg)) == merged
@@ -233,20 +234,24 @@ class TestRunCase:
                                                 ("hawkes", "_hawkes_rep")])
     def test_one_centering_per_replication(self, monkeypatch, case_id, rep_fn):
         # CV and the first step share the replication's CenteredDesign
-        real, calls = scores.center_design, []
+        real, calls = {name: getattr(scores, name) for name in ("center_design",
+                                                                "center_lags")}, []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(name):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real[name](*args, **kwargs)
+            return wrapped
 
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("sparseproc") and hasattr(module, "center_design"):
-                monkeypatch.setattr(module, "center_design", counting)
+            for name in real:
+                if module.__name__.startswith("sparseproc") and hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name))
         cfg = builtin_case(case_id, n=500, reps=1)
         assert cfg.lambda_mode == "cv"
         record = getattr(harness, rep_fn)(cfg, 1)
         assert not record["failed"]
-        assert len(calls) == 1
+        assert calls == ["center_lags"]
 
     def test_selection_flag(self, monkeypatch):
         # a replication's "sel" is exact recovery of the true support by its fit,
@@ -292,6 +297,50 @@ results, _ = harness._run_reps(rep_fn, builtin_case("case1", n=300, reps=4), 2)
 print(json.dumps({"before": before, "workers": [r["threads"] for r in results],
                   "after": get_threads()}))
 """
+
+
+class TestNoDenseDesign:
+    """A replication and the CLI fit and cv verbs never write the n x (p + 1) design:
+    with ``lagged_design`` refusing, they give the same records and outputs."""
+
+    @staticmethod
+    def refuse_dense_design(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense design was written")
+
+        for module in list(sys.modules.values()):  # scores, and every importer of the name
+            if module.__name__.startswith("sparseproc") and hasattr(module, "lagged_design"):
+                monkeypatch.setattr(module, "lagged_design", refuse)
+        assert harness.lagged_design is refuse and scores.lagged_design is refuse
+
+    @pytest.mark.parametrize("case_id,rep_fn", [("hawkes", "_hawkes_rep"),
+                                                ("case1", "_case_rep"),
+                                                ("case3", "_case_rep"),
+                                                ("ou", "_case_rep")])
+    def test_replication(self, monkeypatch, case_id, rep_fn):
+        cfg = builtin_case(case_id, reps=1)
+        expected = json.dumps(getattr(harness, rep_fn)(cfg, 1), sort_keys=True)
+        self.refuse_dense_design(monkeypatch)
+        record = getattr(harness, rep_fn)(cfg, 1)
+        assert not record["failed"]
+        assert json.dumps(record, sort_keys=True) == expected
+
+    def test_fit_and_cv_verbs(self, monkeypatch, tmp_path):
+        spec_path, series = tmp_path / "spec.json", tmp_path / "series.csv"
+        spec_path.write_text(json.dumps(spec_to_dict(builtin_case("case1").model)))
+        assert main(["simulate", "--config", str(spec_path), "--n", "800", "--seed", "1",
+                     "--out", str(series)]) == 0
+        verbs = [["fit", "--series", str(series), "--lambda", "0.12"],
+                 ["cv", "--series", str(series), "--folds", "4"]]
+
+        def outputs(tag):
+            for k, argv in enumerate(verbs):
+                assert main(argv + ["--out", str(tmp_path / f"{tag}{k}")]) == 0
+            return [(tmp_path / f"{tag}{k}").read_bytes() for k in range(len(verbs))]
+
+        expected = outputs("dense")
+        self.refuse_dense_design(monkeypatch)
+        assert outputs("lags") == expected
 
 
 class TestBlasThreads:

@@ -1,16 +1,20 @@
 """Score-system tests: builder oracles, linear identities, weighted systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_diffusion_score, reference_lagged_design
 
 from sparseproc.errors import NuisanceError
-from sparseproc.scores import (VARIANCE_FLOOR, DiffusionDesign, LinearScoreSystem,
-                               build_inar_score, build_regression_score,
-                               build_weighted_system, center_design, diffusion_design,
-                               lagged_design)
-from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
+from sparseproc.harness import builtin_case, simulate_series
+from sparseproc.scores import (VARIANCE_FLOOR, CenteredDesign, DiffusionDesign,
+                               LinearScoreSystem, build_inar_score, build_regression_score,
+                               build_weighted_system, center_design, center_lags,
+                               diffusion_design, lagged_design)
+from sparseproc.simulate import (InarSpec, OuSpec, SeriesSample, bin_counts, simulate_hawkes,
+                                 simulate_inar, simulate_ou)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -46,7 +50,8 @@ class TestRegressionScore:
         y = 0.5 + z[:, 1:] @ theta
         data = center_design(z, y)
         assert data.zc.shape == (30, 3) and data.n == 30
-        assert_array_equal(data.design, z)
+        assert_array_equal(data.lags, z[:, 1:])
+        assert_array_equal(data.columns(range(4)), z)
         assert_array_equal(data.response, y)
         assert_allclose(data.zc.mean(axis=0), 0.0, atol=1e-14)
         assert_allclose(data.z_bar, z[:, 1:].mean(axis=0), rtol=0, atol=0)
@@ -143,6 +148,88 @@ class TestLaggedDesign:
         sample = SeriesSample(values=np.ones((10, dim)), lag_buffer=np.ones((1, dim)))
         with pytest.raises(ValueError, match=rf"target must lie in \[0, {dim}\)"):
             lagged_design(sample, 1, target)
+
+
+def hawkes_bins(seed):
+    """The binned series of a ``hawkes`` replication, order p lags in its buffer."""
+    cfg = builtin_case("hawkes")
+    binned = bin_counts(simulate_hawkes(cfg.model, seed), cfg.hawkes_bin_delta,
+                        cfg.model.horizon)
+    return SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
+
+
+def case_series(case_id, seed):
+    cfg = builtin_case(case_id)
+    return simulate_series(cfg.model, cfg.n, seed)
+
+
+# (series, order, target): univariate orders 1, 10 and 20, a buffer longer than the
+# order, the binned Hawkes counts, and the multivariate case3 at two targets
+LAG_SERIES = {
+    "order1": lambda: (simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.4]), 700, seed=2), 1, 0),
+    "order10": lambda: (case_series("case1", 3), 10, 0),
+    "order20": lambda: (case_series("case2", 4), 20, 0),
+    "long-buffer": lambda: (SeriesSample(
+        values=np.random.default_rng(5).poisson(3.0, size=(300, 1)),
+        lag_buffer=np.random.default_rng(6).poisson(3.0, size=(15, 1))), 10, 0),
+    "hawkes": lambda: (hawkes_bins(7), 20, 0),
+    "case3-target0": lambda: (case_series("case3", 8), 1, 0),
+    "case3-target5": lambda: (case_series("case3", 8), 1, 5),
+}
+
+
+@pytest.fixture(scope="module", params=list(LAG_SERIES))
+def lag_series(request):
+    return LAG_SERIES[request.param]()
+
+
+class TestCenterLags:
+    """``center_lags`` prepares, without writing the design, the bytes that
+    ``center_design(*lagged_design(...))`` prepares from it."""
+
+    def test_every_field_byte_equal(self, lag_series):
+        data = center_lags(*lag_series)
+        ref = center_design(*lagged_design(*lag_series))
+        for f in dataclasses.fields(CenteredDesign):
+            new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+            assert (new.shape, new.dtype) == (old.shape, old.dtype), f.name
+            assert new.tobytes() == old.tobytes(), f.name
+        # the layout that the BLAS calls on the centered columns follow
+        assert data.zc.strides == ref.zc.strides
+        assert data.score().gram.tobytes() == ref.score().gram.tobytes()
+
+    @pytest.mark.parametrize("kind", ["intercept", "sparse", "full"])
+    def test_columns_are_the_design_columns(self, lag_series, kind):
+        design, response = lagged_design(*lag_series)
+        width = design.shape[1]
+        support = {"intercept": [0], "sparse": [0, 1, width // 2, width - 1],
+                   "full": list(range(width))}[kind]
+        columns = center_lags(*lag_series).columns(support)
+        ref = design[:, support]
+        assert (columns.shape, columns.dtype) == (ref.shape, ref.dtype)
+        assert columns.tobytes() == ref.tobytes()
+        assert columns.flags.f_contiguous and ref.flags.f_contiguous
+        assert columns.strides == ref.strides
+        # the second step reads them through BLAS, which rounds by layout
+        variance = 1.0 + response
+        assert (build_weighted_system(columns, response, variance).gram.tobytes()
+                == build_weighted_system(ref, response, variance).gram.tobytes())
+
+    @pytest.mark.parametrize("column", [-1, 11])
+    def test_columns_outside_the_design_rejected(self, column):
+        # a negative index would otherwise read a lag column other than design[:, -1]
+        data = center_lags(*LAG_SERIES["order10"]())
+        with pytest.raises(IndexError, match=r"outside \[0, 11\)"):
+            data.columns([0, column])
+
+    @pytest.mark.parametrize("support", [[0], [0, 2], [0, 1, 2]])
+    def test_diffusion_columns(self, support):
+        spec = OuSpec(a_matrix=np.array([[-1.0, 0.2, 0.0], [0.0, -0.8, 0.1], [0.0, 0.0, -0.5]]),
+                      sigma_diag=np.ones(3), delta=0.05, n_steps=400, substeps=2)
+        data = diffusion_design(simulate_ou(spec, seed=9), target=1)
+        columns, ref = data.columns(support), data.design[:, support]
+        assert columns.tobytes() == ref.tobytes()
+        assert columns.flags.f_contiguous and columns.strides == ref.strides
 
 
 class TestDiffusionScore:
@@ -276,7 +363,7 @@ class TestWeightedSystem:
         z = np.abs(rng.standard_normal((20, 3)))
         z[:, 0] = 1.0
         y = rng.standard_normal(20)
-        w = build_weighted_system(z, y, [0, 2], z[:, [0, 2]] @ np.array([1.0, 0.0]))
+        w = build_weighted_system(z[:, [0, 2]], y, z[:, [0, 2]] @ np.array([1.0, 0.0]))
         zt = z[:, [0, 2]]
         assert_allclose(w.gram, zt.T @ zt / 20, atol=1e-12)
         assert_allclose(w.moment, zt.T @ y / 20, atol=1e-12)
@@ -284,7 +371,7 @@ class TestWeightedSystem:
     def test_constant_design_hand_computation(self):
         z = np.column_stack([np.ones(4), np.full(4, 2.0)])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        w = build_weighted_system(z, y, [0, 1], z @ np.array([0.5, 0.25]))
+        w = build_weighted_system(z, y, z @ np.array([0.5, 0.25]))
         # sigma^2 = 0.5 + 0.25*2 = 1 per row -> weights 1
         assert_allclose(w.gram, [[1.0, 2.0], [2.0, 4.0]], atol=1e-12)
         assert_allclose(w.moment, [2.5, 5.0], atol=1e-12)
@@ -292,7 +379,7 @@ class TestWeightedSystem:
     def test_floor_caps_weights(self):
         z = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0])
-        w = build_weighted_system(z, y, [0, 1], np.array([0.0, 1.0]))  # first row floored
+        w = build_weighted_system(z, y, np.array([0.0, 1.0]))  # first row floored
         # row weights 1/VARIANCE_FLOOR and 1 over rows (1, 0) and (1, 1), n = 2
         big = 1.0 / VARIANCE_FLOOR
         assert_allclose(w.gram, [[(big + 1) / 2, 0.5], [0.5, 0.5]], rtol=1e-15)
@@ -301,7 +388,7 @@ class TestWeightedSystem:
     def test_diffusion_constant_weights(self):
         z = np.arange(8.0).reshape(4, 2)
         resp = np.array([1.0, -1.0, 2.0, 0.0])
-        w = build_weighted_system(z, resp, [0, 1], np.full(4, 4.0))
+        w = build_weighted_system(z, resp, np.full(4, 4.0))
         assert_allclose(w.gram, z.T @ z / 4 / 4.0, atol=1e-12)
 
     @pytest.mark.parametrize("variance", [np.ones(3), np.ones(5), np.ones((4, 1)),
@@ -310,7 +397,7 @@ class TestWeightedSystem:
     def test_one_variance_per_row_required(self, variance):
         z = np.column_stack([np.ones(4), np.arange(4.0)])
         with pytest.raises(ValueError, match="one value per row"):
-            build_weighted_system(z, np.ones(4), [0, 1], variance)
+            build_weighted_system(z, np.ones(4), variance)
 
 
 class TestNonFiniteInput:
@@ -328,4 +415,4 @@ class TestNonFiniteInput:
     def test_nan_variance_raises(self):
         z = np.column_stack([np.ones(4), np.arange(4.0)])
         with pytest.raises(NuisanceError):
-            build_weighted_system(z, np.ones(4), [0, 1], z @ np.array([np.nan, 1.0]))
+            build_weighted_system(z, np.ones(4), z @ np.array([np.nan, 1.0]))

@@ -43,7 +43,7 @@ class TestInarNuisance:
         z = np.column_stack([np.ones(6), np.arange(6.0)])
         y = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0])
         theta = np.array([2.0, 0.0])
-        est = estimate_inar_nuisance(z, y, [0], theta)
+        est = estimate_inar_nuisance(z[:, [0]], y, [0], theta[[0]])
         resid = y - 2.0
         assert_allclose(est.values, [np.mean(resid ** 2)], atol=1e-12)
 
@@ -59,6 +59,7 @@ class TestInarNuisance:
         assert np.all(expected > 0)
         est = estimate_inar_nuisance(z, y, [0, 1], theta)
         assert_allclose(est.values, expected, atol=1e-10)
+        assert est.support == (0, 1)
 
     def test_boundary_solution_satisfies_kkt(self):
         # the normal equations give a negative slope here; the fit sits on h_1 = 0
@@ -128,7 +129,7 @@ class TestSolveWeighted:
         rng = np.random.default_rng(41)
         z = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
         y = rng.standard_normal(30)
-        w = build_weighted_system(z, y, [0, 1, 2], np.ones(30))
+        w = build_weighted_system(z, y, np.ones(30))
         theta, _ = solve_weighted(w)
         ols, *_ = np.linalg.lstsq(z, y, rcond=None)
         assert_allclose(theta, ols, atol=1e-10)
@@ -213,7 +214,8 @@ class TestSecondStepAgainstCholeskyReference:
             fit = two_step_fit(center_design(z, response), 0.12, 0.05)
             scale = response.size
         assert len(fit.fit_support) >= 2 and not fit.empty_model
-        wsys = build_weighted_system(z, response, fit.fit_support, fit.nuisance.variance)
+        wsys = build_weighted_system(z[:, list(fit.fit_support)], response,
+                                     fit.nuisance.variance)
         ref = reference_covariance(wsys) / scale
         assert np.abs(fit.asymp_cov - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -238,7 +240,7 @@ class TestTwoStepFit:
             f_est = two_step_fit(center_design(z, y), 0.05, 0.05, nuisance_mode="residual")
             # the oracle weights by the true Poisson variance, on the same support
             sup = list(f_est.fit_support)
-            theta_orc, _ = solve_weighted(build_weighted_system(z, y, sup, z @ theta0))
+            theta_orc, _ = solve_weighted(build_weighted_system(z[:, sup], y, z @ theta0))
             if set(sup) == {0, 1, 2, 3, 4}:
                 diffs.append(np.abs(f_est.theta_tilde[sup] - theta_orc).max())
         assert len(diffs) >= 8
@@ -345,8 +347,8 @@ class TestTwoStepFit:
         for r in range(300):
             sample = simulate_inar(spec, 1500, seed=2025_000 + r)
             z, y = lagged_design(sample, 2)
-            w_theta, _ = solve_weighted(build_weighted_system(z, y, sup, z[:, sup] @ theta0))
-            u_theta, _ = solve_weighted(build_weighted_system(z, y, sup, np.ones(y.size)))
+            w_theta, _ = solve_weighted(build_weighted_system(z[:, sup], y, z[:, sup] @ theta0))
+            u_theta, _ = solve_weighted(build_weighted_system(z[:, sup], y, np.ones(y.size)))
             w_est.append(w_theta)
             u_est.append(u_theta)
         w_cov = np.cov(np.array(w_est).T)
