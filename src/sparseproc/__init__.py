@@ -11,8 +11,8 @@ from .dantzig import (CvReport, DantzigFit, SupportEstimate, cross_validate_lamb
                       default_lambda_grid, solve_dantzig, threshold_support)
 from .diagnostics import (FInftyEstimate, NormalityReport, estimate_f_infinity,
                           royston_test, selection_and_errors, shapiro_wilk)
-from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
-                     RankError, StationarityError)
+from .errors import (DegenerateVarianceError, DomainError, NuisanceError, NumericError,
+                     RankError, StationarityError, UncertifiedFitError)
 from .harness import (CaseConfig, CaseReport, HawkesReport, builtin_case,
                       emit_histogram, run_case, run_hawkes_support)
 from .rng import derive_seed, make_rng

@@ -58,6 +58,8 @@ _LP_STATUS = ("optimal", "infeasible", "iteration_limit", "inaccurate")
 # many vectors of counts, drawn from its own seed
 _PROBES, _PROBE_SEED = 8, 20241019
 
+_HAWKES_CAPACITY = 4096  # events the Hawkes loop's first buffer holds
+
 
 def _compile_command(blas_bits: int, source: str, output: str) -> list:
     """The ``cc`` arguments that build ``source`` into ``output`` for this BLAS width."""
@@ -224,16 +226,16 @@ class CountKernel:
         return True
 
     def hawkes(self, rng: np.random.Generator, eta: float, breakpoints: np.ndarray,
-               values: np.ndarray, horizon: float, capacity: int = 4096) -> np.ndarray:
+               values: np.ndarray, horizon: float) -> np.ndarray:
         """Hawkes event times in (0, horizon] by Ogata thinning, as ``simulate_hawkes``.
 
-        The events go into a buffer of ``capacity``; each time it fills, the
-        loop resumes in one twice the size, so the events do not depend on it.
+        The events go into a buffer of ``_HAWKES_CAPACITY``; each time it fills,
+        the loop resumes in one twice the size, so the events do not depend on it.
         """
         _check_buffers(breakpoints, values)
         if breakpoints.ndim != 1 or values.shape != breakpoints.shape:
             raise ValueError("breakpoints and values must be vectors of equal length")
-        events = np.empty(max(int(capacity), 1))
+        events = np.empty(_HAWKES_CAPACITY)
         n, t = 0, _F64(0.0)
         bitgen = rng.bit_generator
         with bitgen.lock:

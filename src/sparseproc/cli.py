@@ -16,12 +16,11 @@ from collections import Counter
 import numpy as np
 
 from . import harness
-from .dantzig import cross_validate_lambda, fit_to_dict
+from .dantzig import cross_validate_lambda
 from .diagnostics import estimate_f_infinity
-from .errors import (DegenerateVarianceError, DomainError, NuisanceError,
-                     RankError, StationarityError, UncertifiedFitError)
+from .errors import NumericError
 from .scores import build_inar_score, center_lags, diffusion_design
-from .simulate import (HawkesSpec, bin_counts, read_series_csv, simulate_hawkes,
+from .simulate import (HawkesSpec, OuSpec, bin_counts, read_series_csv, simulate_hawkes,
                        spec_from_dict, write_series_csv)
 from .twostep import two_step_fit, two_step_to_dict
 
@@ -57,14 +56,19 @@ def _failure_status(per_rep) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = spec_from_dict(_load_json(args.config))
+    if args.n is not None and isinstance(spec, (OuSpec, HawkesSpec)):
+        raise ValueError("--n applies to count specs only; an OU spec sets n_steps "
+                         "and a Hawkes spec its horizon")
+    if args.bin_delta is not None and not isinstance(spec, HawkesSpec):
+        raise ValueError("--bin-delta applies to Hawkes specs only")
     if isinstance(spec, HawkesSpec):
         events = simulate_hawkes(spec, args.seed)
-        if not args.bin_delta:
+        if args.bin_delta is None:
             _write_out("\n".join(repr(t) for t in events) + "\n", args.out)
             return 0
         sample = bin_counts(events, args.bin_delta, spec.horizon)
     else:
-        sample = harness.simulate_series(spec, args.n, args.seed)
+        sample = harness.simulate_series(spec, 1000 if args.n is None else args.n, args.seed)
     write_series_csv(sample, args.out)
     return 0
 
@@ -80,10 +84,7 @@ def _cmd_fit(args) -> int:
         series = read_series_csv(args.series, kind="counts")
         data = center_lags(series, 10 if args.order is None else args.order)
     fit = two_step_fit(data, args.lam, args.tau)
-    out = two_step_to_dict(fit)
-    out["first_step"] = fit_to_dict(fit.first_step)
-    out["theta_first"] = fit.theta_first.tolist()
-    _write_out(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _write_out(harness.report_to_json(two_step_to_dict(fit)), args.out)
     return 0
 
 
@@ -122,8 +123,7 @@ def _load_case(args, case_id: str, **builtin_kwargs) -> harness.CaseConfig:
 
 
 def _cmd_experiment(args) -> int:
-    config = _load_case(args, args.case, lambda_value=args.lam,
-                        lambda_mode="fixed" if args.lam is not None else None)
+    config = _load_case(args, args.case, lambda_value=args.lam)
     report = harness.run_case(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
     if args.hist:
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a model spec to a series CSV")
     p_sim.add_argument("--config", required=True, help="model spec JSON")
-    p_sim.add_argument("--n", type=int, default=1000)
+    p_sim.add_argument("--n", type=int, default=None, help="count series length (default 1000)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--bin-delta", type=float, default=None,
                        help="bin width for Hawkes event output")
@@ -185,17 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--out", default=None)
     p_cv.set_defaults(func=_cmd_cv)
 
-    p_exp = sub.add_parser("experiment", help="run a Monte Carlo case")
+    common = argparse.ArgumentParser(add_help=False)  # experiment and hawkes-support flags
+    common.add_argument("--config", default=None, help="CaseConfig JSON to run")
+    common.add_argument("--reps", type=int, default=None)
+    common.add_argument("--n", type=int, default=None, help="length (hawkes: horizon, time units)")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--tau", type=float, default=None, help="default 0.05")
+    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--out", default=None)
+
+    p_exp = sub.add_parser("experiment", parents=[common], help="run a Monte Carlo case")
     p_exp.add_argument("--case", default="case1",
                        choices=["case1", "case2", "case3", "case4", "ou"])
-    p_exp.add_argument("--config", default=None, help="CaseConfig JSON overrides --case")
-    p_exp.add_argument("--reps", type=int, default=None)
-    p_exp.add_argument("--n", type=int, default=None)
-    p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_exp.add_argument("--tau", type=float, default=None, help="default 0.05")
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--hist", default=None, help="histogram CSV of projected statistics")
     p_exp.add_argument("--bins", type=int, default=30)
     p_exp.add_argument("--per-rep", default=None, help="per-replication CSV")
@@ -212,14 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--out", default=None)
     p_f.set_defaults(func=_cmd_finfty)
 
-    p_h = sub.add_parser("hawkes-support", help="binned Hawkes support recovery")
-    p_h.add_argument("--config", default=None)
-    p_h.add_argument("--reps", type=int, default=None)
-    p_h.add_argument("--n", type=int, default=None, help="horizon in time units")
-    p_h.add_argument("--seed", type=int, default=None)
-    p_h.add_argument("--tau", type=float, default=None, help="default 0.05")
-    p_h.add_argument("--jobs", type=int, default=1)
-    p_h.add_argument("--out", default=None)
+    p_h = sub.add_parser("hawkes-support", parents=[common], help="binned Hawkes support recovery")
     p_h.set_defaults(func=_cmd_hawkes_support)
     return parser
 
@@ -229,12 +224,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RankError, NuisanceError, DegenerateVarianceError, DomainError,
-            UncertifiedFitError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (NumericError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (StationarityError, ValueError, KeyError, TypeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    # StationarityError and json.JSONDecodeError are ValueErrors
+    except (ValueError, KeyError, TypeError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

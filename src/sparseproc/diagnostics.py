@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 
+_REFINE_ROUNDS = 60  # rounds of the pattern search polishing the best sampled direction
+_GRID_RESOLUTION = 720  # angles per sphere coordinate of the grid oracle
+
 
 @dataclass(frozen=True)
 class FInftyEstimate:
@@ -50,8 +53,7 @@ def _project_into_cone(v: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray) -> 
 
 
 def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
-                        seed: int, method: str = "cone_sampling",
-                        refine_rounds: int = 60) -> FInftyEstimate:
+                        seed: int, method: str = "cone_sampling") -> FInftyEstimate:
     """Upper bound on the cone compatibility factor of ``m`` at ``support``.
 
     ``cone_sampling`` draws directions with the support block on the unit
@@ -96,10 +98,10 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
         if r < best:
             best, best_v = r, v
 
-    if best_v is not None and refine_rounds > 0:
+    if best_v is not None:
         step = 0.5
         v = best_v
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             improved = False
             scale = np.abs(v).max()
             for j in range(p):
@@ -118,8 +120,7 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
                           samples=n_samples, support=tuple(int(j) for j in t_idx))
 
 
-def _f_infinity_grid(m: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray,
-                     resolution: int = 720) -> FInftyEstimate:
+def _f_infinity_grid(m: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray) -> FInftyEstimate:
     """Dense direction sweep; the ratio is scale-invariant so directions suffice."""
     p = m.shape[0]
     if p > 3:
@@ -127,11 +128,11 @@ def _f_infinity_grid(m: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray,
     if p == 1:
         dirs = np.array([[1.0]])
     elif p == 2:
-        ang = np.linspace(0.0, np.pi, resolution, endpoint=False)
+        ang = np.linspace(0.0, np.pi, _GRID_RESOLUTION, endpoint=False)
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
-        ang1 = np.linspace(0.0, np.pi, resolution, endpoint=False)
-        ang2 = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+        ang1 = np.linspace(0.0, np.pi, _GRID_RESOLUTION, endpoint=False)
+        ang2 = np.linspace(0.0, 2 * np.pi, _GRID_RESOLUTION, endpoint=False)
         a1, a2 = np.meshgrid(ang1, ang2, indexing="ij")
         dirs = np.column_stack([
             (np.sin(a1) * np.cos(a2)).ravel(),

@@ -5,21 +5,25 @@ class StationarityError(ValueError):
     """Model parameters admit no stationary solution (e.g. thinning means sum to >= 1)."""
 
 
-class DomainError(ValueError):
+class NumericError(ValueError):
+    """A step of the pipeline failed on its numbers; a replication records it as failed."""
+
+
+class DomainError(NumericError):
     """Simulated values left the numerically representable range."""
 
 
-class NuisanceError(ValueError):
+class NuisanceError(NumericError):
     """Estimated conditional variance is not finite."""
 
 
-class RankError(ValueError):
+class RankError(NumericError):
     """A restricted Gram matrix is singular or not positive definite."""
 
 
-class DegenerateVarianceError(ValueError):
+class DegenerateVarianceError(NumericError):
     """Sample has no variation where positive variance is required."""
 
 
-class UncertifiedFitError(ValueError):
+class UncertifiedFitError(NumericError):
     """An LP whose result the pipeline uses ended without an optimality certificate."""

@@ -24,8 +24,7 @@ from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # no
 from .scores import build_regression_score, lagged_design  # noqa: F401
 from .twostep import estimate_diffusion_sigma2  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
-from .errors import (DegenerateVarianceError, DomainError, NuisanceError, RankError,
-                     StationarityError, UncertifiedFitError)
+from .errors import NumericError
 from .rng import derive_seed, make_rng
 from .scores import center_lags, diffusion_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
@@ -93,8 +92,14 @@ class CaseConfig:
             delta = self.hawkes_bin_delta
             if not (_finite_nonnegative(delta) and delta > 0):
                 raise ValueError("a Hawkes model needs a finite positive hawkes_bin_delta")
-            if int(np.ceil(self.model.horizon / delta)) <= self.p:
+            bins = int(np.ceil(self.model.horizon / delta))  # as bin_counts makes them
+            if bins <= self.p:
                 raise ValueError("horizon too short for the requested lag order")
+            if self.n != bins:
+                raise ValueError(f"n must equal the {bins} bins of the horizon, got {self.n}")
+        if isinstance(self.model, OuSpec) and self.n != self.model.n_steps:
+            raise ValueError(f"n must equal the OU model's n_steps {self.model.n_steps}, "
+                             f"got {self.n}")
         if self.theta_true is not None:
             object.__setattr__(self, "theta_true", np.asarray(self.theta_true, dtype=float))
         if self.cv_grid is not None:
@@ -157,7 +162,8 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
     intercept 0.5, lag coefficients (0.3, 0.2, 0.2, 0.2, 0, ...).
     case3/case4: block multivariate Poisson INAR(1) of dimension 100 / 200
     built from 4x4 blocks, first-row target.  ou: block OU drift-row fit.
-    hawkes: binned support recovery for a 0.8 * 1_(0,1] kernel.
+    hawkes: binned support recovery for a 0.8 * 1_(0,1] kernel.  Any case
+    is fixed-lambda when given a ``lambda_value`` and no ``lambda_mode``.
     """
     n_obs = _default(n, 2000)
     default_reps, default_mode = 100, "cv"
@@ -178,19 +184,19 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
         model = OuSpec(a_matrix=drift, sigma_diag=np.ones(p), delta=0.05,
                        n_steps=n_obs, substeps=10)
         theta_true = drift[0].copy()
-        default_mode = "fixed" if lambda_value is not None else "rate"
+        default_mode = "rate"
     elif case_id == "hawkes":
         p, bin_delta, support_true = 20, 0.1, ()
         horizon = float(_default(n, 1000))
         model = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
                            kernel_values=np.array([0.8]), horizon=horizon)
-        n_obs = int(horizon / bin_delta)
+        n_obs = int(np.ceil(horizon / bin_delta))
     else:
         raise ValueError(f"unknown case id {case_id!r}")
     return CaseConfig(
         case_id=case_id, model=model, n=n_obs, p=p, reps=_default(reps, default_reps),
-        lambda_mode=lambda_mode or default_mode, lambda_value=lambda_value,
-        tau=tau, base_seed=base_seed, theta_true=theta_true,
+        lambda_mode=lambda_mode or ("fixed" if lambda_value is not None else default_mode),
+        lambda_value=lambda_value, tau=tau, base_seed=base_seed, theta_true=theta_true,
         support_true=support_true, hawkes_bin_delta=bin_delta)
 
 
@@ -283,8 +289,7 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
 
 
 # a replication that fails on one of these is recorded; anything else is a bug
-_REP_FAILURES = (StationarityError, DomainError, NuisanceError, RankError,
-                 DegenerateVarianceError, UncertifiedFitError, np.linalg.LinAlgError)
+_REP_FAILURES = (NumericError, np.linalg.LinAlgError)
 
 
 def _rep_worker(task) -> dict:

@@ -123,6 +123,7 @@ class OuSpec:
             raise ValueError("delta, n_steps, substeps must be positive")
         if np.max(np.linalg.eigvals(a).real) >= -1e-12:
             raise StationarityError("drift matrix has an eigenvalue with nonnegative real part")
+        _drift_blocks(a)
 
     @property
     def dim(self) -> int:
@@ -295,21 +296,15 @@ def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarra
     return out.shape[0]
 
 
-def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
-    """Stationary covariance V solving A V + V A^T + Sigma Sigma^T = 0.
+def _drift_blocks(a: np.ndarray) -> list:
+    """Index arrays of the drift's diagonal blocks, by smallest coordinate.
 
-    The drift must decompose into diagonal blocks of size <= 8
-    (after grouping coordinates connected through nonzero entries); each
-    block is solved densely through the Kronecker identity
-    (I (x) A + A (x) I) vec(V) = -vec(Sigma Sigma^T).
+    A block is a connected component of the symmetrized sparsity pattern;
+    ``ValueError`` if one holds more than ``_MAX_DRIFT_BLOCK`` coordinates.
     """
-    a = np.asarray(a_matrix, dtype=float)
-    d = a.shape[0]
-    q_diag = np.asarray(sigma_diag, dtype=float) ** 2
-    # connected components of the symmetrized sparsity pattern
     adj = (a != 0) | (a.T != 0)
-    unseen = set(range(d))
-    v = np.zeros((d, d))
+    unseen = set(range(a.shape[0]))
+    blocks = []
     while unseen:
         stack = [min(unseen)]
         block = set()
@@ -320,10 +315,25 @@ def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray) -> np.ndar
             block.add(i)
             stack.extend(j for j in np.nonzero(adj[i])[0] if j not in block)
         unseen -= block
-        idx = np.array(sorted(block))
-        if idx.size > _MAX_DRIFT_BLOCK:
-            raise ValueError(f"drift block of size {idx.size} exceeds the supported "
+        if len(block) > _MAX_DRIFT_BLOCK:
+            raise ValueError(f"drift block of size {len(block)} exceeds the supported "
                              f"maximum {_MAX_DRIFT_BLOCK}")
+        blocks.append(np.array(sorted(block)))
+    return blocks
+
+
+def lyapunov_covariance(a_matrix: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
+    """Stationary covariance V solving A V + V A^T + Sigma Sigma^T = 0.
+
+    The drift must decompose into diagonal blocks of size <= 8 (see
+    ``_drift_blocks``); each block is solved densely through the Kronecker
+    identity (I (x) A + A (x) I) vec(V) = -vec(Sigma Sigma^T).
+    """
+    a = np.asarray(a_matrix, dtype=float)
+    d = a.shape[0]
+    q_diag = np.asarray(sigma_diag, dtype=float) ** 2
+    v = np.zeros((d, d))
+    for idx in _drift_blocks(a):
         ab = a[np.ix_(idx, idx)]
         qb = np.diag(q_diag[idx])
         k = np.kron(np.eye(idx.size), ab) + np.kron(ab, np.eye(idx.size))

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .dantzig import DantzigFit, SupportEstimate, solve_dantzig, threshold_support
+from .dantzig import DantzigFit, SupportEstimate, fit_to_dict, solve_dantzig, threshold_support
 from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem,
                      build_weighted_system, diffusion_design)
@@ -199,7 +199,7 @@ def two_step_fit(data: FitData, lam: float, tau: float, *,
 
 
 def two_step_to_dict(fit: TwoStepFit) -> dict:
-    """JSON-ready view: support, sparse theta pairs, nuisance, dense cov."""
+    """The ``fit`` verb's JSON: support, sparse theta pairs, nuisance, cov, first step."""
     return {
         "support": [int(j) for j in fit.support.indices],
         "tau": fit.support.threshold,
@@ -210,6 +210,8 @@ def two_step_to_dict(fit: TwoStepFit) -> dict:
                      "support": list(fit.nuisance.support)},
         "cov": fit.asymp_cov.tolist(),
         "empty_model": fit.empty_model,
+        "first_step": fit_to_dict(fit.first_step),
+        "theta_first": fit.theta_first.tolist(),
     }
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from sparseproc import diagnostics
 from sparseproc.diagnostics import (estimate_f_infinity, royston_test,
                                     selection_and_errors, shapiro_wilk)
 from sparseproc.errors import DegenerateVarianceError
@@ -46,11 +47,12 @@ class TestFInfinity:
         assert np.all(vals > 0)
         assert vals.max() - vals.min() < 0.1 * vals.mean()
 
-    def test_running_minimum_monotone(self):
+    def test_running_minimum_monotone(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_REFINE_ROUNDS", 0)
         rng = np.random.default_rng(6)
         m = rng.standard_normal((6, 4))
         gram = m.T @ m / 6
-        vals = [estimate_f_infinity(gram, [0, 1], n, seed=9, refine_rounds=0).value
+        vals = [estimate_f_infinity(gram, [0, 1], n, seed=9).value
                 for n in (10, 100, 1000, 5000)]
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 

@@ -16,15 +16,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_cross_validate, run_fresh
 
-from sparseproc import _blas, harness, scores, twostep
-from sparseproc.cli import main
+from sparseproc import _blas, cli, errors, harness, scores, twostep
+from sparseproc.cli import build_parser, main
 from sparseproc.dantzig import CvReport
 from sparseproc.diagnostics import FInftyEstimate
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_histogram,
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
-from sparseproc.scores import LinearScoreSystem, diffusion_design
+from sparseproc.scores import LinearScoreSystem, center_lags, diffusion_design
 from sparseproc.simulate import HawkesSpec, read_series_csv, spec_to_dict
 from sparseproc.twostep import two_step_fit
 
@@ -79,6 +79,18 @@ class TestBuiltinCases:
         with pytest.raises(ValueError, match="tau"):
             builtin_case("case1", tau=tau)
 
+    @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4", "ou", "hawkes"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_lambda_value_makes_the_case_fixed(self, case_id, lam):
+        cfg = builtin_case(case_id, lambda_value=lam)
+        assert cfg.lambda_mode == "fixed" and cfg.lambda_value == lam
+
+    def test_explicit_lambda_mode_wins(self):
+        assert builtin_case("case4", lambda_mode="rate").lambda_mode == "rate"
+        assert builtin_case("case1", lambda_mode="rate", lambda_value=0.1).lambda_mode == "rate"
+        assert builtin_case("case1").lambda_mode == "cv"
+        assert builtin_case("ou").lambda_mode == "rate"
+
     @pytest.mark.parametrize("case_id", ["case1", "case3", "ou", "hawkes"])
     @pytest.mark.parametrize("arg", ["n", "reps"])
     def test_zero_is_not_the_default(self, case_id, arg):
@@ -127,6 +139,11 @@ class TestCaseConfigValidation:
         ("case1", {"cv_grid": [0.1, float("inf")]}, "cv_grid"),
         ("case1", {"cv_grid": [-0.1, 0.2]}, "cv_grid"),
         ("hawkes", {"cv_grid": [0.5, 0.1]}, "cv_grid"),
+        # an OU path runs n_steps steps, and a Hawkes series has a bin per delta of horizon
+        ("ou", {"n": 1999}, "n must equal the OU model's n_steps 2000, got 1999"),
+        ("ou", {"n": 4000}, "n must equal the OU model's n_steps 2000, got 4000"),
+        ("hawkes", {"n": 1000}, "n must equal the 10000 bins of the horizon, got 1000"),
+        ("hawkes", {"n": 10001}, "n must equal the 10000 bins of the horizon, got 10001"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -171,6 +188,26 @@ class TestRunCase:
         assert rep.mean_linf_first == pytest.approx(record["linf1"])
         assert rep.mean_l2_two == pytest.approx(record["l22"])
         assert rep.selection_proportion == float(record["sel"])
+
+    @pytest.mark.parametrize("error", [errors.NumericError, np.linalg.LinAlgError])
+    def test_numeric_failure_is_recorded(self, monkeypatch, error):
+        def failing(config, rep):
+            raise error("synthetic")
+
+        monkeypatch.setattr(harness, "_case_rep", failing)
+        report = run_case(builtin_case("case1", n=300, reps=2))
+        assert report.failures == 2
+        assert [r["error"] for r in report.per_rep] == [f"{error.__name__}: synthetic"] * 2
+
+    @pytest.mark.parametrize("error", [errors.StationarityError, ValueError, KeyError])
+    def test_other_failure_is_raised(self, monkeypatch, error):
+        # no replication can raise these, so one that does is a bug, not a failed rep
+        def failing(config, rep):
+            raise error("synthetic")
+
+        monkeypatch.setattr(harness, "_case_rep", failing)
+        with pytest.raises(error):
+            run_case(builtin_case("case1", n=300, reps=2))
 
     def test_deterministic_reports(self):
         cfg = builtin_case("case1", n=500, reps=6)
@@ -576,6 +613,13 @@ class TestBenchmarkSmoke:
         assert (tmp_path / "perfbench" / "out" / f"trace-{workload}-seed0.json").is_file()
 
 
+INAR_SPEC = {"model": "inar", "mu_eps": 0.5, "alpha": [0.3, 0.2], "burn_in": 50}
+OU_SPEC = {"model": "ou", "a_matrix": [[-1.0]], "sigma_diag": [1.0], "delta": 0.05,
+           "n_steps": 50, "substeps": 2}
+HAWKES_SPEC = {"model": "hawkes", "eta": 1.0, "kernel_breakpoints": [1.0],
+               "kernel_values": [0.5], "horizon": 20.0}
+
+
 class TestCli:
     def test_simulate_fit_cv_pipeline(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -854,3 +898,82 @@ class TestCli:
         rc = main(["fit", "--series", str(series), "--model", "diffusion",
                    "--delta", "0.1", "--lambda", "0.1"])
         assert rc == 3
+
+    @pytest.mark.parametrize("error,rc", [
+        (errors.NumericError, 3), (errors.DomainError, 3), (errors.NuisanceError, 3),
+        (errors.RankError, 3), (errors.DegenerateVarianceError, 3),
+        (errors.UncertifiedFitError, 3), (errors.StationarityError, 2),
+    ])
+    def test_error_class_picks_the_exit_code(self, tmp_path, monkeypatch, capsys, error, rc):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-4, 60)))
+
+        def failing(*args, **kwargs):
+            raise error("synthetic")
+
+        monkeypatch.setattr(cli, "two_step_fit", failing)
+        assert main(["fit", "--series", str(series), "--order", "4",
+                     "--lambda", "0.1"]) == rc
+        kind = "numeric failure" if rc == 3 else "configuration error"
+        assert capsys.readouterr().err == f"{kind}: synthetic\n"
+
+    def test_fit_writes_the_two_step_document(self, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-4, 60)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(series), "--order", "4", "--lambda", "0.1",
+                     "--out", str(out)]) == 0
+        fit = two_step_fit(center_lags(read_series_csv(series), 4), 0.1, 0.05)
+        assert out.read_text() == report_to_json(twostep.two_step_to_dict(fit))
+
+    def test_experiment_lambda_runs_fixed(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["experiment", "--case", "case1", "--reps", "2", "--n", "300",
+                     "--lambda", "0.0", "--out", str(out)]) == 0
+        report = json.load(open(out))
+        assert report["config"]["lambda_mode"] == "fixed"
+        assert [r["lambda"] for r in report["per_rep"]] == [0.0, 0.0]
+
+    def test_case_flags_shared_by_both_verbs(self):
+        parser = build_parser()
+        shared = ["--config", "c.json", "--reps", "3", "--n", "400", "--seed", "5",
+                  "--tau", "0.1", "--jobs", "2", "--out", "r.json"]
+        expected = {"config": "c.json", "reps": 3, "n": 400, "seed": 5, "tau": 0.1,
+                    "jobs": 2, "out": "r.json"}
+        defaults = {"config": None, "reps": None, "n": None, "seed": None, "tau": None,
+                    "jobs": 1, "out": None}
+        for verb in ("experiment", "hawkes-support"):
+            given = vars(parser.parse_args([verb, *shared]))
+            unset = vars(parser.parse_args([verb]))
+            assert {k: given[k] for k in expected} == expected
+            assert {k: unset[k] for k in defaults} == defaults
+
+    @pytest.mark.parametrize("spec,flag,message", [
+        (OU_SPEC, ["--n", "5"], "--n applies to count specs only"),
+        (HAWKES_SPEC, ["--n", "5"], "--n applies to count specs only"),
+        (INAR_SPEC, ["--bin-delta", "0.5"], "--bin-delta applies to Hawkes specs only"),
+        (OU_SPEC, ["--bin-delta", "0.5"], "--bin-delta applies to Hawkes specs only"),
+        (HAWKES_SPEC, ["--bin-delta", "0"], "delta must be positive"),
+    ], ids=["ou-n", "hawkes-n", "inar-bin-delta", "ou-bin-delta", "hawkes-bin-delta-0"])
+    def test_simulate_rejects_a_flag_the_spec_ignores(self, tmp_path, capsys, spec, flag,
+                                                      message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(spec_path), *flag, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 0
+
+    def test_simulate_lengths(self, tmp_path):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(INAR_SPEC))
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 0
+        assert read_series_csv(out).n == 1000  # the count default
+        spec_path.write_text(json.dumps(OU_SPEC))
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 0
+        assert read_series_csv(out, kind="reals").n == OU_SPEC["n_steps"] + 1
+        spec_path.write_text(json.dumps(HAWKES_SPEC))
+        assert main(["simulate", "--config", str(spec_path), "--bin-delta", "0.5",
+                     "--out", str(out)]) == 0
+        assert read_series_csv(out).n == 40

@@ -587,6 +587,17 @@ class TestOu:
         with pytest.raises(ValueError, match="exceeds"):
             lyapunov_covariance(big, np.ones(9))
 
+    def test_oversized_block_rejected_at_construction(self):
+        # a stable drift whose one block holds all 10 coordinates
+        with pytest.raises(ValueError, match="drift block of size 10 exceeds the supported "
+                                             "maximum 8"):
+            OuSpec(a_matrix=-np.eye(10) + 0.05, sigma_diag=np.ones(10), delta=0.05,
+                   n_steps=10)
+        # blocks of 8 coupled through a permutation are accepted
+        perm = np.random.default_rng(3).permutation(16)
+        a = np.kron(np.eye(2), -np.eye(8) + 0.05)[np.ix_(perm, perm)]
+        assert OuSpec(a_matrix=a, sigma_diag=np.ones(16), delta=0.05, n_steps=10).dim == 16
+
     def test_marginal_covariance_matches_lyapunov(self):
         a = np.array([[-0.6, 0.2], [0.0, -0.8]])
         spec = OuSpec(a_matrix=a, sigma_diag=np.array([1.0, 1.0]),
@@ -675,12 +686,14 @@ class TestHawkes:
             assert events.tobytes() == numpy_loop(simulate_hawkes, spec, seed).tobytes()
 
     @pytest.mark.parametrize("name", ["case", "narrow_long_tail", "horizon_inside_tail"])
-    def test_compiled_events_do_not_depend_on_capacity(self, kernel, name):
+    def test_compiled_events_do_not_depend_on_capacity(self, monkeypatch, kernel, name):
         # a capacity of 1 fills the buffer at 1, 2, 4, ... events, and each time resumes
         spec = hawkes_spec(name)
         for seed in range(3):
-            resumed = kernel.hawkes(make_rng(seed), spec.eta, spec.kernel_breakpoints,
-                                    spec.kernel_values, spec.horizon, capacity=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(_countsim, "_HAWKES_CAPACITY", 1)
+                resumed = kernel.hawkes(make_rng(seed), spec.eta, spec.kernel_breakpoints,
+                                        spec.kernel_values, spec.horizon)
             assert resumed.tobytes() == simulate_hawkes(spec, seed).tobytes()
 
     def test_boundary_rounded_onto_t_is_no_change(self, kernel):

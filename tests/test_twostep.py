@@ -7,10 +7,10 @@ from oracles import reference_covariance, reference_diffusion_score, reference_s
 
 from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from sparseproc.dantzig import solve_dantzig, threshold_support
+from sparseproc.dantzig import fit_to_dict, solve_dantzig, threshold_support
 from sparseproc.scores import (DiffusionDesign, LinearScoreSystem, build_regression_score,
-                               build_weighted_system, center_design, diffusion_design,
-                               lagged_design)
+                               build_weighted_system, center_design, center_lags,
+                               diffusion_design, lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
 from sparseproc.twostep import (estimate_diffusion_sigma2, estimate_inar_nuisance,
                                 first_step, project_statistic, solve_weighted,
@@ -245,6 +245,15 @@ class TestTwoStepFit:
                 diffs.append(np.abs(f_est.theta_tilde[sup] - theta_orc).max())
         assert len(diffs) >= 8
         assert np.median(diffs) < 0.02
+
+    def test_dict_is_the_whole_fit_document(self):
+        sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=5)
+        fit = two_step_fit(center_lags(sample, 10), 0.12, 0.05)
+        out = twostep.two_step_to_dict(fit)
+        assert set(out) == {"support", "tau", "theta_tilde", "nuisance", "cov",
+                            "empty_model", "first_step", "theta_first"}
+        assert out["first_step"] == fit_to_dict(fit.first_step)
+        assert out["theta_first"] == fit.theta_first.tolist()
 
     def test_empty_support_flagged(self):
         rng = np.random.default_rng(71)
