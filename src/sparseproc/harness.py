@@ -26,7 +26,7 @@ from .twostep import estimate_diffusion_sigma2  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
 from .errors import NumericError
 from .rng import derive_seed, make_rng
-from .scores import center_lags, diffusion_design
+from .scores import DiffusionDesign, center_lags, diffusion_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
@@ -212,12 +212,12 @@ def _fit_data(config: CaseConfig, sample: SeriesSample) -> FitData:
 
     A diffusion path gives its ``DiffusionDesign``; a count series the
     ``CenteredDesign`` of its lags (order p for a univariate series, the
-    previous state vector for a multivariate one).
+    previous state vector for a multivariate one) with the Poisson variance rule.
     """
     if isinstance(config.model, OuSpec):
         return diffusion_design(sample, config.target)
     order = config.p if sample.dim == 1 else 1
-    return center_lags(sample, order, target=config.target)
+    return center_lags(sample, order, target=config.target, poisson=True)
 
 
 def _choose_lambda(config: CaseConfig, data: FitData) -> float:
@@ -251,13 +251,11 @@ def _case_rep(config: CaseConfig, rep: int) -> dict:
     sample = simulate_series(config.model, config.n, seed)
     record = {"rep": rep, "failed": False}
     data = _fit_data(config, sample)
+    if isinstance(data, DiffusionDesign):
+        record["sigma2_hat"] = data.sigma2
     offset = data.offset  # intercept columns leading the fit coordinates
     lam = _choose_lambda(config, data)
-    # simulated count cases are conditionally Poisson (variance = mean); a
-    # diffusion fit estimates its own sigma^2
-    fit = two_step_fit(data, lam, config.tau, nuisance_mode="plugin_theta")
-    if fit.nuisance.kind == "diffusion_constant_sigma2":
-        record["sigma2_hat"] = float(fit.nuisance.values)
+    fit = two_step_fit(data, lam, config.tau)
 
     truth = config.theta_true[offset:]
     err1 = selection_and_errors(fit.theta_first[offset:], truth, fit.support.indices,

@@ -1,21 +1,21 @@
-"""Linear score systems: the pair (A, b) with score psi(theta) = b - A theta.
+"""Linear score systems and the prepared designs that build them.
 
 Every model in scope (regression, INAR counts, linear diffusion drift)
-reduces its estimating function to this affine form; A is the Gram matrix
-and b the moment vector.  The weighted second-step system has the same
-form, restricted to a support set with per-observation inverse-variance
-weights.
+reduces its estimating function to the affine form psi(theta) = b - A theta
+(``LinearScoreSystem``: A the Gram matrix, b the moment vector).  A prepared
+design also owns its variance rule, ``nuisance``, whose per-row variances
+weight the second-step system of the same form on a support set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NuisanceError
+from .errors import DegenerateVarianceError, NuisanceError
 from .simulate import SeriesSample
 
 VARIANCE_FLOOR = 1e-8  # applied before inverting a conditional variance
@@ -61,6 +61,54 @@ def build_regression_score(covariates: np.ndarray, responses: np.ndarray
 
 
 @dataclass(frozen=True)
+class NuisanceEstimate:
+    """Fitted conditional-variance structure.
+
+    ``variance`` holds the conditional variance of each fit row, the one
+    thing the second step reads.  ``kind``, ``values`` and ``support``
+    record the fit: ``inar_linear_variance`` coefficients h over
+    ``support`` (``variance = data.columns(support) @ h``), or the
+    ``diffusion_constant_sigma2`` scalar (``variance`` is sigma^2 on every row).
+    """
+
+    kind: str
+    values: np.ndarray
+    variance: np.ndarray
+    support: Tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=float))
+        object.__setattr__(self, "support", tuple(int(j) for j in self.support))
+
+
+def estimate_inar_nuisance(columns: np.ndarray, response: np.ndarray,
+                           support: Sequence[int], theta_first: np.ndarray
+                           ) -> NuisanceEstimate:
+    """Linear-variance coefficients from squared first-step residuals.
+
+    ``columns`` holds the design columns Z_T of the coordinates ``support``
+    (``data.columns(support)``) and ``theta_first`` the first-step
+    coefficients on them, in that order; ``support`` is only recorded.
+    Least squares of r_t^2 on Z_{t,T} over the nonnegative orthant, with
+    residuals r_t = y_t - theta_first_T' Z_{t,T}: the true coefficients are
+    variances, so h >= 0 coordinatewise, and the fitted variance h' Z_{t,T}
+    stays nonnegative on every observed row of a count design.
+    """
+    # deferred: scipy.optimize costs about 0.2 s and 17 MB at import, and only this fit uses it
+    from scipy.optimize import nnls
+
+    zt = np.asarray(columns, dtype=float)
+    if zt.ndim != 2 or zt.shape[1] == 0:
+        raise ValueError("columns must be a nonempty n x k block")
+    y = np.asarray(response, dtype=float).ravel()
+    resid = y - zt @ np.asarray(theta_first, dtype=float)
+    h, _ = nnls(zt, resid ** 2)
+    return NuisanceEstimate(kind="inar_linear_variance", values=h, variance=zt @ h,
+                            support=tuple(support))
+
+
+@dataclass(frozen=True)
 class CenteredDesign:
     """A count/regression design prepared once for every fit on it.
 
@@ -71,7 +119,8 @@ class CenteredDesign:
     The intercept is the one (``offset``) fit coordinate the first step
     does not select over; ``fit_coordinates`` recovers it from the means.
     No design with its column of ones is held: ``columns`` gathers the few
-    design columns that the second step reads.
+    design columns that the second step reads.  ``poisson`` picks the
+    variance rule of ``nuisance`` and nothing else.
     """
 
     lags: np.ndarray
@@ -81,6 +130,7 @@ class CenteredDesign:
     z_bar: np.ndarray
     y_bar: float
     moment: np.ndarray
+    poisson: bool = False
 
     offset: ClassVar[int] = 1
 
@@ -116,25 +166,39 @@ class CenteredDesign:
             out[:, k] = self.lags[:, j - 1] if j else 1.0
         return out
 
+    def nuisance(self, columns: np.ndarray, support: Sequence[int],
+                 theta: np.ndarray) -> NuisanceEstimate:
+        """The variance h' Z_T on ``columns(support)``, given first-step ``theta`` there.
 
-def _center(lags: np.ndarray, response: np.ndarray) -> CenteredDesign:
+        Conditionally Poisson counts (``poisson``) have variance equal to their
+        mean, so h = max(theta, 0); otherwise h is ``estimate_inar_nuisance``.
+        """
+        if not self.poisson:
+            return estimate_inar_nuisance(columns, self.response, support, theta)
+        h = np.maximum(theta, 0.0)
+        return NuisanceEstimate(kind="inar_linear_variance", values=h, variance=columns @ h,
+                                support=tuple(support))
+
+
+def _center(lags: np.ndarray, response: np.ndarray, poisson: bool) -> CenteredDesign:
     """The ``CenteredDesign`` of lag columns (n x p) and responses."""
     y = np.asarray(response, dtype=float).ravel()
     z_bar = lags.mean(axis=0)
     y_bar = y.mean()
     zc, yc = lags - z_bar, y - y_bar
     return CenteredDesign(lags=lags, response=y, zc=zc, yc=yc, z_bar=z_bar, y_bar=y_bar,
-                          moment=zc.T @ yc / y.size)
+                          moment=zc.T @ yc / y.size, poisson=poisson)
 
 
-def center_design(design: np.ndarray, response: np.ndarray) -> CenteredDesign:
+def center_design(design: np.ndarray, response: np.ndarray, *,
+                  poisson: bool = False) -> CenteredDesign:
     """The ``CenteredDesign`` of explicit rows with the intercept in column 0.
 
     Count models select on the centered lag columns; the intercept is then
     recovered as y_bar - theta' z_bar and never enters the l1 program.
     ``center_lags`` gives the same design of a series without writing its rows.
     """
-    return _center(np.asarray(design, dtype=float)[:, 1:], response)
+    return _center(np.asarray(design, dtype=float)[:, 1:], response, poisson)
 
 
 def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,13 +242,14 @@ def lagged_design(series: SeriesSample, order: int, target: int = 0
     return design, response
 
 
-def center_lags(series: SeriesSample, order: int, target: int = 0) -> CenteredDesign:
-    """``center_design(*lagged_design(series, order, target))``, byte for byte.
+def center_lags(series: SeriesSample, order: int, target: int = 0, *,
+                poisson: bool = False) -> CenteredDesign:
+    """``center_design(*lagged_design(series, order, target), poisson=...)``, byte for byte.
 
     The lags are centered where they lie (a univariate series' are a view of
     its values), so the n x (p + 1) design is never written.
     """
-    return _center(*_lags(series, order, target))
+    return _center(*_lags(series, order, target), poisson)
 
 
 def build_inar_score(series: SeriesSample, order: int, target: int = 0) -> LinearScoreSystem:
@@ -208,12 +273,14 @@ class DiffusionDesign:
     target's X_{k+1} - X_k, and ``delta`` the sampling interval; rows and
     ``delta`` are checked once, here.  Every design coordinate is selected
     (``offset = 0``), and a first-step solution is already in fit
-    coordinates.
+    coordinates.  ``sigma2``, the quadratic variation sum (dX)^2 / (n delta), is
+    computed here too, so a constant path raises ``DegenerateVarianceError``.
     """
 
     design: np.ndarray
     increments: np.ndarray
     delta: float
+    sigma2: float = field(init=False)
 
     offset: ClassVar[int] = 0
 
@@ -226,6 +293,13 @@ class DiffusionDesign:
             raise ValueError("covariate rows must align with increments")
         if self.delta is None or not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
+        for name, values in (("design", z), ("increments", dx)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+        s2 = float(dx @ dx / (dx.size * self.delta))
+        if not s2 > 0:
+            raise DegenerateVarianceError("constant path: quadratic variation is zero")
+        object.__setattr__(self, "sigma2", s2)
 
     @property
     def fisher(self) -> float:
@@ -250,6 +324,12 @@ class DiffusionDesign:
     def columns(self, support: Sequence[int]) -> np.ndarray:
         """The covariate columns ``support``: ``design[:, support]``."""
         return self.design[:, support]
+
+    def nuisance(self, columns: np.ndarray, support: Sequence[int],
+                 theta: np.ndarray) -> NuisanceEstimate:
+        """``sigma2`` on every row, whatever the support and first step."""
+        return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(self.sigma2),
+                                variance=np.full(self.increments.size, self.sigma2))
 
 
 def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:

@@ -1,9 +1,8 @@
-"""Second-step estimation: nuisance plug-in and weighted support-restricted solve.
+"""The two-step pipeline: first-step selection, then a weighted restricted solve.
 
-After the first-step fit selects a support, the conditional-variance
-structure is estimated on that support, the score is reweighted by the
-fitted inverse variances, and the restricted system, a plain
-``LinearScoreSystem``, is factored once for the final estimate and the
+After the first step selects a support, the prepared design's own variance
+rule (``nuisance``) gives the weights, and the restricted weighted system, a
+plain ``LinearScoreSystem``, is factored once for the final estimate and the
 inverse gram; the inverse gram divided by the design's Fisher scale (n, or
 n delta for a diffusion) is the plug-in asymptotic covariance.
 """
@@ -11,43 +10,21 @@ n delta for a diffusion) is the plug-in asymptotic covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .dantzig import DantzigFit, SupportEstimate, fit_to_dict, solve_dantzig, threshold_support
-from .errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem,
+from .errors import RankError, UncertifiedFitError
+from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem, NuisanceEstimate,
                      build_weighted_system, diffusion_design)
-# no longer called here; perfbench/tracing.py still wraps twostep.build_regression_score by name
-from .scores import build_regression_score  # noqa: F401
+# no longer called here; perfbench/tracing.py still wraps these twostep names
+from .scores import build_regression_score, estimate_inar_nuisance  # noqa: F401
 from .simulate import SeriesSample
 
 
 # what a fit runs on: a prepared count/regression or diffusion design
 FitData = Union[CenteredDesign, DiffusionDesign]
-
-
-@dataclass(frozen=True)
-class NuisanceEstimate:
-    """Fitted conditional-variance structure.
-
-    ``variance`` holds the conditional variance of each fit row, the one
-    thing the second step reads.  ``kind``, ``values`` and ``support``
-    record the fit: ``inar_linear_variance`` coefficients h over
-    ``support`` (``variance = data.columns(support) @ h``), or the
-    ``diffusion_constant_sigma2`` scalar (``variance`` is sigma^2 on every row).
-    """
-
-    kind: str
-    values: np.ndarray
-    variance: np.ndarray
-    support: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=float))
-        object.__setattr__(self, "support", tuple(int(j) for j in self.support))
 
 
 @dataclass(frozen=True)
@@ -68,45 +45,10 @@ class TwoStepFit:
         return not self.fit_support
 
 
-def estimate_inar_nuisance(columns: np.ndarray, response: np.ndarray,
-                           support: Sequence[int], theta_first: np.ndarray
-                           ) -> NuisanceEstimate:
-    """Linear-variance coefficients from squared first-step residuals.
-
-    ``columns`` holds the design columns Z_T of the coordinates ``support``
-    (``data.columns(support)``) and ``theta_first`` the first-step
-    coefficients on them, in that order; ``support`` is only recorded.
-    Least squares of r_t^2 on Z_{t,T} over the nonnegative orthant, with
-    residuals r_t = y_t - theta_first_T' Z_{t,T}: the true coefficients are
-    variances, so h >= 0 coordinatewise, and the fitted variance h' Z_{t,T}
-    stays nonnegative on every observed row of a count design.
-    """
-    # deferred: scipy.optimize costs about 0.2 s and 17 MB at import, and only this fit uses it
-    from scipy.optimize import nnls
-
-    zt = np.asarray(columns, dtype=float)
-    if zt.ndim != 2 or zt.shape[1] == 0:
-        raise ValueError("columns must be a nonempty n x k block")
-    y = np.asarray(response, dtype=float).ravel()
-    resid = y - zt @ np.asarray(theta_first, dtype=float)
-    h, _ = nnls(zt, resid ** 2)
-    return NuisanceEstimate(kind="inar_linear_variance", values=h, variance=zt @ h,
-                            support=tuple(support))
-
-
-def _diffusion_nuisance(data: DiffusionDesign) -> NuisanceEstimate:
-    """sigma^2 = sum (dX)^2 / (n delta) on every row; ``DegenerateVarianceError`` unless > 0."""
-    increments = data.increments
-    s2 = float(increments @ increments / (increments.size * data.delta))
-    if not s2 > 0:
-        raise DegenerateVarianceError("constant path: quadratic variation is zero")
-    return NuisanceEstimate(kind="diffusion_constant_sigma2", values=np.array(s2),
-                            variance=np.full(increments.size, s2))
-
-
 def estimate_diffusion_sigma2(path: SeriesSample, target: int = 0) -> NuisanceEstimate:
     """The sigma^2 nuisance that a diffusion fit of ``diffusion_design(path, target)`` uses."""
-    return _diffusion_nuisance(diffusion_design(path, target))
+    data = diffusion_design(path, target)
+    return data.nuisance(data.columns([]), [], np.empty(0))  # an empty model's call
 
 
 def solve_weighted(wsys: LinearScoreSystem) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,46 +91,26 @@ def first_step(data: FitData, lam: float, tau: float
     return fit, data.fit_coordinates(fit.theta_hat), threshold_support(fit, tau)
 
 
-def two_step_fit(data: FitData, lam: float, tau: float, *,
-                 nuisance_mode: str = "residual") -> TwoStepFit:
+def two_step_fit(data: FitData, lam: float, tau: float) -> TwoStepFit:
     """Run the full pipeline on a prepared design.
 
     ``data`` is that of ``first_step``.  Step two solves on the selected
     coordinates shifted by ``data.offset`` plus the ``data.offset`` leading
     intercept columns: it gathers those design columns once, with
     ``data.columns``, for the nuisance and the weighted system, weights
-    each of their rows and of ``data.response`` by the inverse of its
-    ``NuisanceEstimate.variance``, and divides the inverse weighted gram by
-    ``data.fisher``.
-
-    The nuisance is the one model switch.  A ``DiffusionDesign`` carries
-    the quadratic variation sigma^2 of its increments, estimated before any
-    LP runs, so a constant path raises ``DegenerateVarianceError`` first.
-    For a count/regression design ``nuisance_mode`` picks the variance:
-    "residual" fits the linear variance to squared first-step residuals
-    (projected onto nonnegative coefficients), "plugin_theta" reuses the
-    first-step coefficients themselves, which is exact for conditionally
-    Poisson counts where the conditional variance equals the conditional
-    mean.
+    each of their rows and of ``data.response`` by the inverse of the
+    variance that the design's own rule ``data.nuisance`` gives, and
+    divides the inverse weighted gram by ``data.fisher``.  The fit has no
+    model switch: designs differ only in how they were prepared.
     """
-    if nuisance_mode not in ("residual", "plugin_theta"):
-        raise ValueError(f"unknown nuisance_mode {nuisance_mode!r}")
-    nui = _diffusion_nuisance(data) if isinstance(data, DiffusionDesign) else None
-    offset = data.offset
-
     fit1, theta_first, sel = first_step(data, lam, tau)
-    support2 = list(range(offset)) + [j + offset for j in sel.indices]  # indices ascend
+    support2 = list(range(data.offset)) + [j + data.offset for j in sel.indices]  # ascending
+    z = data.columns(support2)
+    nui = data.nuisance(z, support2, theta_first[support2])
     if not support2:
         return TwoStepFit(support=sel, theta_tilde=np.zeros(theta_first.size), nuisance=nui,
                           asymp_cov=np.empty((0, 0)), first_step=fit1,
                           theta_first=theta_first, fit_support=())
-    z = data.columns(support2)
-    if nui is None and nuisance_mode == "plugin_theta":
-        h = np.maximum(theta_first[support2], 0.0)
-        nui = NuisanceEstimate(kind="inar_linear_variance", values=h, variance=z @ h,
-                               support=tuple(support2))
-    elif nui is None:
-        nui = estimate_inar_nuisance(z, data.response, support2, theta_first[support2])
 
     theta_t, inv = solve_weighted(build_weighted_system(z, data.response, nui.variance))
     theta_full = np.zeros(theta_first.size)

@@ -25,7 +25,7 @@ from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_his
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, center_lags, diffusion_design
-from sparseproc.simulate import HawkesSpec, read_series_csv, spec_to_dict
+from sparseproc.simulate import HawkesSpec, SeriesSample, read_series_csv, spec_to_dict
 from sparseproc.twostep import two_step_fit
 
 
@@ -198,6 +198,23 @@ class TestRunCase:
         report = run_case(builtin_case("case1", n=300, reps=2))
         assert report.failures == 2
         assert [r["error"] for r in report.per_rep] == [f"{error.__name__}: synthetic"] * 2
+
+    def test_constant_ou_path_is_a_recorded_failure(self, monkeypatch):
+        # the design rejects the path when built, with the message the fit gave before
+        cfg = builtin_case("ou", reps=2)
+        flat = SeriesSample(values=np.ones((cfg.n + 1, cfg.p)), delta=cfg.model.delta,
+                            kind="reals")
+        monkeypatch.setattr(harness, "simulate_series", lambda model, n, seed: flat)
+        report = run_case(cfg, jobs=1)
+        assert report.failures == 2
+        assert [r["error"] for r in report.per_rep] == [
+            "DegenerateVarianceError: constant path: quadratic variation is zero"] * 2
+
+    @pytest.mark.parametrize("case_id", ["case1", "case3"])
+    def test_count_designs_use_the_poisson_rule(self, case_id):
+        # simulated count series are conditionally Poisson: their variance is their mean
+        cfg = builtin_case(case_id, n=300, reps=1)
+        assert harness._fit_data(cfg, harness.simulate_series(cfg.model, cfg.n, 1)).poisson
 
     @pytest.mark.parametrize("error", [errors.StationarityError, ValueError, KeyError])
     def test_other_failure_is_raised(self, monkeypatch, error):
@@ -532,7 +549,7 @@ pool["jobs2"] = "concurrent.futures.process" in sys.modules
 from sparseproc.scores import center_design, lagged_design
 from sparseproc.simulate import InarSpec, simulate_inar
 z, y = lagged_design(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), 500, 3), 2)
-fit = sparseproc.two_step_fit(center_design(z, y), 0.1, 0.05, nuisance_mode="residual")
+fit = sparseproc.two_step_fit(center_design(z, y), 0.1, 0.05)
 seen["residual"] = "scipy.optimize" in sys.modules
 print(json.dumps({"seen": seen, "scipy_loaded": scipy_loaded, "pool": pool,
                   "failures": failures,

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_diffusion_score, reference_lagged_design
 
-from sparseproc.errors import NuisanceError
+from sparseproc.errors import DegenerateVarianceError, NuisanceError
 from sparseproc.harness import builtin_case, simulate_series
 from sparseproc.scores import (VARIANCE_FLOOR, CenteredDesign, DiffusionDesign,
                                LinearScoreSystem, build_inar_score, build_regression_score,
@@ -188,15 +188,17 @@ class TestCenterLags:
     ``center_design(*lagged_design(...))`` prepares from it."""
 
     def test_every_field_byte_equal(self, lag_series):
-        data = center_lags(*lag_series)
-        ref = center_design(*lagged_design(*lag_series))
-        for f in dataclasses.fields(CenteredDesign):
-            new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
-            assert (new.shape, new.dtype) == (old.shape, old.dtype), f.name
-            assert new.tobytes() == old.tobytes(), f.name
-        # the layout that the BLAS calls on the centered columns follow
-        assert data.zc.strides == ref.zc.strides
-        assert data.score().gram.tobytes() == ref.score().gram.tobytes()
+        for poisson in (False, True):
+            data = center_lags(*lag_series, poisson=poisson)
+            ref = center_design(*lagged_design(*lag_series), poisson=poisson)
+            assert data.poisson is ref.poisson is poisson
+            for f in dataclasses.fields(CenteredDesign):
+                new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+                assert (new.shape, new.dtype) == (old.shape, old.dtype), f.name
+                assert new.tobytes() == old.tobytes(), f.name
+            # the layout that the BLAS calls on the centered columns follow
+            assert data.zc.strides == ref.zc.strides
+            assert data.score().gram.tobytes() == ref.score().gram.tobytes()
 
     @pytest.mark.parametrize("kind", ["intercept", "sparse", "full"])
     def test_columns_are_the_design_columns(self, lag_series, kind):
@@ -233,10 +235,39 @@ class TestCenterLags:
 
 
 class TestDiffusionScore:
-    def test_constant_path_zero_moment(self):
+    def test_constant_path_rejected_when_built(self):
+        # its sigma^2 is zero, so no fit could weight it
         path = SeriesSample(values=np.ones((11, 1)), delta=0.1, kind="reals")
-        sys = diffusion_design(path).score()
-        assert_array_equal(sys.moment, [0.0])
+        with pytest.raises(DegenerateVarianceError,
+                           match="^constant path: quadratic variation is zero$"):
+            diffusion_design(path)
+
+    def test_sigma2_is_the_quadratic_variation(self):
+        spec = OuSpec(a_matrix=np.array([[-1.0, 0.2], [0.0, -0.8]]), sigma_diag=np.ones(2),
+                      delta=0.05, n_steps=400, substeps=2)
+        path = simulate_ou(spec, seed=9)
+        for target in (0, 1):
+            data = diffusion_design(path, target)
+            dx = np.diff(path.values[:, target])
+            ref = float(dx @ dx / (dx.size * path.delta))
+            assert type(data.sigma2) is float
+            assert np.float64(data.sigma2).tobytes() == np.float64(ref).tobytes()
+            nui = data.nuisance(data.columns([0]), [0], np.zeros(1))
+            assert nui.variance.tobytes() == np.full(dx.size, ref).tobytes()
+
+    @pytest.mark.parametrize("name", ["design", "increments"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, name, bad):
+        arrays = {"design": np.ones((4, 2)), "increments": np.array([0.1, -0.2, 0.3, 0.1])}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            DiffusionDesign(delta=0.1, **arrays)
+        # the delta and alignment checks come first and keep their messages
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            DiffusionDesign(delta=0.0, **arrays)
+        with pytest.raises(ValueError, match="align"):
+            DiffusionDesign(design=arrays["design"], increments=arrays["increments"][:3],
+                            delta=0.1)
 
     def test_linear_path_telescoping(self):
         t = np.arange(11) * 0.1

@@ -7,14 +7,14 @@ from oracles import reference_covariance, reference_diffusion_score, reference_s
 
 from sparseproc import harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
-from sparseproc.dantzig import fit_to_dict, solve_dantzig, threshold_support
+from sparseproc.dantzig import (cross_validate_lambda, fit_to_dict, solve_dantzig,
+                                threshold_support)
 from sparseproc.scores import (DiffusionDesign, LinearScoreSystem, build_regression_score,
                                build_weighted_system, center_design, center_lags,
-                               diffusion_design, lagged_design)
+                               diffusion_design, estimate_inar_nuisance, lagged_design)
 from sparseproc.simulate import InarSpec, OuSpec, SeriesSample, simulate_inar, simulate_ou
-from sparseproc.twostep import (estimate_diffusion_sigma2, estimate_inar_nuisance,
-                                first_step, project_statistic, solve_weighted,
-                                two_step_fit)
+from sparseproc.twostep import (estimate_diffusion_sigma2, first_step, project_statistic,
+                                solve_weighted, two_step_fit)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -226,8 +226,8 @@ class TestTwoStepFit:
         z = np.column_stack([np.ones(80), rng.standard_normal((80, 5))])
         theta0 = np.array([0.7, 1.0, 0.0, -2.0, 0.0, 0.0])
         y = z @ theta0
-        for mode in ("residual", "plugin_theta"):
-            fit = two_step_fit(center_design(z, y), lam=1e-10, tau=0.05, nuisance_mode=mode)
+        for poisson in (False, True):
+            fit = two_step_fit(center_design(z, y, poisson=poisson), lam=1e-10, tau=0.05)
             assert_allclose(fit.theta_tilde, theta0, atol=1e-6)
 
     def test_oracle_vs_estimated_nuisance_agree(self):
@@ -237,7 +237,7 @@ class TestTwoStepFit:
         for r in range(10):
             sample = simulate_inar(spec, 20_000, seed=61 + r)
             z, y = lagged_design(sample, 10)
-            f_est = two_step_fit(center_design(z, y), 0.05, 0.05, nuisance_mode="residual")
+            f_est = two_step_fit(center_design(z, y), 0.05, 0.05)
             # the oracle weights by the true Poisson variance, on the same support
             sup = list(f_est.fit_support)
             theta_orc, _ = solve_weighted(build_weighted_system(z[:, sup], y, z @ theta0))
@@ -313,14 +313,6 @@ class TestTwoStepFit:
         with pytest.raises(DegenerateVarianceError):
             two_step_fit(diffusion_design(path), 0.1, 0.05)
 
-    def test_unknown_nuisance_mode_raises_before_any_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("an LP ran")
-        monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
-        z = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(ValueError, match="unknown nuisance_mode"):
-            two_step_fit(center_design(z, np.arange(10.0)), 0.1, 0.05, nuisance_mode="oracle")
-
     def test_first_step_count_intercept(self):
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=89)
         z, y = lagged_design(sample, 10)
@@ -366,6 +358,46 @@ class TestTwoStepFit:
         # 3 MC standard errors on the trace difference via a crude bootstrap scale
         mc_se = tr_u * np.sqrt(2.0 / 299)
         assert tr_w <= tr_u + 3 * mc_se
+
+
+class TestVarianceRule:
+    """A ``CenteredDesign``'s ``poisson`` flag picks the variance of step two, and nothing else."""
+
+    @staticmethod
+    def _sample():
+        return simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=5)
+
+    def test_flag_leaves_step_one_and_cv_alone(self):
+        sample = self._sample()
+        plain, poisson = center_lags(sample, 10), center_lags(sample, 10, poisson=True)
+        (fit_a, theta_a, sel_a), (fit_b, theta_b, sel_b) = (first_step(data, 0.12, 0.05)
+                                                            for data in (plain, poisson))
+        assert harness.report_to_json(fit_to_dict(fit_a)) == harness.report_to_json(
+            fit_to_dict(fit_b))
+        assert theta_a.tobytes() == theta_b.tobytes()
+        assert sel_a == sel_b
+        assert (harness.report_to_json(cross_validate_lambda(plain))
+                == harness.report_to_json(cross_validate_lambda(poisson)))
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_fit_equals_hand_built_reference(self, poisson):
+        sample = self._sample()
+        data = center_lags(sample, 10, poisson=poisson)
+        fit = two_step_fit(data, 0.12, 0.05)
+        _, theta_first, sel = first_step(data, 0.12, 0.05)
+        t = [0] + [j + 1 for j in sel.indices]
+        design, y = lagged_design(sample, 10)
+        z = design[:, t]
+        if poisson:  # conditionally Poisson: the variance is the first-step mean
+            h = np.maximum(theta_first[t], 0.0)
+        else:
+            h = estimate_inar_nuisance(z, y, t, theta_first[t]).values
+        theta_t, inv = solve_weighted(build_weighted_system(z, y, z @ h))
+        assert fit.nuisance.kind == "inar_linear_variance" and fit.nuisance.support == tuple(t)
+        assert fit.nuisance.values.tobytes() == h.tobytes()
+        assert fit.nuisance.variance.tobytes() == (z @ h).tobytes()
+        assert fit.theta_tilde[t].tobytes() == theta_t.tobytes()
+        assert fit.asymp_cov.tobytes() == (inv / y.size).tobytes()
 
 
 class TestProjectStatistic:
