@@ -6,11 +6,12 @@
  * (simulate.py, dantzig.py).  In the count loops the conditional mean is
  * formed by the same CBLAS call numpy's matmul makes, or, for a MINAR(1)
  * matrix of aligned 4 x 4 diagonal blocks, by a block sum checked to give
- * that call's bits (block_sums); it is capped, and each count is drawn by
- * numpy's own random_poisson on the generator's bitgen_t.  numpy switches
- * from the multiplication method to transformed rejection at lambda = 10, so
- * the last bit of lambda decides which draws are taken; the same sums in the
- * same order give the same bits, and so the same series.
+ * that call's bits (block_sums); it is capped, and each count is drawn as
+ * numpy's random_poisson draws it, from the generator's own uniforms fetched
+ * ahead in a block (draws_t).  numpy switches from the multiplication method
+ * to transformed rejection at lambda = 10, so the last bit of lambda decides
+ * which draws are taken; the same sums in the same order give the same bits,
+ * and so the same series.
  * The Hawkes loop repeats the float operations of Ogata thinning in their
  * order and draws by numpy's random_standard_exponential, so it gives the
  * same events.  The LP loop repeats the dual simplex pivots of a lambda path
@@ -48,27 +49,132 @@ typedef void (*dger_fn)(int, BLAS_INT, BLAS_INT, double, const double *, BLAS_IN
 typedef void (*dgemm_fn)(int, int, int, BLAS_INT, BLAS_INT, BLAS_INT, double, const double *,
                          BLAS_INT, const double *, BLAS_INT, double, double *, BLAS_INT);
 
+#define DRAW_BLOCK 256 /* uniforms fetched per refill */
+#define MEMO_SLOTS 512  /* e^-lambda memo, direct-mapped on the bits of lambda */
+
+/*
+ * A call's Poisson draws.  block holds uniforms taken from the generator's
+ * own next_double, block[next..DRAW_BLOCK) not yet used, so a draw reads
+ * the stream numpy's would read, in the same order.  shim is a bitgen_t
+ * whose next_double reads the block, for the draws numpy's random_poisson
+ * makes itself.  The uniforms left in the block when the call ends were
+ * taken but not used; the caller steps the generator back over them.
+ */
+typedef struct {
+    bitgen_t *source;
+    bitgen_t shim;
+    int64_t next;
+    double block[DRAW_BLOCK];
+    uint64_t memo_key[MEMO_SLOTS]; /* 0, the bits of +0.0, marks an empty slot */
+    double memo_enlam[MEMO_SLOTS];
+} draws_t;
+
+static double shim_next_double(void *st)
+{
+    draws_t *dr = st;
+    if (dr->next == DRAW_BLOCK) {
+        for (int64_t i = 0; i < DRAW_BLOCK; i++)
+            dr->block[i] = dr->source->next_double(dr->source->state);
+        dr->next = 0;
+    }
+    return dr->block[dr->next++];
+}
+
+/* random_poisson reads only next_double; the shim's other members are never called */
+static uint64_t shim_next_uint64(void *st)
+{
+    (void)st;
+    abort();
+}
+
+static uint32_t shim_next_uint32(void *st)
+{
+    (void)st;
+    abort();
+}
+
+static void draws_init(draws_t *dr, bitgen_t *source)
+{
+    dr->source = source;
+    dr->shim.state = dr;
+    dr->shim.next_uint64 = shim_next_uint64;
+    dr->shim.next_uint32 = shim_next_uint32;
+    dr->shim.next_double = shim_next_double;
+    dr->shim.next_raw = shim_next_uint64;
+    dr->next = DRAW_BLOCK;
+    memset(dr->memo_key, 0, sizeof dr->memo_key);
+}
+
+/*
+ * numpy's random_poisson(lam).  For 0 < lam < 10 that is the multiplication
+ * method, run here on the block: X counts the running products U_1 ... U_k
+ * above e^-lam, formed in numpy's order.  Each U is below 1, so the products
+ * never grow, and where the fourth of four is above e^-lam all four are.
+ * Any other lambda is numpy's own code, on the shim.
+ */
+static double draw_poisson(poisson_fn poisson, draws_t *dr, double lam)
+{
+    if (lam >= 10.0 || lam == 0.0)
+        return (double)poisson(&dr->shim, lam);
+    uint64_t key;
+    memcpy(&key, &lam, sizeof key);
+    const size_t slot = (size_t)((key * UINT64_C(0x9E3779B97F4A7C15)) >> 55);
+    if (dr->memo_key[slot] != key) {
+        dr->memo_key[slot] = key;
+        dr->memo_enlam[slot] = exp(-lam);
+    }
+    const double enlam = dr->memo_enlam[slot];
+    int64_t x = 0;
+    double prod = 1.0;
+    for (;;) {
+        if (dr->next + 4 <= DRAW_BLOCK) {
+            const double *u = dr->block + dr->next;
+            const double p1 = prod * u[0], p2 = p1 * u[1], p3 = p2 * u[2], p4 = p3 * u[3];
+            if (p4 > enlam) {
+                x += 4;
+                prod = p4;
+                dr->next += 4;
+                continue;
+            }
+            /* the products above e^-lam are a prefix, so counting them finds the last */
+            const int64_t above = (int64_t)(p1 > enlam) + (p2 > enlam) + (p3 > enlam);
+            dr->next += above + 1;
+            return (double)(x + above);
+        }
+        prod *= shim_next_double(dr);
+        if (!(prod > enlam))
+            return (double)x;
+        x++;
+    }
+}
+
 /*
  * Poisson INAR(p) from the zero state: lambda_t = mu + alpha . history, with
  * history[0] the last count.  Fills out[0..steps) and returns the number of
- * steps drawn: steps, or the first step whose lambda is not <= cap.
+ * steps drawn: steps, or the first step whose lambda is not <= cap.  *unused
+ * receives the number of uniforms taken from bitgen but not used.
  */
 int64_t inar(poisson_fn poisson, ddot_fn ddot, bitgen_t *bitgen, double mu, int64_t p,
-             const double *alpha, double *history, double *out, int64_t steps, double cap)
+             const double *alpha, double *history, double *out, int64_t steps, double cap,
+             int64_t *unused)
 {
-    for (int64_t t = 0; t < steps; t++) {
+    draws_t dr;
+    draws_init(&dr, bitgen);
+    int64_t t = 0;
+    for (; t < steps; t++) {
         /* numpy's 1-d dot is 0.0 + ddot(...) */
         double lam = mu + (p ? 0.0 + ddot((BLAS_INT)p, alpha, 1, history, 1) : 0.0);
         if (!(lam <= cap))
-            return t;
-        double x = (double)poisson(bitgen, lam);
+            break;
+        double x = draw_poisson(poisson, &dr, lam);
         if (p) {
             memmove(history + 1, history, (size_t)(p - 1) * sizeof(double));
             history[0] = x;
         }
         out[t] = x;
     }
-    return steps;
+    *unused = DRAW_BLOCK - dr.next;
+    return t;
 }
 
 /*
@@ -94,19 +200,28 @@ void block_sums(int64_t d, const double *a, const double *y, double *s)
 }
 
 /*
- * Multivariate Poisson INAR(1) from y0: lambda_t = eta + A y_{t-1} with A a
- * C-contiguous d x d matrix, as numpy's matmul computes A @ y through
- * dgemv(ColMajor, Trans, ...), or by block_sums where blocks is non-zero.
- * lam is d doubles of scratch.  Row t of the steps x d matrix out receives
- * y_t; returns as inar does.
+ * Multivariate Poisson INAR(1) from the zero state: lambda_t = eta + A y_{t-1}
+ * with A a C-contiguous d x d matrix, as numpy's matmul computes A @ y
+ * through dgemv(ColMajor, Trans, ...), or by block_sums where blocks is
+ * non-zero.  Draws burn_in + rows - 1 steps into the rows x d matrix out:
+ * row 0 receives the last burn-in step (the zero state where burn_in is 0)
+ * and rows 1.. the kept steps; the steps before run through the two rows
+ * after lam in the 3d doubles of scratch.  Returns the steps drawn and the
+ * unused uniforms as inar does.
  */
 int64_t minar1(poisson_fn poisson, dgemv_fn dgemv, bitgen_t *bitgen, int64_t d,
-               const double *eta, const double *a, int64_t blocks, const double *y0,
-               double *lam, double *out, int64_t steps, double cap)
+               const double *eta, const double *a, int64_t blocks, int64_t burn_in,
+               double *scratch, double *out, int64_t rows, double cap, int64_t *unused)
 {
-    const double *y = y0;
-    for (int64_t t = 0; t < steps; t++) {
-        double *row = out + t * d;
+    draws_t dr;
+    draws_init(&dr, bitgen);
+    double *lam = scratch;
+    const int64_t steps = burn_in + rows - 1;
+    memset(out, 0, (size_t)d * sizeof(double));
+    const double *y = out;
+    int64_t t = 0;
+    for (; t < steps; t++) {
+        double *row = t + 1 < burn_in ? scratch + (1 + t % 2) * d : out + (t + 1 - burn_in) * d;
         if (blocks)
             block_sums(d, a, y, lam);
         else
@@ -115,13 +230,15 @@ int64_t minar1(poisson_fn poisson, dgemv_fn dgemv, bitgen_t *bitgen, int64_t d,
         for (int64_t i = 0; i < d; i++) {
             lam[i] = eta[i] + lam[i];
             if (!(lam[i] <= cap))
-                return t;
+                goto done;
         }
         for (int64_t i = 0; i < d; i++)
-            row[i] = (double)poisson(bitgen, lam[i]);
+            row[i] = draw_poisson(poisson, &dr, lam[i]);
         y = row;
     }
-    return steps;
+done:
+    *unused = DRAW_BLOCK - dr.next;
+    return t;
 }
 
 /*

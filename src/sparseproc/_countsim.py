@@ -10,8 +10,15 @@ function pointers, the code numpy itself runs for that step:
 them) and the CBLAS ``ddot``, ``dgemv``, ``dger`` and ``dgemm`` of numpy's
 BLAS (``_blas``).  numpy draws a Poisson variate by multiplication below
 lambda = 10 and by transformed rejection from 10 up, so the last bit of
-lambda picks the algorithm; making numpy's exact calls keeps every series
-bit-identical to the numpy loop in ``simulate``.  Where a MINAR(1) matrix is
+lambda picks the algorithm; forming lambda by numpy's own calls keeps every
+series bit-identical to the numpy loop in ``simulate``.  The count loops
+take the generator's uniforms ahead, a block at a time, through its own
+``next_double``.  Below 10 they run numpy's multiplication method on the
+block, with e^-lambda kept in a small memo keyed by the bits of lambda;
+any other lambda goes to numpy's ``random_poisson`` on a shim ``bitgen_t``
+that reads the block.  The uniforms left over are then stepped back with
+``advance``, so the generator ends where numpy's loop leaves it (see
+``_drawn``).  Where a MINAR(1) matrix is
 zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
@@ -118,6 +125,31 @@ def _build(blas_bits: int, path: str) -> None:
                 pass  # gone already, or not ours to remove
 
 
+def _drawn(rng: np.random.Generator, call) -> int:
+    """``call(bitgen, unused)`` under the generator's lock, which then steps back
+    over the ``unused`` uniforms the call fetched ahead; the call's result.
+
+    ``advance`` drops a pending 32-bit half of an earlier 64-bit draw, which
+    the uniforms never touch, so it is put back.  PCG64, which ``make_rng``
+    gives, steps one uniform per step of ``advance``; the other bit
+    generators have no ``advance`` or step in blocks of draws.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError("the compiled count loops step back the uniforms they fetch ahead "
+                         f"by PCG64's advance, and cannot on {type(bitgen).__name__}")
+    unused = _I64(0)
+    with bitgen.lock:
+        pending = bitgen.state
+        drawn = call(bitgen.ctypes.bit_generator, ctypes.byref(unused))
+        bitgen.advance(-unused.value)
+        if pending["has_uint32"]:
+            state = bitgen.state
+            state.update(has_uint32=pending["has_uint32"], uinteger=pending["uinteger"])
+            bitgen.state = state
+    return drawn
+
+
 def _check_buffers(*arrays: np.ndarray) -> None:
     for arr in arrays:
         if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.aligned):
@@ -153,9 +185,10 @@ class CountKernel:
         self._cv.argtypes = [_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
                              _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
         self._cv.restype = _I64
-        self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64]
-        self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR,
-                                 _PTR, _I64, _F64]
+        self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64,
+                               ctypes.POINTER(_I64)]
+        self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
+                                 _I64, _F64, ctypes.POINTER(_I64)]
         self._hawkes.argtypes = [_PTR, _PTR, _F64, _I64, _PTR, _PTR, _F64, _PTR, _I64, _I64,
                                  ctypes.POINTER(_F64)]
         self._inar.restype = self._minar1.restype = self._hawkes.restype = _I64
@@ -170,32 +203,30 @@ class CountKernel:
         if alpha.ndim != 1 or out.ndim != 1:
             raise ValueError("alpha and out must be vectors")
         history = np.zeros(max(alpha.size, 1))
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            return self._inar(self._poisson, self._ddot,
-                              bitgen.ctypes.bit_generator, float(mu_eps), alpha.size,
-                              alpha.ctypes.data, history.ctypes.data, out.ctypes.data,
-                              out.size, cap)
+        return _drawn(rng, lambda bitgen, unused: self._inar(
+            self._poisson, self._ddot, bitgen, float(mu_eps), alpha.size, alpha.ctypes.data,
+            history.ctypes.data, out.ctypes.data, out.size, cap, unused))
 
     def minar1(self, rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
-               out: np.ndarray, cap: float) -> int:
-        """Fill the rows of ``out`` with MINAR(1) counts from zero; the steps drawn.
+               out: np.ndarray, cap: float, burn_in: int = 0) -> int:
+        """MINAR(1) counts from zero; the steps drawn, ``burn_in + len(out) - 1`` in full.
 
-        Each step's ``a_matrix @ y`` is the block sum where
-        :meth:`block_sums_match` allows it, and numpy's ``dgemv`` otherwise.
+        Row 0 of ``out`` receives the last of ``burn_in`` discarded steps (zeros
+        where there are none) and the later rows the kept steps.  Each step's
+        ``a_matrix @ y`` is the block sum where :meth:`block_sums_match`
+        allows it, and numpy's ``dgemv`` otherwise.
         """
         _check_buffers(eta, a_matrix, out)
         d = eta.size
-        if a_matrix.shape != (d, d) or out.ndim != 2 or out.shape[1] != d:
+        if (a_matrix.shape != (d, d) or out.ndim != 2 or out.shape[0] < 1
+                or out.shape[1] != d):
             raise ValueError("a_matrix must be d x d and out steps x d for d = eta.size")
         blocks = self.block_sums_match(a_matrix)
-        y0, lam = np.zeros(d), np.zeros(d)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            return self._minar1(self._poisson, self._dgemv,
-                                bitgen.ctypes.bit_generator, d, eta.ctypes.data,
-                                a_matrix.ctypes.data, int(blocks), y0.ctypes.data,
-                                lam.ctypes.data, out.ctypes.data, out.shape[0], cap)
+        scratch = np.empty(3 * d)
+        return _drawn(rng, lambda bitgen, unused: self._minar1(
+            self._poisson, self._dgemv, bitgen, d, eta.ctypes.data, a_matrix.ctypes.data,
+            int(blocks), int(burn_in), scratch.ctypes.data, out.ctypes.data, out.shape[0], cap,
+            unused))
 
     def block_sums_match(self, a_matrix: np.ndarray) -> bool:
         """Whether ``minar1`` may sum each row of ``a_matrix`` over its own 4 x 4 block.

@@ -223,8 +223,22 @@ def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np
             raise ValueError("multivariate series support order 1 only")
         if buf.shape[0] < 1:
             raise ValueError("multivariate series needs one lag-buffer row")
-        lags = np.concatenate([buf[-1:], x[:-1]])
+        lags = _preceded(buf[-1:], x)
     return lags, x[:, target]
+
+
+def _preceded(row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.concatenate([row, x[:-1]])``, as a view where ``row`` directly precedes ``x``
+    in one C-contiguous array, as a simulated MINAR(1) sample's lag row and values do."""
+    base = x.base
+    if (isinstance(base, np.ndarray) and row.base is base and base.ndim == 2
+            and base.flags.c_contiguous and base.dtype == x.dtype == row.dtype
+            and x.flags.c_contiguous and row.flags.c_contiguous and x.shape[0]
+            and x.shape[1] == row.shape[1] == base.shape[1]
+            and x.ctypes.data - row.ctypes.data == base.strides[0]):
+        start = (row.ctypes.data - base.ctypes.data) // base.strides[0]
+        return base[start: start + x.shape[0]]
+    return np.concatenate([row, x[:-1]])
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0
@@ -247,7 +261,8 @@ def center_lags(series: SeriesSample, order: int, target: int = 0, *,
     """``center_design(*lagged_design(series, order, target), poisson=...)``, byte for byte.
 
     The lags are centered where they lie (a univariate series' are a view of
-    its values), so the n x (p + 1) design is never written.
+    its values, as are a simulated MINAR(1) sample's), so the n x (p + 1)
+    design is never written.
     """
     return _center(*_lags(series, order, target), poisson)
 

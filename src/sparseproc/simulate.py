@@ -190,11 +190,18 @@ class SeriesSample:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.ndim not in (1, 2):
+            raise ValueError(f"values must be 1-d or 2-d, got shape {values.shape}")
         self.values = values.reshape(-1, 1) if values.ndim == 1 else values
+        d = self.values.shape[1]
         buf = np.asarray(self.lag_buffer, dtype=float)
         if buf.size == 0:
-            buf = np.empty((0, self.values.shape[1]))
-        self.lag_buffer = buf.reshape(-1, 1) if buf.ndim == 1 else buf
+            buf = np.empty((0, d))
+        elif buf.ndim == 1 and d == 1:  # a vector is one column
+            buf = buf.reshape(-1, 1)
+        if buf.ndim != 2 or buf.shape[1] != d:
+            raise ValueError(f"lag_buffer must be p x {d}, got shape {buf.shape}")
+        self.lag_buffer = buf
         if self.kind not in ("counts", "reals"):
             raise ValueError("kind must be 'counts' or 'reals'")
         parts = (self.values, self.lag_buffer)
@@ -264,36 +271,31 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     """Simulate the p-dimensional Poisson INAR(1): lambda_t = eta + A Y_{t-1}.
 
     Runs in the compiled loop of ``_countsim`` where it loads, as
-    :func:`simulate_inar` does.
+    :func:`simulate_inar` does; the lag buffer and values are views of one array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
-    d = spec.dim
-    out = np.empty((spec.burn_in + n, d))
+    rows = np.empty((n + 1, spec.dim))
     kernel = _countsim.load()
     steps = _minar1_steps if kernel is None else kernel.minar1
-    if steps(rng, spec.eta, spec.a_matrix, out, _COUNT_CAP) < out.shape[0]:
+    if steps(rng, spec.eta, spec.a_matrix, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
-    values = out[spec.burn_in:].copy()  # views would keep the burn-in alive
-    if spec.burn_in >= 1:
-        buf = out[spec.burn_in - 1: spec.burn_in].copy()
-    else:
-        buf = np.zeros((1, d))
-    return SeriesSample(values=values, lag_buffer=buf, kind="counts")
+    return SeriesSample(values=rows[1:], lag_buffer=rows[:1], kind="counts")
 
 
 def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
-                  out: np.ndarray, cap: float) -> int:
+                  out: np.ndarray, cap: float, burn_in: int = 0) -> int:
     """The numpy loop of ``_countsim.CountKernel.minar1``: fill the rows of ``out``."""
-    y = np.zeros(eta.size)
-    for t in range(out.shape[0]):
+    y = out[0] = np.zeros(eta.size)
+    for t in range(burn_in + out.shape[0] - 1):
         lam = eta + a_matrix @ y
         if lam.max() > cap:
             return t
         y = rng.poisson(lam).astype(float)
-        out[t] = y
-    return out.shape[0]
+        if t + 1 >= burn_in:
+            out[t + 1 - burn_in] = y
+    return burn_in + out.shape[0] - 1
 
 
 def _drift_blocks(a: np.ndarray) -> list:

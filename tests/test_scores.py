@@ -14,7 +14,7 @@ from sparseproc.scores import (VARIANCE_FLOOR, CenteredDesign, DiffusionDesign,
                                build_weighted_system, center_design, center_lags,
                                diffusion_design, lagged_design)
 from sparseproc.simulate import (InarSpec, OuSpec, SeriesSample, bin_counts, simulate_hawkes,
-                                 simulate_inar, simulate_ou)
+                                 simulate_inar, simulate_minar1, simulate_ou)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -199,6 +199,25 @@ class TestCenterLags:
             # the layout that the BLAS calls on the centered columns follow
             assert data.zc.strides == ref.zc.strides
             assert data.score().gram.tobytes() == ref.score().gram.tobytes()
+
+    def test_simulated_minar_lags_are_a_view(self):
+        # a simulated sample's lag row and values are consecutive rows of one array, so
+        # its lags are those rows; a copied sample's are concatenated
+        sample = simulate_minar1(builtin_case("case3").model, 300, seed=2)
+        copied = SeriesSample(values=sample.values.copy(), lag_buffer=sample.lag_buffer.copy())
+        for target in (0, 7):
+            data, ref = center_lags(sample, 1, target), center_lags(copied, 1, target)
+            for f in dataclasses.fields(CenteredDesign):
+                new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+                assert (new.shape, new.dtype, new.tobytes()) == (old.shape, old.dtype,
+                                                                 old.tobytes()), f.name
+            assert np.shares_memory(data.lags, sample.values)
+            assert not np.shares_memory(ref.lags, copied.values)
+        # a lag row of the same array that does not directly precede the values
+        rows = np.vstack([sample.lag_buffer, sample.values])
+        apart = SeriesSample(values=rows[2:], lag_buffer=rows[:1])
+        ref = center_lags(SeriesSample(values=rows[2:].copy(), lag_buffer=rows[:1].copy()), 1)
+        assert center_lags(apart, 1).lags.tobytes() == ref.lags.tobytes()
 
     @pytest.mark.parametrize("kind", ["intercept", "sparse", "full"])
     def test_columns_are_the_design_columns(self, lag_series, kind):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import hawkes_reference_events, run_fresh
 
-from sparseproc import _countsim
+from sparseproc import _countsim, simulate
 from sparseproc.dantzig import cross_validate_lambda, solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
 from sparseproc.harness import builtin_case
@@ -241,11 +241,116 @@ def load_variant(monkeypatch, tmp_path, old: str, new: str):
     Minar1Spec(eta=np.ones(4), a_matrix=np.full((4, 4), 0.1), burn_in=300),
 ], ids=["inar", "minar1"])
 def test_sample_holds_no_burn_in(spec):
-    # the returned arrays own their memory, or share it only with a reshape of themselves
+    # no array of the sample holds more rows than its lag buffer and values, as one
+    # that kept the 300 burn-in steps would
     simulate = simulate_inar if isinstance(spec, InarSpec) else simulate_minar1
     sample = simulate(spec, 50, seed=4)
-    for arr, rows in ((sample.values, 50), (sample.lag_buffer, sample.lag_buffer.shape[0])):
-        assert arr.base is None or arr.base.shape[0] == rows
+    p = sample.lag_buffer.shape[0]
+    for arr in (sample.values, sample.lag_buffer):
+        assert arr.base is None or arr.base.shape[0] <= p + 50
+    # the lag rows are the steps just before values[0]: the same stream without burn-in
+    whole = simulate(dataclasses.replace(spec, burn_in=0), 350, seed=4).values
+    assert sample.lag_buffer.tobytes() == whole[300 - p:300].tobytes()
+    assert sample.values.tobytes() == whole[300:].tobytes()
+    if isinstance(spec, Minar1Spec):  # and, in memory, the row before values[0]
+        assert sample.values.ctypes.data - sample.lag_buffer.ctypes.data == 4 * 8
+
+
+def count_draws(steps, spec, n: int, rng: np.random.Generator):
+    """``steps`` (a compiled or numpy count loop) run on ``rng`` for ``spec``: its return,
+    the bytes it wrote and the generator's state after."""
+    if isinstance(spec, InarSpec):
+        out = np.empty(spec.burn_in + n)
+        drawn = steps(rng, spec.mu_eps, spec.alpha, out, 1e12)
+    else:
+        out = np.empty((n + 1, spec.dim))
+        drawn = steps(rng, spec.eta, spec.a_matrix, out, 1e12, spec.burn_in)
+    return drawn, out.tobytes(), rng.bit_generator.state
+
+
+class TestDrawRule:
+    """The compiled loops draw each count from uniforms fetched ahead and step the
+    generator back over those left: the series and the generator's final state are
+    the numpy loop's."""
+
+    @staticmethod
+    def assert_same_draws(kernel, spec, n, seed=3, rng_of=make_rng):
+        compiled = kernel.inar if isinstance(spec, InarSpec) else kernel.minar1
+        numpy_steps = simulate._inar_steps if isinstance(spec, InarSpec) else simulate._minar1_steps
+        got = count_draws(compiled, spec, n, rng_of(seed))
+        assert got == count_draws(numpy_steps, spec, n, rng_of(seed))
+        return got
+
+    @pytest.mark.parametrize("spec", [
+        InarSpec(mu_eps=9.0, alpha=np.array([0.3, 0.2]), burn_in=20),
+        Minar1Spec(eta=np.linspace(5.0, 25.0, 6), a_matrix=np.full((6, 6), 0.1), burn_in=20),
+    ], ids=["inar", "minar1"])
+    def test_means_mostly_ten_or_more(self, kernel, spec):
+        # numpy's transformed rejection, run on the shim that reads the block
+        _, values, _ = self.assert_same_draws(kernel, spec, 2000)
+        if isinstance(spec, InarSpec):
+            x = np.frombuffer(values)
+            lams = spec.mu_eps + spec.alpha[0] * x[1:-1] + spec.alpha[1] * x[:-2]
+        else:
+            y = np.frombuffer(values).reshape(-1, spec.dim)
+            lams = spec.eta + y[:-1] @ spec.a_matrix.T
+        assert np.mean(lams >= 10.0) > 0.6
+
+    def test_zero_means_draw_no_uniform(self, kernel):
+        untouched = make_rng(3).bit_generator.state
+        for spec in (InarSpec(mu_eps=0.0, alpha=np.zeros(3), burn_in=5),
+                     Minar1Spec(eta=np.zeros(3), a_matrix=np.zeros((3, 3)), burn_in=5)):
+            assert self.assert_same_draws(kernel, spec, 500)[2] == untouched
+        # coordinates 0 and 2 (eta 0, a zero row) have mean 0 among the others
+        a = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 0.1], [0.0, 0.0, 0.0]])
+        spec = Minar1Spec(eta=np.array([0.0, 1.5, 0.0]), a_matrix=a, burn_in=5)
+        y = np.frombuffer(self.assert_same_draws(kernel, spec, 500)[1]).reshape(-1, 3)
+        assert not y[:, [0, 2]].any() and y[:, 1].any()
+
+    def test_memo_evicts(self, kernel):
+        # a dense matrix of non-tidy entries: thousands of distinct means below 10, more
+        # than the memo of e^-lambda holds
+        rng = np.random.default_rng(11)
+        a = rng.uniform(0.0, 1.0, (12, 12))
+        a *= 0.8 / a.sum(axis=1).max()
+        spec = Minar1Spec(eta=rng.uniform(0.0, 2.0, 12), a_matrix=a, burn_in=0)
+        assert not kernel.block_sums_match(a)
+        y = np.frombuffer(self.assert_same_draws(kernel, spec, 1000)[1]).reshape(-1, 12)
+        lams = spec.eta + y[:-1] @ a.T
+        assert np.unique(lams[lams < 10.0]).size > 4000
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 2])
+    def test_short_burn_in(self, kernel, burn_in):
+        self.assert_same_draws(kernel, InarSpec(mu_eps=1.5, alpha=np.array([0.4]),
+                                                burn_in=burn_in), 30)
+        for spec in (Minar1Spec(eta=np.full(8, 0.6), a_matrix=TENTHS_4X4_BLOCKS[:8, :8] / 2,
+                                burn_in=burn_in),
+                     Minar1Spec(eta=np.array([1.0, 12.0]), a_matrix=np.full((2, 2), 0.3),
+                                burn_in=burn_in)):
+            _, rows, _ = self.assert_same_draws(kernel, spec, 30)
+            # row 0 is the last burn-in step, the zero state without one
+            first = np.frombuffer(rows)[:spec.dim]
+            assert first.any() if burn_in else not first.any()
+
+    def test_pending_half_is_kept(self, kernel):
+        def rng_of(seed):
+            rng = make_rng(seed)
+            rng.random(dtype=np.float32)  # leaves the second 32-bit half of a draw pending
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+        for spec in (InarSpec(mu_eps=2.0, alpha=np.array([0.3]), burn_in=10),
+                     builtin_case("case4").model):
+            state = self.assert_same_draws(kernel, spec, 200, rng_of=rng_of)[2]
+            assert state["has_uint32"] == 1
+
+    def test_other_bit_generators_rejected(self, kernel):
+        # MT19937 has no advance; Philox's steps four draws at a time
+        for bitgen in (np.random.MT19937(0), np.random.Philox(0)):
+            rng = np.random.Generator(bitgen)
+            with pytest.raises(ValueError, match="PCG64"):
+                kernel.inar(rng, 0.5, np.zeros(2), np.empty(10), 1e12)
+            with pytest.raises(ValueError, match="PCG64"):
+                kernel.minar1(rng, np.ones(2), np.zeros((2, 2)), np.empty((10, 2)), 1e12)
 
 
 class TestCompiledCountLoop:
@@ -825,6 +930,20 @@ class TestSeriesIo:
                 with pytest.raises(ValueError, match="delta"):
                     SeriesSample(values=np.ones(3), delta=delta, kind=kind)
             assert SeriesSample(values=np.ones(3), delta=0.1, kind=kind).delta == 0.1
+
+    def test_shapes_it_cannot_use_rejected(self):
+        for values in (np.float64(2.0), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError, match="values must be 1-d or 2-d"):
+                SeriesSample(values=values)
+        # a vector buffer is one column, so it fits only a univariate series
+        for values, buf in ((np.ones((5, 2)), np.zeros(2)), (np.ones((5, 2)), np.zeros((1, 3))),
+                            (np.ones(5), np.zeros((1, 2))), (np.ones(5), np.zeros((1, 1, 1)))):
+            with pytest.raises(ValueError, match="lag_buffer must be p x"):
+                SeriesSample(values=values, lag_buffer=buf)
+        assert SeriesSample(values=np.ones(5), lag_buffer=np.zeros(3)).lag_buffer.shape == (3, 1)
+        assert SeriesSample(values=np.ones((5, 2)), lag_buffer=np.zeros((1, 2))).dim == 2
+        empty = SeriesSample(values=np.ones((5, 2)), lag_buffer=np.zeros(0))
+        assert empty.lag_buffer.shape == (0, 2)
 
     def test_spec_dict_roundtrip(self):
         specs = [
