@@ -11,7 +11,9 @@
  * ahead in a block (draws_t).  numpy switches from the multiplication method
  * to transformed rejection at lambda = 10, so the last bit of lambda decides
  * which draws are taken; the same sums in the same order give the same bits,
- * and so the same series.
+ * and so the same series.  Both count loops write one array: the last p
+ * burn-in steps as its lag rows, then the kept steps, so a sample's lag
+ * buffer and values are views of it and no burn-in step is kept.
  * The Hawkes loop repeats the float operations of Ogata thinning in their
  * order and draws by numpy's random_standard_exponential, so it gives the
  * same events.  The LP loop repeats the dual simplex pivots of a lambda path
@@ -150,16 +152,20 @@ static double draw_poisson(poisson_fn poisson, draws_t *dr, double lam)
 
 /*
  * Poisson INAR(p) from the zero state: lambda_t = mu + alpha . history, with
- * history[0] the last count.  Fills out[0..steps) and returns the number of
- * steps drawn: steps, or the first step whose lambda is not <= cap.  *unused
- * receives the number of uniforms taken from bitgen but not used.
+ * history[0] the last count.  Draws burn_in + rows - p steps into out[0..rows):
+ * out[0..p) receives the last p burn-in steps (zeros where fewer were drawn)
+ * and out[p..) the kept steps.  Returns the number of steps drawn: all of
+ * them, or the first step whose lambda is not <= cap.  *unused receives the
+ * number of uniforms taken from bitgen but not used.
  */
 int64_t inar(poisson_fn poisson, ddot_fn ddot, bitgen_t *bitgen, double mu, int64_t p,
-             const double *alpha, double *history, double *out, int64_t steps, double cap,
-             int64_t *unused)
+             const double *alpha, int64_t burn_in, double *history, double *out, int64_t rows,
+             double cap, int64_t *unused)
 {
     draws_t dr;
     draws_init(&dr, bitgen);
+    const int64_t steps = burn_in + rows - p;
+    memset(out, 0, (size_t)p * sizeof(double));
     int64_t t = 0;
     for (; t < steps; t++) {
         /* numpy's 1-d dot is 0.0 + ddot(...) */
@@ -171,7 +177,8 @@ int64_t inar(poisson_fn poisson, ddot_fn ddot, bitgen_t *bitgen, double mu, int6
             memmove(history + 1, history, (size_t)(p - 1) * sizeof(double));
             history[0] = x;
         }
-        out[t] = x;
+        if (t + p >= burn_in)
+            out[t + p - burn_in] = x;
     }
     *unused = DRAW_BLOCK - dr.next;
     return t;
@@ -205,9 +212,9 @@ void block_sums(int64_t d, const double *a, const double *y, double *s)
  * through dgemv(ColMajor, Trans, ...), or by block_sums where blocks is
  * non-zero.  Draws burn_in + rows - 1 steps into the rows x d matrix out:
  * row 0 receives the last burn-in step (the zero state where burn_in is 0)
- * and rows 1.. the kept steps; the steps before run through the two rows
- * after lam in the 3d doubles of scratch.  Returns the steps drawn and the
- * unused uniforms as inar does.
+ * and rows 1.. the kept steps, the layout of inar with p = 1; the steps
+ * before run through the two rows after lam in the 3d doubles of scratch.
+ * Returns the steps drawn and the unused uniforms as inar does.
  */
 int64_t minar1(poisson_fn poisson, dgemv_fn dgemv, bitgen_t *bitgen, int64_t d,
                const double *eta, const double *a, int64_t blocks, int64_t burn_in,

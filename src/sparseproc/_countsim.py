@@ -18,7 +18,10 @@ block, with e^-lambda kept in a small memo keyed by the bits of lambda;
 any other lambda goes to numpy's ``random_poisson`` on a shim ``bitgen_t``
 that reads the block.  The uniforms left over are then stepped back with
 ``advance``, so the generator ends where numpy's loop leaves it (see
-``_drawn``).  Where a MINAR(1) matrix is
+``_drawn``).  Both count loops write one array: the last p burn-in steps as
+its lag rows (p = 1 for MINAR(1)), then the kept steps, which the samples
+of ``simulate_inar`` and ``simulate_minar1`` hold as views.  Where a
+MINAR(1) matrix is
 zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
@@ -150,6 +153,14 @@ def _drawn(rng: np.random.Generator, call) -> int:
     return drawn
 
 
+def check_steps(burn_in: int, rows: int, lag_rows: int) -> None:
+    """Reject what a count loop cannot draw: a negative ``burn_in``, or an output of
+    ``rows`` rows that cannot hold the ``lag_rows`` lag rows before the kept steps."""
+    if burn_in < 0 or rows < lag_rows:
+        raise ValueError(f"a count loop needs burn_in >= 0 and at least {lag_rows} output "
+                         f"rows, got burn_in {burn_in} and {rows} rows")
+
+
 def _check_buffers(*arrays: np.ndarray) -> None:
     for arr in arrays:
         if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.aligned):
@@ -185,8 +196,8 @@ class CountKernel:
         self._cv.argtypes = [_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
                              _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]
         self._cv.restype = _I64
-        self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR, _I64, _F64,
-                               ctypes.POINTER(_I64)]
+        self._inar.argtypes = [_PTR, _PTR, _PTR, _F64, _I64, _PTR, _I64, _PTR, _PTR, _I64,
+                               _F64, ctypes.POINTER(_I64)]
         self._minar1.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
                                  _I64, _F64, ctypes.POINTER(_I64)]
         self._hawkes.argtypes = [_PTR, _PTR, _F64, _I64, _PTR, _PTR, _F64, _PTR, _I64, _I64,
@@ -194,33 +205,36 @@ class CountKernel:
         self._inar.restype = self._minar1.restype = self._hawkes.restype = _I64
 
     def inar(self, rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
-             out: np.ndarray, cap: float) -> int:
-        """Fill ``out`` with INAR(p) counts from the zero state; the steps drawn.
+             out: np.ndarray, cap: float, burn_in: int) -> int:
+        """INAR(p) counts from zero; the steps drawn, ``burn_in + len(out) - p`` in full.
 
-        Fewer than ``out.size`` steps means that step's mean exceeded ``cap``.
+        ``out[:p]`` receives the last p of ``burn_in`` discarded steps (zeros
+        where fewer were drawn) and ``out[p:]`` the kept steps.  Fewer steps
+        mean that step's mean exceeded ``cap``.
         """
         _check_buffers(alpha, out)
         if alpha.ndim != 1 or out.ndim != 1:
             raise ValueError("alpha and out must be vectors")
+        check_steps(burn_in, out.size, alpha.size)
         history = np.zeros(max(alpha.size, 1))
         return _drawn(rng, lambda bitgen, unused: self._inar(
             self._poisson, self._ddot, bitgen, float(mu_eps), alpha.size, alpha.ctypes.data,
-            history.ctypes.data, out.ctypes.data, out.size, cap, unused))
+            int(burn_in), history.ctypes.data, out.ctypes.data, out.size, cap, unused))
 
     def minar1(self, rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
-               out: np.ndarray, cap: float, burn_in: int = 0) -> int:
+               out: np.ndarray, cap: float, burn_in: int) -> int:
         """MINAR(1) counts from zero; the steps drawn, ``burn_in + len(out) - 1`` in full.
 
         Row 0 of ``out`` receives the last of ``burn_in`` discarded steps (zeros
-        where there are none) and the later rows the kept steps.  Each step's
-        ``a_matrix @ y`` is the block sum where :meth:`block_sums_match`
-        allows it, and numpy's ``dgemv`` otherwise.
+        where there are none) and the later rows the kept steps, as :meth:`inar`
+        with p = 1.  Each step's ``a_matrix @ y`` is the block sum where
+        :meth:`block_sums_match` allows it, and numpy's ``dgemv`` otherwise.
         """
         _check_buffers(eta, a_matrix, out)
         d = eta.size
-        if (a_matrix.shape != (d, d) or out.ndim != 2 or out.shape[0] < 1
-                or out.shape[1] != d):
+        if a_matrix.shape != (d, d) or out.ndim != 2 or out.shape[1] != d:
             raise ValueError("a_matrix must be d x d and out steps x d for d = eta.size")
+        check_steps(burn_in, out.shape[0], 1)
         blocks = self.block_sums_match(a_matrix)
         scratch = np.empty(3 * d)
         return _drawn(rng, lambda bitgen, unused: self._minar1(

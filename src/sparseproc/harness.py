@@ -109,6 +109,10 @@ class CaseConfig:
             raise ValueError("p must be >= 1")
         if isinstance(self.model, (Minar1Spec, OuSpec)) and self.p != dim:
             raise ValueError(f"p must equal the model dimension {dim}, got {self.p}")
+        # an INAR sample holds the model's order of lag rows, so a fit reads no more lags
+        if isinstance(self.model, InarSpec) and self.p > self.model.order:
+            raise ValueError(f"p must be at most the INAR model's order {self.model.order}, "
+                             f"got {self.p}")
         if not all(0 <= j < self.p for j in self.support_true):
             raise ValueError(f"support_true must lie in [0, {self.p})")
         if not isinstance(self.model, HawkesSpec):

@@ -208,37 +208,29 @@ def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np
     n, d = x.shape
     if not 0 <= target < d:
         raise ValueError(f"target must lie in [0, {d}), got {target}")
-    if d == 1:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if buf.shape[0] < order:
-            raise ValueError(
-                f"lag buffer has {buf.shape[0]} rows; order {order} requires at least {order}")
-        full = np.concatenate([buf[:, 0], x[:, 0]])
-        start = buf.shape[0] - order
-        # row t holds lags 1..order of x_t: the window of full at start + t, reversed (a view)
-        lags = sliding_window_view(full, order)[start: start + n, ::-1]
-    else:
-        if order != 1:
-            raise ValueError("multivariate series support order 1 only")
-        if buf.shape[0] < 1:
-            raise ValueError("multivariate series needs one lag-buffer row")
-        lags = _preceded(buf[-1:], x)
-    return lags, x[:, target]
+    if order < 1 or (d > 1 and order != 1):
+        raise ValueError("order must be >= 1, and 1 for a multivariate series")
+    start = buf.shape[0] - order
+    if start < 0:
+        raise ValueError(
+            f"lag buffer has {buf.shape[0]} rows; order {order} requires at least {order}")
+    full = _stacked(buf, x)
+    # row t holds lags 1..order of x_t: for one column its window at start + t, reversed
+    lags = sliding_window_view(full[:, 0], order)[:, ::-1] if d == 1 else full
+    return lags[start: start + n], x[:, target]
 
 
-def _preceded(row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.concatenate([row, x[:-1]])``, as a view where ``row`` directly precedes ``x``
-    in one C-contiguous array, as a simulated MINAR(1) sample's lag row and values do."""
+def _stacked(head: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.concatenate([head, x])``, as a view where ``head``'s rows directly precede
+    ``x``'s in one C-contiguous base, as in every simulated, binned or read count sample."""
     base = x.base
-    if (isinstance(base, np.ndarray) and row.base is base and base.ndim == 2
-            and base.flags.c_contiguous and base.dtype == x.dtype == row.dtype
-            and x.flags.c_contiguous and row.flags.c_contiguous and x.shape[0]
-            and x.shape[1] == row.shape[1] == base.shape[1]
-            and x.ctypes.data - row.ctypes.data == base.strides[0]):
-        start = (row.ctypes.data - base.ctypes.data) // base.strides[0]
-        return base[start: start + x.shape[0]]
-    return np.concatenate([row, x[:-1]])
+    if (isinstance(base, np.ndarray) and head.base is base and base.flags.c_contiguous
+            and base.dtype == x.dtype == head.dtype and x.flags.c_contiguous
+            and head.flags.c_contiguous and head.shape[1:] == x.shape[1:]
+            and x.ctypes.data - head.ctypes.data == head.nbytes):
+        start = (head.ctypes.data - base.ctypes.data) // base.itemsize
+        return base.reshape(-1)[start: start + head.size + x.size].reshape(-1, *x.shape[1:])
+    return np.concatenate([head, x])
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0
@@ -260,9 +252,9 @@ def center_lags(series: SeriesSample, order: int, target: int = 0, *,
                 poisson: bool = False) -> CenteredDesign:
     """``center_design(*lagged_design(series, order, target), poisson=...)``, byte for byte.
 
-    The lags are centered where they lie (a univariate series' are a view of
-    its values, as are a simulated MINAR(1) sample's), so the n x (p + 1)
-    design is never written.
+    The lags are centered where they lie: a view of the sample's lag rows and
+    values where those are one array, as a simulated, binned or read count
+    sample's are.  The n x (p + 1) design is never written.
     """
     return _center(*_lags(series, order, target), poisson)
 

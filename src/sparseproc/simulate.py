@@ -222,40 +222,35 @@ class SeriesSample:
         return self.values.shape[1]
 
 
-def _column(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(-1, 1)
-
-
 def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     """Simulate n observations of the Poisson INAR(p) model after burn-in.
 
     Starts from the all-zero state, discards ``spec.burn_in`` draws, and
-    returns the series together with the final p pre-sample values as the
-    lag buffer.  The steps run in the compiled loop of ``_countsim`` where it
+    returns the series together with the final p pre-sample values (zeros
+    where fewer were drawn) as the lag buffer: views of one (p + n)-row
+    array.  The steps run in the compiled loop of ``_countsim`` where it
     loads and in the numpy loop otherwise; both give the same series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     p = spec.order
-    out = np.empty(spec.burn_in + n)
+    rows = np.empty(p + n)
     kernel = _countsim.load()
     steps = _inar_steps if kernel is None else kernel.inar
-    if steps(rng, spec.mu_eps, spec.alpha, out, _COUNT_CAP) < out.size:
+    if steps(rng, spec.mu_eps, spec.alpha, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
-    values = out[spec.burn_in:].copy()  # a view would keep the burn-in alive
-    # chronological buffer: the p values immediately before the first kept one
-    buf = out[max(spec.burn_in - p, 0): spec.burn_in]
-    buf = np.concatenate([np.zeros(p - buf.size), buf])
-    return SeriesSample(values=_column(values), lag_buffer=_column(buf), kind="counts")
+    return SeriesSample(values=rows[p:], lag_buffer=rows[:p], kind="counts")
 
 
 def _inar_steps(rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
-                out: np.ndarray, cap: float) -> int:
+                out: np.ndarray, cap: float, burn_in: int) -> int:
     """The numpy loop of ``_countsim.CountKernel.inar``: fill ``out``, return the steps drawn."""
     p = alpha.size
+    _countsim.check_steps(burn_in, out.size, p)
     history = np.zeros(max(p, 1))  # history[0] = X_{t-1}, ... , history[p-1] = X_{t-p}
-    for t in range(out.size):
+    out[:p] = 0.0
+    for t in range(burn_in + out.size - p):
         lam = mu_eps + (alpha @ history[:p] if p else 0.0)
         if lam > cap:
             return t
@@ -263,8 +258,9 @@ def _inar_steps(rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
         if p:
             history[1:p] = history[: p - 1]
             history[0] = x
-        out[t] = x
-    return out.size
+        if t + p >= burn_in:
+            out[t + p - burn_in] = x
+    return burn_in + out.size - p
 
 
 def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
@@ -285,8 +281,9 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
 
 
 def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
-                  out: np.ndarray, cap: float, burn_in: int = 0) -> int:
+                  out: np.ndarray, cap: float, burn_in: int) -> int:
     """The numpy loop of ``_countsim.CountKernel.minar1``: fill the rows of ``out``."""
+    _countsim.check_steps(burn_in, out.shape[0], 1)
     y = out[0] = np.zeros(eta.size)
     for t in range(burn_in + out.shape[0] - 1):
         lam = eta + a_matrix @ y
@@ -455,7 +452,7 @@ def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample
     n_bins = int(np.ceil(horizon / delta))
     idx = np.ceil(events / delta).astype(int) - 1
     counts = np.bincount(idx, minlength=n_bins).astype(float)
-    return SeriesSample(values=_column(counts), delta=delta, kind="counts")
+    return SeriesSample(values=counts[:, None], delta=delta, kind="counts")
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +485,16 @@ def read_series_csv(path, kind: str = "counts", delta: Optional[float] = None) -
         if not header or header[0] != "t":
             raise ValueError("series CSV must start with a 't' header column")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"series CSV row {row} does not match header {header}")
             t = float(row[0])
             xs = [float(x) for x in row[1:]]
             (buf_rows if t < 0 else val_rows).append(xs)
     if not val_rows:
         raise ValueError("series CSV contains no observations")
-    values = np.array(val_rows)
-    buf = np.array(buf_rows) if buf_rows else np.empty((0, values.shape[1]))
-    return SeriesSample(values=values, lag_buffer=buf, delta=delta, kind=kind)
+    rows = np.array(buf_rows + val_rows)  # the lag rows directly precede the values
+    p = len(buf_rows)
+    return SeriesSample(values=rows[p:], lag_buffer=rows[:p], delta=delta, kind=kind)
 
 
 def to_jsonable(obj):

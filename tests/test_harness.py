@@ -25,7 +25,8 @@ from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_his
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, center_lags, diffusion_design
-from sparseproc.simulate import HawkesSpec, SeriesSample, read_series_csv, spec_to_dict
+from sparseproc.simulate import (HawkesSpec, InarSpec, SeriesSample, read_series_csv,
+                                 spec_to_dict)
 from sparseproc.twostep import two_step_fit
 
 
@@ -134,6 +135,10 @@ class TestCaseConfigValidation:
         ("ou", {"theta_true": np.zeros(17)}, "theta_true must hold the 16"),
         ("case3", {"p": 50}, "p must equal the model dimension 100"),
         ("ou", {"p": 8}, "p must equal the model dimension 16"),
+        # an INAR sample holds only the model's order of lag rows
+        ("case1", {"model": InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), "p": 5,
+                   "theta_true": np.zeros(6)},
+         "p must be at most the INAR model's order 2, got 5"),
         ("case1", {"cv_grid": []}, "cv_grid"),
         ("case1", {"cv_grid": [0.1, float("nan")]}, "cv_grid"),
         ("case1", {"cv_grid": [0.1, float("inf")]}, "cv_grid"),

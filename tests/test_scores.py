@@ -13,8 +13,9 @@ from sparseproc.scores import (VARIANCE_FLOOR, CenteredDesign, DiffusionDesign,
                                LinearScoreSystem, build_inar_score, build_regression_score,
                                build_weighted_system, center_design, center_lags,
                                diffusion_design, lagged_design)
-from sparseproc.simulate import (InarSpec, OuSpec, SeriesSample, bin_counts, simulate_hawkes,
-                                 simulate_inar, simulate_minar1, simulate_ou)
+from sparseproc.simulate import (InarSpec, OuSpec, SeriesSample, bin_counts, read_series_csv,
+                                 simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,
+                                 write_series_csv)
 
 CASE1_ALPHA = np.array([0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0])
 
@@ -218,6 +219,27 @@ class TestCenterLags:
         apart = SeriesSample(values=rows[2:], lag_buffer=rows[:1])
         ref = center_lags(SeriesSample(values=rows[2:].copy(), lag_buffer=rows[:1].copy()), 1)
         assert center_lags(apart, 1).lags.tobytes() == ref.lags.tobytes()
+
+    @pytest.mark.parametrize("kind", ["inar", "hawkes", "csv"])
+    def test_univariate_count_lags_are_a_view(self, kind, tmp_path):
+        # a simulated INAR sample, a binned Hawkes one sliced as a replication slices it,
+        # and one read from CSV each hold their lag rows and values in one array
+        if kind == "csv":
+            write_series_csv(case_series("case1", 5), tmp_path / "series.csv")
+            sample = read_series_csv(tmp_path / "series.csv")
+        else:
+            sample = case_series("case1", 5) if kind == "inar" else hawkes_bins(5)
+        order = sample.lag_buffer.shape[0]
+        copied = SeriesSample(values=sample.values.copy(), lag_buffer=sample.lag_buffer.copy())
+        for poisson in (False, True):
+            data = center_lags(sample, order, poisson=poisson)
+            ref = center_lags(copied, order, poisson=poisson)
+            for f in dataclasses.fields(CenteredDesign):
+                new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+                assert (new.shape, new.dtype, new.strides, new.tobytes()) == (
+                    old.shape, old.dtype, old.strides, old.tobytes()), f.name
+            assert np.shares_memory(data.lags, sample.values)
+            assert not np.shares_memory(ref.lags, copied.values)
 
     @pytest.mark.parametrize("kind", ["intercept", "sparse", "full"])
     def test_columns_are_the_design_columns(self, lag_series, kind):

@@ -260,8 +260,8 @@ def count_draws(steps, spec, n: int, rng: np.random.Generator):
     """``steps`` (a compiled or numpy count loop) run on ``rng`` for ``spec``: its return,
     the bytes it wrote and the generator's state after."""
     if isinstance(spec, InarSpec):
-        out = np.empty(spec.burn_in + n)
-        drawn = steps(rng, spec.mu_eps, spec.alpha, out, 1e12)
+        out = np.empty(spec.order + n)
+        drawn = steps(rng, spec.mu_eps, spec.alpha, out, 1e12, spec.burn_in)
     else:
         out = np.empty((n + 1, spec.dim))
         drawn = steps(rng, spec.eta, spec.a_matrix, out, 1e12, spec.burn_in)
@@ -332,6 +332,15 @@ class TestDrawRule:
             first = np.frombuffer(rows)[:spec.dim]
             assert first.any() if burn_in else not first.any()
 
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, 3, 4, 300])
+    def test_inar_lag_rows(self, kernel, burn_in):
+        # p = 3: out[:3] holds the last three burn-in steps, zeros where fewer were drawn
+        spec = InarSpec(mu_eps=2.0, alpha=np.array([0.3, 0.2, 0.1]), burn_in=burn_in)
+        _, rows, _ = self.assert_same_draws(kernel, spec, 40)
+        _, whole, _ = count_draws(simulate._inar_steps, dataclasses.replace(spec, burn_in=0),
+                                  burn_in + 40, make_rng(3))
+        assert rows == whole[8 * burn_in:]
+
     def test_pending_half_is_kept(self, kernel):
         def rng_of(seed):
             rng = make_rng(seed)
@@ -348,9 +357,9 @@ class TestDrawRule:
         for bitgen in (np.random.MT19937(0), np.random.Philox(0)):
             rng = np.random.Generator(bitgen)
             with pytest.raises(ValueError, match="PCG64"):
-                kernel.inar(rng, 0.5, np.zeros(2), np.empty(10), 1e12)
+                kernel.inar(rng, 0.5, np.zeros(2), np.empty(10), 1e12, 0)
             with pytest.raises(ValueError, match="PCG64"):
-                kernel.minar1(rng, np.ones(2), np.zeros((2, 2)), np.empty((10, 2)), 1e12)
+                kernel.minar1(rng, np.ones(2), np.zeros((2, 2)), np.empty((10, 2)), 1e12, 0)
 
 
 class TestCompiledCountLoop:
@@ -494,9 +503,9 @@ class TestCompiledCountLoop:
     def test_rejects_buffers_it_cannot_read(self, kernel):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernel.inar(rng, 0.5, np.zeros(4)[::2], np.empty(3), 1e12)
+            kernel.inar(rng, 0.5, np.zeros(4)[::2], np.empty(3), 1e12, 0)
         with pytest.raises(ValueError, match="d x d"):
-            kernel.minar1(rng, np.zeros(2), np.zeros((3, 3)), np.empty((3, 2)), 1e12)
+            kernel.minar1(rng, np.zeros(2), np.zeros((3, 3)), np.empty((3, 2)), 1e12, 0)
         with pytest.raises(ValueError, match="C-contiguous float64"):
             kernel.hawkes(rng, 1.0, np.array([0.5, 0.7, 1.0, 2.0])[::2], np.zeros(2), 10.0)
         with pytest.raises(ValueError, match="equal length"):
@@ -538,6 +547,22 @@ class TestCompiledCountLoop:
                             kernel_values=np.array([0.4, 9.0, 0.2, 9.0])[::2], horizon=5.0)
         assert hawkes.kernel_breakpoints.flags.c_contiguous
         assert hawkes.kernel_values.flags.c_contiguous
+
+    def test_steps_it_cannot_draw_rejected(self, kernel):
+        # a negative burn-in would leave output rows unwritten, and an INAR output must
+        # hold its p lag rows; nothing is drawn
+        rng = make_rng(0)
+        untouched = rng.bit_generator.state
+        alpha = np.array([0.3, 0.2])
+        for inar in (kernel.inar, simulate._inar_steps):
+            for out, burn_in in ((np.empty(10), -5), (np.empty(1), 0)):
+                with pytest.raises(ValueError, match="burn_in >= 0 and at least 2 output"):
+                    inar(rng, 0.5, alpha, out, 1e12, burn_in)
+        for minar1 in (kernel.minar1, simulate._minar1_steps):
+            for out, burn_in in ((np.empty((10, 2)), -5), (np.empty((0, 2)), 0)):
+                with pytest.raises(ValueError, match="burn_in >= 0 and at least 1 output"):
+                    minar1(rng, np.ones(2), np.zeros((2, 2)), out, 1e12, burn_in)
+        assert rng.bit_generator.state == untouched
 
     def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
         rng = np.random.default_rng(4)
@@ -761,6 +786,20 @@ class TestHawkes:
         se = rates.std(ddof=1) / np.sqrt(rates.size)
         assert abs(rates.mean() - target) < 4 * se
 
+    def test_window_drops_an_event_whose_piece_ends_at_t(self, monkeypatch):
+        # the second event lands at t = fl(1.0 + 0.2), where fl(t - 0.2) = 1.0 drops the
+        # first from the window though fl(t - 1.0) < 0.2 would still find it in its piece:
+        # its boundary 1.0 + 0.2 is t itself, which the guard skips, so keeping it would
+        # add 0.8 to the intensity of the whole next wait and draw a third event
+        def exponentials(rng):
+            yield from (1.0, 0.35999999999999976, 0.5)
+            while True:
+                yield 50.0
+        monkeypatch.setattr(simulate, "_standard_exponentials", exponentials)
+        events = simulate._hawkes_events(make_rng(0), 1.0, np.array([0.2]), np.array([0.8]), 5.0)
+        assert events.tolist() == [1.0, 1.2]
+        assert 1.2 - 0.2 == 1.0 and 1.2 - 1.0 < 0.2
+
     @pytest.mark.parametrize("name", sorted(HAWKES_KERNELS))
     def test_matches_reference_loop(self, hawkes_path, name):
         spec = hawkes_spec(name)
@@ -889,6 +928,13 @@ class TestBinCounts:
 
 
 class TestSeriesIo:
+    def test_rows_that_do_not_match_the_header_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        for text in ("t,x1\n-1,2,3\n1,4\n", "t,x1,x2\n1,4,5\n2,6\n", "t,x1\n\n1,4\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="does not match header"):
+                read_series_csv(path)
+
     def test_roundtrip_counts(self, tmp_path):
         spec = InarSpec(mu_eps=0.5, alpha=np.array([0.4, 0.1]), burn_in=20)
         sample = simulate_inar(spec, 100, seed=6)
