@@ -19,9 +19,9 @@ any other lambda goes to numpy's ``random_poisson`` on a shim ``bitgen_t``
 that reads the block.  The uniforms left over are then stepped back with
 ``advance``, so the generator ends where numpy's loop leaves it (see
 ``_drawn``).  Both count loops write one array: the last p burn-in steps as
-its lag rows (p = 1 for MINAR(1)), then the kept steps, which the samples
-of ``simulate_inar`` and ``simulate_minar1`` hold as views.  Where a
-MINAR(1) matrix is
+its lag rows (p = 1 for MINAR(1)), then the kept steps, which
+``simulate_inar`` and ``simulate_minar1`` return, uncopied, as
+``SeriesSample(rows, lag_rows=p)``.  Where a MINAR(1) matrix is
 zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other

@@ -115,10 +115,19 @@ class CaseConfig:
                              f"got {self.p}")
         if not all(0 <= j < self.p for j in self.support_true):
             raise ValueError(f"support_true must lie in [0, {self.p})")
+        if len(set(self.support_true)) != len(self.support_true):
+            raise ValueError(f"support_true must not repeat an index, got {self.support_true}")
         if not isinstance(self.model, HawkesSpec):
             fit_dim = self.p if isinstance(self.model, OuSpec) else self.p + 1
             if self.theta_true is None or self.theta_true.shape != (fit_dim,):
                 raise ValueError(f"theta_true must hold the {fit_dim} fit coefficients")
+        if self.theta_true is not None and not np.all(np.isfinite(self.theta_true)):
+            raise ValueError("theta_true must be finite")
+        # a binned Hawkes sample keeps its first p bins as lag rows, and fits the rest
+        fit_rows = self.n - self.p if isinstance(self.model, HawkesSpec) else self.n
+        if self.lambda_mode == "cv" and fit_rows < 2 * self.cv_folds:
+            raise ValueError(f"{self.cv_folds} cv folds need at least {2 * self.cv_folds} "
+                             f"fit rows, got {fit_rows}")
         grid = self.cv_grid
         if self.lambda_mode == "cv" and grid is not None and not (
                 grid.ndim == 1 and grid.size > 0 and np.all(np.isfinite(grid))
@@ -415,8 +424,7 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     events = simulate_hawkes(spec, seed)
     binned = bin_counts(events, delta, spec.horizon)
     p = config.p
-    series = SeriesSample(values=binned.values[p:], lag_buffer=binned.values[:p],
-                          kind="counts")
+    series = SeriesSample(binned.rows, lag_rows=p)
     data = _fit_data(config, series)
     lam = _choose_lambda(config, data)
     _, _, sel = first_step(data, lam, config.tau)

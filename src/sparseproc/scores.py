@@ -203,34 +203,17 @@ def center_design(design: np.ndarray, response: np.ndarray, *,
 
 def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np.ndarray]:
     """Lag rows (X_{t-1}, ..., X_{t-p}) and responses X_t: the rule of ``lagged_design``."""
-    x = series.values
-    buf = series.lag_buffer
-    n, d = x.shape
+    rows, p, n, d = series.rows, series.lag_rows, series.n, series.dim
     if not 0 <= target < d:
         raise ValueError(f"target must lie in [0, {d}), got {target}")
     if order < 1 or (d > 1 and order != 1):
         raise ValueError("order must be >= 1, and 1 for a multivariate series")
-    start = buf.shape[0] - order
+    start = p - order
     if start < 0:
-        raise ValueError(
-            f"lag buffer has {buf.shape[0]} rows; order {order} requires at least {order}")
-    full = _stacked(buf, x)
+        raise ValueError(f"lag buffer has {p} rows; order {order} requires at least {order}")
     # row t holds lags 1..order of x_t: for one column its window at start + t, reversed
-    lags = sliding_window_view(full[:, 0], order)[:, ::-1] if d == 1 else full
-    return lags[start: start + n], x[:, target]
-
-
-def _stacked(head: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.concatenate([head, x])``, as a view where ``head``'s rows directly precede
-    ``x``'s in one C-contiguous base, as in every simulated, binned or read count sample."""
-    base = x.base
-    if (isinstance(base, np.ndarray) and head.base is base and base.flags.c_contiguous
-            and base.dtype == x.dtype == head.dtype and x.flags.c_contiguous
-            and head.flags.c_contiguous and head.shape[1:] == x.shape[1:]
-            and x.ctypes.data - head.ctypes.data == head.nbytes):
-        start = (head.ctypes.data - base.ctypes.data) // base.itemsize
-        return base.reshape(-1)[start: start + head.size + x.size].reshape(-1, *x.shape[1:])
-    return np.concatenate([head, x])
+    lags = sliding_window_view(rows[:, 0], order)[:, ::-1] if d == 1 else rows
+    return lags[start: start + n], rows[p:, target]
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0
@@ -252,9 +235,8 @@ def center_lags(series: SeriesSample, order: int, target: int = 0, *,
                 poisson: bool = False) -> CenteredDesign:
     """``center_design(*lagged_design(series, order, target), poisson=...)``, byte for byte.
 
-    The lags are centered where they lie: a view of the sample's lag rows and
-    values where those are one array, as a simulated, binned or read count
-    sample's are.  The n x (p + 1) design is never written.
+    The lags are centered where they lie, as a view of the sample's ``rows``;
+    the n x (p + 1) design is never written.
     """
     return _center(*_lags(series, order, target), poisson)
 

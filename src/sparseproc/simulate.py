@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -174,62 +174,70 @@ class HawkesSpec:
         return float(widths @ self.kernel_values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesSample:
-    """An observed path: ``values`` is n x d (d = 1 for univariate series).
+    """An observed path held as one array: the pre-sample rows, then the observations.
 
-    ``lag_buffer`` holds the pre-sample values (p x d, chronological order,
-    last row immediately precedes ``values[0]``).  ``delta`` is the sampling
-    interval for paths observed in continuous time.
+    ``rows`` is (p + n) x d, or a vector when d = 1, stored as C-contiguous
+    float64.  Its first ``lag_rows`` = p rows are the pre-sample values in
+    chronological order, the last directly preceding the first observation;
+    ``lag_buffer`` and ``values`` are views of the two parts.  ``delta`` is
+    the sampling interval for paths observed in continuous time.
     """
 
-    values: np.ndarray
-    lag_buffer: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
+    rows: np.ndarray
+    lag_rows: int = 0
     delta: Optional[float] = None
     kind: str = "counts"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2):
-            raise ValueError(f"values must be 1-d or 2-d, got shape {values.shape}")
-        self.values = values.reshape(-1, 1) if values.ndim == 1 else values
-        d = self.values.shape[1]
-        buf = np.asarray(self.lag_buffer, dtype=float)
-        if buf.size == 0:
-            buf = np.empty((0, d))
-        elif buf.ndim == 1 and d == 1:  # a vector is one column
-            buf = buf.reshape(-1, 1)
-        if buf.ndim != 2 or buf.shape[1] != d:
-            raise ValueError(f"lag_buffer must be p x {d}, got shape {buf.shape}")
-        self.lag_buffer = buf
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.ndim not in (1, 2):  # before ascontiguousarray, which makes 0-d 1-d
+            raise ValueError(f"rows must be 1-d or 2-d, got shape {rows.shape}")
+        rows = np.ascontiguousarray(rows[:, None] if rows.ndim == 1 else rows)
+        object.__setattr__(self, "rows", rows)
+        if not (isinstance(self.lag_rows, (int, np.integer))
+                and 0 <= self.lag_rows <= rows.shape[0]):
+            raise ValueError(f"lag_rows must be an integer in [0, {rows.shape[0]}], "
+                             f"got {self.lag_rows!r}")
+        object.__setattr__(self, "lag_rows", int(self.lag_rows))
         if self.kind not in ("counts", "reals"):
             raise ValueError("kind must be 'counts' or 'reals'")
-        parts = (self.values, self.lag_buffer)
-        if not all(np.isfinite(x).all() for x in parts):
+        if not np.isfinite(rows).all():
             raise ValueError("series values and lag buffer must be finite")
-        if self.kind == "counts" and any((x < 0).any() or (x != np.round(x)).any()
-                                         for x in parts):
+        if self.kind == "counts" and ((rows < 0).any() or (rows != np.round(rows)).any()):
             raise ValueError("counts series must contain nonnegative integers")
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
 
     @property
+    def values(self) -> np.ndarray:
+        """The n observations, n x d."""
+        return self.rows[self.lag_rows:]
+
+    @property
+    def lag_buffer(self) -> np.ndarray:
+        """The p pre-sample rows, p x d."""
+        return self.rows[: self.lag_rows]
+
+    @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.rows.shape[0] - self.lag_rows
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.rows.shape[1]
 
 
 def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     """Simulate n observations of the Poisson INAR(p) model after burn-in.
 
     Starts from the all-zero state, discards ``spec.burn_in`` draws, and
-    returns the series together with the final p pre-sample values (zeros
-    where fewer were drawn) as the lag buffer: views of one (p + n)-row
-    array.  The steps run in the compiled loop of ``_countsim`` where it
-    loads and in the numpy loop otherwise; both give the same series.
+    returns ``SeriesSample(rows, lag_rows=p)``: the final p pre-sample
+    values (zeros where fewer were drawn) and then the n kept ones, drawn
+    into one (p + n)-row array.  The steps run in the compiled loop of
+    ``_countsim`` where it loads and in the numpy loop otherwise; both give
+    the same series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -240,7 +248,7 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     steps = _inar_steps if kernel is None else kernel.inar
     if steps(rng, spec.mu_eps, spec.alpha, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
-    return SeriesSample(values=rows[p:], lag_buffer=rows[:p], kind="counts")
+    return SeriesSample(rows, lag_rows=p)
 
 
 def _inar_steps(rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
@@ -267,7 +275,8 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     """Simulate the p-dimensional Poisson INAR(1): lambda_t = eta + A Y_{t-1}.
 
     Runs in the compiled loop of ``_countsim`` where it loads, as
-    :func:`simulate_inar` does; the lag buffer and values are views of one array.
+    :func:`simulate_inar` does, and returns ``SeriesSample(rows, lag_rows=1)``:
+    the last burn-in state and then the n kept ones, drawn into one array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -277,7 +286,7 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     steps = _minar1_steps if kernel is None else kernel.minar1
     if steps(rng, spec.eta, spec.a_matrix, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
-    return SeriesSample(values=rows[1:], lag_buffer=rows[:1], kind="counts")
+    return SeriesSample(rows, lag_rows=1)
 
 
 def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
@@ -372,7 +381,7 @@ def simulate_ou(spec: OuSpec, seed: int, y0: Optional[np.ndarray] = None) -> Ser
         for j in range(spec.substeps):
             y = y + dt * (spec.a_matrix @ y) + sig_step * noise[j]
         path[k + 1] = y
-    return SeriesSample(values=path, delta=spec.delta, kind="reals")
+    return SeriesSample(path, delta=spec.delta, kind="reals")
 
 
 def _standard_exponentials(rng: np.random.Generator):
@@ -452,7 +461,7 @@ def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample
     n_bins = int(np.ceil(horizon / delta))
     idx = np.ceil(events / delta).astype(int) - 1
     counts = np.bincount(idx, minlength=n_bins).astype(float)
-    return SeriesSample(values=counts[:, None], delta=delta, kind="counts")
+    return SeriesSample(counts, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +501,8 @@ def read_series_csv(path, kind: str = "counts", delta: Optional[float] = None) -
             (buf_rows if t < 0 else val_rows).append(xs)
     if not val_rows:
         raise ValueError("series CSV contains no observations")
-    rows = np.array(buf_rows + val_rows)  # the lag rows directly precede the values
-    p = len(buf_rows)
-    return SeriesSample(values=rows[p:], lag_buffer=rows[:p], delta=delta, kind=kind)
+    return SeriesSample(np.array(buf_rows + val_rows), lag_rows=len(buf_rows), delta=delta,
+                        kind=kind)
 
 
 def to_jsonable(obj):

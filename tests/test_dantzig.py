@@ -231,7 +231,7 @@ def case_design(case_id, rep=1):
     if case_id == "hawkes":
         events = simulate_hawkes(cfg.model, seed)
         binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
-        series = SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
+        series = SeriesSample(binned.rows, lag_rows=cfg.p)
         return lagged_design(series, cfg.p)
     sample = harness.simulate_series(cfg.model, cfg.n, seed)
     return lagged_design(sample, cfg.p if sample.dim == 1 else 1, cfg.target)

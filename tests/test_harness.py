@@ -139,6 +139,13 @@ class TestCaseConfigValidation:
         ("case1", {"model": InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), "p": 5,
                    "theta_true": np.zeros(6)},
          "p must be at most the INAR model's order 2, got 5"),
+        ("case1", {"theta_true": [0.5, float("nan")] + [0.0] * 9}, "theta_true must be finite"),
+        ("ou", {"theta_true": np.full(16, np.inf)}, "theta_true must be finite"),
+        ("case1", {"support_true": (0, 0, 1, 2, 3)}, "support_true must not repeat an index"),
+        # a CV split needs two fit rows per fold; a Hawkes series fits its n - p bins
+        ("case1", {"cv_folds": 1001}, "1001 cv folds need at least 2002 fit rows, got 2000"),
+        ("case3", {"n": 9}, "5 cv folds need at least 10 fit rows, got 9"),
+        ("hawkes", {"cv_folds": 4991}, "4991 cv folds need at least 9982 fit rows, got 9980"),
         ("case1", {"cv_grid": []}, "cv_grid"),
         ("case1", {"cv_grid": [0.1, float("nan")]}, "cv_grid"),
         ("case1", {"cv_grid": [0.1, float("inf")]}, "cv_grid"),
@@ -164,6 +171,10 @@ class TestCaseConfigValidation:
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="rate",
                                   cv_folds=1, cv_grid=[])
         assert cfg.cv_folds == 1
+
+    def test_folds_that_just_fill_the_fit_rows_accepted(self):
+        assert dataclasses.replace(builtin_case("case1", reps=1), cv_folds=1000).cv_folds == 1000
+        assert dataclasses.replace(builtin_case("hawkes", reps=1), cv_folds=4990).cv_folds == 4990
 
     @pytest.mark.parametrize("case_id, changes", [
         ("case3", {"target": 500}),
@@ -207,7 +218,7 @@ class TestRunCase:
     def test_constant_ou_path_is_a_recorded_failure(self, monkeypatch):
         # the design rejects the path when built, with the message the fit gave before
         cfg = builtin_case("ou", reps=2)
-        flat = SeriesSample(values=np.ones((cfg.n + 1, cfg.p)), delta=cfg.model.delta,
+        flat = SeriesSample(np.ones((cfg.n + 1, cfg.p)), delta=cfg.model.delta,
                             kind="reals")
         monkeypatch.setattr(harness, "simulate_series", lambda model, n, seed: flat)
         report = run_case(cfg, jobs=1)
@@ -491,13 +502,13 @@ class TestOutputs:
     def test_histogram_empty(self, tmp_path):
         path = tmp_path / "h.csv"
         emit_histogram([], 5, path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows == [["bin_left", "bin_right", "count"]]
 
     def test_histogram_constant_input(self, tmp_path):
         path = tmp_path / "h.csv"
         emit_histogram([2.0] * 7, 4, path)
-        rows = list(csv.reader(open(path)))[1:]
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
         counts = [int(r[2]) for r in rows]
         assert sum(counts) == 7
         assert sum(c > 0 for c in counts) == 1
@@ -507,7 +518,7 @@ class TestOutputs:
         stats = rng.standard_normal(257)
         path = tmp_path / "h.csv"
         emit_histogram(stats, 12, path)
-        rows = list(csv.reader(open(path)))[1:]
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
         assert sum(int(r[2]) for r in rows) == 257
         assert len(rows) == 12
 
@@ -516,7 +527,7 @@ class TestOutputs:
         rep = run_case(cfg)
         path = tmp_path / "reps.csv"
         write_per_rep_csv(rep, path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["rep", "linf1", "l21", "sel", "linf2", "l22",
                            "proj_stat", "failed"]
         assert len(rows) == 4
@@ -645,21 +656,21 @@ HAWKES_SPEC = {"model": "hawkes", "eta": 1.0, "kernel_breakpoints": [1.0],
 class TestCli:
     def test_simulate_fit_cv_pipeline(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        json.dump({"model": "inar", "mu_eps": 0.5,
-                   "alpha": [0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0],
-                   "burn_in": 200}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "inar", "mu_eps": 0.5,
+                                         "alpha": [0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0],
+                                         "burn_in": 200}))
         series = tmp_path / "series.csv"
         assert main(["simulate", "--config", str(spec_path), "--n", "600",
                      "--seed", "3", "--out", str(series)]) == 0
         fit_path = tmp_path / "fit.json"
         assert main(["fit", "--series", str(series), "--order", "10",
                      "--lambda", "0.15", "--out", str(fit_path)]) == 0
-        fit = json.load(open(fit_path))
+        fit = json.loads(fit_path.read_text())
         assert "support" in fit and fit["first_step"]["status"] == "optimal"
         cv_path = tmp_path / "cv.json"
         assert main(["cv", "--series", str(series), "--order", "10",
                      "--folds", "4", "--out", str(cv_path)]) == 0
-        cv = json.load(open(cv_path))
+        cv = json.loads(cv_path.read_text())
         assert cv["chosen_lambda"] > 0
         assert set(cv) == {f.name for f in dataclasses.fields(CvReport)}
 
@@ -671,16 +682,16 @@ class TestCli:
                    "--seed", "7", "--out", str(out), "--hist", str(hist),
                    "--per-rep", str(per)])
         assert rc == 0
-        assert json.load(open(out))["reps"] == 3
-        assert open(hist).readline().startswith("bin_left")
-        assert len(list(csv.reader(open(per)))) == 4
+        assert json.loads(out.read_text())["reps"] == 3
+        assert hist.read_text().startswith("bin_left")
+        assert len(list(csv.reader(per.read_text().splitlines()))) == 4
 
     def test_hawkes_support_verb(self, tmp_path):
         out = tmp_path / "hk.json"
         rc = main(["hawkes-support", "--reps", "2", "--n", "200", "--seed", "1",
                    "--jobs", "1", "--out", str(out)])
         assert rc == 0
-        doc = json.load(open(out))
+        doc = json.loads(out.read_text())
         assert doc["tau_true"] == 1.0
         assert set(doc) == {f.name for f in dataclasses.fields(HawkesReport)}
 
@@ -693,7 +704,7 @@ class TestCli:
         default, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
         assert main(argv + ["--out", str(default)]) == 0
         assert main(argv + ["--seed", "20240801", "--out", str(pinned)]) == 0
-        assert json.load(open(default))["failures"] == 0
+        assert json.loads(default.read_text())["failures"] == 0
         assert default.read_bytes() == pinned.read_bytes()
 
     @pytest.mark.parametrize("verb,case_id,flags", [
@@ -717,21 +728,21 @@ class TestCli:
         for extra in ([], ["--tau", "0.2"]):
             out = tmp_path / "report.json"
             assert main(verb + ["--reps", "1", "--n", "300", *extra, "--out", str(out)]) == 0
-            taus.append(json.load(open(out))["config"]["tau"])
+            taus.append(json.loads(out.read_text())["config"]["tau"])
         assert taus == [0.05, 0.2]
 
     def test_diffusion_fit_matches_library(self, tmp_path):
         spec_path = tmp_path / "ou.json"
-        json.dump({"model": "ou", "a_matrix": [[-0.8, 0.3], [0.0, -0.6]],
-                   "sigma_diag": [1.0, 1.0], "delta": 0.05, "n_steps": 1500,
-                   "substeps": 5}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "ou", "a_matrix": [[-0.8, 0.3], [0.0, -0.6]],
+                                         "sigma_diag": [1.0, 1.0], "delta": 0.05, "n_steps": 1500,
+                                         "substeps": 5}))
         series = tmp_path / "ou.csv"
         assert main(["simulate", "--config", str(spec_path), "--seed", "4",
                      "--out", str(series)]) == 0
         out = tmp_path / "fit.json"
         assert main(["fit", "--series", str(series), "--model", "diffusion",
                      "--delta", "0.05", "--lambda", "0.1", "--out", str(out)]) == 0
-        got = json.load(open(out))
+        got = json.loads(out.read_text())
         path = read_series_csv(series, kind="reals", delta=0.05)
         fit = two_step_fit(diffusion_design(path), 0.1, 0.05)
         assert got["support"] == list(fit.support.indices)
@@ -781,9 +792,9 @@ class TestCli:
 
     def test_uncertified_fit_exit_code(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "spec.json"
-        json.dump({"model": "inar", "mu_eps": 0.5,
-                   "alpha": [0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0],
-                   "burn_in": 200}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "inar", "mu_eps": 0.5,
+                                         "alpha": [0.3, 0.2, 0.2, 0.2, 0, 0, 0, 0, 0, 0],
+                                         "burn_in": 200}))
         series = tmp_path / "s.csv"
         assert main(["simulate", "--config", str(spec_path), "--n", "400",
                      "--seed", "2", "--out", str(series)]) == 0
@@ -809,15 +820,15 @@ class TestCli:
         monkeypatch.setattr(harness, rep_fn, flaky)
         out = tmp_path / "report.json"
         assert main(argv + ["--seed", "7", "--out", str(out)]) == 4
-        report = json.load(open(out))
+        report = json.loads(out.read_text())
         assert report["failures"] == 1
         assert [r["failed"] for r in report["per_rep"]] == [False, True, False]
         assert capsys.readouterr().err == "1 of 3 replications failed with RankError\n"
 
     def test_finfty_verb(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        json.dump({"model": "inar", "mu_eps": 1.0, "alpha": [0.4, 0.2],
-                   "burn_in": 100}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "inar", "mu_eps": 1.0, "alpha": [0.4, 0.2],
+                                         "burn_in": 100}))
         series = tmp_path / "s.csv"
         main(["simulate", "--config", str(spec_path), "--n", "500",
               "--seed", "2", "--out", str(series)])
@@ -825,14 +836,14 @@ class TestCli:
         rc = main(["finfty", "--series", str(series), "--order", "2",
                    "--support", "0,1", "--samples", "500", "--out", str(out)])
         assert rc == 0
-        est = json.load(open(out))
+        est = json.loads(out.read_text())
         assert est["value"] > 0 and est["support"] == [0, 1]
         assert set(est) == {f.name for f in dataclasses.fields(FInftyEstimate)}
 
     def test_non_finite_lambda_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        json.dump({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
-                   "burn_in": 100}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
+                                         "burn_in": 100}))
         series = tmp_path / "s.csv"
         assert main(["simulate", "--config", str(spec_path), "--n", "300",
                      "--seed", "2", "--out", str(series)]) == 0
@@ -843,8 +854,8 @@ class TestCli:
 
     def test_non_finite_tau_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        json.dump({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
-                   "burn_in": 100}, open(spec_path, "w"))
+        spec_path.write_text(json.dumps({"model": "inar", "mu_eps": 0.5, "alpha": [0.4, 0.2],
+                                         "burn_in": 100}))
         series = tmp_path / "s.csv"
         assert main(["simulate", "--config", str(spec_path), "--n", "300",
                      "--seed", "2", "--out", str(series)]) == 0
@@ -907,7 +918,7 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
         bad = tmp_path / "bad.json"
-        json.dump({"model": "inar", "mu_eps": 0.5, "alpha": [0.9, 0.9]}, open(bad, "w"))
+        bad.write_text(json.dumps({"model": "inar", "mu_eps": 0.5, "alpha": [0.9, 0.9]}))
         assert main(["simulate", "--config", str(bad)]) == 2
 
     def test_numeric_error_exit_code(self, tmp_path):
@@ -952,7 +963,7 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(["experiment", "--case", "case1", "--reps", "2", "--n", "300",
                      "--lambda", "0.0", "--out", str(out)]) == 0
-        report = json.load(open(out))
+        report = json.loads(out.read_text())
         assert report["config"]["lambda_mode"] == "fixed"
         assert [r["lambda"] for r in report["per_rep"]] == [0.0, 0.0]
 

@@ -75,7 +75,7 @@ class TestRegressionScore:
 class TestInarScore:
     def test_constant_series_direct_summation(self):
         c = 3.0
-        sample = SeriesSample(values=np.full(20, c), lag_buffer=np.full(2, c))
+        sample = SeriesSample(np.full(22, c), lag_rows=2)
         design, response = lagged_design(sample, 2)
         sys = build_regression_score(design, response)  # the raw score, intercept included
         assert_allclose(sys.gram, design.T @ design / 20, atol=1e-14)
@@ -83,7 +83,7 @@ class TestInarScore:
         assert_allclose(sys.moment, [c, c * c, c * c], atol=1e-12)
 
     def test_zero_series(self):
-        sample = SeriesSample(values=np.zeros(15), lag_buffer=np.zeros(3))
+        sample = SeriesSample(np.zeros(18), lag_rows=3)
         sys = build_regression_score(*lagged_design(sample, 3))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -91,12 +91,12 @@ class TestInarScore:
         assert_array_equal(sys.moment, np.zeros(4))
 
     def test_insufficient_lag_buffer(self):
-        sample = SeriesSample(values=np.ones(10), lag_buffer=np.ones(2))
+        sample = SeriesSample(np.ones(12), lag_rows=2)
         with pytest.raises(ValueError, match="lag buffer"):
             build_inar_score(sample, order=5)
 
     def test_reals_rejected(self):
-        sample = SeriesSample(values=np.ones(10), lag_buffer=np.ones(2), kind="reals")
+        sample = SeriesSample(np.ones(12), lag_rows=2, kind="reals")
         with pytest.raises(ValueError, match="counts"):
             build_inar_score(sample, order=1)
 
@@ -136,8 +136,9 @@ class TestLaggedDesign:
     ])
     def test_matches_reference(self, n_buffer, order, dim, target):
         rng = np.random.default_rng(17 + n_buffer + dim)
-        sample = SeriesSample(values=rng.poisson(3.0, size=(200, dim)),
-                              lag_buffer=rng.poisson(3.0, size=(n_buffer, dim)))
+        values = rng.poisson(3.0, size=(200, dim))
+        sample = SeriesSample(np.concatenate([rng.poisson(3.0, size=(n_buffer, dim)), values]),
+                              lag_rows=n_buffer)
         design, response = lagged_design(sample, order, target)
         ref_design, ref_response = reference_lagged_design(sample, order, target)
         assert design.shape == ref_design.shape and design.dtype == ref_design.dtype
@@ -146,7 +147,7 @@ class TestLaggedDesign:
 
     @pytest.mark.parametrize("dim, target", [(2, -1), (2, 2), (1, 1)])
     def test_target_out_of_range_rejected(self, dim, target):
-        sample = SeriesSample(values=np.ones((10, dim)), lag_buffer=np.ones((1, dim)))
+        sample = SeriesSample(np.ones((11, dim)), lag_rows=1)
         with pytest.raises(ValueError, match=rf"target must lie in \[0, {dim}\)"):
             lagged_design(sample, 1, target)
 
@@ -156,7 +157,18 @@ def hawkes_bins(seed):
     cfg = builtin_case("hawkes")
     binned = bin_counts(simulate_hawkes(cfg.model, seed), cfg.hawkes_bin_delta,
                         cfg.model.horizon)
-    return SeriesSample(values=binned.values[cfg.p:], lag_buffer=binned.values[:cfg.p])
+    return SeriesSample(binned.rows, lag_rows=cfg.p)
+
+
+def relaid(rows, layout):
+    """A copy of the 2-d ``rows`` in Fortran order, or a strided view of the same values."""
+    if layout == "fortran":
+        out = np.asfortranarray(rows)
+        assert out.flags.f_contiguous and (rows.shape[1] == 1 or not out.flags.c_contiguous)
+        return out
+    out = np.repeat(rows, 2, axis=0)[::2]
+    assert not out.flags.c_contiguous
+    return out
 
 
 def case_series(case_id, seed):
@@ -170,9 +182,9 @@ LAG_SERIES = {
     "order1": lambda: (simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.4]), 700, seed=2), 1, 0),
     "order10": lambda: (case_series("case1", 3), 10, 0),
     "order20": lambda: (case_series("case2", 4), 20, 0),
-    "long-buffer": lambda: (SeriesSample(
-        values=np.random.default_rng(5).poisson(3.0, size=(300, 1)),
-        lag_buffer=np.random.default_rng(6).poisson(3.0, size=(15, 1))), 10, 0),
+    "long-buffer": lambda: (SeriesSample(np.concatenate([
+        np.random.default_rng(6).poisson(3.0, size=(15, 1)),
+        np.random.default_rng(5).poisson(3.0, size=(300, 1))]), lag_rows=15), 10, 0),
     "hawkes": lambda: (hawkes_bins(7), 20, 0),
     "case3-target0": lambda: (case_series("case3", 8), 1, 0),
     "case3-target5": lambda: (case_series("case3", 8), 1, 5),
@@ -202,10 +214,10 @@ class TestCenterLags:
             assert data.score().gram.tobytes() == ref.score().gram.tobytes()
 
     def test_simulated_minar_lags_are_a_view(self):
-        # a simulated sample's lag row and values are consecutive rows of one array, so
-        # its lags are those rows; a copied sample's are concatenated
+        # a sample's lag row and values are consecutive rows of one array, so its
+        # lags are those rows, in a copied sample as in a simulated one
         sample = simulate_minar1(builtin_case("case3").model, 300, seed=2)
-        copied = SeriesSample(values=sample.values.copy(), lag_buffer=sample.lag_buffer.copy())
+        copied = SeriesSample(sample.rows.copy(), lag_rows=sample.lag_rows)
         for target in (0, 7):
             data, ref = center_lags(sample, 1, target), center_lags(copied, 1, target)
             for f in dataclasses.fields(CenteredDesign):
@@ -213,16 +225,11 @@ class TestCenterLags:
                 assert (new.shape, new.dtype, new.tobytes()) == (old.shape, old.dtype,
                                                                  old.tobytes()), f.name
             assert np.shares_memory(data.lags, sample.values)
-            assert not np.shares_memory(ref.lags, copied.values)
-        # a lag row of the same array that does not directly precede the values
-        rows = np.vstack([sample.lag_buffer, sample.values])
-        apart = SeriesSample(values=rows[2:], lag_buffer=rows[:1])
-        ref = center_lags(SeriesSample(values=rows[2:].copy(), lag_buffer=rows[:1].copy()), 1)
-        assert center_lags(apart, 1).lags.tobytes() == ref.lags.tobytes()
+            assert np.shares_memory(ref.lags, copied.values)
 
     @pytest.mark.parametrize("kind", ["inar", "hawkes", "csv"])
     def test_univariate_count_lags_are_a_view(self, kind, tmp_path):
-        # a simulated INAR sample, a binned Hawkes one sliced as a replication slices it,
+        # a simulated INAR sample, a binned Hawkes one with its first p bins as lag rows,
         # and one read from CSV each hold their lag rows and values in one array
         if kind == "csv":
             write_series_csv(case_series("case1", 5), tmp_path / "series.csv")
@@ -230,7 +237,7 @@ class TestCenterLags:
         else:
             sample = case_series("case1", 5) if kind == "inar" else hawkes_bins(5)
         order = sample.lag_buffer.shape[0]
-        copied = SeriesSample(values=sample.values.copy(), lag_buffer=sample.lag_buffer.copy())
+        copied = SeriesSample(sample.rows.copy(), lag_rows=sample.lag_rows)
         for poisson in (False, True):
             data = center_lags(sample, order, poisson=poisson)
             ref = center_lags(copied, order, poisson=poisson)
@@ -239,7 +246,27 @@ class TestCenterLags:
                 assert (new.shape, new.dtype, new.strides, new.tobytes()) == (
                     old.shape, old.dtype, old.strides, old.tobytes()), f.name
             assert np.shares_memory(data.lags, sample.values)
-            assert not np.shares_memory(ref.lags, copied.values)
+            assert np.shares_memory(ref.lags, copied.values)
+
+    def test_lags_are_a_view_of_every_sample(self, lag_series):
+        series, order, target = lag_series
+        for sample in (series, SeriesSample(series.rows.copy(), lag_rows=series.lag_rows)):
+            assert np.shares_memory(center_lags(sample, order, target).lags, sample.values)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_layout_of_rows_changes_no_byte(self, lag_series, layout):
+        # a sample stores its rows in C order, so one given in another layout prepares
+        # the bytes of its C-order copy
+        series, order, target = lag_series
+        sample = SeriesSample(relaid(series.rows, layout), lag_rows=series.lag_rows)
+        for poisson in (False, True):
+            data = center_lags(sample, order, target, poisson=poisson)
+            ref = center_lags(series, order, target, poisson=poisson)
+            for f in dataclasses.fields(CenteredDesign):
+                new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+                assert (new.shape, new.dtype, new.strides, new.tobytes()) == (
+                    old.shape, old.dtype, old.strides, old.tobytes()), f.name
+            assert data.score().gram.tobytes() == ref.score().gram.tobytes()
 
     @pytest.mark.parametrize("kind", ["intercept", "sparse", "full"])
     def test_columns_are_the_design_columns(self, lag_series, kind):
@@ -278,7 +305,7 @@ class TestCenterLags:
 class TestDiffusionScore:
     def test_constant_path_rejected_when_built(self):
         # its sigma^2 is zero, so no fit could weight it
-        path = SeriesSample(values=np.ones((11, 1)), delta=0.1, kind="reals")
+        path = SeriesSample(np.ones((11, 1)), delta=0.1, kind="reals")
         with pytest.raises(DegenerateVarianceError,
                            match="^constant path: quadratic variation is zero$"):
             diffusion_design(path)
@@ -310,9 +337,22 @@ class TestDiffusionScore:
             DiffusionDesign(design=arrays["design"], increments=arrays["increments"][:3],
                             delta=0.1)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_layout_of_path_changes_no_byte(self, layout):
+        cfg = builtin_case("ou")
+        path = simulate_ou(cfg.model, seed=4)
+        relaid_path = SeriesSample(relaid(path.rows, layout), delta=path.delta, kind="reals")
+        data, ref = diffusion_design(relaid_path), diffusion_design(path)
+        for name in ("design", "increments"):
+            new, old = getattr(data, name), getattr(ref, name)
+            assert (new.strides, new.tobytes()) == (old.strides, old.tobytes()), name
+        assert data.sigma2 == ref.sigma2
+        assert data.score().gram.tobytes() == ref.score().gram.tobytes()
+        assert data.score().moment.tobytes() == ref.score().moment.tobytes()
+
     def test_linear_path_telescoping(self):
         t = np.arange(11) * 0.1
-        path = SeriesSample(values=t, delta=0.1, kind="reals")
+        path = SeriesSample(t, delta=0.1, kind="reals")
         dx = diffusion_design(path).increments
         sys = DiffusionDesign(design=np.ones((10, 1)), increments=dx, delta=path.delta).score()
         assert_allclose(sys.moment, [1.0], atol=1e-12)
@@ -321,7 +361,7 @@ class TestDiffusionScore:
         # gram = (1/n) sum Y_k Y_k', moment = (1/(n delta)) sum Y_k (X_{k+1} - X_k)
         rng = np.random.default_rng(17)
         values = rng.standard_normal((9, 3))
-        data = diffusion_design(SeriesSample(values=values, delta=0.2, kind="reals"), target=2)
+        data = diffusion_design(SeriesSample(values, delta=0.2, kind="reals"), target=2)
         sys = data.score()
         rows = [(values[k], values[k + 1, 2] - values[k, 2]) for k in range(8)]
         assert_allclose(sys.gram, sum(np.outer(y, y) for y, _ in rows) / 8, rtol=1e-13)
@@ -334,7 +374,7 @@ class TestDiffusionScore:
         # every coordinate is selected, the Fisher scale is the observed time n delta,
         # and step two regresses the increments divided by delta
         values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
-        data = diffusion_design(SeriesSample(values=values, delta=0.5, kind="reals"), 1)
+        data = diffusion_design(SeriesSample(values, delta=0.5, kind="reals"), 1)
         assert data.offset == 0
         assert data.fisher == 2 * 0.5
         assert_array_equal(data.response, [40.0, 60.0])
@@ -342,24 +382,24 @@ class TestDiffusionScore:
         assert data.fit_coordinates(theta) is theta
 
     def test_missing_delta(self):
-        path = SeriesSample(values=np.ones(5), kind="reals")
+        path = SeriesSample(np.ones(5), kind="reals")
         with pytest.raises(ValueError, match="delta"):
             diffusion_design(path)
 
     def test_single_point_rejected(self):
-        path = SeriesSample(values=np.ones((1, 2)), delta=0.1, kind="reals")
+        path = SeriesSample(np.ones((1, 2)), delta=0.1, kind="reals")
         with pytest.raises(ValueError, match="two points"):
             diffusion_design(path)
 
     @pytest.mark.parametrize("target", [-1, 2])
     def test_target_out_of_range_rejected(self, target):
-        path = SeriesSample(values=np.ones((5, 2)), delta=0.1, kind="reals")
+        path = SeriesSample(np.ones((5, 2)), delta=0.1, kind="reals")
         with pytest.raises(ValueError, match=r"target must lie in \[0, 2\)"):
             diffusion_design(path, target)
 
     def test_layout_left_endpoints_and_target_increments(self):
         values = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 60.0]])
-        path = SeriesSample(values=values, delta=0.5, kind="reals")
+        path = SeriesSample(values, delta=0.5, kind="reals")
         data = diffusion_design(path, target=1)
         assert_array_equal(data.design, values[:2])
         assert_array_equal(data.increments, [20.0, 30.0])

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def random_block_specs(seed: int):
 def load_variant(monkeypatch, tmp_path, old: str, new: str):
     """The compiled loops built from a copy of ``_countsim.c`` with ``old`` made ``new``,
     loaded in place of the package's own for the rest of the test."""
-    source = open(_countsim._SOURCE).read()
+    source = Path(_countsim._SOURCE).read_text()
     assert source.count(old) == 1
     variant = tmp_path / "_countsim.c"
     variant.write_text(source.replace(old, new))
@@ -599,7 +600,7 @@ class TestCompiledCountLoop:
         cache.mkdir()
         (cache / "other.so").write_bytes(b"")
         edited = tmp_path / "_countsim.c"
-        edited.write_text(open(_countsim._SOURCE).read() + "/* another source */\n")
+        edited.write_text(Path(_countsim._SOURCE).read_text() + "/* another source */\n")
         monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
         spec = builtin_case("case1").model
         built = []
@@ -955,41 +956,65 @@ class TestSeriesIo:
     def test_counts_validation(self):
         for bad in (-2.0, 1.5, -0.5):
             with pytest.raises(ValueError, match="nonnegative integers"):
-                SeriesSample(values=np.array([1.0, bad]), kind="counts")
+                SeriesSample(np.array([1.0, bad]), kind="counts")
             with pytest.raises(ValueError, match="nonnegative integers"):
-                SeriesSample(values=np.ones(3), lag_buffer=np.array([bad]), kind="counts")
+                SeriesSample(np.array([bad, 1.0, 1.0, 1.0]), lag_rows=1, kind="counts")
             # a non-finite entry anywhere is reported before a non-integer one
             with pytest.raises(ValueError, match="finite"):
-                SeriesSample(values=np.array([bad, 1.0]), lag_buffer=np.array([np.nan]),
-                             kind="counts")
+                SeriesSample(np.array([np.nan, bad, 1.0]), lag_rows=1, kind="counts")
             with pytest.raises(ValueError, match="finite"):
-                SeriesSample(values=np.array([np.inf, 1.0]), lag_buffer=np.array([bad]),
-                             kind="counts")
-            assert SeriesSample(values=np.array([1.0, bad]), kind="reals").n == 2
+                SeriesSample(np.array([bad, np.inf, 1.0]), lag_rows=1, kind="counts")
+            assert SeriesSample(np.array([1.0, bad]), kind="reals").n == 2
         for kind in ("counts", "reals"):
             for bad in (np.inf, -np.inf, np.nan):
                 with pytest.raises(ValueError, match="finite"):
-                    SeriesSample(values=np.array([1.0, bad]), kind=kind)
+                    SeriesSample(np.array([1.0, bad]), kind=kind)
                 with pytest.raises(ValueError, match="finite"):
-                    SeriesSample(values=np.ones(3), lag_buffer=np.array([bad]), kind=kind)
+                    SeriesSample(np.array([bad, 1.0, 1.0, 1.0]), lag_rows=1, kind=kind)
             for delta in (np.nan, np.inf, 0.0, -0.1):
                 with pytest.raises(ValueError, match="delta"):
-                    SeriesSample(values=np.ones(3), delta=delta, kind=kind)
-            assert SeriesSample(values=np.ones(3), delta=0.1, kind=kind).delta == 0.1
+                    SeriesSample(np.ones(3), delta=delta, kind=kind)
+            assert SeriesSample(np.ones(3), delta=0.1, kind=kind).delta == 0.1
 
     def test_shapes_it_cannot_use_rejected(self):
-        for values in (np.float64(2.0), np.ones((3, 2, 2))):
-            with pytest.raises(ValueError, match="values must be 1-d or 2-d"):
-                SeriesSample(values=values)
-        # a vector buffer is one column, so it fits only a univariate series
-        for values, buf in ((np.ones((5, 2)), np.zeros(2)), (np.ones((5, 2)), np.zeros((1, 3))),
-                            (np.ones(5), np.zeros((1, 2))), (np.ones(5), np.zeros((1, 1, 1)))):
-            with pytest.raises(ValueError, match="lag_buffer must be p x"):
-                SeriesSample(values=values, lag_buffer=buf)
-        assert SeriesSample(values=np.ones(5), lag_buffer=np.zeros(3)).lag_buffer.shape == (3, 1)
-        assert SeriesSample(values=np.ones((5, 2)), lag_buffer=np.zeros((1, 2))).dim == 2
-        empty = SeriesSample(values=np.ones((5, 2)), lag_buffer=np.zeros(0))
+        for rows in (np.float64(2.0), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError, match="rows must be 1-d or 2-d"):
+                SeriesSample(rows)
+        # a vector is one column
+        assert SeriesSample(np.ones(8), lag_rows=3).lag_buffer.shape == (3, 1)
+        assert SeriesSample(np.ones((6, 2)), lag_rows=1).dim == 2
+        empty = SeriesSample(np.ones((5, 2)))
         assert empty.lag_buffer.shape == (0, 2)
+
+    def test_lag_rows_out_of_range_rejected(self):
+        for lag_rows in (-1, 6, 2.0, None):
+            with pytest.raises(ValueError, match=r"lag_rows must be an integer in \[0, 5\]"):
+                SeriesSample(np.ones(5), lag_rows=lag_rows)
+        for lag_rows in (0, np.int64(2), 5):
+            sample = SeriesSample(np.ones(5), lag_rows=lag_rows)
+            assert type(sample.lag_rows) is int
+            assert (sample.lag_buffer.shape, sample.n) == ((lag_rows, 1), 5 - lag_rows)
+
+    def test_fields_cannot_be_rebound(self):
+        sample = SeriesSample(np.arange(6.0), lag_rows=2)
+        for name in ("rows", "lag_rows", "delta", "kind", "values", "lag_buffer", "n", "dim"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, name, getattr(sample, name))
+        # the two parts are views of the one array
+        assert sample.rows.flags.c_contiguous and sample.rows.dtype == np.float64
+        assert np.shares_memory(sample.lag_buffer, sample.rows)
+        assert np.shares_memory(sample.values, sample.rows)
+        assert_array_equal(sample.lag_buffer[:, 0], [0.0, 1.0])
+        assert_array_equal(sample.values[:, 0], [2.0, 3.0, 4.0, 5.0])
+
+    def test_c_order_rows_held_uncopied(self):
+        for rows in (np.zeros(7), np.zeros((7, 3))):
+            assert np.shares_memory(SeriesSample(rows, lag_rows=2).rows, rows)
+        for rows in (np.asfortranarray(np.zeros((7, 3))), np.zeros((14, 3))[::2],
+                     np.zeros(7, dtype=np.int64)):
+            sample = SeriesSample(rows, lag_rows=2)
+            assert sample.rows.flags.c_contiguous and sample.rows.dtype == np.float64
+            assert_array_equal(sample.rows, np.asarray(rows, dtype=float).reshape(7, -1))
 
     def test_spec_dict_roundtrip(self):
         specs = [
@@ -1007,7 +1032,7 @@ class TestSeriesIo:
             assert type(back) is type(spec)
             for name in names:
                 assert_array_equal(getattr(back, name), getattr(spec, name))
-        for not_a_spec in (SeriesSample(values=np.ones(3)), {"model": "inar"}, None):
+        for not_a_spec in (SeriesSample(np.ones(3)), {"model": "inar"}, None):
             with pytest.raises(TypeError, match="unknown spec type"):
                 spec_to_dict(not_a_spec)
 

@@ -101,7 +101,7 @@ class TestDiffusionSigma2:
     def test_alternating_increments_exact(self):
         delta = 0.04
         x = np.concatenate([[0.0], np.cumsum([np.sqrt(delta), -np.sqrt(delta)] * 10)])
-        path = SeriesSample(values=x, delta=delta, kind="reals")
+        path = SeriesSample(x, delta=delta, kind="reals")
         est = estimate_diffusion_sigma2(path)
         assert float(est.values) == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestDiffusionSigma2:
         assert abs(float(est.values) - 4.0) < 0.2
 
     def test_constant_path_degenerate(self):
-        path = SeriesSample(values=np.ones(50), delta=0.1, kind="reals")
+        path = SeriesSample(np.ones(50), delta=0.1, kind="reals")
         with pytest.raises(DegenerateVarianceError):
             estimate_diffusion_sigma2(path)
 
@@ -309,7 +309,7 @@ class TestTwoStepFit:
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP ran")
         monkeypatch.setattr(twostep, "solve_dantzig", no_lp)
-        path = SeriesSample(values=np.ones((50, 2)), delta=0.1, kind="reals")
+        path = SeriesSample(np.ones((50, 2)), delta=0.1, kind="reals")
         with pytest.raises(DegenerateVarianceError):
             two_step_fit(diffusion_design(path), 0.1, 0.05)
 
