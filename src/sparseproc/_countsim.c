@@ -16,9 +16,10 @@
  * buffer and values are views of it and no burn-in step is kept.
  * The Hawkes loop repeats the float operations of Ogata thinning in their
  * order and draws by numpy's random_standard_exponential, so it gives the
- * same events.  The LP loop repeats the dual simplex pivots of a lambda path
- * in their order, with numpy's dgemv for the right-hand side and its dger for
- * each pivot, so it gives the same tableau and the same fits.
+ * same events.  The LP loop sets up its own tableau, repeats the dual simplex
+ * pivots of a lambda path in their order, with numpy's dgemv for the
+ * right-hand side and its dger for each pivot, and certifies each fit by
+ * numpy's dgemv, so it gives the same fits, slacks and statuses.
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off -I <numpy include>
  *        -DBLAS_INT=<int type> _countsim.c -lm
@@ -303,38 +304,60 @@ int64_t hawkes(exponential_fn exponential, bitgen_t *bitgen, double eta, int64_t
     return n;
 }
 
+/* numpy's max of |v[0..n)| for n >= 1: a NaN wins */
+static double abs_max(const double *v, int64_t n)
+{
+    double worst = fabs(v[0]);
+    for (int64_t i = 1; i < n && !isnan(worst); i++)
+        if (isnan(v[i]) || fabs(v[i]) > worst)
+            worst = fabs(v[i]);
+    return worst;
+}
+
 /*
- * The pivot loop of dantzig.solve_dantzig_path over a path of lambdas, sorted
- * from the largest down, on the column-major (p+1) x (2p+1) tableau tab as
- * that function sets it up: theta columns, slack columns (which hold B^-1),
- * the values x of the basic variables in the last column and the reduced
- * costs in the last row.  Each lambda warm-starts from the last basis.  Row
- * k of the n_lams x p matrix theta receives lambda k's theta, iterations[k]
- * its pivot count and status[k] 0 (optimal), 1 (infeasible) or 2 (iteration
- * limit).  Every float operation is numpy's in the same order: the reset of
- * x is the CBLAS call numpy's matmul makes for tab[:p, p:2p] @ rhs, and each
- * pivot is one dger.  Returns 0, or -1 where the scratch cannot be allocated.
+ * The LP of dantzig._dantzig_path over a path of lambdas sorted from the
+ * largest down, for a finite C-contiguous p x p gram and b (p >= 1).  It sets
+ * up its own column-major (p+1) x (2p+1) tableau: theta columns, slack columns
+ * (which hold B^-1), the values x of the basic variables in the last column
+ * and the reduced costs in the last row.  Each lambda warm-starts from the
+ * last basis.  Row k of the n_lams x p matrix theta receives lambda k's theta,
+ * iterations[k] its pivot count, slack[k] lambda - |b - gram theta|_inf and
+ * status[k] 0 (optimal), 1 (infeasible), 2 (iteration limit) or 3 (pivots
+ * ended optimal, slack below -1e-8 * scale).  Every float operation is
+ * numpy's in the same order: the reset of x is the CBLAS call numpy's matmul
+ * makes for tab[:p, p:2p] @ rhs, each pivot is one dger, and gram theta is the
+ * dgemv (for p = 1, 0.0 + ddot) of numpy's stacked matmul.  Returns 0, or -1
+ * where the scratch cannot be allocated.
  */
-int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, double *tab,
+int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, const double *gram,
                      const double *b, int64_t n_lams, const double *lams, int64_t max_iter,
-                     double tol, double *theta, int64_t *iterations, int64_t *status)
+                     double *theta, int64_t *iterations, int64_t *status, double *slack)
 {
     const int64_t ld = p + 1, n_cols = 2 * p;
-    double *work = malloc((size_t)(9 * p + 2) * sizeof(double));
+    double *tab = calloc((size_t)(ld * (n_cols + 1) + 10 * p + 2), sizeof(double));
     int64_t *index = malloc((size_t)(2 * p + 1) * sizeof(int64_t));
-    if (!work || !index) {
-        free(work);
+    if (!tab || !index) {
+        free(tab);
         free(index);
         return -1;
     }
-    double *pivot_row = work, *enter_col = pivot_row + n_cols + 1, *ratios = enter_col + p + 1;
-    double *lo = ratios + n_cols, *hi = lo + p, *side = hi + p, *rhs = side + p;
+    double *pivot_row = tab + ld * (n_cols + 1), *enter_col = pivot_row + n_cols + 1;
+    double *ratios = enter_col + p + 1, *lo = ratios + n_cols, *hi = lo + p, *side = hi + p;
+    double *rhs = side + p, *ax = rhs + p;
     int64_t *basis = index, *order = basis + p; /* stored column; Bland index */
     double *x = tab + n_cols * ld, *cost_row = tab + p;
+    const double gram_max = abs_max(gram, p * p), b_max = abs_max(b, p);
+    double scale = gram_max > 1.0 ? gram_max : 1.0; /* Python's max(1.0, gram_max, b_max) */
+    if (b_max > scale)
+        scale = b_max;
+    const double tol = 1e-9 * scale;
     for (int64_t i = 0; i < p; i++) {
+        for (int64_t j = 0; j < p; j++)
+            tab[j * ld + i] = gram[i * p + j];
+        tab[(p + i) * ld + i] = 1.0;
+        tab[i * ld + p] = 1.0;
         basis[i] = p + i;
         order[i] = 2 * p + i;
-        side[i] = 0.0;
     }
     for (int64_t k = 0; k < n_lams; k++) {
         const double lam = lams[k];
@@ -424,15 +447,24 @@ int64_t dantzig_path(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, int64_t p, doub
                 hi[leave] = INFINITY;
             }
         }
-        iterations[k] = it;
-        status[k] = code;
         double *row = theta + k * p;
         memset(row, 0, (size_t)p * sizeof(double));
         for (int64_t i = 0; i < p; i++)
             if (basis[i] < p)
                 row[basis[i]] = x[i];
+        /* the certificate: numpy's lam - max(|b - gram @ theta|) */
+        if (p == 1)
+            ax[0] = 0.0 + ddot(1, gram, 1, row, 1);
+        else
+            dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)p, (BLAS_INT)p, 1.0, gram,
+                  (BLAS_INT)p, row, 1, 0.0, ax, 1);
+        for (int64_t i = 0; i < p; i++)
+            ax[i] = b[i] - ax[i];
+        slack[k] = lam - abs_max(ax, p);
+        iterations[k] = it;
+        status[k] = code == 0 && slack[k] < -1e-8 * scale ? 3 : code;
     }
-    free(work);
+    free(tab);
     free(index);
     return 0;
 }
@@ -502,12 +534,7 @@ static void sum_rows(const double *rows, int64_t n, int64_t len, int64_t skip, d
  * then, for each fold k:
  * - merges the training system from the other blocks' sums by the same
  *   operations in the same order;
- * - dantzig_path solves it from the largest lambda down, on the tableau of
- *   solve_dantzig_path;
- * - each fit's slack lambda - |b - A theta|_inf takes A theta from the dgemv
- *   (or, for p = 1, 0.0 + ddot) of numpy's stacked matmul, and a fit whose
- *   pivots ended "optimal" but whose slack is below -1e-8 * scale is
- *   "inaccurate" (status 3);
+ * - dantzig_path solves and certifies it from the largest lambda down;
  * - the held-out rows' mean squared error of each fit, with z_dev @ thetas
  *   as numpy's matmul forms it: dgemm for several lambdas, dgemv for one,
  *   and 0.0 + z * theta without BLAS for p = 1.
@@ -522,14 +549,14 @@ int64_t cv_folds(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, dgemm_fn dgemm, int
                  const double *grid, int64_t max_iter, int64_t *iterations, int64_t *status,
                  double *slacks, double *losses)
 {
-    const int64_t n = bounds[folds], ld = p + 1;
+    const int64_t n = bounds[folds];
     int64_t held_max = 0, ret = folds;
     for (int64_t k = 0; k < folds; k++)
         if (bounds[k + 1] - bounds[k] > held_max)
             held_max = bounds[k + 1] - bounds[k];
-    /* tab; gram and moment; path, path_theta and thetas; d and ax; sums and sums_y;
+    /* gram and moment; path, path_slack, path_theta and thetas; d; sums and sums_y;
        z_dev and resid; gather, for a block's values or the folds' */
-    const size_t n_doubles = (size_t)(ld * (2 * p + 1) + ld * p + n_grid * (1 + 2 * p) + 2 * p
+    const size_t n_doubles = (size_t)(p * p + p + n_grid * (2 + 2 * p) + p
                                       + folds * (p + 1) + held_max * (p + n_grid)
                                       + held_max + folds);
     double *work = malloc(n_doubles * sizeof(double));
@@ -538,10 +565,10 @@ int64_t cv_folds(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, dgemm_fn dgemm, int
         ret = -1;
         goto done;
     }
-    double *tab = work, *gram = tab + ld * (2 * p + 1), *moment = gram + p * p;
-    double *path = moment + p, *path_theta = path + n_grid;
-    double *thetas = path_theta + n_grid * p, *d = thetas + n_grid * p, *ax = d + p;
-    double *sums = ax + p, *sums_y = sums + folds * p, *z_dev = sums_y + folds;
+    double *gram = work, *moment = gram + p * p, *path = moment + p;
+    double *path_slack = path + n_grid, *path_theta = path_slack + n_grid;
+    double *thetas = path_theta + n_grid * p, *d = thetas + n_grid * p;
+    double *sums = d + p, *sums_y = sums + folds * p, *z_dev = sums_y + folds;
     double *resid = z_dev + held_max * p, *gather = resid + held_max * n_grid;
     int64_t *path_it = codes, *path_status = codes + n_grid;
     for (int64_t k = 0; k < folds; k++) { /* zb.sum(axis=0) and yb.sum() of each block */
@@ -562,64 +589,34 @@ int64_t cv_folds(ddot_fn ddot, dgemv_fn dgemv, dger_fn dger, dgemm_fn dgemm, int
         e = e / m;
         sum_rows(cross, folds, p * p, k, gram, gather);
         sum_rows(cross_y, folds, p, k, moment, gather);
-        /* solve_dantzig_path: its finite system, max(1.0, |A|_max, |b|_max), its tableau */
-        double scale = 1.0;
-        int finite = 1;
+        int finite = 1; /* as LinearScoreSystem checks it for solve_dantzig_path */
         for (int64_t i = 0; i < p; i++) {
             for (int64_t j = 0; j < p; j++) {
                 double *g = gram + i * p + j;
                 *g = *g / m - d[i] * d[j];
                 finite &= isfinite(*g) != 0;
-                if (fabs(*g) > scale)
-                    scale = fabs(*g);
             }
             moment[i] = moment[i] / m - d[i] * e;
             finite &= isfinite(moment[i]) != 0;
-            if (fabs(moment[i]) > scale)
-                scale = fabs(moment[i]);
         }
         if (!finite) {
             ret = -2 - k;
             goto done;
         }
-        const double tol = 1e-9 * scale;
-        memset(tab, 0, (size_t)(ld * (2 * p + 1)) * sizeof(double));
-        for (int64_t j = 0; j < p; j++) {
-            for (int64_t i = 0; i < p; i++)
-                tab[j * ld + i] = gram[i * p + j];
-            tab[(p + j) * ld + j] = 1.0;
-            tab[j * ld + p] = 1.0;
-        }
-        if (dantzig_path(ddot, dgemv, dger, p, tab, moment, n_grid, path, max_iter, tol,
-                         path_theta, path_it, path_status)) {
+        if (dantzig_path(ddot, dgemv, dger, p, gram, moment, n_grid, path, max_iter,
+                         path_theta, path_it, path_status, path_slack)) {
             ret = -1;
             goto done;
         }
         int certified = 1;
         for (int64_t i = 0; i < n_grid; i++) {
-            const double *theta = path_theta + i * p;
-            if (p == 1)
-                ax[0] = 0.0 + ddot(1, gram, 1, theta, 1);
-            else
-                dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, (BLAS_INT)p, (BLAS_INT)p, 1.0, gram,
-                      (BLAS_INT)p, theta, 1, 0.0, ax, 1);
-            double worst = fabs(moment[0] - ax[0]); /* numpy's max: a NaN wins */
-            for (int64_t j = 1; j < p && !isnan(worst); j++) {
-                const double r = fabs(moment[j] - ax[j]);
-                if (isnan(r) || r > worst)
-                    worst = r;
-            }
-            const double slack = path[i] - worst;
-            int64_t code = path_status[i];
-            if (code == 0 && slack < -1e-8 * scale)
-                code = 3;
             const int64_t g = n_grid - 1 - i;
             iterations[k * n_grid + g] = path_it[i];
-            status[k * n_grid + g] = code;
-            slacks[k * n_grid + g] = slack;
-            certified &= code == 0;
+            status[k * n_grid + g] = path_status[i];
+            slacks[k * n_grid + g] = path_slack[i];
+            certified &= path_status[i] == 0;
             for (int64_t j = 0; j < p; j++) /* thetas is p x n_grid, in grid order */
-                thetas[j * n_grid + g] = theta[j];
+                thetas[j * n_grid + g] = path_theta[i * p + j];
         }
         if (!certified) {
             ret = k + 1;

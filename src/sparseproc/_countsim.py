@@ -2,8 +2,9 @@
 once per source.
 
 ``_countsim.c`` runs every step of ``simulate_inar``, ``simulate_minar1`` and
-``simulate_hawkes``, every pivot of ``dantzig.solve_dantzig_path`` and the
-whole fold loop of ``dantzig.cross_validate_lambda``, and calls, through
+``simulate_hawkes``, the whole LP of ``dantzig.solve_dantzig_path`` (its
+tableau, pivots and certificates) and the whole fold loop of
+``dantzig.cross_validate_lambda``, and calls, through
 function pointers, the code numpy itself runs for that step:
 ``random_poisson`` and ``random_standard_exponential`` of
 ``numpy.random._generator`` (the library numpy's own cffi example opens for
@@ -26,10 +27,11 @@ zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
 matrix, or a BLAS that sums in another order, keeps ``dgemv``.  The Hawkes
-thinning loop, the simplex pivot loop and the CV fold loop repeat the float
+thinning loop, the LP loop and the CV fold loop repeat the float
 operations of their Python loops in order (numpy's pairwise summation
-included), so events, fits and held-out losses equal those loops' byte for
-byte; the Python loops are the fallback.
+included), so events, fits, slacks and held-out losses equal those loops'
+byte for byte; the Python loops are the fallback.  The CV fold loop solves
+each fold's system with the LP loop itself.
 
 The first ``load()`` in a process compiles the source with ``cc`` into
 ``__pycache__/_countsim.<key>.so`` beside this file, keyed by the source,
@@ -189,7 +191,7 @@ class CountKernel:
         self._block_sums.argtypes = [_I64, _PTR, _PTR, _PTR]
         self._block_sums.restype = None
         self._lp = lib.dantzig_path
-        self._lp.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _F64,
+        self._lp.argtypes = [_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR,
                              _PTR, _PTR, _PTR]
         self._lp.restype = _I64
         self._cv = lib.cv_folds
@@ -293,30 +295,27 @@ class CountKernel:
                     return events[:n].copy()
                 events = np.concatenate([events, np.empty(events.size)])
 
-    def dantzig_path(self, tableau: np.ndarray, b: np.ndarray, lams: Sequence[float],
-                     max_iter: int, tol: float) -> Tuple[np.ndarray, list, list]:
-        """The pivots of ``dantzig.solve_dantzig_path`` for each lambda, largest first.
+    def dantzig_path(self, gram: np.ndarray, b: np.ndarray, lams: Sequence[float],
+                     max_iter: int) -> Tuple[np.ndarray, list, list, np.ndarray]:
+        """The Dantzig LP of the system (``gram``, ``b``) for each lambda, largest first.
 
-        ``tableau`` is that function's set-up (p+1) x (2p+1) tableau, updated
-        in place, and ``b`` its moment.  Returns the theta of each lambda
-        (rows of one array), its pivot count and its status, in the order
-        of ``lams``, as ``dantzig._pivot_path`` does.
+        Returns the theta of each lambda (rows of one array), its pivot
+        count, its certified status and its slack, in the order of ``lams``,
+        as ``dantzig._dantzig_path`` does.  The caller checks that the
+        system is finite.
         """
-        _check_buffers(b)
+        _check_buffers(gram, b)
         p = b.size
-        if not (b.ndim == 1 and tableau.dtype == np.float64 and tableau.flags.f_contiguous
-                and tableau.flags.aligned and tableau.flags.writeable
-                and tableau.shape == (p + 1, 2 * p + 1)):
-            raise ValueError("tableau must be a writeable, aligned, Fortran-contiguous "
-                             "float64 matrix of shape (p + 1, 2p + 1) for p = b.size")
+        if not (p > 0 and b.ndim == 1 and gram.shape == (p, p)):
+            raise ValueError("dantzig_path needs a p x p gram and a moment of p values, p > 0")
         lams = np.array(lams, dtype=np.float64)
-        theta = np.empty((lams.size, p))
-        iterations, status = np.empty(lams.size, np.int64), np.empty(lams.size, np.int64)
-        if self._lp(self._ddot, self._dgemv, self._dger, p, tableau.ctypes.data,
-                    b.ctypes.data, lams.size, lams.ctypes.data, max_iter, tol,
-                    theta.ctypes.data, iterations.ctypes.data, status.ctypes.data):
+        theta, slack = np.empty((lams.size, p)), np.empty(lams.size)
+        iterations, status = np.empty((2, lams.size), np.int64)
+        if self._lp(self._ddot, self._dgemv, self._dger, p, gram.ctypes.data, b.ctypes.data,
+                    lams.size, lams.ctypes.data, max_iter, theta.ctypes.data,
+                    iterations.ctypes.data, status.ctypes.data, slack.ctypes.data):
             raise MemoryError("no scratch memory for the LP loop")
-        return theta, iterations.tolist(), [_LP_STATUS[code] for code in status]
+        return theta, iterations.tolist(), [_LP_STATUS[code] for code in status], slack
 
     def cv_folds(self, zc: np.ndarray, yc: np.ndarray, bounds: Sequence[int],
                  cross: np.ndarray, cross_y: np.ndarray, grid: np.ndarray,

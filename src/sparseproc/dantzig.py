@@ -19,18 +19,18 @@ in the same pivot.  Both choices follow Bland's lowest-index rule, in the
 numbering of the split form theta = u - v (u_j = j, v_j = p + j, slack
 2p + i) for the leaving variable and by stored column for the entering
 one, which prevents cycling and makes the returned vertex deterministic.
-A path of lambda values is solved in one Fortran-order tableau from the
-largest value down, each warm-started from the last optimal basis
-(parametric simplex, as in fastclime); every pivot is one in-place BLAS
-rank-1 update (dger) through the CBLAS that numpy itself links
-(``_blas``), so no scipy module is imported on this path.  The pivots of
-the whole path run in the compiled loop of ``_countsim``, which makes the
-same float operations and BLAS calls in the same order as the numpy loop
-``_pivot_path``; that loop runs where the compiled one does not load.  A
-fit is "optimal" only when its slack, recomputed from theta, certifies it.
-Cross-validation runs its whole fold loop (training systems, lambda paths,
-certificates and held-out losses) in one call to the compiled
-``CountKernel.cv_folds``, which stands in, byte for byte, for the numpy
+A path of lambda values is solved from the largest value down, each
+warm-started from the last optimal basis (parametric simplex, as in
+fastclime); every pivot is one in-place BLAS rank-1 update (dger) through
+the CBLAS that numpy itself links (``_blas``), so no scipy module is
+imported on this path.  One loop, given the gram and moment, sets up the
+tableau, pivots and certifies each fit: it is "optimal" only when its
+slack, recomputed from theta, certifies it.  It is the compiled
+``CountKernel.dantzig_path``, which makes the float operations and BLAS
+calls of the numpy loop ``_dantzig_path`` in their order; that loop runs
+where the compiled one does not load.  Cross-validation runs its whole fold
+loop in one call to the compiled ``CountKernel.cv_folds``, which solves each
+fold by the compiled LP loop and stands in, byte for byte, for the numpy
 loop ``_cv_folds``; that path calls no ``solve_dantzig_path``.
 """
 from __future__ import annotations
@@ -104,38 +104,22 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     "optimal" carries the last basic solution visited.
     """
     _check_lambdas(np.asarray(lams, dtype=float))
-    a, b, p = sys.gram, sys.moment, sys.dim
+    p = sys.dim
+    if p == 0:
+        raise ValueError("the system has no coordinate to select")
     max_iter = _PIVOTS_PER_DIM * p if max_iter is None else max_iter
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-    tol = 1e-9 * scale
-
-    b = np.ascontiguousarray(b)
-    n_cols = 2 * p                  # theta columns, then the slack columns (which hold B^-1)
-    tableau = np.zeros((p + 1, n_cols + 1), order="F")  # columns contiguous for dger
-    tableau[:p, :p] = a
-    tableau[np.arange(p), p + np.arange(p)] = 1.0
-    # last row: the reduced cost d_j of raising theta_j (1 at the slack basis; a basic theta on
-    # its negative piece holds 2) and the reduced cost of each slack
-    tableau[-1, :p] = 1.0
-
     path = sorted(zip(lams, range(len(lams))), reverse=True)
-    path_lams = [lam for lam, _ in path]
     kernel = _countsim.load()
-    pivots = _pivot_path if kernel is None else kernel.dantzig_path
-    thetas, iterations, statuses = pivots(tableau, b, path_lams, max_iter, tol)
-    # the certificate of every fit at once: a stacked matmul is one dgemv per theta, as
-    # a @ theta is (a dgemm over all thetas would round differently)
-    slacks = np.array(path_lams, dtype=float) - _max(np.abs(b - np.matmul(a, thetas[:, :, None])[..., 0]), axis=1)
-    inaccurate = slacks < -1e-8 * scale
+    lp_path = _dantzig_path if kernel is None else kernel.dantzig_path
+    thetas, iterations, statuses, slacks = lp_path(
+        np.ascontiguousarray(sys.gram), np.ascontiguousarray(sys.moment),
+        [lam for lam, _ in path], max_iter)
     l1 = _sum(np.abs(thetas), axis=1)
     fits: list = [None] * len(lams)
-    for (lam, i), theta, slack, short, objective, pivot_count, status in zip(
-            path, thetas, slacks.tolist(), inaccurate.tolist(), l1.tolist(), iterations,
-            statuses):
-        if status == "optimal" and short:
-            status = "inaccurate"
+    for (lam, i), theta, slack, objective, pivot_count, status in zip(
+            path, thetas, slacks.tolist(), l1.tolist(), iterations, statuses):
         fits[i] = DantzigFit(theta_hat=theta, lam=lam, l1_objective=objective,
                              feasibility_slack=slack, iterations=pivot_count, status=status)
     return fits
@@ -146,16 +130,24 @@ def _check_lambdas(lams: np.ndarray) -> None:
         raise ValueError("lambda must be finite and nonnegative")
 
 
-def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_iter: int,
-                tol: float) -> Tuple[np.ndarray, list, list]:
-    """The numpy loop of ``_countsim.CountKernel.dantzig_path``: the pivots of each lambda.
+def _dantzig_path(a: np.ndarray, b: np.ndarray, lams: Sequence[float], max_iter: int
+                  ) -> Tuple[np.ndarray, list, list, np.ndarray]:
+    """The numpy loop of ``_countsim.CountKernel.dantzig_path``: the LP of each lambda.
 
     ``lams`` runs from the largest value down, each warm-started from the
-    last basis of the set-up ``tableau``.  Returns the theta of each lambda
-    (rows of one array), its pivot count and its status, in that order.
+    last basis.  Returns the theta of each lambda (rows of one array), its
+    pivot count, its certified status and its slack, in that order.
     """
     p = b.size
-    n_cols = 2 * p
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    tol = 1e-9 * scale
+    n_cols = 2 * p                  # theta columns, then the slack columns (which hold B^-1)
+    tableau = np.zeros((p + 1, n_cols + 1), order="F")  # columns contiguous for dger
+    tableau[:p, :p] = a
+    tableau[np.arange(p), p + np.arange(p)] = 1.0
+    # last row: the reduced cost d_j of raising theta_j (1 at the slack basis; a basic theta on
+    # its negative piece holds 2) and the reduced cost of each slack
+    tableau[-1, :p] = 1.0
     x = tableau[:p, -1]             # values of the basic variables
     basis = p + np.arange(p)        # stored column of each row's basic variable
     order = 2 * p + np.arange(p)    # its Bland index: u_j = j, v_j = p + j, s_i = 2p + i
@@ -229,7 +221,14 @@ def _pivot_path(tableau: np.ndarray, b: np.ndarray, lams: Sequence[float], max_i
         thetas[k] = xs[:p]
         pivot_counts.append(iterations)
         statuses.append(status)
-    return thetas, pivot_counts, statuses
+    # the certificate of every fit at once: a stacked matmul is one dgemv per theta, as
+    # a @ theta is (a dgemm over all thetas would round differently)
+    residuals = b - np.matmul(a, thetas[:, :, None])[..., 0]
+    slacks = np.array(lams, dtype=float) - _max(np.abs(residuals), axis=1)
+    short = (slacks < -1e-8 * scale).tolist()
+    statuses = ["inaccurate" if status == "optimal" and fails else status
+                for status, fails in zip(statuses, short)]
+    return thetas, pivot_counts, statuses, slacks
 
 
 def _cv_folds(zc: np.ndarray, yc: np.ndarray, bounds: np.ndarray, cross: np.ndarray,

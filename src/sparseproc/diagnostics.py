@@ -64,6 +64,10 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
     direction sweep and is available for p <= 3 only.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"m must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("m must be finite")
     p = m.shape[0]
     t_idx = np.array(sorted(int(j) for j in support), dtype=int)
     if t_idx.size == 0:

@@ -69,6 +69,11 @@ class CaseConfig:
 
     def __post_init__(self):
         """Raise ValueError where the fields do not make a runnable case."""
+        for name in ("reps", "n", "p", "cv_folds", "target", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n < 1:

@@ -196,8 +196,9 @@ class SeriesSample:
             raise ValueError(f"rows must be 1-d or 2-d, got shape {rows.shape}")
         rows = np.ascontiguousarray(rows[:, None] if rows.ndim == 1 else rows)
         object.__setattr__(self, "rows", rows)
-        if not (isinstance(self.lag_rows, (int, np.integer))
-                and 0 <= self.lag_rows <= rows.shape[0]):
+        lag_rows = self.lag_rows
+        if not (isinstance(lag_rows, (int, np.integer)) and not isinstance(lag_rows, bool)
+                and 0 <= lag_rows <= rows.shape[0]):
             raise ValueError(f"lag_rows must be an integer in [0, {rows.shape[0]}], "
                              f"got {self.lag_rows!r}")
         object.__setattr__(self, "lag_rows", int(self.lag_rows))
@@ -453,9 +454,13 @@ def _hawkes_events(rng: np.random.Generator, eta: float, breakpoints: np.ndarray
 
 def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample:
     """Counts per interval (k*delta, (k+1)*delta], k = 0..ceil(horizon/delta)-1."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     events = np.asarray(events, dtype=float)
+    if not np.isfinite(events).all():
+        raise ValueError("events must be finite")
     if events.size and (events.min() <= 0 or events.max() > horizon):
         raise ValueError("events must lie in (0, horizon]")
     n_bins = int(np.ceil(horizon / delta))

@@ -313,6 +313,32 @@ class TestSolveDantzigPath:
             solve_dantzig_path(sys, [0.5], max_iter=-1)
         assert solve_dantzig_path(sys, []) == []
 
+    def test_gram_layout_does_not_move_the_fits(self):
+        # both loops read a C-order copy, so a Fortran-order or strided gram gives the
+        # C-order gram's fits, slacks included
+        z = np.random.default_rng(3).standard_normal((200, 6))
+        gram = z.T @ z / 200
+        moment = z.sum(axis=1) @ z / 200
+        lams = [1.0, 0.1, 0.05, 0.01]
+        strided = np.zeros((7, 12))
+        strided[:6, ::2], strided[6, ::2] = gram, moment
+        expected = solve_dantzig_path(LinearScoreSystem(gram=gram, moment=moment), lams)
+        for layout in (np.asfortranarray(gram), strided[:6, ::2]):
+            sys = LinearScoreSystem(gram=layout, moment=strided[6, ::2])
+            for fit, ref in zip(solve_dantzig_path(sys, lams), expected, strict=True):
+                assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
+                assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
+                assert fit.feasibility_slack.hex() == ref.feasibility_slack.hex()
+
+    def test_empty_system_named(self):
+        sys = LinearScoreSystem(gram=np.zeros((0, 0)), moment=np.zeros(0))
+        with pytest.raises(ValueError, match="no coordinate to select"):
+            solve_dantzig_path(sys, [0.5])
+        rng = np.random.default_rng(8)
+        data = center_design(np.ones((30, 1)), rng.poisson(2.0, 30).astype(float))
+        with pytest.raises(ValueError, match="no coordinate to select"):
+            first_step(data, 0.05, 0.05)
+
 
 def experiment_path(experiment_systems):
     """The centered system with its default grid and rate lambda, as one path."""
@@ -429,25 +455,17 @@ class TestCompiledLpLoop:
         ([[np.inf]], [np.inf]),
         ([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]], [1.0, -2.0, 0.5]),
     ], ids=["nan_ratio", "overflow", "inf_p1", "finite"])
-    def test_entry_leaves_the_numpy_loops_tableau(self, lp_kernel, gram, moment):
-        # solve_dantzig_path's set-up on the loops themselves, final tableau included; it
-        # rejects non-finite systems, so only a direct call reaches the overflow and NaN cases
+    def test_entry_matches_the_numpy_loop(self, lp_kernel, gram, moment):
+        # solve_dantzig_path rejects non-finite systems, so only a direct call on the
+        # loops reaches the overflow and NaN cases
         gram, moment = np.array(gram), np.array(moment)
-        p = moment.size
-        tableaux = []
-        for _ in range(2):
-            tableau = np.zeros((p + 1, 2 * p + 1), order="F")
-            tableau[:p, :p] = gram
-            tableau[np.arange(p), p + np.arange(p)] = 1.0
-            tableau[-1, :p] = 1.0
-            tableaux.append(tableau)
         lams = [2.0, 0.5, 0.1, 0.0]
-        compiled = lp_kernel.dantzig_path(tableaux[0], moment, lams, 6, 1e-9)
+        compiled = lp_kernel.dantzig_path(gram, moment, lams, 6)
         with np.errstate(all="ignore"):
-            python = dantzig._pivot_path(tableaux[1], moment, lams, 6, 1e-9)
+            python = dantzig._dantzig_path(gram, moment, lams, 6)
         assert compiled[0].tobytes() == python[0].tobytes()
-        assert compiled[1:] == python[1:]
-        assert tableaux[0].tobytes() == tableaux[1].tobytes()
+        assert compiled[1:3] == python[1:3]
+        assert compiled[3].tobytes() == python[3].tobytes()
 
     @pytest.mark.parametrize("missing", ["dger", "dgemm", "dgemm_width"])
     def test_without_one_blas_function_nothing_loads(self, lp_kernel, monkeypatch, missing):
@@ -789,10 +807,13 @@ def fold_systems(on_lp_path, monkeypatch):
     """The (gram, moment) of each CV training system that ``on_lp_path`` solves, in order.
 
     The numpy loop hands each to ``solve_dantzig_path``.  The compiled loop
-    passes them only to numpy's BLAS, so its ``dgemv`` is wrapped: a fold's
-    first row-major call resets the basic values at the slack basis, where
-    they are B^-1 b = I b, so its vector is the moment; its first square
-    column-major call after that certifies a fit against the gram.
+    passes them only to numpy's BLAS, so its ``dgemv`` is wrapped: each lambda
+    of a fold makes one row-major call, which resets the basic values, and
+    then one square column-major call, which certifies its fit against the
+    gram.  The first lambda of a fold starts at the slack basis, where the
+    basic values are B^-1 b = I b, so its reset's vector is the moment; the
+    default grid has ``_GRID_NUM`` lambdas, so a fold starts every
+    ``_GRID_NUM`` certificates.
     """
     systems = []
     if on_lp_path == "python":
@@ -802,7 +823,8 @@ def fold_systems(on_lp_path, monkeypatch):
             systems.append((sys.gram.copy(), sys.moment.copy()))
             return real(sys, lams, max_iter)
         monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
-        return systems
+        yield systems
+        return
     kernel = _countsim.load()
     int_t = _blas.cblas("dgemv")[1]
     vec = ctypes.POINTER(ctypes.c_double)
@@ -810,20 +832,25 @@ def fold_systems(on_lp_path, monkeypatch):
                                   ctypes.c_double, vec, int_t, vec, int_t, ctypes.c_double,
                                   vec, int_t)
     real_dgemv = dgemv_type(kernel._dgemv)
-    moments = []
+    resets, certificates = [], []
 
     def dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy):
         real_dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-        if order == 101 and len(moments) == len(systems):  # row-major, on the tableau
-            moments.append(np.ctypeslib.as_array(x, (m,)).copy())
-        elif order == 102 and m == n == lda and len(moments) > len(systems):
-            gram = np.ctypeslib.as_array(a, (m, m)).copy()  # C order: row i is gram[i]
-            systems.append((gram, moments[-1]))
+        if order == 101:  # row-major, on the tableau
+            resets.append(np.ctypeslib.as_array(x, (m,)).copy())
+        elif order == 102 and m == n == lda:
+            certificates.append(len(resets))
+            if (len(certificates) - 1) % dantzig._GRID_NUM == 0:  # a fold's first lambda
+                gram = np.ctypeslib.as_array(a, (m, m)).copy()  # C order: row i is gram[i]
+                systems.append((gram, resets[-1]))
 
     callback = dgemv_type(dgemv)
     monkeypatch.setattr(kernel, "_dgemv", ctypes.cast(callback, ctypes.c_void_p).value)
     monkeypatch.setattr(kernel, "_recording_dgemv", callback, raising=False)  # keep it alive
-    return systems
+    yield systems
+    # one reset, then one certificate, per lambda of each fold run
+    assert certificates == list(range(1, len(resets) + 1))
+    assert len(certificates) == dantzig._GRID_NUM * len(systems)
 
 
 @pytest.mark.usefixtures("on_lp_path")

@@ -75,6 +75,17 @@ class TestFInfinity:
         with pytest.raises(ValueError, match="support"):
             estimate_f_infinity(np.eye(4), support, 10, seed=0, method=method)
 
+    @pytest.mark.parametrize("m, message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "m must be finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "m must be finite"),
+        (np.ones((2, 3)), "m must be a square matrix"),
+        (np.ones(4), "m must be a square matrix"),
+    ])
+    @pytest.mark.parametrize("method", ["cone_sampling", "grid_oracle"])
+    def test_matrix_it_cannot_bound_rejected(self, m, message, method):
+        with pytest.raises(ValueError, match=message):
+            estimate_f_infinity(np.array(m), [0], 50, seed=0, method=method)
+
 
 class TestShapiroWilk:
     def test_normal_scores_high_w(self):

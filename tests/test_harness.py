@@ -156,6 +156,15 @@ class TestCaseConfigValidation:
         ("ou", {"n": 4000}, "n must equal the OU model's n_steps 2000, got 4000"),
         ("hawkes", {"n": 1000}, "n must equal the 10000 bins of the horizon, got 1000"),
         ("hawkes", {"n": 10001}, "n must equal the 10000 bins of the horizon, got 10001"),
+        # the integer fields take integers only, and a bool is not one
+        ("case1", {"cv_folds": 2.5}, "cv_folds must be an integer, got 2.5"),
+        ("case1", {"reps": True}, "reps must be an integer, got True"),
+        ("case1", {"reps": 2.5}, "reps must be an integer, got 2.5"),
+        ("case1", {"n": 300.5}, "n must be an integer, got 300.5"),
+        ("case1", {"p": 10.0}, "p must be an integer, got 10.0"),
+        ("case1", {"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
+        ("case1", {"target": 0.5}, "target must be an integer, got 0.5"),
+        ("case3", {"target": np.float64(1.0)}, "target must be an integer"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -171,6 +180,12 @@ class TestCaseConfigValidation:
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="rate",
                                   cv_folds=1, cv_grid=[])
         assert cfg.cv_folds == 1
+
+    def test_numpy_integer_fields_held_as_int(self):
+        cfg = dataclasses.replace(builtin_case("case3", reps=1), reps=np.int64(2),
+                                  cv_folds=np.int32(4), target=np.int64(7))
+        assert (cfg.reps, cfg.cv_folds, cfg.target) == (2, 4, 7)
+        assert all(type(v) is int for v in (cfg.reps, cfg.cv_folds, cfg.target))
 
     def test_folds_that_just_fill_the_fit_rows_accepted(self):
         assert dataclasses.replace(builtin_case("case1", reps=1), cv_folds=1000).cv_folds == 1000

@@ -511,16 +511,18 @@ class TestCompiledCountLoop:
             kernel.hawkes(rng, 1.0, np.array([0.5, 0.7, 1.0, 2.0])[::2], np.zeros(2), 10.0)
         with pytest.raises(ValueError, match="equal length"):
             kernel.hawkes(rng, 1.0, np.array([0.5, 1.0]), np.zeros(3), 10.0)
-        tableau = np.zeros((3, 5), order="F")
-        for bad_tableau, b in [(np.zeros((3, 5)), np.zeros(2)),          # C order
-                               (np.zeros((3, 4), order="F"), np.zeros(2)),  # wrong shape
-                               (tableau, np.zeros(3)),                   # b of another p
-                               (tableau.astype(np.float32, order="F"), np.zeros(2)),
-                               (np.broadcast_to(tableau, tableau.shape), np.zeros(2))]:
-            with pytest.raises(ValueError, match="Fortran-contiguous"):
-                kernel.dantzig_path(bad_tableau, b, [0.5], 10, 1e-9)
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernel.dantzig_path(tableau, np.zeros(4)[::2], [0.5], 10, 1e-9)
+        gram, b = np.eye(2), np.zeros(2)
+        for bad_gram, bad_b in [(np.zeros((2, 3)), b),                 # not square
+                                (gram, np.zeros(3)),                   # b of another p
+                                (np.zeros((0, 0)), np.zeros(0))]:      # p = 0
+            with pytest.raises(ValueError, match="dantzig_path needs"):
+                kernel.dantzig_path(bad_gram, bad_b, [0.5], 10)
+        for bad_gram, bad_b in [(gram.astype(np.float32), b),
+                                (gram, b.astype(np.float32)),
+                                (np.eye(4)[::2, ::2], b),              # strided
+                                (gram, np.zeros(4)[::2])]:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                kernel.dantzig_path(bad_gram, bad_b, [0.5], 10)
         # cv_folds: a 6 x 2 series in blocks of 3 rows
         zc, yc, bounds = np.zeros((6, 2)), np.zeros(6), [0, 3, 6]
         cross, cross_y = np.zeros((2, 2, 2)), np.zeros((2, 2))
@@ -919,6 +921,20 @@ class TestBinCounts:
         with pytest.raises(ValueError):
             bin_counts(np.array([0.5]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("events, delta, horizon, message", [
+        ([0.25, np.nan, 0.75], 0.5, 1.0, "events must be finite"),
+        ([0.25, np.inf], 0.5, 1.0, "events must be finite"),
+        ([0.25], np.nan, 1.0, "delta must be positive and finite"),
+        ([0.25], np.inf, 1.0, "delta must be positive and finite"),
+        ([0.25], 0.5, np.nan, "horizon must be positive and finite"),
+        ([0.25], 0.5, np.inf, "horizon must be positive and finite"),
+        ([], 0.5, 0.0, "horizon must be positive and finite"),
+        ([], 0.5, -1.0, "horizon must be positive and finite"),
+    ])
+    def test_what_it_cannot_bin_rejected(self, events, delta, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            bin_counts(np.array(events), delta, horizon)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), max_size=60),
            st.sampled_from([0.05, 0.1, 0.3, 1.0]))
@@ -994,6 +1010,11 @@ class TestSeriesIo:
             sample = SeriesSample(np.ones(5), lag_rows=lag_rows)
             assert type(sample.lag_rows) is int
             assert (sample.lag_buffer.shape, sample.n) == ((lag_rows, 1), 5 - lag_rows)
+
+    def test_bool_lag_rows_rejected(self):
+        for lag_rows in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=r"lag_rows must be an integer in \[0, 5\]"):
+                SeriesSample(np.ones(5), lag_rows=lag_rows)
 
     def test_fields_cannot_be_rebound(self):
         sample = SeriesSample(np.arange(6.0), lag_rows=2)
