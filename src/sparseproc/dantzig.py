@@ -29,9 +29,9 @@ slack, recomputed from theta, certifies it.  It is the compiled
 ``CountKernel.dantzig_path``, which makes the float operations and BLAS
 calls of the numpy loop ``_dantzig_path`` in their order; that loop runs
 where the compiled one does not load.  Cross-validation runs its whole fold
-loop in one call to the compiled ``CountKernel.cv_folds``, which solves each
-fold by the compiled LP loop and stands in, byte for byte, for the numpy
-loop ``_cv_folds``; that path calls no ``solve_dantzig_path``.
+loop in one call to the compiled ``CountKernel.cv_folds``, which stands in,
+byte for byte, for the numpy loop ``_cv_folds``; each hands its folds to the
+LP loop of its own language, not to ``solve_dantzig_path``.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from . import _countsim
 from ._blas import rank1_updater
 from .errors import UncertifiedFitError
 from .scores import CenteredDesign, LinearScoreSystem
+from .simulate import as_int
 # no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
 from .scores import build_regression_score  # noqa: F401
 
@@ -54,7 +55,7 @@ _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 # the default CV grid: how many values, and its ends as multiples of the score norm
 _GRID_NUM, _GRID_LO, _GRID_HI = 20, 0.01, 1.0
 
-# the default bound on the pivots of each lambda, per coordinate
+# the bound on the pivots of each lambda, per coordinate
 _PIVOTS_PER_DIM = 200
 
 
@@ -86,18 +87,16 @@ class CvReport:
     folds: int
 
 
-def solve_dantzig(sys: LinearScoreSystem, lam: float,
-                  max_iter: Optional[int] = None) -> DantzigFit:
+def solve_dantzig(sys: LinearScoreSystem, lam: float) -> DantzigFit:
     """Solve the constrained l1 minimization for one tuning value."""
-    return solve_dantzig_path(sys, [lam], max_iter)[0]
+    return solve_dantzig_path(sys, [lam])[0]
 
 
-def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
-                       max_iter: Optional[int] = None) -> list[DantzigFit]:
+def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float]) -> list[DantzigFit]:
     """Solve the constrained l1 minimization for each tuning value; fits in input order.
 
-    ``max_iter`` bounds the pivots of each value; a value whose basis is
-    optimal after its last allowed pivot is "optimal".  ``status`` is
+    Each value may take ``_PIVOTS_PER_DIM * p`` pivots; a value whose basis
+    is optimal after its last allowed pivot is "optimal".  ``status`` is
     "infeasible" only when lambda is below the smallest attainable score
     norm, and "inaccurate" when the pivots ended but the recomputed slack
     falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
@@ -107,15 +106,12 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float],
     p = sys.dim
     if p == 0:
         raise ValueError("the system has no coordinate to select")
-    max_iter = _PIVOTS_PER_DIM * p if max_iter is None else max_iter
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
     path = sorted(zip(lams, range(len(lams))), reverse=True)
     kernel = _countsim.load()
     lp_path = _dantzig_path if kernel is None else kernel.dantzig_path
     thetas, iterations, statuses, slacks = lp_path(
         np.ascontiguousarray(sys.gram), np.ascontiguousarray(sys.moment),
-        [lam for lam, _ in path], max_iter)
+        [lam for lam, _ in path], _PIVOTS_PER_DIM * p)
     l1 = _sum(np.abs(thetas), axis=1)
     fits: list = [None] * len(lams)
     for (lam, i), theta, slack, objective, pivot_count, status in zip(
@@ -237,11 +233,12 @@ def _cv_folds(zc: np.ndarray, yc: np.ndarray, bounds: np.ndarray, cross: np.ndar
     """The numpy loop of ``_countsim.CountKernel.cv_folds``: each fold's fits and losses.
 
     ``zc`` and ``yc`` are split into blocks at the row offsets ``bounds``,
-    and ``cross`` and ``cross_y`` are the blocks' cross-products.  Returns,
-    per fold and value of the ascending ``grid``, the held-out mean squared
-    error, the pivot count, the status and the slack of the fit.  The loop
-    stops after a fold with a fit that is not "optimal": ``statuses`` has a
-    row for each fold run, and the later rows of the arrays stay 0.
+    and ``cross`` and ``cross_y`` are the blocks' cross-products.  Each
+    fold's LP goes to ``_dantzig_path`` with ``max_iter``.  Returns, per fold
+    and value of the ascending ``grid``, the held-out mean squared error,
+    the pivot count, the status and the slack of the fit.  The loop stops
+    after a fold with a fit that is not "optimal": ``statuses`` has a row
+    for each fold run, and the later rows of the arrays stay 0.
     """
     folds, p = bounds.size - 1, zc.shape[1]
     n = yc.size
@@ -258,15 +255,17 @@ def _cv_folds(zc: np.ndarray, yc: np.ndarray, bounds: np.ndarray, cross: np.ndar
         m = n - y_val.size
         d = sums[train].sum(axis=0) / m     # training means, relative to the full ones
         e = sums_y[train].sum() / m
-        sys = LinearScoreSystem(gram=cross[train].sum(axis=0) / m - np.outer(d, d),
-                                moment=cross_y[train].sum(axis=0) / m - d * e)
-        fits = solve_dantzig_path(sys, grid, max_iter)
-        statuses.append([fit.status for fit in fits])
-        pivots[k] = [fit.iterations for fit in fits]
-        slacks[k] = [fit.feasibility_slack for fit in fits]
+        gram = cross[train].sum(axis=0) / m - np.outer(d, d)
+        moment = cross_y[train].sum(axis=0) / m - d * e
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(moment))):
+            raise ValueError("gram and moment must be finite")
+        path_thetas, path_pivots, path_statuses, path_slacks = _dantzig_path(
+            gram, moment, grid[::-1], max_iter)
+        statuses.append(path_statuses[::-1])
+        pivots[k], slacks[k] = path_pivots[::-1], path_slacks[::-1]
         if statuses[-1].count("optimal") < grid.size:
             break
-        thetas = np.column_stack([fit.theta_hat for fit in fits])
+        thetas = np.ascontiguousarray(path_thetas[::-1].T)  # p x grid in C order, as in C
         z_dev = np.subtract(z_val, d, out=z_held[:y_val.size])
         resid = z_dev @ thetas
         np.subtract((y_val - e)[:, None], resid, out=resid)
@@ -290,6 +289,24 @@ def default_lambda_grid(moment: np.ndarray) -> np.ndarray:
     return np.geomspace(_GRID_LO * b_inf, _GRID_HI * b_inf, _GRID_NUM)
 
 
+def check_cv_arguments(rows: int, folds: int, grid: Optional[np.ndarray]) -> int:
+    """``folds`` as an int; ``ValueError`` unless it is an integer >= 2 with two of the
+    ``rows`` fit rows per fold, and ``grid``, where given, a nonempty, ascending
+    vector of finite, nonnegative values."""
+    folds = as_int(folds, "cv folds")
+    if folds < 2:
+        raise ValueError(f"cv folds must be >= 2, got {folds}")
+    if rows < 2 * folds:
+        raise ValueError(f"{folds} cv folds need at least {2 * folds} fit rows, got {rows}")
+    if grid is not None:
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"cv grid must be a nonempty vector, got shape {grid.shape}")
+        _check_lambdas(grid)
+        if np.any(np.diff(grid) < 0):
+            raise ValueError("cv grid must be sorted ascending")
+    return folds
+
+
 def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] = None,
                           folds: int = 5) -> CvReport:
     """Pick lambda by contiguous-block K-fold, preserving time order.
@@ -310,19 +327,10 @@ def cross_validate_lambda(data: CenteredDesign, grid: Optional[Sequence[float]] 
     used.  Ties in the mean loss go to the largest lambda.  Raises
     ``UncertifiedFitError`` when a fold's LP is not "optimal".
     """
-    n = data.n
     if grid is None:
         grid = default_lambda_grid(data.moment)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid is empty")
-    _check_lambdas(grid)
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("lambda grid must be sorted ascending")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if n < 2 * folds:
-        raise ValueError("series too short for the requested fold count")
+    folds = check_cv_arguments(data.n, folds, grid)
     zc, yc = np.ascontiguousarray(data.zc), np.ascontiguousarray(data.yc)
     if zc.shape[1] == 0:
         raise ValueError("the design has no lag column to select")

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._blas import one_blas_thread
-from .dantzig import cross_validate_lambda
+from .dantzig import check_cv_arguments, cross_validate_lambda
 # not called here; perfbench/tracing.py still wraps these six harness names
 from .dantzig import default_lambda_grid, solve_dantzig, threshold_support  # noqa: F401
 from .scores import build_regression_score, lagged_design  # noqa: F401
@@ -27,7 +27,7 @@ from .diagnostics import royston_test, selection_and_errors
 from .errors import NumericError
 from .rng import derive_seed, make_rng
 from .scores import DiffusionDesign, center_lags, diffusion_design
-from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
+from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample, as_int,
                        bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
 from .twostep import FitData, first_step, project_statistic, two_step_fit
@@ -69,11 +69,11 @@ class CaseConfig:
 
     def __post_init__(self):
         """Raise ValueError where the fields do not make a runnable case."""
+        if not isinstance(self.model, (InarSpec, Minar1Spec, OuSpec, HawkesSpec)):
+            raise ValueError(f"model must be an InarSpec, Minar1Spec, OuSpec or HawkesSpec, "
+                             f"got {type(self.model).__name__}")
         for name in ("reps", "n", "p", "cv_folds", "target", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n < 1:
@@ -88,8 +88,6 @@ class CaseConfig:
             raise ValueError("OU case supports fixed or rate lambda modes")
         if not _finite_nonnegative(self.tau):
             raise ValueError("tau must be finite and nonnegative")
-        if self.lambda_mode == "cv" and self.cv_folds < 2:
-            raise ValueError("cv lambda mode needs cv_folds >= 2")
         dim = self.model.dim if isinstance(self.model, (Minar1Spec, OuSpec)) else 1
         if not 0 <= self.target < dim:
             raise ValueError(f"target must lie in [0, {dim}), got {self.target}")
@@ -109,7 +107,8 @@ class CaseConfig:
             object.__setattr__(self, "theta_true", np.asarray(self.theta_true, dtype=float))
         if self.cv_grid is not None:
             object.__setattr__(self, "cv_grid", np.asarray(self.cv_grid, dtype=float))
-        object.__setattr__(self, "support_true", tuple(int(j) for j in self.support_true))
+        object.__setattr__(self, "support_true",
+                           tuple(as_int(j, "each support_true index") for j in self.support_true))
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if isinstance(self.model, (Minar1Spec, OuSpec)) and self.p != dim:
@@ -128,17 +127,10 @@ class CaseConfig:
                 raise ValueError(f"theta_true must hold the {fit_dim} fit coefficients")
         if self.theta_true is not None and not np.all(np.isfinite(self.theta_true)):
             raise ValueError("theta_true must be finite")
-        # a binned Hawkes sample keeps its first p bins as lag rows, and fits the rest
-        fit_rows = self.n - self.p if isinstance(self.model, HawkesSpec) else self.n
-        if self.lambda_mode == "cv" and fit_rows < 2 * self.cv_folds:
-            raise ValueError(f"{self.cv_folds} cv folds need at least {2 * self.cv_folds} "
-                             f"fit rows, got {fit_rows}")
-        grid = self.cv_grid
-        if self.lambda_mode == "cv" and grid is not None and not (
-                grid.ndim == 1 and grid.size > 0 and np.all(np.isfinite(grid))
-                and np.all(grid >= 0) and np.all(np.diff(grid) >= 0)):
-            raise ValueError("cv_grid must be a nonempty ascending list of finite "
-                             "nonnegative values")
+        if self.lambda_mode == "cv":
+            # a binned Hawkes sample keeps its first p bins as lag rows, and fits the rest
+            fit_rows = self.n - self.p if isinstance(self.model, HawkesSpec) else self.n
+            check_cv_arguments(fit_rows, self.cv_folds, self.cv_grid)
 
     def to_dict(self) -> dict:
         return {f.name: spec_to_dict(self.model) if f.name == "model"

@@ -28,6 +28,13 @@ _DRAW_BLOCK = 4096  # unit exponentials fetched per call in the Hawkes simulator
 _MAX_DRIFT_BLOCK = 8  # largest drift block whose Lyapunov equation is solved densely
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` where it is a bool or not an integer type."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class InarSpec:
     """Poisson INAR(p): X_t | past ~ Poisson(mu_eps + sum_i alpha[i] * X_{t-1-i}).
@@ -52,6 +59,7 @@ class InarSpec:
             raise StationarityError(
                 f"thinning means sum to {alpha.sum():.3f} >= 1; no stationary solution"
             )
+        object.__setattr__(self, "burn_in", as_int(self.burn_in, "burn_in"))
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
 
@@ -83,6 +91,7 @@ class Minar1Spec:
             raise StationarityError(
                 f"max row sum of A is {a.sum(axis=1).max():.3f} >= 1; no stationary solution"
             )
+        object.__setattr__(self, "burn_in", as_int(self.burn_in, "burn_in"))
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
 
@@ -119,6 +128,8 @@ class OuSpec:
             raise ValueError("a_matrix, sigma_diag and delta must be finite")
         if np.any(s <= 0):
             raise ValueError("sigma_diag entries must be positive")
+        for name in ("n_steps", "substeps"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.delta <= 0 or self.n_steps < 1 or self.substeps < 1:
             raise ValueError("delta, n_steps, substeps must be positive")
         if np.max(np.linalg.eigvals(a).real) >= -1e-12:
@@ -196,12 +207,10 @@ class SeriesSample:
             raise ValueError(f"rows must be 1-d or 2-d, got shape {rows.shape}")
         rows = np.ascontiguousarray(rows[:, None] if rows.ndim == 1 else rows)
         object.__setattr__(self, "rows", rows)
-        lag_rows = self.lag_rows
-        if not (isinstance(lag_rows, (int, np.integer)) and not isinstance(lag_rows, bool)
-                and 0 <= lag_rows <= rows.shape[0]):
-            raise ValueError(f"lag_rows must be an integer in [0, {rows.shape[0]}], "
-                             f"got {self.lag_rows!r}")
-        object.__setattr__(self, "lag_rows", int(self.lag_rows))
+        lag_rows = as_int(self.lag_rows, "lag_rows")
+        if not 0 <= lag_rows <= rows.shape[0]:
+            raise ValueError(f"lag_rows must lie in [0, {rows.shape[0]}], got {lag_rows}")
+        object.__setattr__(self, "lag_rows", lag_rows)
         if self.kind not in ("counts", "reals"):
             raise ValueError("kind must be 'counts' or 'reals'")
         if not np.isfinite(rows).all():
@@ -495,7 +504,7 @@ def read_series_csv(path, kind: str = "counts", delta: Optional[float] = None) -
     buf_rows, val_rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header either
         if not header or header[0] != "t":
             raise ValueError("series CSV must start with a 't' header column")
         for row in reader:

@@ -1,6 +1,7 @@
 """LP solver tests: exactness against a vertex-enumeration oracle, invariants."""
 
 import ctypes
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def on_lp_path(lp_path, monkeypatch):
     return lp_path
 
 
+@pytest.fixture
+def pivot_budget(on_lp_path, monkeypatch):
+    """``pivot_budget(k)`` allows each lambda ``k`` pivots in the LP loop of ``on_lp_path``."""
+    owner, name = ((dantzig, "_dantzig_path") if on_lp_path == "python"
+                   else (_countsim.CountKernel, "dantzig_path"))
+    real = getattr(owner, name)
+
+    def bound(k):
+        monkeypatch.setattr(owner, name, lambda *args: real(*args[:-1], k))
+    return bound
+
+
 @pytest.mark.usefixtures("on_lp_path")
 class TestSolveDantzig:
     def test_origin_feasible_gives_zero(self):
@@ -96,30 +109,34 @@ class TestSolveDantzig:
         fit = solve_dantzig(sys, lam=0.5)
         assert fit.status == "infeasible"
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, pivot_budget):
         rng = np.random.default_rng(3)
         sys = random_system(rng, 6)
-        fit = solve_dantzig(sys, lam=0.01 * np.abs(sys.moment).max(), max_iter=1)
-        assert fit.status == "iteration_limit"
+        pivot_budget(1)
+        fit = solve_dantzig(sys, lam=0.01 * np.abs(sys.moment).max())
+        assert (fit.status, fit.iterations) == ("iteration_limit", 1)
 
-    def test_optimal_slack_basis_within_zero_pivots(self):
+    def test_optimal_slack_basis_within_zero_pivots(self, pivot_budget):
         # b = (0.5, -0.2) lies inside the box of lambda = 1, so the slack basis is optimal
         sys = LinearScoreSystem(gram=np.eye(2), moment=np.array([0.5, -0.2]))
-        fit = solve_dantzig(sys, lam=1.0, max_iter=0)
+        pivot_budget(0)
+        fit = solve_dantzig(sys, lam=1.0)
         assert (fit.status, fit.iterations) == ("optimal", 0)
         assert fit.feasibility_slack == 0.5
         assert_array_equal(fit.theta_hat, np.zeros(2))
 
-    def test_optimal_at_the_last_allowed_pivot(self):
+    def test_optimal_at_the_last_allowed_pivot(self, pivot_budget):
         # two pivots reach the optimum: a budget of two is enough, a budget of one is not
         sys = LinearScoreSystem(gram=np.array([[2.0, 0.5], [0.5, 1.0]]),
                                 moment=np.array([1.0, 0.6]))
         unbounded = solve_dantzig(sys, lam=0.01)
         assert (unbounded.status, unbounded.iterations) == ("optimal", 2)
-        fit = solve_dantzig(sys, lam=0.01, max_iter=2)
+        pivot_budget(2)
+        fit = solve_dantzig(sys, lam=0.01)
         assert (fit.status, fit.iterations) == ("optimal", 2)
         assert fit.theta_hat.tobytes() == unbounded.theta_hat.tobytes()
-        short = solve_dantzig(sys, lam=0.01, max_iter=1)
+        pivot_budget(1)
+        short = solve_dantzig(sys, lam=0.01)
         assert (short.status, short.iterations) == ("iteration_limit", 1)
 
     def test_negative_lambda_rejected(self):
@@ -288,18 +305,21 @@ class TestSolveDantzigPath:
                                                 "optimal", "infeasible"]
         assert_allclose([fits[1].l1_objective, fits[3].l1_objective], [1.5, 1.0], atol=1e-12)
 
-    def test_iteration_limit_per_lambda(self):
+    def test_iteration_limit_per_lambda(self, pivot_budget):
         rng = np.random.default_rng(31)
         sys = random_system(rng, 8)
         lams = np.geomspace(0.01, 1.0, 6) * np.abs(sys.moment).max()
-        fits = solve_dantzig_path(sys, lams, max_iter=3)
+        unbounded = solve_dantzig_path(sys, lams)
+        pivot_budget(3)
+        fits = solve_dantzig_path(sys, lams)
         assert all(fit.iterations <= 3 for fit in fits)
         assert any(fit.status == "iteration_limit" for fit in fits)
         for fit in fits:
             assert fit.status != "iteration_limit" or fit.iterations == 3
         # the second-largest value takes four pivots from its warm start: a budget of
         # exactly four ends it optimal, at the unbounded path's vertex
-        fits, unbounded = solve_dantzig_path(sys, lams, max_iter=4), solve_dantzig_path(sys, lams)
+        pivot_budget(4)
+        fits = solve_dantzig_path(sys, lams)
         assert (fits[4].status, fits[4].iterations) == ("optimal", 4)
         assert all(fit.status == "optimal" for fit in fits)
         for fit, ref in zip(fits, unbounded):
@@ -309,8 +329,6 @@ class TestSolveDantzigPath:
         sys = LinearScoreSystem(gram=np.eye(2), moment=np.ones(2))
         with pytest.raises(ValueError):
             solve_dantzig_path(sys, [0.5, -0.1, 0.2])
-        with pytest.raises(ValueError, match="max_iter"):
-            solve_dantzig_path(sys, [0.5], max_iter=-1)
         assert solve_dantzig_path(sys, []) == []
 
     def test_gram_layout_does_not_move_the_fits(self):
@@ -389,11 +407,11 @@ class TestAgainstMirroredReference:
             assert abs(fit.l1_objective - oracle) < 1e-9 * max(1.0, oracle)
 
 
-def python_loop_path(sys, lams, max_iter=None):
+def python_loop_path(sys, lams):
     """``solve_dantzig_path`` with the compiled loops unavailable."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_countsim, "load", lambda: None)
-        return solve_dantzig_path(sys, lams, max_iter)
+        return solve_dantzig_path(sys, lams)
 
 
 @pytest.fixture
@@ -405,9 +423,9 @@ class TestCompiledLpLoop:
     """The compiled pivot loop of ``_countsim`` against the numpy loop it stands in for."""
 
     @staticmethod
-    def assert_same_fits(sys, lams, max_iter=None):
-        compiled = solve_dantzig_path(sys, lams, max_iter)
-        python = python_loop_path(sys, lams, max_iter)
+    def assert_same_fits(sys, lams):
+        compiled = solve_dantzig_path(sys, lams)
+        python = python_loop_path(sys, lams)
         assert len(compiled) == len(python) == len(lams)
         for fit, ref in zip(compiled, python):
             assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
@@ -415,6 +433,16 @@ class TestCompiledLpLoop:
             assert float(fit.feasibility_slack).hex() == float(ref.feasibility_slack).hex()
             assert fit.lam == ref.lam
         return compiled
+
+    @staticmethod
+    def assert_same_loops(kernel, gram, moment, lams, max_iter):
+        """Both loops on one system and pivot budget, byte for byte; returns the statuses."""
+        compiled = kernel.dantzig_path(gram, moment, lams, max_iter)
+        python = dantzig._dantzig_path(gram, moment, lams, max_iter)
+        assert compiled[0].tobytes() == python[0].tobytes()
+        assert compiled[1:3] == python[1:3]
+        assert compiled[3].tobytes() == python[3].tobytes()
+        return python[2]
 
     def test_experiment_systems(self, lp_kernel, experiment_systems):
         fits = self.assert_same_fits(*experiment_path(experiment_systems))
@@ -438,8 +466,11 @@ class TestCompiledLpLoop:
             sys = LinearScoreSystem(gram=m.T @ m / rows, moment=rng.standard_normal(p))
             lams = list(rng.uniform(0.0, 1.2, 5) * np.abs(sys.moment).max())
             lams += [0.0, lams[1]]
-            max_iter = (i // 4) % 5 if i % 4 == 3 else None
-            statuses.update(f.status for f in self.assert_same_fits(sys, lams, max_iter))
+            if i % 4 == 3:
+                statuses.update(self.assert_same_loops(lp_kernel, sys.gram, sys.moment,
+                                                       sorted(lams, reverse=True), (i // 4) % 5))
+            else:
+                statuses.update(f.status for f in self.assert_same_fits(sys, lams))
         assert statuses == {"optimal", "infeasible", "iteration_limit"}
 
     def test_p1_and_empty_path(self, lp_kernel):
@@ -458,14 +489,9 @@ class TestCompiledLpLoop:
     def test_entry_matches_the_numpy_loop(self, lp_kernel, gram, moment):
         # solve_dantzig_path rejects non-finite systems, so only a direct call on the
         # loops reaches the overflow and NaN cases
-        gram, moment = np.array(gram), np.array(moment)
-        lams = [2.0, 0.5, 0.1, 0.0]
-        compiled = lp_kernel.dantzig_path(gram, moment, lams, 6)
         with np.errstate(all="ignore"):
-            python = dantzig._dantzig_path(gram, moment, lams, 6)
-        assert compiled[0].tobytes() == python[0].tobytes()
-        assert compiled[1:3] == python[1:3]
-        assert compiled[3].tobytes() == python[3].tobytes()
+            self.assert_same_loops(lp_kernel, np.array(gram), np.array(moment),
+                                   [2.0, 0.5, 0.1, 0.0], 6)
 
     @pytest.mark.parametrize("missing", ["dger", "dgemm", "dgemm_width"])
     def test_without_one_blas_function_nothing_loads(self, lp_kernel, monkeypatch, missing):
@@ -662,8 +688,8 @@ class TestPathCertificate:
     formula bit for bit, on the compiled loop and on the numpy loop."""
 
     @staticmethod
-    def assert_per_fit(sys, lams, max_iter=None):
-        fits = solve_dantzig_path(sys, lams, max_iter)
+    def assert_per_fit(sys, lams):
+        fits = solve_dantzig_path(sys, lams)
         for fit in fits:
             slack, l1, status = per_fit_certificate(sys, fit)
             assert type(fit.feasibility_slack) is float and type(fit.l1_objective) is float
@@ -684,13 +710,14 @@ class TestPathCertificate:
     def test_experiment_systems(self, on_lp_path, experiment_systems):
         assert set(self.assert_per_fit(*experiment_path(experiment_systems))) == {"optimal"}
 
-    def test_infeasible_and_iteration_limit(self, on_lp_path):
+    def test_infeasible_and_iteration_limit(self, pivot_budget):
         sys = LinearScoreSystem(gram=np.array([[1.0, 0.0], [0.0, 0.0]]),
                                 moment=np.array([3.0, 1.0]))
         assert "infeasible" in self.assert_per_fit(sys, [0.5, 1.5, 0.2, 2.0])
         sys = random_system(np.random.default_rng(37), 20)
         lams = np.geomspace(0.01, 1.0, 6) * np.abs(sys.moment).max()
-        assert "iteration_limit" in self.assert_per_fit(sys, lams, max_iter=2)
+        pivot_budget(2)
+        assert "iteration_limit" in self.assert_per_fit(sys, lams)
 
     def test_inaccurate(self, corrupt_pivots):
         sys = random_system(np.random.default_rng(41), 20)
@@ -806,7 +833,7 @@ def cv_results(on_lp_path, monkeypatch):
 def fold_systems(on_lp_path, monkeypatch):
     """The (gram, moment) of each CV training system that ``on_lp_path`` solves, in order.
 
-    The numpy loop hands each to ``solve_dantzig_path``.  The compiled loop
+    The numpy loop hands each to the LP loop ``_dantzig_path``.  The compiled loop
     passes them only to numpy's BLAS, so its ``dgemv`` is wrapped: each lambda
     of a fold makes one row-major call, which resets the basic values, and
     then one square column-major call, which certifies its fit against the
@@ -817,12 +844,12 @@ def fold_systems(on_lp_path, monkeypatch):
     """
     systems = []
     if on_lp_path == "python":
-        real = dantzig.solve_dantzig_path
+        real = dantzig._dantzig_path
 
-        def recording(sys, lams, max_iter=None):
-            systems.append((sys.gram.copy(), sys.moment.copy()))
-            return real(sys, lams, max_iter)
-        monkeypatch.setattr(dantzig, "solve_dantzig_path", recording)
+        def recording(gram, moment, lams, max_iter):
+            systems.append((gram.copy(), moment.copy()))
+            return real(gram, moment, lams, max_iter)
+        monkeypatch.setattr(dantzig, "_dantzig_path", recording)
         yield systems
         return
     kernel = _countsim.load()
@@ -866,13 +893,23 @@ class TestCrossValidation:
     def test_grid_validation(self):
         z = np.ones((30, 2))
         y = np.zeros(30)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError,
+                           match=r"cv grid must be a nonempty vector, got shape \(0,\)"):
             cross_validate_lambda(center_design(z, y), [], folds=2)
-        with pytest.raises(ValueError, match="ascending"):
+        # one message on both fold loops: the compiled one would name its own shapes
+        with pytest.raises(ValueError,
+                           match=r"cv grid must be a nonempty vector, got shape \(2, 2\)"):
+            cross_validate_lambda(center_design(z, y), [[0.1, 0.2], [0.3, 0.4]], folds=2)
+        with pytest.raises(ValueError, match="cv grid must be sorted ascending"):
             cross_validate_lambda(center_design(z, y), [0.5, 0.1], folds=2)
-        with pytest.raises(ValueError, match="folds"):
+        with pytest.raises(ValueError, match="cv folds must be >= 2, got 1"):
             cross_validate_lambda(center_design(z, y), [0.1], folds=1)
-        with pytest.raises(ValueError, match="short"):
+        for folds in (2.5, np.float64(3.0), True):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"cv folds must be an integer, got {folds!r}")):
+                cross_validate_lambda(center_design(z, y), [0.1], folds=folds)
+        assert type(cross_validate_lambda(center_design(z, y), [0.1], np.int64(3)).folds) is int
+        with pytest.raises(ValueError, match="5 cv folds need at least 10 fit rows, got 6"):
             cross_validate_lambda(center_design(np.ones((6, 2)), np.zeros(6)), [0.1],
                                   folds=5)
         for bad in ([0.1, np.nan, 0.5], [0.1, 0.5, np.inf], [-0.1, 0.5]):

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_cross_validate, run_fresh
 
-from sparseproc import _blas, cli, errors, harness, scores, twostep
+from sparseproc import _blas, cli, dantzig, errors, harness, scores, twostep
 from sparseproc.cli import build_parser, main
 from sparseproc.dantzig import CvReport
 from sparseproc.diagnostics import FInftyEstimate
@@ -123,8 +123,8 @@ class TestCaseConfigValidation:
         ("hawkes", {"hawkes_bin_delta": float("inf")}, "hawkes_bin_delta"),
         ("hawkes", {"hawkes_bin_delta": 50.0}, "horizon too short"),
         ("hawkes", {"p": 10000}, "horizon too short"),
-        ("case1", {"cv_folds": 1}, "cv_folds"),
-        ("hawkes", {"cv_folds": 0}, "cv_folds"),
+        ("case1", {"cv_folds": 1}, "cv folds must be >= 2, got 1"),
+        ("hawkes", {"cv_folds": 0}, "cv folds must be >= 2, got 0"),
         ("case1", {"reps": 0}, "reps must be >= 1"),
         ("case1", {"p": 0}, "p must be >= 1"),
         ("case1", {"support_true": (0, 50)}, r"support_true must lie in \[0, 10\)"),
@@ -146,11 +146,13 @@ class TestCaseConfigValidation:
         ("case1", {"cv_folds": 1001}, "1001 cv folds need at least 2002 fit rows, got 2000"),
         ("case3", {"n": 9}, "5 cv folds need at least 10 fit rows, got 9"),
         ("hawkes", {"cv_folds": 4991}, "4991 cv folds need at least 9982 fit rows, got 9980"),
-        ("case1", {"cv_grid": []}, "cv_grid"),
-        ("case1", {"cv_grid": [0.1, float("nan")]}, "cv_grid"),
-        ("case1", {"cv_grid": [0.1, float("inf")]}, "cv_grid"),
-        ("case1", {"cv_grid": [-0.1, 0.2]}, "cv_grid"),
-        ("hawkes", {"cv_grid": [0.5, 0.1]}, "cv_grid"),
+        ("case1", {"cv_grid": []}, r"cv grid must be a nonempty vector, got shape \(0,\)"),
+        ("case1", {"cv_grid": [[0.1, 0.2]]},
+         r"cv grid must be a nonempty vector, got shape \(1, 2\)"),
+        ("case1", {"cv_grid": [0.1, float("nan")]}, "lambda must be finite and nonnegative"),
+        ("case1", {"cv_grid": [0.1, float("inf")]}, "lambda must be finite and nonnegative"),
+        ("case1", {"cv_grid": [-0.1, 0.2]}, "lambda must be finite and nonnegative"),
+        ("hawkes", {"cv_grid": [0.5, 0.1]}, "cv grid must be sorted ascending"),
         # an OU path runs n_steps steps, and a Hawkes series has a bin per delta of horizon
         ("ou", {"n": 1999}, "n must equal the OU model's n_steps 2000, got 1999"),
         ("ou", {"n": 4000}, "n must equal the OU model's n_steps 2000, got 4000"),
@@ -158,6 +160,15 @@ class TestCaseConfigValidation:
         ("hawkes", {"n": 10001}, "n must equal the 10000 bins of the horizon, got 10001"),
         # the integer fields take integers only, and a bool is not one
         ("case1", {"cv_folds": 2.5}, "cv_folds must be an integer, got 2.5"),
+        ("case1", {"support_true": (0, 1.5, 2, 3)},
+         "each support_true index must be an integer, got 1.5"),
+        ("case1", {"support_true": (0, True)},
+         "each support_true index must be an integer, got True"),
+        # the model is one of the four spec types, which to_dict and the runners know
+        ("case1", {"model": "foo"},
+         "model must be an InarSpec, Minar1Spec, OuSpec or HawkesSpec, got str"),
+        ("case1", {"model": None},
+         "model must be an InarSpec, Minar1Spec, OuSpec or HawkesSpec, got NoneType"),
         ("case1", {"reps": True}, "reps must be an integer, got True"),
         ("case1", {"reps": 2.5}, "reps must be an integer, got 2.5"),
         ("case1", {"n": 300.5}, "n must be an integer, got 300.5"),
@@ -294,9 +305,7 @@ class TestRunCase:
             run_case(builtin_case("case1", n=500, reps=2), jobs=1)
 
     def test_uncertified_first_step_counts_as_failure(self, monkeypatch):
-        real = twostep.solve_dantzig
-        monkeypatch.setattr(twostep, "solve_dantzig",
-                            lambda sys, lam: real(sys, lam, max_iter=2))
+        monkeypatch.setattr(dantzig, "_PIVOTS_PER_DIM", 0)  # every LP ends at the limit
         rep = run_case(builtin_case("case1", n=500, reps=2, lambda_mode="rate"), jobs=1)
         assert rep.failures == 2
         assert all(r["error"].startswith("UncertifiedFitError") for r in rep.per_rep)
@@ -489,10 +498,10 @@ class TestHawkesSupport:
         assert abs(out[0.05] - out[0.1]) <= 0.3 * out[0.1]
 
     def test_uncertified_first_step_counts_as_failure(self, monkeypatch):
-        real = twostep.solve_dantzig
-        monkeypatch.setattr(twostep, "solve_dantzig",
-                            lambda sys, lam: real(sys, lam, max_iter=2))
-        report = run_hawkes_support(builtin_case("hawkes", n=200, reps=2), jobs=1)
+        monkeypatch.setattr(dantzig, "_PIVOTS_PER_DIM", 0)  # every LP ends at the limit
+        # the rate lambda: no CV LP runs before the first step
+        report = run_hawkes_support(builtin_case("hawkes", n=200, reps=2, lambda_mode="rate"),
+                                    jobs=1)
         assert report.failures == 2
         assert all(r["error"].startswith("UncertifiedFitError") for r in report.per_rep)
 
@@ -813,9 +822,7 @@ class TestCli:
         series = tmp_path / "s.csv"
         assert main(["simulate", "--config", str(spec_path), "--n", "400",
                      "--seed", "2", "--out", str(series)]) == 0
-        real = twostep.solve_dantzig
-        monkeypatch.setattr(twostep, "solve_dantzig",
-                            lambda sys, lam: real(sys, lam, max_iter=2))
+        monkeypatch.setattr(dantzig, "_PIVOTS_PER_DIM", 0)  # every LP ends at the limit
         rc = main(["fit", "--series", str(series), "--order", "10", "--lambda", "0.01",
                    "--out", str(tmp_path / "fit.json")])
         assert rc == 3
@@ -901,9 +908,9 @@ class TestCli:
         (["experiment"], "ou", {"target": 16}, "target must lie in [0, 16)"),
         (["experiment"], "case1", {"support_true": [0, 50]}, "support_true must lie in [0, 10)"),
         (["experiment"], "case1", {"theta_true": [0.5, 0.3]}, "theta_true must hold the 11"),
-        (["experiment"], "case1", {"cv_grid": [0.5, 0.1]}, "cv_grid"),
+        (["experiment"], "case1", {"cv_grid": [0.5, 0.1]}, "cv grid must be sorted ascending"),
         (["hawkes-support"], "hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
-        (["hawkes-support"], "hawkes", {"cv_folds": 1}, "cv_folds"),
+        (["hawkes-support"], "hawkes", {"cv_folds": 1}, "cv folds must be >= 2, got 1"),
     ])
     def test_bad_config_json_exit_code(self, tmp_path, capsys, monkeypatch, verb, case_id,
                                        changes, message):
@@ -919,6 +926,15 @@ class TestCli:
         assert main(verb + ["--config", str(config), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [["fit", "--lambda", "0.1"], ["cv"],
+                                      ["finfty", "--support", "0"]])
+    def test_empty_series_csv_exit_code(self, tmp_path, capsys, verb):
+        series = tmp_path / "empty.csv"
+        series.write_text("")
+        assert main([verb[0], "--series", str(series), *verb[1:]]) == 2
+        assert ("configuration error: series CSV must start with a 't' header column"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("support", ["-1", "0,0", "9"])
     def test_finfty_bad_support_exit_code(self, tmp_path, capsys, support):

@@ -17,7 +17,7 @@ from oracles import hawkes_reference_events, run_fresh
 from sparseproc import _countsim, simulate
 from sparseproc.dantzig import cross_validate_lambda, solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
-from sparseproc.harness import builtin_case
+from sparseproc.harness import builtin_case, simulate_series
 from sparseproc.rng import make_rng
 from sparseproc.scores import LinearScoreSystem, center_design
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
@@ -152,6 +152,30 @@ def kernel():
     if compiled is None:
         pytest.skip("the compiled count loop cannot be built here")
     return compiled
+
+
+INTEGER_FIELD_SPECS = {
+    "inar": InarSpec(mu_eps=0.5, alpha=np.array([0.3])),
+    "minar1": Minar1Spec(eta=np.ones(2), a_matrix=np.full((2, 2), 0.1)),
+    "ou": OuSpec(a_matrix=-np.eye(2), sigma_diag=np.ones(2), delta=0.1, n_steps=20, substeps=2),
+}
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@pytest.mark.parametrize("model, field", [("inar", "burn_in"), ("minar1", "burn_in"),
+                                          ("ou", "n_steps"), ("ou", "substeps")])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_integer_fields_rejected_before_any_draw(monkeypatch, loop, model, field, value):
+    # checked when the spec is built: a float burn_in would reach the count loops, where
+    # the compiled one raises DomainError and the numpy one TypeError; a bool would run as 1
+    if loop == "python":
+        monkeypatch.setattr(_countsim, "load", lambda: None)
+    elif _countsim.load() is None:
+        pytest.skip("the compiled count loop cannot be built here")
+    spec = INTEGER_FIELD_SPECS[model]
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        simulate_series(dataclasses.replace(spec, **{field: value}), 30, 0)
+    assert type(getattr(dataclasses.replace(spec, **{field: np.int64(3)}), field)) is int
 
 
 @pytest.fixture(scope="module", params=["compiled", "python"])
@@ -663,7 +687,7 @@ class TestCompiledCountLoop:
 WARM_CACHE_SCRIPT = """
 import json
 from sparseproc import _countsim
-from sparseproc.harness import builtin_case
+from sparseproc.harness import builtin_case, simulate_series
 from sparseproc.simulate import simulate_minar1
 values = simulate_minar1(builtin_case("case3").model, 20, 3).values.tolist()
 print(json.dumps({"kernel": _countsim.load() is not None, "values": values}))
@@ -1003,8 +1027,11 @@ class TestSeriesIo:
         assert empty.lag_buffer.shape == (0, 2)
 
     def test_lag_rows_out_of_range_rejected(self):
-        for lag_rows in (-1, 6, 2.0, None):
-            with pytest.raises(ValueError, match=r"lag_rows must be an integer in \[0, 5\]"):
+        for lag_rows in (-1, 6):
+            with pytest.raises(ValueError, match=rf"lag_rows must lie in \[0, 5\], got {lag_rows}"):
+                SeriesSample(np.ones(5), lag_rows=lag_rows)
+        for lag_rows in (2.0, None):
+            with pytest.raises(ValueError, match=f"lag_rows must be an integer, got {lag_rows}"):
                 SeriesSample(np.ones(5), lag_rows=lag_rows)
         for lag_rows in (0, np.int64(2), 5):
             sample = SeriesSample(np.ones(5), lag_rows=lag_rows)
@@ -1013,7 +1040,7 @@ class TestSeriesIo:
 
     def test_bool_lag_rows_rejected(self):
         for lag_rows in (True, False, np.bool_(True)):
-            with pytest.raises(ValueError, match=r"lag_rows must be an integer in \[0, 5\]"):
+            with pytest.raises(ValueError, match=f"lag_rows must be an integer, got {lag_rows!r}"):
                 SeriesSample(np.ones(5), lag_rows=lag_rows)
 
     def test_fields_cannot_be_rebound(self):

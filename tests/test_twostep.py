@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import reference_covariance, reference_diffusion_score, reference_solve_weighted
 
-from sparseproc import harness, twostep
+from sparseproc import dantzig, harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.dantzig import (cross_validate_lambda, fit_to_dict, solve_dantzig,
                                 threshold_support)
@@ -272,9 +272,7 @@ class TestTwoStepFit:
                                    "values": [float(fit.nuisance.values)], "support": []}
 
     def test_uncertified_first_step_raises(self, monkeypatch):
-        real = twostep.solve_dantzig
-        monkeypatch.setattr(twostep, "solve_dantzig",
-                            lambda sys, lam: real(sys, lam, max_iter=2))
+        monkeypatch.setattr(dantzig, "_PIVOTS_PER_DIM", 0)  # every LP ends at the limit
         sample = simulate_inar(InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA), 1000, seed=83)
         z, y = lagged_design(sample, 10)
         with pytest.raises(UncertifiedFitError, match="iteration_limit"):
