@@ -124,6 +124,7 @@ def _load_case(args, case_id: str, **builtin_kwargs) -> harness.CaseConfig:
 
 def _cmd_experiment(args) -> int:
     config = _load_case(args, args.case, lambda_value=args.lam)
+    harness.check_bins(args.bins)  # before the run, so a bad --bins writes no report
     report = harness.run_case(config, jobs=args.jobs)
     _write_out(harness.report_to_json(report), args.out)
     if args.hist:

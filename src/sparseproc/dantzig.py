@@ -44,7 +44,7 @@ from . import _countsim
 from ._blas import rank1_updater
 from .errors import UncertifiedFitError
 from .scores import CenteredDesign, LinearScoreSystem
-from .simulate import as_int
+from .simulate import as_float, as_int
 # no longer called here; perfbench/tracing.py still wraps dantzig.build_regression_score by name
 from .scores import build_regression_score  # noqa: F401
 
@@ -275,10 +275,9 @@ def _cv_folds(zc: np.ndarray, yc: np.ndarray, bounds: np.ndarray, cross: np.ndar
 
 def threshold_support(fit: DantzigFit, tau: float) -> SupportEstimate:
     """Coordinates with |theta_hat_j| strictly greater than tau."""
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ValueError("tau must be finite and nonnegative")
+    tau = as_float(tau, "tau")
     idx = np.nonzero(np.abs(fit.theta_hat) > tau)[0]
-    return SupportEstimate(indices=tuple(int(j) for j in idx), threshold=float(tau))
+    return SupportEstimate(indices=tuple(int(j) for j in idx), threshold=tau)
 
 
 def default_lambda_grid(moment: np.ndarray) -> np.ndarray:

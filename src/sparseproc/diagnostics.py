@@ -18,6 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateVarianceError
+from .simulate import as_int
 
 _REFINE_ROUNDS = 60  # rounds of the pattern search polishing the best sampled direction
 _GRID_RESOLUTION = 720  # angles per sphere coordinate of the grid oracle
@@ -79,6 +80,7 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
         return _f_infinity_grid(m, t_idx, tc_idx)
     if method != "cone_sampling":
         raise ValueError(f"unknown method {method!r}")
+    n_samples = as_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 

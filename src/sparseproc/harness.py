@@ -27,8 +27,8 @@ from .diagnostics import royston_test, selection_and_errors
 from .errors import NumericError
 from .rng import derive_seed, make_rng
 from .scores import DiffusionDesign, center_lags, diffusion_design
-from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample, as_int,
-                       bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
+from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample, as_float,
+                       as_int, bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
                        simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
 from .twostep import FitData, first_step, project_statistic, two_step_fit
 
@@ -40,10 +40,6 @@ _MINAR_BLOCK = np.array([
     [0.0, 0.2, 0.3, 0.2],
     [0.0, 0.0, 0.2, 0.3],
 ])
-
-
-def _finite_nonnegative(x) -> bool:
-    return x is not None and bool(np.isfinite(x)) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,11 @@ class CaseConfig:
     hawkes_bin_delta: Optional[float] = None
 
     def __post_init__(self):
-        """Raise ValueError where the fields do not make a runnable case."""
+        """Raise ValueError where the fields do not make a runnable case.
+
+        Integer fields pass ``as_int`` and real ones ``as_float``, each stored as it returns;
+        ``lambda_value`` and ``hawkes_bin_delta`` wherever given or needed.
+        """
         if not isinstance(self.model, (InarSpec, Minar1Spec, OuSpec, HawkesSpec)):
             raise ValueError(f"model must be an InarSpec, Minar1Spec, OuSpec or HawkesSpec, "
                              f"got {type(self.model).__name__}")
@@ -80,21 +80,19 @@ class CaseConfig:
             raise ValueError("n must be >= 1")
         if self.lambda_mode not in ("cv", "fixed", "rate"):
             raise ValueError("lambda_mode must be 'cv', 'fixed', or 'rate'")
-        if self.lambda_mode == "fixed" and not _finite_nonnegative(self.lambda_value):
-            raise ValueError("fixed lambda mode needs a finite nonnegative lambda_value")
-        if not _finite_nonnegative(self.rate_c):
-            raise ValueError("rate_c must be finite and nonnegative")
+        if self.lambda_mode == "fixed" or self.lambda_value is not None:
+            object.__setattr__(self, "lambda_value", as_float(self.lambda_value, "lambda_value"))
+        for name in ("rate_c", "tau"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.lambda_mode == "cv" and isinstance(self.model, OuSpec):
             raise ValueError("OU case supports fixed or rate lambda modes")
-        if not _finite_nonnegative(self.tau):
-            raise ValueError("tau must be finite and nonnegative")
         dim = self.model.dim if isinstance(self.model, (Minar1Spec, OuSpec)) else 1
         if not 0 <= self.target < dim:
             raise ValueError(f"target must lie in [0, {dim}), got {self.target}")
+        if isinstance(self.model, HawkesSpec) or self.hawkes_bin_delta is not None:
+            delta = as_float(self.hawkes_bin_delta, "hawkes_bin_delta", positive=True)
+            object.__setattr__(self, "hawkes_bin_delta", delta)
         if isinstance(self.model, HawkesSpec):
-            delta = self.hawkes_bin_delta
-            if not (_finite_nonnegative(delta) and delta > 0):
-                raise ValueError("a Hawkes model needs a finite positive hawkes_bin_delta")
             bins = int(np.ceil(self.model.horizon / delta))  # as bin_counts makes them
             if bins <= self.p:
                 raise ValueError("horizon too short for the requested lag order")
@@ -237,7 +235,7 @@ def _choose_lambda(config: CaseConfig, data: FitData) -> float:
     ``CenteredDesign``.
     """
     if config.lambda_mode == "fixed":
-        return float(config.lambda_value)
+        return config.lambda_value
     if config.lambda_mode == "rate":
         return config.rate_c * float(np.sqrt(np.log(config.p) / data.fisher))
     report = cross_validate_lambda(data, config.cv_grid, folds=config.cv_folds)
@@ -315,6 +313,7 @@ def _run_reps(rep_fn, config: CaseConfig, jobs: int) -> Tuple[list, list]:
     ``jobs`` workers forked from it, so workers never compete for cores with
     BLAS threads; the caller's thread count is restored afterwards.
     """
+    jobs = as_int(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(rep_fn, config, rep) for rep in range(1, config.reps + 1)]
@@ -498,10 +497,17 @@ def write_per_rep_csv(report: CaseReport, path) -> None:
                         else int(r[c]) for c in cols])
 
 
+def check_bins(bins) -> int:
+    """The histogram bin count ``emit_histogram`` takes: an integer >= 1."""
+    bins = as_int(bins, "bins")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    return bins
+
+
 def emit_histogram(statistics: Sequence[float], bins: int, path) -> None:
     """Write (bin_left, bin_right, count) rows; counts sum to the input length."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    bins = check_bins(bins)
     stats = np.asarray(list(statistics), dtype=float)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

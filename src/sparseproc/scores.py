@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateVarianceError, NuisanceError
-from .simulate import SeriesSample
+from .simulate import SeriesSample, as_float, as_int
 
 VARIANCE_FLOOR = 1e-8  # applied before inverting a conditional variance
 
@@ -204,6 +204,7 @@ def center_design(design: np.ndarray, response: np.ndarray, *,
 def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np.ndarray]:
     """Lag rows (X_{t-1}, ..., X_{t-p}) and responses X_t: the rule of ``lagged_design``."""
     rows, p, n, d = series.rows, series.lag_rows, series.n, series.dim
+    order, target = as_int(order, "order"), as_int(target, "target")
     if not 0 <= target < d:
         raise ValueError(f"target must lie in [0, {d}), got {target}")
     if order < 1 or (d > 1 and order != 1):
@@ -259,8 +260,8 @@ class DiffusionDesign:
     """A diffusion drift design: left-endpoint states against target increments.
 
     ``design`` holds the covariate rows Y_k = X_k, ``increments`` the
-    target's X_{k+1} - X_k, and ``delta`` the sampling interval; rows and
-    ``delta`` are checked once, here.  Every design coordinate is selected
+    target's X_{k+1} - X_k, and ``delta`` the sampling interval (> 0, ``as_float``);
+    rows and ``delta`` are checked once, here.  Every design coordinate is selected
     (``offset = 0``), and a first-step solution is already in fit
     coordinates.  ``sigma2``, the quadratic variation sum (dX)^2 / (n delta), is
     computed here too, so a constant path raises ``DegenerateVarianceError``.
@@ -280,8 +281,7 @@ class DiffusionDesign:
         object.__setattr__(self, "increments", dx)
         if z.ndim != 2 or dx.shape != (z.shape[0],):
             raise ValueError("covariate rows must align with increments")
-        if self.delta is None or not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be finite and positive")
+        object.__setattr__(self, "delta", as_float(self.delta, "delta", positive=True))
         for name, values in (("design", z), ("increments", dx)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
@@ -325,6 +325,7 @@ def diffusion_design(path: SeriesSample, target: int = 0) -> DiffusionDesign:
     """The ``DiffusionDesign`` of ``values[:-1]`` against ``diff(values[:, target])``."""
     if path.n < 2:
         raise ValueError("path must contain at least two points")
+    target = as_int(target, "target")
     if not 0 <= target < path.dim:
         raise ValueError(f"target must lie in [0, {path.dim}), got {target}")
     return DiffusionDesign(design=path.values[:-1, :],

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -29,17 +31,28 @@ _MAX_DRIFT_BLOCK = 8  # largest drift block whose Lyapunov equation is solved de
 
 
 def as_int(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` where it is a bool or not an integer type."""
+    """``value`` as an int, the one integer rule: ``ValueError`` for a bool or a non-int type."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float, the one real-scalar rule: ``ValueError`` for a bool, a
+    non-number, NaN or a value outside [0, float max], and for 0 where ``positive``."""
+    value = value.item() if isinstance(value, (np.integer, np.floating)) else value
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (value > 0 if positive else value >= 0) or not value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class InarSpec:
     """Poisson INAR(p): X_t | past ~ Poisson(mu_eps + sum_i alpha[i] * X_{t-1-i}).
 
-    ``alpha`` must sum to < 1 for a stationary solution to exist.
+    ``mu_eps`` >= 0 (``as_float``); ``alpha`` >= 0 must sum to < 1 for stationarity.
     """
 
     mu_eps: float
@@ -47,14 +60,15 @@ class InarSpec:
     burn_in: int = 1000
 
     def __post_init__(self):
+        object.__setattr__(self, "mu_eps", as_float(self.mu_eps, "mu_eps"))
         alpha = np.asarray(self.alpha, dtype=float, order="C")
         object.__setattr__(self, "alpha", alpha)
         if alpha.ndim != 1:
             raise ValueError("alpha must be a vector")
-        if not (np.isfinite(self.mu_eps) and np.all(np.isfinite(alpha))):
-            raise ValueError("mu_eps and alpha must be finite")
-        if np.any(alpha < 0) or self.mu_eps < 0:
-            raise ValueError("alpha and mu_eps must be nonnegative")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha must be finite")
+        if np.any(alpha < 0):
+            raise ValueError("alpha must be nonnegative")
         if not alpha.sum() < 1.0:
             raise StationarityError(
                 f"thinning means sum to {alpha.sum():.3f} >= 1; no stationary solution"
@@ -107,8 +121,8 @@ class OuSpec:
     ``a_matrix`` must be stable (eigenvalue real parts < 0) and block
     diagonal up to simultaneous row/column permutation with blocks of size
     at most 8, so the stationary covariance can be solved per block.
-    ``sigma_diag`` is the diagonal of Sigma.  Each observation step is
-    integrated with ``substeps`` Euler-Maruyama sub-intervals.
+    ``sigma_diag`` is the diagonal of Sigma, ``delta`` > 0 (``as_float``).  Each
+    observation step is integrated with ``substeps`` Euler-Maruyama sub-intervals.
     """
 
     a_matrix: np.ndarray
@@ -124,14 +138,15 @@ class OuSpec:
         object.__setattr__(self, "sigma_diag", s)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or s.shape != (a.shape[0],):
             raise ValueError("a_matrix must be square and match sigma_diag")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s)) and np.isfinite(self.delta)):
-            raise ValueError("a_matrix, sigma_diag and delta must be finite")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
+            raise ValueError("a_matrix and sigma_diag must be finite")
         if np.any(s <= 0):
             raise ValueError("sigma_diag entries must be positive")
+        object.__setattr__(self, "delta", as_float(self.delta, "delta", positive=True))
         for name in ("n_steps", "substeps"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.delta <= 0 or self.n_steps < 1 or self.substeps < 1:
-            raise ValueError("delta, n_steps, substeps must be positive")
+        if self.n_steps < 1 or self.substeps < 1:
+            raise ValueError("n_steps and substeps must be >= 1")
         if np.max(np.linalg.eigvals(a).real) >= -1e-12:
             raise StationarityError("drift matrix has an eigenvalue with nonnegative real part")
         _drift_blocks(a)
@@ -147,9 +162,9 @@ class HawkesSpec:
 
     The excitation kernel a is piecewise constant: a(t) = kernel_values[k]
     on (kernel_breakpoints[k-1], kernel_breakpoints[k]] (with an implicit
-    leading breakpoint 0) and zero beyond the last breakpoint.  Every
-    field must be finite, and the kernel integral must be < 1
-    (subcriticality).
+    leading breakpoint 0) and zero beyond the last breakpoint.  ``eta`` and
+    ``horizon`` are finite floats > 0 (see ``as_float``), the kernel arrays
+    finite, and the kernel integral must be < 1 (subcriticality).
     """
 
     eta: float
@@ -158,23 +173,20 @@ class HawkesSpec:
     horizon: float
 
     def __post_init__(self):
+        for name in ("eta", "horizon"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name, positive=True))
         bp = np.asarray(self.kernel_breakpoints, dtype=float, order="C")
         vals = np.asarray(self.kernel_values, dtype=float, order="C")
         object.__setattr__(self, "kernel_breakpoints", bp)
         object.__setattr__(self, "kernel_values", vals)
-        if not (np.isfinite(self.eta) and np.isfinite(self.horizon)
-                and np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-            raise ValueError("eta, horizon, breakpoints and kernel values must be finite")
-        if self.eta <= 0:
-            raise ValueError("baseline eta must be positive")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("breakpoints and kernel values must be finite")
         if bp.ndim != 1 or vals.shape != bp.shape:
             raise ValueError("breakpoints and values must be vectors of equal length")
         if bp.size and (np.any(np.diff(bp) <= 0) or bp[0] <= 0):
             raise ValueError("breakpoints must be positive and strictly increasing")
         if np.any(vals < 0):
             raise ValueError("kernel values must be nonnegative")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if not self.branching_ratio() < 1.0:
             raise StationarityError(
                 f"kernel integral {self.branching_ratio():.3f} >= 1; process is supercritical"
@@ -192,8 +204,8 @@ class SeriesSample:
     ``rows`` is (p + n) x d, or a vector when d = 1, stored as C-contiguous
     float64.  Its first ``lag_rows`` = p rows are the pre-sample values in
     chronological order, the last directly preceding the first observation;
-    ``lag_buffer`` and ``values`` are views of the two parts.  ``delta`` is
-    the sampling interval for paths observed in continuous time.
+    ``lag_buffer`` and ``values`` are views of the two parts.  ``delta``, if
+    given, is the sampling interval (> 0, ``as_float``) of a path in continuous time.
     """
 
     rows: np.ndarray
@@ -217,8 +229,8 @@ class SeriesSample:
             raise ValueError("series values and lag buffer must be finite")
         if self.kind == "counts" and ((rows < 0).any() or (rows != np.round(rows)).any()):
             raise ValueError("counts series must contain nonnegative integers")
-        if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be finite and positive")
+        if self.delta is not None:
+            object.__setattr__(self, "delta", as_float(self.delta, "delta", positive=True))
 
     @property
     def values(self) -> np.ndarray:
@@ -249,6 +261,7 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     ``_countsim`` where it loads and in the numpy loop otherwise; both give
     the same series.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
@@ -288,6 +301,7 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     :func:`simulate_inar` does, and returns ``SeriesSample(rows, lag_rows=1)``:
     the last burn-in state and then the n kept ones, drawn into one array.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
@@ -463,10 +477,8 @@ def _hawkes_events(rng: np.random.Generator, eta: float, breakpoints: np.ndarray
 
 def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample:
     """Counts per interval (k*delta, (k+1)*delta], k = 0..ceil(horizon/delta)-1."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    delta = as_float(delta, "delta", positive=True)
+    horizon = as_float(horizon, "horizon", positive=True)
     events = np.asarray(events, dtype=float)
     if not np.isfinite(events).all():
         raise ValueError("events must be finite")
@@ -483,13 +495,14 @@ def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample
 
 
 def write_series_csv(sample: SeriesSample, path) -> None:
-    """CSV with header t,x1[,x2,...]; lag-buffer rows carry negative t.
+    """CSV with header t,x1[,x2,...] at ``path``, or on stdout where it is None.
 
-    Count series use integer t (1..n); continuous paths use t = k*delta.
+    Lag-buffer rows carry negative t.  Count series use integer t (1..n);
+    continuous paths use t = k*delta.
     """
     d = sample.dim
     p = sample.lag_buffer.shape[0]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"x{j + 1}" for j in range(d)])
         for i in range(p):

@@ -801,10 +801,11 @@ class TestThresholdSupport:
         for j in range(theta.size):
             assert (j in sel) == (abs(theta[j]) > tau)
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.1, True, None])
     def test_non_finite_or_negative_tau_rejected(self, tau):
         fit = solve_dantzig(LinearScoreSystem(gram=np.eye(2), moment=np.ones(2)), 0.1)
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"tau must be a finite number >= 0, got {tau!r}")):
             threshold_support(fit, tau)
 
 

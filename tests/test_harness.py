@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,14 +20,14 @@ from oracles import reference_cross_validate, run_fresh
 from sparseproc import _blas, cli, dantzig, errors, harness, scores, twostep
 from sparseproc.cli import build_parser, main
 from sparseproc.dantzig import CvReport
-from sparseproc.diagnostics import FInftyEstimate
+from sparseproc.diagnostics import FInftyEstimate, estimate_f_infinity
 from sparseproc.errors import RankError
 from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_histogram,
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, center_lags, diffusion_design
-from sparseproc.simulate import (HawkesSpec, InarSpec, SeriesSample, read_series_csv,
-                                 spec_to_dict)
+from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, SeriesSample,
+                                 read_series_csv, simulate_inar, simulate_minar1, spec_to_dict)
 from sparseproc.twostep import two_step_fit
 
 
@@ -103,12 +104,18 @@ class TestBuiltinCases:
 class TestCaseConfigValidation:
     @pytest.mark.parametrize("case_id,changes,message", [
         ("case1", {"n": 0}, "n must be"),
-        ("case1", {"lambda_mode": "fixed", "lambda_value": None}, "lambda_value"),
-        ("case1", {"lambda_mode": "fixed", "lambda_value": float("nan")}, "lambda_value"),
-        ("case1", {"lambda_mode": "fixed", "lambda_value": float("inf")}, "lambda_value"),
-        ("case1", {"lambda_mode": "fixed", "lambda_value": -0.1}, "lambda_value"),
-        ("case1", {"lambda_mode": "rate", "rate_c": float("nan")}, "rate_c"),
-        ("case1", {"lambda_mode": "rate", "rate_c": -1.0}, "rate_c"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": None},
+         "lambda_value must be a finite number >= 0, got None"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": float("nan")},
+         "lambda_value must be a finite number >= 0, got nan"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": float("inf")},
+         "lambda_value must be a finite number >= 0, got inf"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": -0.1},
+         "lambda_value must be a finite number >= 0, got -0.1"),
+        ("case1", {"lambda_mode": "rate", "rate_c": float("nan")},
+         "rate_c must be a finite number >= 0, got nan"),
+        ("case1", {"lambda_mode": "rate", "rate_c": -1.0},
+         "rate_c must be a finite number >= 0, got -1.0"),
         ("ou", {"lambda_mode": "cv"}, "OU case"),
         ("case3", {"target": 500}, "target"),
         ("case3", {"target": -1}, "target"),
@@ -116,11 +123,16 @@ class TestCaseConfigValidation:
         ("ou", {"target": 16}, "target"),
         ("case1", {"target": 1}, "target"),
         ("hawkes", {"target": 1}, "target"),
-        ("hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
-        ("hawkes", {"hawkes_bin_delta": 0.0}, "hawkes_bin_delta"),
-        ("hawkes", {"hawkes_bin_delta": -0.1}, "hawkes_bin_delta"),
-        ("hawkes", {"hawkes_bin_delta": float("nan")}, "hawkes_bin_delta"),
-        ("hawkes", {"hawkes_bin_delta": float("inf")}, "hawkes_bin_delta"),
+        ("hawkes", {"hawkes_bin_delta": None},
+         "hawkes_bin_delta must be a finite number > 0, got None"),
+        ("hawkes", {"hawkes_bin_delta": 0.0},
+         "hawkes_bin_delta must be a finite number > 0, got 0.0"),
+        ("hawkes", {"hawkes_bin_delta": -0.1},
+         "hawkes_bin_delta must be a finite number > 0, got -0.1"),
+        ("hawkes", {"hawkes_bin_delta": float("nan")},
+         "hawkes_bin_delta must be a finite number > 0, got nan"),
+        ("hawkes", {"hawkes_bin_delta": float("inf")},
+         "hawkes_bin_delta must be a finite number > 0, got inf"),
         ("hawkes", {"hawkes_bin_delta": 50.0}, "horizon too short"),
         ("hawkes", {"p": 10000}, "horizon too short"),
         ("case1", {"cv_folds": 1}, "cv folds must be >= 2, got 1"),
@@ -176,6 +188,21 @@ class TestCaseConfigValidation:
         ("case1", {"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
         ("case1", {"target": 0.5}, "target must be an integer, got 0.5"),
         ("case3", {"target": np.float64(1.0)}, "target must be an integer"),
+        # the real fields take finite numbers only, and a bool is not one; an optional
+        # one is checked wherever it is given
+        ("case1", {"tau": True}, "tau must be a finite number >= 0, got True"),
+        ("case1", {"tau": float("nan")}, "tau must be a finite number >= 0, got nan"),
+        ("case1", {"tau": "0.05"}, "tau must be a finite number >= 0, got '0.05'"),
+        ("case1", {"lambda_mode": "rate", "rate_c": True},
+         "rate_c must be a finite number >= 0, got True"),
+        ("case1", {"lambda_mode": "fixed", "lambda_value": True},
+         "lambda_value must be a finite number >= 0, got True"),
+        ("case1", {"lambda_mode": "rate", "lambda_value": True},
+         "lambda_value must be a finite number >= 0, got True"),
+        ("hawkes", {"hawkes_bin_delta": True},
+         "hawkes_bin_delta must be a finite number > 0, got True"),
+        ("case1", {"hawkes_bin_delta": False},
+         "hawkes_bin_delta must be a finite number > 0, got False"),
     ])
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
@@ -191,6 +218,13 @@ class TestCaseConfigValidation:
         cfg = dataclasses.replace(builtin_case("case1", reps=1), lambda_mode="rate",
                                   cv_folds=1, cv_grid=[])
         assert cfg.cv_folds == 1
+
+    def test_real_fields_held_as_float(self):
+        cfg = dataclasses.replace(builtin_case("case1", reps=1), tau=0, rate_c=np.float32(2.0),
+                                  lambda_mode="fixed", lambda_value=np.int64(1))
+        assert (cfg.tau, cfg.rate_c, cfg.lambda_value) == (0.0, 2.0, 1.0)
+        assert all(type(v) is float for v in (cfg.tau, cfg.rate_c, cfg.lambda_value))
+        assert cfg.to_dict()["tau"] == 0.0
 
     def test_numpy_integer_fields_held_as_int(self):
         cfg = dataclasses.replace(builtin_case("case3", reps=1), reps=np.int64(2),
@@ -890,7 +924,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,row,message", [
         (["--order", "2"], "2,inf", "series values and lag buffer must be finite"),
-        (["--model", "diffusion", "--delta", "nan"], "2,1.5", "delta must be finite"),
+        (["--model", "diffusion", "--delta", "nan"], "2,1.5",
+         "delta must be a finite number > 0, got nan"),
     ], ids=["inf_count", "nan_delta"])
     def test_non_finite_series_exit_code(self, tmp_path, capsys, argv, row, message):
         series = tmp_path / "s.csv"
@@ -909,7 +944,9 @@ class TestCli:
         (["experiment"], "case1", {"support_true": [0, 50]}, "support_true must lie in [0, 10)"),
         (["experiment"], "case1", {"theta_true": [0.5, 0.3]}, "theta_true must hold the 11"),
         (["experiment"], "case1", {"cv_grid": [0.5, 0.1]}, "cv grid must be sorted ascending"),
-        (["hawkes-support"], "hawkes", {"hawkes_bin_delta": None}, "hawkes_bin_delta"),
+        (["hawkes-support"], "hawkes", {"hawkes_bin_delta": None},
+         "hawkes_bin_delta must be a finite number > 0, got None"),
+        (["experiment"], "case1", {"tau": True}, "tau must be a finite number >= 0, got True"),
         (["hawkes-support"], "hawkes", {"cv_folds": 1}, "cv folds must be >= 2, got 1"),
     ])
     def test_bad_config_json_exit_code(self, tmp_path, capsys, monkeypatch, verb, case_id,
@@ -1017,7 +1054,7 @@ class TestCli:
         (HAWKES_SPEC, ["--n", "5"], "--n applies to count specs only"),
         (INAR_SPEC, ["--bin-delta", "0.5"], "--bin-delta applies to Hawkes specs only"),
         (OU_SPEC, ["--bin-delta", "0.5"], "--bin-delta applies to Hawkes specs only"),
-        (HAWKES_SPEC, ["--bin-delta", "0"], "delta must be positive"),
+        (HAWKES_SPEC, ["--bin-delta", "0"], "delta must be a finite number > 0, got 0.0"),
     ], ids=["ou-n", "hawkes-n", "inar-bin-delta", "ou-bin-delta", "hawkes-bin-delta-0"])
     def test_simulate_rejects_a_flag_the_spec_ignores(self, tmp_path, capsys, spec, flag,
                                                       message):
@@ -1041,3 +1078,81 @@ class TestCli:
         assert main(["simulate", "--config", str(spec_path), "--bin-delta", "0.5",
                      "--out", str(out)]) == 0
         assert read_series_csv(out).n == 40
+
+    @pytest.mark.parametrize("spec,flags", [(INAR_SPEC, ["--n", "30"]), (OU_SPEC, []),
+                                            (HAWKES_SPEC, ["--bin-delta", "0.5"])],
+                             ids=["counts", "ou", "binned-hawkes"])
+    def test_simulate_without_out_writes_stdout(self, tmp_path, capsysbinary, spec, flags):
+        # a series CSV goes to stdout without --out, as Hawkes events do, byte for byte
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["simulate", "--config", str(spec_path), "--seed", "4", *flags]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert out.read_bytes().startswith(b"t,x1")
+
+    @pytest.mark.parametrize("spec,field,bound", [
+        (INAR_SPEC, "mu_eps", ">="), (OU_SPEC, "delta", ">"), (HAWKES_SPEC, "eta", ">"),
+        (HAWKES_SPEC, "horizon", ">"),
+    ])
+    def test_simulate_bool_spec_field_exit_code(self, tmp_path, capsys, spec, field, bound):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(dict(spec, **{field: True})))
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 2
+        assert (f"configuration error: {field} must be a finite number {bound} 0, got True"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bad_bins_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, bins):
+        def no_rep(config, rep):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(harness, "_case_rep", no_rep)
+        out, hist = tmp_path / "r.json", tmp_path / "h.csv"
+        assert main(["experiment", "--case", "case1", "--reps", "20", "--out", str(out),
+                     "--hist", str(hist), "--bins", bins]) == 2
+        assert f"configuration error: bins must be >= 1, got {bins}" in capsys.readouterr().err
+        assert not out.exists() and not hist.exists()
+
+
+_COUNTS = SeriesSample(np.arange(12.0) % 3, lag_rows=2)
+_PATH = SeriesSample(np.column_stack([np.sin(np.arange(8.0)), np.cos(np.arange(8.0))]),
+                     delta=0.1, kind="reals")
+# entry point: (integer argument, call with that argument and an output path)
+INTEGER_ENTRY_POINTS = {
+    "simulate_inar": ("n", lambda v, path: simulate_inar(InarSpec(0.5, [0.3]), v, 0)),
+    "simulate_minar1": ("n", lambda v, path: simulate_minar1(Minar1Spec([0.5], [[0.3]]), v, 0)),
+    "run_case": ("jobs", lambda v, path: run_case(builtin_case("case1", n=300, reps=1), v)),
+    "run_hawkes_support": ("jobs", lambda v, path: run_hawkes_support(
+        builtin_case("hawkes", n=50, reps=1), v)),
+    "emit_histogram": ("bins", lambda v, path: emit_histogram([0.1, 0.2], v, path)),
+    "center_lags-order": ("order", lambda v, path: center_lags(_COUNTS, v)),
+    "center_lags-target": ("target", lambda v, path: center_lags(_COUNTS, 1, target=v)),
+    "diffusion_design": ("target", lambda v, path: diffusion_design(_PATH, target=v)),
+    "estimate_f_infinity": ("n_samples", lambda v, path: estimate_f_infinity(
+        np.eye(2), [0], v, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, 2.5])
+def test_integer_arguments_rejected(tmp_path, entry, value):
+    # each takes its integer argument through as_int before its range check: True used
+    # to run as 1 (or index a column) and 2.5 to fail inside numpy
+    name, call = INTEGER_ENTRY_POINTS[entry]
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value, path)
+    assert not path.exists()
+
+
+def test_readme_python_examples_run(capsys):
+    # each ```python block of README.md runs as written, in a fresh namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -331,7 +331,7 @@ class TestDiffusionScore:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             DiffusionDesign(delta=0.1, **arrays)
         # the delta and alignment checks come first and keep their messages
-        with pytest.raises(ValueError, match="delta must be finite and positive"):
+        with pytest.raises(ValueError, match="delta must be a finite number > 0, got 0.0"):
             DiffusionDesign(delta=0.0, **arrays)
         with pytest.raises(ValueError, match="align"):
             DiffusionDesign(design=arrays["design"], increments=arrays["increments"][:3],
@@ -405,10 +405,10 @@ class TestDiffusionScore:
         assert_array_equal(data.increments, [20.0, 30.0])
         assert data.delta == 0.5
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"), True, None])
     def test_bad_delta_rejected(self, delta):
         # a diffusion fit reads delta from its design, so a bad one never reaches a fit
-        with pytest.raises(ValueError, match="delta must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^delta must be a finite number > 0, got {delta}$"):
             DiffusionDesign(design=np.ones((3, 1)), increments=np.ones(3), delta=delta)
 
     @pytest.mark.parametrize("design,increments", [

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -176,6 +177,48 @@ def test_integer_fields_rejected_before_any_draw(monkeypatch, loop, model, field
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
         simulate_series(dataclasses.replace(spec, **{field: value}), 30, 0)
     assert type(getattr(dataclasses.replace(spec, **{field: np.int64(3)}), field)) is int
+
+
+def test_as_float_is_the_one_real_rule():
+    for value in (0, 3, 0.5, np.float32(0.25), np.int64(3), -0.0):
+        assert type(simulate.as_float(value, "x")) is float
+        assert simulate.as_float(value, "x") == float(value)
+    for value in (True, False, np.True_, None, "0.5", [0.5], np.array(0.5), 1j,
+                  np.nan, np.inf, -np.inf, -0.1, -1, 10**400):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"x must be a finite number >= 0, got {value!r}")):
+            simulate.as_float(value, "x")
+    for value in (0, 0.0, -0.0, True, np.nan, -0.1):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"x must be a finite number > 0, got {value!r}")):
+            simulate.as_float(value, "x", positive=True)
+    assert simulate.as_float(1e-300, "x", positive=True) == 1e-300
+    assert simulate.as_float(10**308, "x") == 1e308  # an int that a float can hold
+    # a numpy value is reported as the Python number it holds
+    for value, shown in ((np.float64(-2.0), "-2.0"), (np.float32(np.nan), "nan"),
+                         (np.int64(-3), "-3")):
+        with pytest.raises(ValueError, match=f"^x must be a finite number >= 0, got {shown}$"):
+            simulate.as_float(value, "x")
+
+
+REAL_FIELD_SPECS = {
+    "mu_eps": (INTEGER_FIELD_SPECS["inar"], ">="),
+    "delta": (INTEGER_FIELD_SPECS["ou"], ">"),
+    "eta": (HawkesSpec(eta=1.0, kernel_breakpoints=[1.0], kernel_values=[0.5], horizon=5.0),
+            ">"),
+}
+REAL_FIELD_SPECS["horizon"] = REAL_FIELD_SPECS["eta"]
+
+
+@pytest.mark.parametrize("field", sorted(REAL_FIELD_SPECS))
+@pytest.mark.parametrize("value", [True, np.nan, -1.0, "1.0"])
+def test_real_spec_fields_rejected(field, value):
+    # the spec's scalar reals go through as_float: a bool used to build a spec
+    spec, bound = REAL_FIELD_SPECS[field]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} must be a finite number {bound} 0, got {value!r}")):
+        dataclasses.replace(spec, **{field: value})
+    assert type(getattr(dataclasses.replace(spec, **{field: 2}), field)) is float
 
 
 @pytest.fixture(scope="module", params=["compiled", "python"])
@@ -948,12 +991,14 @@ class TestBinCounts:
     @pytest.mark.parametrize("events, delta, horizon, message", [
         ([0.25, np.nan, 0.75], 0.5, 1.0, "events must be finite"),
         ([0.25, np.inf], 0.5, 1.0, "events must be finite"),
-        ([0.25], np.nan, 1.0, "delta must be positive and finite"),
-        ([0.25], np.inf, 1.0, "delta must be positive and finite"),
-        ([0.25], 0.5, np.nan, "horizon must be positive and finite"),
-        ([0.25], 0.5, np.inf, "horizon must be positive and finite"),
-        ([], 0.5, 0.0, "horizon must be positive and finite"),
-        ([], 0.5, -1.0, "horizon must be positive and finite"),
+        ([0.25], np.nan, 1.0, "delta must be a finite number > 0, got nan"),
+        ([0.25], np.inf, 1.0, "delta must be a finite number > 0, got inf"),
+        ([0.25], True, 1.0, "delta must be a finite number > 0, got True"),
+        ([0.25], 0.5, np.nan, "horizon must be a finite number > 0, got nan"),
+        ([0.25], 0.5, np.inf, "horizon must be a finite number > 0, got inf"),
+        ([], 0.5, 0.0, "horizon must be a finite number > 0, got 0.0"),
+        ([], 0.5, -1.0, "horizon must be a finite number > 0, got -1.0"),
+        ([0.25], 0.5, True, "horizon must be a finite number > 0, got True"),
     ])
     def test_what_it_cannot_bin_rejected(self, events, delta, horizon, message):
         with pytest.raises(ValueError, match=message):
@@ -1011,7 +1056,7 @@ class TestSeriesIo:
                     SeriesSample(np.array([1.0, bad]), kind=kind)
                 with pytest.raises(ValueError, match="finite"):
                     SeriesSample(np.array([bad, 1.0, 1.0, 1.0]), lag_rows=1, kind=kind)
-            for delta in (np.nan, np.inf, 0.0, -0.1):
+            for delta in (np.nan, np.inf, 0.0, -0.1, True):
                 with pytest.raises(ValueError, match="delta"):
                     SeriesSample(np.ones(3), delta=delta, kind=kind)
             assert SeriesSample(np.ones(3), delta=0.1, kind=kind).delta == 0.1
