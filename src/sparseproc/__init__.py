@@ -15,15 +15,14 @@ from .errors import (DegenerateVarianceError, DomainError, NuisanceError, Numeri
                      RankError, StationarityError, UncertifiedFitError)
 from .harness import (CaseConfig, CaseReport, HawkesReport, builtin_case,
                       emit_histogram, run_case, run_hawkes_support)
-from .rng import derive_seed, make_rng
 from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem, NuisanceEstimate,
                      build_inar_score, build_regression_score, build_weighted_system,
                      center_design, center_lags, diffusion_design, estimate_inar_nuisance,
                      lagged_design)
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample,
-                       bin_counts, lyapunov_covariance, read_series_csv,
-                       simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,
-                       write_series_csv)
+                       bin_counts, derive_seed, lyapunov_covariance, make_rng,
+                       read_series_csv, simulate_hawkes, simulate_inar, simulate_minar1,
+                       simulate_ou, write_series_csv)
 from .twostep import (TwoStepFit, estimate_diffusion_sigma2, first_step, project_statistic,
                       solve_weighted, two_step_fit)
 

@@ -20,8 +20,8 @@ from .dantzig import cross_validate_lambda
 from .diagnostics import estimate_f_infinity
 from .errors import NumericError
 from .scores import build_inar_score, center_lags, diffusion_design
-from .simulate import (HawkesSpec, OuSpec, bin_counts, read_series_csv, simulate_hawkes,
-                       spec_from_dict, write_series_csv)
+from .simulate import (HawkesSpec, OuSpec, as_float, bin_counts, read_series_csv,
+                       simulate_hawkes, spec_from_dict, write_series_csv)
 from .twostep import two_step_fit, two_step_to_dict
 
 CONFIG_ERROR = 2
@@ -88,13 +88,25 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _parse_grid(text: str) -> np.ndarray:
+    """``--grid lo,hi,num``: ``num`` >= 1 log-spaced values from ``lo`` to ``hi``, both
+    finite and > 0; any other text raises one ``ValueError`` that names the flag."""
+    try:
+        lo, hi, num = text.split(",")
+        lo, hi = (as_float(float(v), "--grid", positive=True) for v in (lo, hi))
+        num = int(num)
+        if num < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--grid takes lo,hi,num: lo and hi finite numbers > 0 and num an "
+                         f"integer >= 1, got {text!r}") from None
+    return np.geomspace(lo, hi, num)
+
+
 def _cmd_cv(args) -> int:
     series = read_series_csv(args.series, kind="counts")
     data = center_lags(series, args.order)
-    grid = None
-    if args.grid:
-        lo, hi, num = args.grid.split(",")
-        grid = np.geomspace(float(lo), float(hi), int(num))
+    grid = None if args.grid is None else _parse_grid(args.grid)
     report = cross_validate_lambda(data, grid, folds=args.folds)
     _write_out(harness.report_to_json(report), args.out)
     return 0

@@ -95,6 +95,7 @@ def solve_dantzig(sys: LinearScoreSystem, lam: float) -> DantzigFit:
 def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float]) -> list[DantzigFit]:
     """Solve the constrained l1 minimization for each tuning value; fits in input order.
 
+    Each lambda passes ``as_float``, and its fit stores the float it returns.
     Each value may take ``_PIVOTS_PER_DIM * p`` pivots; a value whose basis
     is optimal after its last allowed pivot is "optimal".  ``status`` is
     "infeasible" only when lambda is below the smallest attainable score
@@ -102,7 +103,7 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float]) -> list[Da
     falls short of ``-1e-8 * max(1, |A|_max, |b|_max)``; a fit that is not
     "optimal" carries the last basic solution visited.
     """
-    _check_lambdas(np.asarray(lams, dtype=float))
+    lams = [as_float(lam, "lambda") for lam in lams]
     p = sys.dim
     if p == 0:
         raise ValueError("the system has no coordinate to select")
@@ -119,11 +120,6 @@ def solve_dantzig_path(sys: LinearScoreSystem, lams: Sequence[float]) -> list[Da
         fits[i] = DantzigFit(theta_hat=theta, lam=lam, l1_objective=objective,
                              feasibility_slack=slack, iterations=pivot_count, status=status)
     return fits
-
-
-def _check_lambdas(lams: np.ndarray) -> None:
-    if not np.all(np.isfinite(lams) & (lams >= 0)):
-        raise ValueError("lambda must be finite and nonnegative")
 
 
 def _dantzig_path(a: np.ndarray, b: np.ndarray, lams: Sequence[float], max_iter: int
@@ -300,7 +296,8 @@ def check_cv_arguments(rows: int, folds: int, grid: Optional[np.ndarray]) -> int
     if grid is not None:
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError(f"cv grid must be a nonempty vector, got shape {grid.shape}")
-        _check_lambdas(grid)
+        if not np.all(np.isfinite(grid) & (grid >= 0)):
+            raise ValueError("lambda must be finite and nonnegative")
         if np.any(np.diff(grid) < 0):
             raise ValueError("cv grid must be sorted ascending")
     return folds

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .simulate import as_int
+from .simulate import as_int, make_rng
 
 _REFINE_ROUNDS = 60  # rounds of the pattern search polishing the best sampled direction
 _GRID_RESOLUTION = 720  # angles per sphere coordinate of the grid oracle
@@ -84,7 +84,7 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     best = np.inf
     best_v = None
     for _ in range(n_samples):

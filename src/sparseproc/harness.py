@@ -25,11 +25,11 @@ from .scores import build_regression_score, lagged_design  # noqa: F401
 from .twostep import estimate_diffusion_sigma2  # noqa: F401
 from .diagnostics import royston_test, selection_and_errors
 from .errors import NumericError
-from .rng import derive_seed, make_rng
 from .scores import DiffusionDesign, center_lags, diffusion_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample, as_float,
-                       as_int, bin_counts, simulate_hawkes, simulate_inar, simulate_minar1,
-                       simulate_ou, spec_from_dict, spec_to_dict, to_jsonable)
+                       as_int, bin_counts, derive_seed, make_rng, simulate_hawkes,
+                       simulate_inar, simulate_minar1, simulate_ou, spec_from_dict,
+                       spec_to_dict, to_jsonable)
 from .twostep import FitData, first_step, project_statistic, two_step_fit
 
 SCHEMA_VERSION = 1
@@ -74,6 +74,8 @@ class CaseConfig:
                              f"got {type(self.model).__name__}")
         for name in ("reps", "n", "p", "cv_folds", "target", "base_seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.base_seed < 0:  # _draw_projection seeds make_rng with it
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n < 1:

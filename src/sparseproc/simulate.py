@@ -6,7 +6,9 @@ point processes with a piecewise-constant excitation kernel together
 with their binned-count representation.
 
 All simulators are pure functions of ``(spec, seed)``: PCG64 streams, no
-shared state, safe to call concurrently.
+shared state, safe to call concurrently.  ``make_rng``, the one seed rule,
+builds every generator of the package, and ``derive_seed`` gives each Monte
+Carlo replication its own stream, so reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -20,14 +22,18 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
+# numpy 2 imports np.random on first use; load it with the package, so that the first
+# replication's make_rng does not pay for the import
+import numpy.random  # noqa: F401
 
 from . import _countsim
 from .errors import DomainError, StationarityError
-from .rng import make_rng
 
 _COUNT_CAP = 1e12  # conditional mean beyond this aborts instead of overflowing
 _DRAW_BLOCK = 4096  # unit exponentials fetched per call in the Hawkes simulator
 _MAX_DRIFT_BLOCK = 8  # largest drift block whose Lyapunov equation is solved densely
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment: spreads replication seeds
+_MASK64 = (1 << 64) - 1
 
 
 def as_int(value, name: str) -> int:
@@ -46,6 +52,23 @@ def as_float(value, name: str, positive: bool = False) -> float:
         raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
                          f"got {value!r}")
     return float(value)
+
+
+def derive_seed(base_seed: int, rep: int) -> int:
+    """Seed for replication ``rep`` >= 0: ``base_seed XOR (rep * GOLDEN_GAMMA)`` mod 2^64."""
+    base_seed, rep = as_int(base_seed, "base_seed"), as_int(rep, "rep")
+    if rep < 0:
+        raise ValueError(f"rep must be >= 0, got {rep}")
+    return (base_seed & _MASK64) ^ ((rep * GOLDEN_GAMMA) & _MASK64)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator of ``seed``, an integer >= 0 (``as_int``): the one seed rule
+    and the only generator constructor of the package."""
+    seed = as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -382,8 +405,8 @@ def simulate_ou(spec: OuSpec, seed: int, y0: Optional[np.ndarray] = None) -> Ser
     """Sample a stationary OU path at t_k = k * delta, k = 0..n_steps.
 
     The initial state is drawn from N(0, V) with V the stationary
-    covariance (or fixed to ``y0`` when given); increments use
-    Euler-Maruyama with ``spec.substeps`` sub-intervals per observation
+    covariance (or fixed to ``y0``, a finite vector, when given); increments
+    use Euler-Maruyama with ``spec.substeps`` sub-intervals per observation
     step.
     """
     rng = make_rng(seed)
@@ -392,6 +415,8 @@ def simulate_ou(spec: OuSpec, seed: int, y0: Optional[np.ndarray] = None) -> Ser
         y = np.asarray(y0, dtype=float).copy()
         if y.shape != (d,):
             raise ValueError("y0 must match the state dimension")
+        if not np.isfinite(y).all():
+            raise ValueError("y0 must be finite")
     else:
         v = lyapunov_covariance(spec.a_matrix, spec.sigma_diag)
         chol = np.linalg.cholesky(v + 1e-14 * np.trace(v) / d * np.eye(d))

@@ -20,7 +20,7 @@ from .scores import (CenteredDesign, DiffusionDesign, LinearScoreSystem, Nuisanc
                      build_weighted_system, diffusion_design)
 # no longer called here; perfbench/tracing.py still wraps these twostep names
 from .scores import build_regression_score, estimate_inar_nuisance  # noqa: F401
-from .simulate import SeriesSample
+from .simulate import SeriesSample, as_float
 
 
 # what a fit runs on: a prepared count/regression or diffusion design
@@ -139,7 +139,9 @@ def two_step_to_dict(fit: TwoStepFit) -> dict:
 
 def project_statistic(fit: TwoStepFit, u: np.ndarray, theta_true: np.ndarray,
                       scale: float) -> float:
-    """scale * u'(theta_tilde - theta_true) for a unit-l2 direction u."""
+    """scale * u'(theta_tilde - theta_true) for a unit-l2 direction u and ``scale`` > 0
+    (``as_float``)."""
+    scale = as_float(scale, "scale", positive=True)
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValueError("u must have unit l2 norm")

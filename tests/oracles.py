@@ -15,8 +15,8 @@ from scipy.optimize import linprog
 from sparseproc._blas import rank1_updater
 from sparseproc.dantzig import CvReport, DantzigFit, default_lambda_grid, solve_dantzig_path
 from sparseproc.errors import RankError, UncertifiedFitError
-from sparseproc.rng import make_rng
 from sparseproc.scores import LinearScoreSystem, build_regression_score, center_design
+from sparseproc.simulate import make_rng
 
 
 def _split_lp(a: np.ndarray, b: np.ndarray, lam: float):

@@ -16,9 +16,8 @@ from sparseproc import harness
 from sparseproc.dantzig import solve_dantzig, threshold_support
 from sparseproc.diagnostics import royston_test, shapiro_wilk
 from sparseproc.harness import builtin_case, report_to_json, run_case, run_hawkes_support
-from sparseproc.rng import derive_seed
 from sparseproc.scores import LinearScoreSystem, build_inar_score, build_regression_score
-from sparseproc.simulate import InarSpec, OuSpec, simulate_inar, simulate_ou
+from sparseproc.simulate import InarSpec, OuSpec, derive_seed, simulate_inar, simulate_ou
 from sparseproc.twostep import estimate_diffusion_sigma2, two_step_fit
 
 JOBS = 2

@@ -1,5 +1,7 @@
 """Diagnostics tests: compatibility factor, normality tests, metric records."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -199,3 +201,17 @@ class TestSelectionAndErrors:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             selection_and_errors(np.zeros(3), np.zeros(4), [], [])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "exact"}, "unknown method 'exact'"),
+    ({"n_samples": 0}, "n_samples must be >= 1"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_f_infinity_rejections(kwargs, message):
+    # the seed goes through make_rng, the one seed rule; True used to run as seed 1
+    args = dict({"n_samples": 10, "seed": 0}, **kwargs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate_f_infinity(np.eye(3), [0], **args)

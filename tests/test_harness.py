@@ -186,6 +186,10 @@ class TestCaseConfigValidation:
         ("case1", {"n": 300.5}, "n must be an integer, got 300.5"),
         ("case1", {"p": 10.0}, "p must be an integer, got 10.0"),
         ("case1", {"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
+        # _draw_projection seeds make_rng with the base seed itself
+        ("case1", {"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ("hawkes", {"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ("case1", {"lambda_mode": "bic"}, "lambda_mode must be 'cv', 'fixed', or 'rate'"),
         ("case1", {"target": 0.5}, "target must be an integer, got 0.5"),
         ("case3", {"target": np.float64(1.0)}, "target must be an integer"),
         # the real fields take finite numbers only, and a bool is not one; an optional
@@ -207,6 +211,18 @@ class TestCaseConfigValidation:
     def test_bad_config_rejected_at_construction(self, case_id, changes, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(builtin_case(case_id, reps=1), **changes)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: builtin_case("case1", base_seed=-1), ValueError,
+         "^base_seed must be >= 0, got -1$"),
+        (lambda: run_case(builtin_case("hawkes", n=50, reps=1)), ValueError,
+         "^use run_hawkes_support for the Hawkes case$"),
+        (lambda: harness.simulate_series(builtin_case("hawkes", n=50).model, 10, 0), TypeError,
+         "^cannot simulate a series from HawkesSpec$"),
+    ], ids=["negative_base_seed", "run_case_hawkes", "simulate_series_hawkes"])
+    def test_entry_points_reject_what_they_cannot_run(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_short_horizon_rejected_at_construction(self):
         with pytest.raises(ValueError, match="horizon too short"):
@@ -609,6 +625,7 @@ import sparseproc
 from sparseproc import _blas
 seen = {"import": "scipy.optimize" in sys.modules}
 scipy_loaded = {"import": any_scipy()}
+numpy_random = "numpy.random" in sys.modules
 from sparseproc.harness import builtin_case, run_case, run_hawkes_support
 failures = run_case(builtin_case("case1", n=300, reps=1, lambda_mode="rate"), jobs=1).failures
 failures += run_case(builtin_case("ou", n=300, reps=1), jobs=1).failures
@@ -626,7 +643,7 @@ z, y = lagged_design(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3, 0.2]), 500, 
 fit = sparseproc.two_step_fit(center_design(z, y), 0.1, 0.05)
 seen["residual"] = "scipy.optimize" in sys.modules
 print(json.dumps({"seen": seen, "scipy_loaded": scipy_loaded, "pool": pool,
-                  "failures": failures,
+                  "numpy_random": numpy_random, "failures": failures,
                   "nuisance": fit.nuisance.kind, "cblas": _blas.CBLAS_DGER is not None}))
 """
 
@@ -648,6 +665,11 @@ def import_graph():
 
 class TestImportGraph:
     # fresh interpreters, so no earlier test has imported scipy
+    def test_numpy_random_loads_with_the_package(self, import_graph):
+        # numpy 2 imports np.random on first use, which would put its import (about
+        # 10 ms) inside the first replication instead of the package import
+        assert import_graph["numpy_random"]
+
     def test_scipy_optimize_loads_only_for_residual_nuisance(self, import_graph):
         out = import_graph
         assert out["seen"] == {"import": False, "count_and_ou": False, "hawkes": False,
@@ -982,6 +1004,31 @@ class TestCli:
                      support, "--samples", "10", "--out", str(out)]) == 2
         assert "support must hold distinct indices in [0, 4)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.1,0.5", "0.1,0.5,2.5", "a,b,c", "0,1,5", "",
+                                      "0.1,inf,5", "-0.5,-0.1,3", "0.1,0.5,0", "1,2,3,4"])
+    def test_cv_grid_that_does_not_parse_names_the_flag(self, tmp_path, capsys, grid):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-2, 40)))
+        out = tmp_path / "cv.json"
+        assert main(["cv", "--series", str(series), "--order", "2", f"--grid={grid}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --grid takes lo,hi,num: lo and hi finite numbers > 0 and "
+            f"num an integer >= 1, got {grid!r}\n")
+        assert not out.exists()
+
+    def test_cv_grid_that_parses_is_checked_as_a_grid(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-2, 40)))
+        out = tmp_path / "cv.json"
+        assert main(["cv", "--series", str(series), "--order", "2", "--grid", "0.5,0.1,3",
+                     "--out", str(out)]) == 2
+        assert "cv grid must be sorted ascending" in capsys.readouterr().err
+        assert main(["cv", "--series", str(series), "--order", "2", "--grid", "0.01,0.5,4",
+                     "--folds", "2", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["grid"] == np.geomspace(0.01, 0.5, 4).tolist()
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2

@@ -12,7 +12,7 @@ from sparseproc.harness import builtin_case, simulate_series
 from sparseproc.scores import (VARIANCE_FLOOR, CenteredDesign, DiffusionDesign,
                                LinearScoreSystem, build_inar_score, build_regression_score,
                                build_weighted_system, center_design, center_lags,
-                               diffusion_design, lagged_design)
+                               diffusion_design, estimate_inar_nuisance, lagged_design)
 from sparseproc.simulate import (InarSpec, OuSpec, SeriesSample, bin_counts, read_series_csv,
                                  simulate_hawkes, simulate_inar, simulate_minar1, simulate_ou,
                                  write_series_csv)
@@ -528,3 +528,24 @@ class TestNonFiniteInput:
         z = np.column_stack([np.ones(4), np.arange(4.0)])
         with pytest.raises(NuisanceError):
             build_weighted_system(z, np.ones(4), z @ np.array([np.nan, 1.0]))
+
+
+_PAIRS = SeriesSample(np.arange(24.0).reshape(12, 2) % 3, lag_rows=2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearScoreSystem(gram=np.ones(3), moment=np.ones(3)), "gram must be square"),
+    (lambda: LinearScoreSystem(gram=np.ones((2, 3)), moment=np.ones(2)), "gram must be square"),
+    (lambda: LinearScoreSystem(gram=np.eye(2), moment=np.ones(3)),
+     "moment length must match gram dimension"),
+    (lambda: center_lags(_PAIRS, 2), "order must be >= 1, and 1 for a multivariate series"),
+    (lambda: estimate_inar_nuisance(np.empty((4, 0)), np.ones(4), [], np.empty(0)),
+     "columns must be a nonempty n x k block"),
+    (lambda: build_weighted_system(np.empty((4, 0)), np.ones(4), np.ones(4)),
+     "columns must be a nonempty n x k block"),
+    (lambda: build_weighted_system(np.ones(4), np.ones(4), np.ones(4)),
+     "columns must be a nonempty n x k block"),
+])
+def test_scores_module_rejections(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -19,11 +19,10 @@ from sparseproc import _countsim, simulate
 from sparseproc.dantzig import cross_validate_lambda, solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
 from sparseproc.harness import builtin_case, simulate_series
-from sparseproc.rng import make_rng
 from sparseproc.scores import LinearScoreSystem, center_design
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
-                                 SeriesSample, bin_counts, lyapunov_covariance,
-                                 read_series_csv, simulate_hawkes, simulate_inar,
+                                 SeriesSample, bin_counts, derive_seed, lyapunov_covariance,
+                                 make_rng, read_series_csv, simulate_hawkes, simulate_inar,
                                  simulate_minar1, simulate_ou, spec_from_dict,
                                  spec_to_dict, to_jsonable, write_series_csv)
 
@@ -1149,3 +1148,88 @@ class TestSeriesIo:
                        "nan": None}
         assert type(got["outer"]["count"]) is int
         assert to_jsonable(Outer) is Outer  # a dataclass type is left alone
+
+
+# each simulator's draws, as one array, at a seed
+SEED_DRAWS = {
+    "inar": lambda seed: simulate_inar(InarSpec(0.5, [0.3], burn_in=10), 5, seed).rows,
+    "minar1": lambda seed: simulate_minar1(Minar1Spec([0.5], [[0.3]], burn_in=10), 5,
+                                           seed).rows,
+    "ou": lambda seed: simulate_ou(INTEGER_FIELD_SPECS["ou"], seed).rows,
+    "hawkes": lambda seed: simulate_hawkes(
+        HawkesSpec(eta=1.0, kernel_breakpoints=[1.0], kernel_values=[0.5], horizon=5.0), seed),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SEED_DRAWS))
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (None, "seed must be an integer, got None"),
+    (2.5, "seed must be an integer, got 2.5"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_seeds_pass_the_one_seed_rule(model, seed, message):
+    # make_rng builds every generator: True used to draw the stream of seed 1, None one
+    # of OS entropy, and 2.5 and -1 failed inside numpy
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SEED_DRAWS[model](seed)
+    assert SEED_DRAWS[model](np.int64(7)).tobytes() == SEED_DRAWS[model](7).tobytes()
+
+
+def test_derive_seed_takes_integers():
+    assert derive_seed(20240801, 0) == 20240801
+    assert derive_seed(0, 1) == simulate.GOLDEN_GAMMA
+    assert derive_seed(np.int64(5), np.uint8(2)) == derive_seed(5, 2)
+    for args, message in (((2.5, 1), "base_seed must be an integer, got 2.5"),
+                          ((1, True), "rep must be an integer, got True"),
+                          ((1, 1.0), "rep must be an integer, got 1.0"),
+                          ((1, -1), "rep must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_seed(*args)
+
+
+def _header_only_csv(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,x1\n")
+    return read_series_csv(path)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: InarSpec(0.5, [[0.3]]), "alpha must be a vector"),
+    (lambda tmp: InarSpec(0.5, [0.3], burn_in=-1), "burn_in must be nonnegative"),
+    (lambda tmp: Minar1Spec([0.5, 0.5], [[0.3]]), "a_matrix must be square and match eta"),
+    (lambda tmp: Minar1Spec([0.5], [0.3]), "a_matrix must be square and match eta"),
+    (lambda tmp: Minar1Spec([0.5], [[-0.1]]), "eta and a_matrix must be nonnegative"),
+    (lambda tmp: Minar1Spec([-0.5], [[0.1]]), "eta and a_matrix must be nonnegative"),
+    (lambda tmp: Minar1Spec([0.5], [[0.3]], burn_in=-1), "burn_in must be nonnegative"),
+    (lambda tmp: OuSpec(-np.eye(2), [1.0], 0.1, 10),
+     "a_matrix must be square and match sigma_diag"),
+    (lambda tmp: OuSpec(-np.eye(2), [1.0, 0.0], 0.1, 10), "sigma_diag entries must be positive"),
+    (lambda tmp: HawkesSpec(1.0, [1.0, 2.0], [0.1], 5.0),
+     "breakpoints and values must be vectors of equal length"),
+    (lambda tmp: HawkesSpec(1.0, [2.0, 1.0], [0.1, 0.1], 5.0),
+     "breakpoints must be positive and strictly increasing"),
+    (lambda tmp: HawkesSpec(1.0, [0.0, 1.0], [0.1, 0.1], 5.0),
+     "breakpoints must be positive and strictly increasing"),
+    (lambda tmp: HawkesSpec(1.0, [1.0], [-0.1], 5.0), "kernel values must be nonnegative"),
+    (lambda tmp: SeriesSample(np.zeros(3), kind="ints"), "kind must be 'counts' or 'reals'"),
+    (lambda tmp: simulate_inar(InarSpec(0.5, [0.3]), 0, 0), "n must be >= 1"),
+    (lambda tmp: simulate_minar1(Minar1Spec([0.5], [[0.3]]), 0, 0), "n must be >= 1"),
+    (lambda tmp: bin_counts([0.0, 0.5], 0.5, 1.0), r"events must lie in \(0, horizon\]"),
+    (lambda tmp: bin_counts([0.5, 1.5], 0.5, 1.0), r"events must lie in \(0, horizon\]"),
+    (_header_only_csv, "series CSV contains no observations"),
+    (lambda tmp: spec_from_dict({"model": "arma"}), "unknown model kind 'arma'"),
+    (lambda tmp: spec_from_dict({"mu_eps": 0.5}), "unknown model kind None"),
+])
+def test_simulate_module_rejections(tmp_path, build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(tmp_path)
+
+
+@pytest.mark.parametrize("y0", [[0.0, np.nan], [np.inf, 0.0]])
+def test_ou_non_finite_y0_rejected_before_the_loop(monkeypatch, y0):
+    # a NaN y0 used to run every Euler step before SeriesSample rejected the path
+    spec = INTEGER_FIELD_SPECS["ou"]
+    monkeypatch.setattr(simulate, "SeriesSample", None)  # the path is never built
+    with pytest.raises(ValueError, match="^y0 must be finite$"):
+        simulate_ou(spec, 0, y0=np.array(y0))

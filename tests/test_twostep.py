@@ -1,5 +1,7 @@
 """Second-step tests: nuisance oracles, weighted solves, pipeline behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,7 +10,7 @@ from oracles import reference_covariance, reference_diffusion_score, reference_s
 from sparseproc import dantzig, harness, twostep
 from sparseproc.errors import DegenerateVarianceError, RankError, UncertifiedFitError
 from sparseproc.dantzig import (cross_validate_lambda, fit_to_dict, solve_dantzig,
-                                threshold_support)
+                                solve_dantzig_path, threshold_support)
 from sparseproc.scores import (DiffusionDesign, LinearScoreSystem, build_regression_score,
                                build_weighted_system, center_design, center_lags,
                                diffusion_design, estimate_inar_nuisance, lagged_design)
@@ -424,3 +426,39 @@ class TestProjectStatistic:
         fit = self._fit()
         with pytest.raises(ValueError, match="unit"):
             project_statistic(fit, np.full(11, 0.5), np.zeros(11), 1.0)
+
+    @pytest.mark.parametrize("scale, message", [
+        (True, "scale must be a finite number > 0, got True"),
+        (0.0, "scale must be a finite number > 0, got 0.0"),
+        (np.nan, "scale must be a finite number > 0, got nan"),
+        ("2", "scale must be a finite number > 0, got '2'"),
+    ])
+    def test_scale_passes_the_real_rule(self, scale, message):
+        fit = self._fit()
+        u = np.zeros(11)
+        u[1] = 1.0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_statistic(fit, u, np.zeros(11), scale)
+
+
+class TestLambdaRule:
+    """Each lambda of an LP passes ``as_float``, and its fit stores the float it returns."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return center_lags(simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.4, 0.2]), 300, 2), 2)
+
+    @pytest.mark.parametrize("lam", ["0.1", [0.1], True])
+    def test_first_step_and_two_step_reject(self, data, lam):
+        # "0.1" and [0.1] used to solve and be stored as given, and True solved at 1
+        message = f"lambda must be a finite number >= 0, got {lam!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            first_step(data, lam, 0.05)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            two_step_fit(data, lam, 0.05)
+
+    @pytest.mark.parametrize("lam", [np.float32(0.1), np.float64(0.1), np.int64(1), 1])
+    def test_stored_as_a_python_float(self, data, lam):
+        fit = two_step_fit(data, lam, 0.05)
+        assert type(fit.first_step.lam) is float and fit.first_step.lam == float(lam)
+        assert type(solve_dantzig_path(data.score(), [lam, 0.5])[0].lam) is float
