@@ -1,5 +1,5 @@
 """The simulators' step loops, the LP's pivot loop and the CV fold loop, compiled
-once per source.
+once per source: the one runtime path of each.
 
 ``_countsim.c`` runs every step of ``simulate_inar``, ``simulate_minar1`` and
 ``simulate_hawkes``, the whole LP of ``dantzig.solve_dantzig_path`` (its
@@ -12,13 +12,13 @@ them) and the CBLAS ``ddot``, ``dgemv``, ``dger`` and ``dgemm`` of numpy's
 BLAS (``_blas``).  numpy draws a Poisson variate by multiplication below
 lambda = 10 and by transformed rejection from 10 up, so the last bit of
 lambda picks the algorithm; forming lambda by numpy's own calls keeps every
-series bit-identical to the numpy loop in ``simulate``.  The count loops
-take the generator's uniforms ahead, a block at a time, through its own
+series bit-identical to a numpy loop of ``rng.poisson`` draws.  The count
+loops take the generator's uniforms ahead, a block at a time, through its own
 ``next_double``.  Below 10 they run numpy's multiplication method on the
 block, with e^-lambda kept in a small memo keyed by the bits of lambda;
 any other lambda goes to numpy's ``random_poisson`` on a shim ``bitgen_t``
 that reads the block.  The uniforms left over are then stepped back with
-``advance``, so the generator ends where numpy's loop leaves it (see
+``advance``, so the generator ends where a numpy loop leaves it (see
 ``_drawn``).  Both count loops write one array: the last p burn-in steps as
 its lag rows (p = 1 for MINAR(1)), then the kept steps, which
 ``simulate_inar`` and ``simulate_minar1`` return, uncopied, as
@@ -27,21 +27,21 @@ zero outside its aligned 4 x 4 diagonal blocks, ``A @ y`` is summed over
 each row's own block instead of by ``dgemv``, in the order that
 ``CountKernel.block_sums_match`` finds gives ``dgemv``'s bits; any other
 matrix, or a BLAS that sums in another order, keeps ``dgemv``.  The Hawkes
-thinning loop, the LP loop and the CV fold loop repeat the float
-operations of their Python loops in order (numpy's pairwise summation
-included), so events, fits, slacks and held-out losses equal those loops'
-byte for byte; the Python loops are the fallback.  The CV fold loop solves
-each fold's system with the LP loop itself.
+thinning loop, the LP loop and the CV fold loop make the float operations
+of numpy loops in order (numpy's pairwise summation included); the tests
+keep those numpy loops and check events, fits, slacks and held-out losses
+against them byte for byte.  The CV fold loop solves each fold's system
+with the LP loop itself.
 
 The first ``load()`` in a process compiles the source with ``cc`` into
 ``__pycache__/_countsim.<key>.so`` beside this file, keyed by the source,
 the numpy version and the whole compile command (flags and BLAS integer
 width included, file names left out), and later processes only load it.
 The shared object is not bytecode, so ``sys.dont_write_bytecode`` does not
-stop it being written.  Where any step fails (no compiler, a directory that
-cannot be written, a missing symbol, no CBLAS ``ddot``, ``dgemv``, ``dger``
-and ``dgemm`` of one integer width in numpy's BLAS), ``load()`` returns None
-and the simulators, the LP and CV run their Python loops.
+stop it being written.  Where any step fails (no compiler, a compile error,
+a directory that cannot be written, a missing symbol, no CBLAS ``ddot``,
+``dgemv``, ``dger`` and ``dgemm`` of one integer width in numpy's BLAS),
+``load()`` raises ``RuntimeError``; there is no other path to run.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import ctypes
 import os
 import tempfile
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -174,18 +174,22 @@ class CountKernel:
     loops, with numpy's functions bound."""
 
     def __init__(self):
-        blas = [_blas.cblas(name) for name in ("ddot", "dgemv", "dger", "dgemm")]
-        if None in blas or len({int_t for _, int_t in blas}) != 1:
-            raise OSError("numpy's BLAS exports no CBLAS ddot, dgemv, dger and dgemm of "
-                          "one integer width")
+        blas = {name: _blas.cblas(name) for name in ("ddot", "dgemv", "dger", "dgemm")}
+        for name, found in blas.items():
+            if found is None:
+                raise OSError(f"numpy's BLAS exports no CBLAS {name}")
+            if found[1] is not blas["ddot"][1]:
+                raise OSError(f"numpy's BLAS exports CBLAS {name} with "
+                              f"{8 * ctypes.sizeof(found[1])}-bit integers and ddot with "
+                              f"{8 * ctypes.sizeof(blas['ddot'][1])}-bit ones")
         import numpy.random._generator as generator
 
         draws = ctypes.CDLL(generator.__file__)
         poisson, exponential = draws.random_poisson, draws.random_standard_exponential
-        lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(blas[0][1])))
+        lib = ctypes.CDLL(_library_path(8 * ctypes.sizeof(blas["ddot"][1])))
         self._poisson, self._exponential, self._ddot, self._dgemv, self._dger, self._dgemm = (
             ctypes.cast(fn, _PTR).value
-            for fn in (poisson, exponential, *(fn for fn, _ in blas)))
+            for fn in (poisson, exponential, *(fn for fn, _ in blas.values())))
         self._inar, self._minar1, self._hawkes = lib.inar, lib.minar1, lib.hawkes
         self._block_sums = lib.block_sums
         self._block_sums.argtypes = [_I64, _PTR, _PTR, _PTR]
@@ -301,8 +305,8 @@ class CountKernel:
 
         Returns the theta of each lambda (rows of one array), its pivot
         count, its certified status and its slack, in the order of ``lams``,
-        as ``dantzig._dantzig_path`` does.  The caller checks that the
-        system is finite.
+        warm-starting each from the last basis.  The caller checks that
+        the system is finite.
         """
         _check_buffers(gram, b)
         p = b.size
@@ -320,13 +324,14 @@ class CountKernel:
     def cv_folds(self, zc: np.ndarray, yc: np.ndarray, bounds: Sequence[int],
                  cross: np.ndarray, cross_y: np.ndarray, grid: np.ndarray,
                  max_iter: int) -> Tuple:
-        """The fold loop of ``dantzig.cross_validate_lambda``, as ``dantzig._cv_folds``.
+        """The fold loop of ``dantzig.cross_validate_lambda``.
 
         ``zc`` (n x p) and ``yc`` are split into blocks at the row offsets
         ``bounds``, and ``cross`` and ``cross_y`` are the blocks'
         cross-products.  Returns the held-out losses, pivot counts, statuses
-        and slacks of each (fold, lambda) on the ascending ``grid``, as that
-        function does.
+        and slacks of each (fold, lambda) on the ascending ``grid``; the loop
+        stops after a fold with a fit that is not "optimal", so ``statuses``
+        has a row for each fold run and the later rows of the arrays stay 0.
         """
         _check_buffers(zc, yc, cross, cross_y)
         bounds = np.array(bounds, dtype=np.int64)
@@ -354,15 +359,24 @@ class CountKernel:
 
 
 _UNSET = object()
-_kernel = _UNSET
+_kernel = _UNSET  # the loaded CountKernel, or the error that stopped the first load
 
 
-def load() -> Optional[CountKernel]:
-    """The compiled loops, built on the first call in a process; None where they cannot be."""
+def load() -> CountKernel:
+    """The compiled loops, built on the first call in a process.
+
+    Raises ``RuntimeError``, chained to its cause, where they cannot be built
+    or loaded; the message names what is missing (``cc``, its exit status
+    and output, or a CBLAS function).  The failure is kept, so later calls in
+    the process raise it again without running ``cc``.
+    """
     global _kernel
     if _kernel is _UNSET:
         try:
             _kernel = CountKernel()
-        except (OSError, AttributeError):
-            _kernel = None
+        except (OSError, AttributeError) as exc:
+            _kernel = exc
+    if isinstance(_kernel, Exception):
+        raise RuntimeError(f"the compiled loops of sparseproc cannot load, and nothing else "
+                           f"runs them: {_kernel}") from _kernel
     return _kernel

@@ -9,6 +9,8 @@ All simulators are pure functions of ``(spec, seed)``: PCG64 streams, no
 shared state, safe to call concurrently.  ``make_rng``, the one seed rule,
 builds every generator of the package, and ``derive_seed`` gives each Monte
 Carlo replication its own stream, so reports do not depend on the worker count.
+The INAR, MINAR(1) and Hawkes steps run in the compiled loops of
+``_countsim``, the only runtime path for them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
@@ -30,7 +31,6 @@ from . import _countsim
 from .errors import DomainError, StationarityError
 
 _COUNT_CAP = 1e12  # conditional mean beyond this aborts instead of overflowing
-_DRAW_BLOCK = 4096  # unit exponentials fetched per call in the Hawkes simulator
 _MAX_DRIFT_BLOCK = 8  # largest drift block whose Lyapunov equation is solved densely
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment: spreads replication seeds
 _MASK64 = (1 << 64) - 1
@@ -280,9 +280,7 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     Starts from the all-zero state, discards ``spec.burn_in`` draws, and
     returns ``SeriesSample(rows, lag_rows=p)``: the final p pre-sample
     values (zeros where fewer were drawn) and then the n kept ones, drawn
-    into one (p + n)-row array.  The steps run in the compiled loop of
-    ``_countsim`` where it loads and in the numpy loop otherwise; both give
-    the same series.
+    into one (p + n)-row array by the compiled loop of ``_countsim``.
     """
     n = as_int(n, "n")
     if n < 1:
@@ -290,38 +288,17 @@ def simulate_inar(spec: InarSpec, n: int, seed: int) -> SeriesSample:
     rng = make_rng(seed)
     p = spec.order
     rows = np.empty(p + n)
-    kernel = _countsim.load()
-    steps = _inar_steps if kernel is None else kernel.inar
-    if steps(rng, spec.mu_eps, spec.alpha, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
+    drawn = _countsim.load().inar(rng, spec.mu_eps, spec.alpha, rows, _COUNT_CAP, spec.burn_in)
+    if drawn < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
     return SeriesSample(rows, lag_rows=p)
-
-
-def _inar_steps(rng: np.random.Generator, mu_eps: float, alpha: np.ndarray,
-                out: np.ndarray, cap: float, burn_in: int) -> int:
-    """The numpy loop of ``_countsim.CountKernel.inar``: fill ``out``, return the steps drawn."""
-    p = alpha.size
-    _countsim.check_steps(burn_in, out.size, p)
-    history = np.zeros(max(p, 1))  # history[0] = X_{t-1}, ... , history[p-1] = X_{t-p}
-    out[:p] = 0.0
-    for t in range(burn_in + out.size - p):
-        lam = mu_eps + (alpha @ history[:p] if p else 0.0)
-        if lam > cap:
-            return t
-        x = rng.poisson(lam)
-        if p:
-            history[1:p] = history[: p - 1]
-            history[0] = x
-        if t + p >= burn_in:
-            out[t + p - burn_in] = x
-    return burn_in + out.size - p
 
 
 def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
     """Simulate the p-dimensional Poisson INAR(1): lambda_t = eta + A Y_{t-1}.
 
-    Runs in the compiled loop of ``_countsim`` where it loads, as
-    :func:`simulate_inar` does, and returns ``SeriesSample(rows, lag_rows=1)``:
+    Runs in the compiled loop of ``_countsim``, as :func:`simulate_inar`
+    does, and returns ``SeriesSample(rows, lag_rows=1)``:
     the last burn-in state and then the n kept ones, drawn into one array.
     """
     n = as_int(n, "n")
@@ -329,26 +306,11 @@ def simulate_minar1(spec: Minar1Spec, n: int, seed: int) -> SeriesSample:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     rows = np.empty((n + 1, spec.dim))
-    kernel = _countsim.load()
-    steps = _minar1_steps if kernel is None else kernel.minar1
-    if steps(rng, spec.eta, spec.a_matrix, rows, _COUNT_CAP, spec.burn_in) < spec.burn_in + n:
+    drawn = _countsim.load().minar1(rng, spec.eta, spec.a_matrix, rows, _COUNT_CAP,
+                                    spec.burn_in)
+    if drawn < spec.burn_in + n:
         raise DomainError("conditional mean overflow in INAR simulation")
     return SeriesSample(rows, lag_rows=1)
-
-
-def _minar1_steps(rng: np.random.Generator, eta: np.ndarray, a_matrix: np.ndarray,
-                  out: np.ndarray, cap: float, burn_in: int) -> int:
-    """The numpy loop of ``_countsim.CountKernel.minar1``: fill the rows of ``out``."""
-    _countsim.check_steps(burn_in, out.shape[0], 1)
-    y = out[0] = np.zeros(eta.size)
-    for t in range(burn_in + out.shape[0] - 1):
-        lam = eta + a_matrix @ y
-        if lam.max() > cap:
-            return t
-        y = rng.poisson(lam).astype(float)
-        if t + 1 >= burn_in:
-            out[t + 1 - burn_in] = y
-    return burn_in + out.shape[0] - 1
 
 
 def _drift_blocks(a: np.ndarray) -> list:
@@ -433,16 +395,6 @@ def simulate_ou(spec: OuSpec, seed: int, y0: Optional[np.ndarray] = None) -> Ser
     return SeriesSample(path, delta=spec.delta, kind="reals")
 
 
-def _standard_exponentials(rng: np.random.Generator):
-    """Unit exponential draws of ``rng`` one at a time, fetched in blocks.
-
-    A block draw consumes the same stream as repeated scalar draws, and
-    ``rng.exponential(scale)`` is ``scale * rng.standard_exponential()``.
-    """
-    while True:
-        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
-
-
 def simulate_hawkes(spec: HawkesSpec, seed: int) -> np.ndarray:
     """Event times in (0, horizon] drawn by Ogata thinning.
 
@@ -450,54 +402,13 @@ def simulate_hawkes(spec: HawkesSpec, seed: int) -> np.ndarray:
     upper bound is the current intensity itself and every proposal that
     stays within the current piece is accepted; a proposal that crosses
     the next breakpoint of an active event restarts just past it.  The
-    loop runs in the compiled file of ``_countsim`` where it loads and in
-    Python otherwise, with the same float operations in the same order:
-    the intensity is summed in event order, and waiting times are
-    ``(1 / intensity) * e`` with e a unit exponential, so the events equal
-    those of scalar ``rng.exponential(1 / intensity)`` draws bit for bit.
+    loop runs in the compiled file of ``_countsim``: the intensity is summed
+    in event order, and waiting times are ``(1 / intensity) * e`` with e a
+    unit exponential, so the events equal those of scalar
+    ``rng.exponential(1 / intensity)`` draws bit for bit.
     """
-    kernel = _countsim.load()
-    events = _hawkes_events if kernel is None else kernel.hawkes
-    return events(make_rng(seed), spec.eta, spec.kernel_breakpoints, spec.kernel_values,
-                  spec.horizon)
-
-
-def _hawkes_events(rng: np.random.Generator, eta: float, breakpoints: np.ndarray,
-                   values: np.ndarray, horizon: float) -> np.ndarray:
-    """The Python loop of ``_countsim.CountKernel.hawkes``: the event times."""
-    draw = _standard_exponentials(rng).__next__
-    bp = breakpoints.tolist()
-    vals = values.tolist()
-    eta = float(eta)
-    horizon = float(horizon)
-    pieces = len(bp)
-    tail = bp[-1] if bp else 0.0
-    events: list[float] = []
-    t = 0.0
-    first_active = 0  # events earlier than t - tail never contribute again
-    while True:
-        while first_active < len(events) and events[first_active] <= t - tail:
-            first_active += 1
-        # intensity just right of t (lam >= eta > 0) and the next time it can change
-        lam = eta
-        next_change = math.inf
-        for ti in events[first_active:]:
-            k = bisect_right(bp, t - ti)
-            if k < pieces:
-                lam += vals[k]
-                boundary = ti + bp[k]
-                # guard: float rounding may land exactly on t
-                if t < boundary < next_change:
-                    next_change = boundary
-        wait = (1.0 / lam) * draw()
-        if t + wait > next_change:
-            t = math.nextafter(next_change, math.inf)
-            continue
-        t = t + wait
-        if t > horizon:
-            break
-        events.append(t)
-    return np.array(events)
+    return _countsim.load().hawkes(make_rng(seed), spec.eta, spec.kernel_breakpoints,
+                                   spec.kernel_values, spec.horizon)
 
 
 def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
-from sparseproc._blas import rank1_updater
+from reference_loops import rank1_updater
 from sparseproc.dantzig import CvReport, DantzigFit, default_lambda_grid, solve_dantzig_path
 from sparseproc.errors import RankError, UncertifiedFitError
 from sparseproc.scores import LinearScoreSystem, build_regression_score, center_design

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+import reference_loops
 from oracles import (bruteforce_l1min, highs_l1min, reference_cross_validate,
                      reference_solve_dantzig_path)
+from reference_loops import ReferenceKernel
 
 from sparseproc import _blas, _countsim, dantzig, harness
 from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
@@ -28,39 +30,34 @@ def random_system(rng, p):
     return LinearScoreSystem(gram=gram, moment=rng.standard_normal(p))
 
 
-def compiled_lp_kernel():
-    """The loaded kernel; skips the test where it cannot be built."""
-    kernel = _countsim.load()
-    if kernel is None:
-        pytest.skip("the compiled LP loop cannot be built here")
-    return kernel
-
-
 @pytest.fixture(scope="module", params=["compiled", "python"])
 def lp_path(request):
-    """Which pivot loop ``solve_dantzig_path`` runs: the compiled one or the numpy one."""
-    if request.param == "compiled":
-        compiled_lp_kernel()
+    """Which pivot loop ``solve_dantzig_path`` runs: the compiled one or the numpy
+    reference loop of ``reference_loops``."""
     return request.param
+
+
+def kernel_class(lp_path):
+    """The class whose loops ``lp_path`` runs."""
+    return ReferenceKernel if lp_path == "python" else _countsim.CountKernel
 
 
 @pytest.fixture
 def on_lp_path(lp_path, monkeypatch):
-    """Run the test on ``lp_path``: for "python", with the compiled loops unavailable."""
+    """Run the test on ``lp_path``: for "python", with ``ReferenceKernel`` loaded."""
     if lp_path == "python":
-        monkeypatch.setattr(_countsim, "load", lambda: None)
+        monkeypatch.setattr(_countsim, "load", ReferenceKernel)
     return lp_path
 
 
 @pytest.fixture
 def pivot_budget(on_lp_path, monkeypatch):
     """``pivot_budget(k)`` allows each lambda ``k`` pivots in the LP loop of ``on_lp_path``."""
-    owner, name = ((dantzig, "_dantzig_path") if on_lp_path == "python"
-                   else (_countsim.CountKernel, "dantzig_path"))
-    real = getattr(owner, name)
+    owner = kernel_class(on_lp_path)
+    real = owner.dantzig_path
 
     def bound(k):
-        monkeypatch.setattr(owner, name, lambda *args: real(*args[:-1], k))
+        monkeypatch.setattr(owner, "dantzig_path", lambda *args: real(*args[:-1], k))
     return bound
 
 
@@ -408,19 +405,19 @@ class TestAgainstMirroredReference:
 
 
 def python_loop_path(sys, lams):
-    """``solve_dantzig_path`` with the compiled loops unavailable."""
+    """``solve_dantzig_path`` on the numpy reference loop."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_countsim, "load", lambda: None)
+        m.setattr(_countsim, "load", ReferenceKernel)
         return solve_dantzig_path(sys, lams)
 
 
 @pytest.fixture
 def lp_kernel():
-    return compiled_lp_kernel()
+    return _countsim.load()
 
 
 class TestCompiledLpLoop:
-    """The compiled pivot loop of ``_countsim`` against the numpy loop it stands in for."""
+    """The compiled pivot loop of ``_countsim`` against its numpy reference loop."""
 
     @staticmethod
     def assert_same_fits(sys, lams):
@@ -438,7 +435,7 @@ class TestCompiledLpLoop:
     def assert_same_loops(kernel, gram, moment, lams, max_iter):
         """Both loops on one system and pivot budget, byte for byte; returns the statuses."""
         compiled = kernel.dantzig_path(gram, moment, lams, max_iter)
-        python = dantzig._dantzig_path(gram, moment, lams, max_iter)
+        python = ReferenceKernel().dantzig_path(gram, moment, lams, max_iter)
         assert compiled[0].tobytes() == python[0].tobytes()
         assert compiled[1:3] == python[1:3]
         assert compiled[3].tobytes() == python[3].tobytes()
@@ -494,10 +491,9 @@ class TestCompiledLpLoop:
                                    [2.0, 0.5, 0.1, 0.0], 6)
 
     @pytest.mark.parametrize("missing", ["dger", "dgemm", "dgemm_width"])
-    def test_without_one_blas_function_nothing_loads(self, lp_kernel, monkeypatch, missing):
-        sys, grid = hawkes_fold()
-        compiled = solve_dantzig_path(sys, grid)
-        cv = cross_validate_lambda(center_design(*case_design("case1")))
+    def test_without_one_blas_function_nothing_loads(self, monkeypatch, missing):
+        sys, grid = hawkes_fold()  # simulated while the compiled loops still load
+        data = center_design(*case_design("case1"))
         real = _blas.cblas
 
         def cblas(name):
@@ -510,33 +506,40 @@ class TestCompiledLpLoop:
 
         monkeypatch.setattr(_blas, "cblas", cblas)
         monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-        assert _countsim.load() is None  # the simulators and CV fall back with the LP
-        for fit, ref in zip(solve_dantzig_path(sys, grid), compiled, strict=True):
-            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
-            assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
-        fallback = cross_validate_lambda(center_design(*case_design("case1")))
-        assert fallback.cv_loss.tobytes() == cv.cv_loss.tobytes()
-        assert fallback.chosen_lambda == cv.chosen_lambda
+        bits = 8 * ctypes.sizeof(real("ddot")[1])
+        other = 32 if bits == 64 else 64
+        named = (f"CBLAS dgemm with {other}-bit integers and ddot with {bits}-bit ones$"
+                 if missing == "dgemm_width" else f"exports no CBLAS {missing}$")
+        with pytest.raises(RuntimeError, match=named) as raised:
+            _countsim.load()
+        assert isinstance(raised.value.__cause__, OSError)
+        # the LP, CV and the simulators have no other loop to run
+        for run in (lambda: solve_dantzig_path(sys, grid),
+                    lambda: cross_validate_lambda(data),
+                    lambda: simulate_inar(InarSpec(mu_eps=0.5, alpha=[0.3]), 10, 0),
+                    lambda: simulate_hawkes(harness.builtin_case("hawkes").model, 0)):
+            with pytest.raises(RuntimeError, match=named):
+                run()
 
 
 def fold_loop_args(data, grid, folds):
     """The arguments that ``cross_validate_lambda`` passes its fold loop."""
     calls = []
-    real = dantzig._cv_folds
+    real = _countsim.CountKernel.cv_folds
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_countsim, "load", lambda: None)
-        m.setattr(dantzig, "_cv_folds", lambda *args: calls.append(args) or real(*args))
+        m.setattr(_countsim.CountKernel, "cv_folds",
+                  lambda self, *args: calls.append(args) or real(self, *args))
         cross_validate_lambda(data, grid, folds)
     return calls[0]
 
 
 class TestCompiledCv:
-    """The compiled fold loop of ``_countsim`` against the numpy loop it stands in for:
-    the same bytes in every loss, pivot count, status and slack."""
+    """The compiled fold loop of ``_countsim`` against its numpy reference loop: the
+    same bytes in every loss, pivot count, status and slack."""
 
     @staticmethod
     def assert_same_loops(kernel, args):
-        compiled, python = kernel.cv_folds(*args), dantzig._cv_folds(*args)
+        compiled, python = kernel.cv_folds(*args), ReferenceKernel().cv_folds(*args)
         for ours, ref in zip(compiled, python, strict=True):
             if isinstance(ref, list):  # the statuses
                 assert ours == ref
@@ -548,7 +551,7 @@ class TestCompiledCv:
         self.assert_same_loops(kernel, fold_loop_args(data, grid, folds))
         report = cross_validate_lambda(data, grid, folds)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(_countsim, "load", lambda: None)
+            m.setattr(_countsim, "load", ReferenceKernel)
             ref = cross_validate_lambda(data, grid, folds)
         assert report.cv_loss.tobytes() == ref.cv_loss.tobytes()
         assert report.chosen_lambda == ref.chosen_lambda
@@ -617,7 +620,7 @@ def corrupt_pivots(on_lp_path, monkeypatch):
 
     def corrupt():
         if on_lp_path == "python":
-            real = dantzig.rank1_updater
+            real = reference_loops.rank1_updater
 
             def updater(a, x, y):
                 update = real(a, x, y)
@@ -627,7 +630,7 @@ def corrupt_pivots(on_lp_path, monkeypatch):
                     y[-1] += 1.0
                 return corrupted
 
-            monkeypatch.setattr(dantzig, "rank1_updater", updater)
+            monkeypatch.setattr(reference_loops, "rank1_updater", updater)
             return
         kernel = _countsim.load()
         int_t = _blas.cblas("dger")[1]
@@ -727,7 +730,7 @@ class TestPathCertificate:
 
 
 class TestRank1Binding:
-    """The CBLAS dger bound from numpy's own BLAS, and its scipy fallback."""
+    """The CBLAS dger of numpy's own BLAS, bound for the numpy reference LP loop."""
 
     @pytest.mark.parametrize("shape", [(41, 81), (201, 401), (401, 801)])
     def test_bit_equal_to_scipy_dger(self, shape):
@@ -737,26 +740,13 @@ class TestRank1Binding:
         a = np.asfortranarray(rng.standard_normal(shape))
         ref = a.copy(order="F")
         x, y = np.empty(shape[0]), np.empty(shape[1])
-        update = _blas.rank1_updater(a, x, y)
+        update = reference_loops.rank1_updater(a, x, y)
         for _ in range(50):  # refilled in place, as the simplex refills its buffers
             x[:] = rng.standard_normal(shape[0])
             y[:] = rng.standard_normal(shape[1])
             update()
             ref = dger(-1.0, x, y, a=ref, overwrite_a=1)
         assert_array_equal(a, ref)
-
-    @pytest.mark.parametrize("fold_system", [case3_fold, hawkes_fold],
-                             ids=["case3_p100", "hawkes_p20"])
-    def test_scipy_fallback_same_fits(self, fold_system, monkeypatch):
-        monkeypatch.setattr(_countsim, "load", lambda: None)  # the numpy loop binds dger
-        sys, grid = fold_system()
-        primary = solve_dantzig_path(sys, grid)
-        monkeypatch.setattr(_blas, "CBLAS_DGER", None)
-        fallback = solve_dantzig_path(sys, grid)
-        for p_fit, f_fit in zip(primary, fallback):
-            assert_array_equal(p_fit.theta_hat, f_fit.theta_hat)
-            assert (p_fit.iterations, p_fit.status) == (f_fit.iterations, f_fit.status)
-            assert p_fit.feasibility_slack == f_fit.feasibility_slack
 
     def test_invalid_buffers_rejected(self):
         a = np.zeros((3, 4), order="F")
@@ -774,7 +764,7 @@ class TestRank1Binding:
         assert not raw.flags.aligned
         for args in bad:
             with pytest.raises(ValueError):
-                _blas.rank1_updater(*args)
+                reference_loops.rank1_updater(*args)
 
 
 class TestThresholdSupport:
@@ -813,20 +803,13 @@ class TestThresholdSupport:
 def cv_results(on_lp_path, monkeypatch):
     """The result of each call of the fold loop that ``on_lp_path`` runs, in order."""
     results = []
-    if on_lp_path == "python":
-        real = dantzig._cv_folds
+    owner = kernel_class(on_lp_path)
+    real = owner.cv_folds
 
-        def recording(*args):
-            results.append(real(*args))
-            return results[-1]
-        monkeypatch.setattr(dantzig, "_cv_folds", recording)
-    else:
-        real_method = _countsim.CountKernel.cv_folds
-
-        def recording(self, *args):
-            results.append(real_method(self, *args))
-            return results[-1]
-        monkeypatch.setattr(_countsim.CountKernel, "cv_folds", recording)
+    def recording(self, *args):
+        results.append(real(self, *args))
+        return results[-1]
+    monkeypatch.setattr(owner, "cv_folds", recording)
     return results
 
 
@@ -834,7 +817,7 @@ def cv_results(on_lp_path, monkeypatch):
 def fold_systems(on_lp_path, monkeypatch):
     """The (gram, moment) of each CV training system that ``on_lp_path`` solves, in order.
 
-    The numpy loop hands each to the LP loop ``_dantzig_path``.  The compiled loop
+    The numpy loop hands each to its LP loop ``dantzig_path``.  The compiled loop
     passes them only to numpy's BLAS, so its ``dgemv`` is wrapped: each lambda
     of a fold makes one row-major call, which resets the basic values, and
     then one square column-major call, which certifies its fit against the
@@ -845,12 +828,12 @@ def fold_systems(on_lp_path, monkeypatch):
     """
     systems = []
     if on_lp_path == "python":
-        real = dantzig._dantzig_path
+        real = ReferenceKernel.dantzig_path
 
-        def recording(gram, moment, lams, max_iter):
+        def recording(self, gram, moment, lams, max_iter):
             systems.append((gram.copy(), moment.copy()))
-            return real(gram, moment, lams, max_iter)
-        monkeypatch.setattr(dantzig, "_dantzig_path", recording)
+            return real(self, gram, moment, lams, max_iter)
+        monkeypatch.setattr(ReferenceKernel, "dantzig_path", recording)
         yield systems
         return
     kernel = _countsim.load()

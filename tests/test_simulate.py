@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+import reference_loops
 from oracles import hawkes_reference_events, run_fresh
+from reference_loops import ReferenceKernel
 
-from sparseproc import _countsim, simulate
+from sparseproc import _countsim, cli, simulate
 from sparseproc.dantzig import cross_validate_lambda, solve_dantzig_path
 from sparseproc.errors import DomainError, StationarityError
-from sparseproc.harness import builtin_case, simulate_series
+from sparseproc.harness import builtin_case, run_case, simulate_series
 from sparseproc.scores import LinearScoreSystem, center_design
 from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec,
                                  SeriesSample, bin_counts, derive_seed, lyapunov_covariance,
@@ -138,20 +140,17 @@ class TestMinar1:
 
 @pytest.fixture
 def numpy_loop(monkeypatch):
-    """``fn(*args)`` with the compiled count loop unavailable, so the numpy loop runs."""
+    """``fn(*args)`` with ``ReferenceKernel`` loaded, so the numpy reference loops run."""
     def run(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(_countsim, "load", lambda: None)
+            m.setattr(_countsim, "load", ReferenceKernel)
             return fn(*args)
     return run
 
 
 @pytest.fixture
 def kernel():
-    compiled = _countsim.load()
-    if compiled is None:
-        pytest.skip("the compiled count loop cannot be built here")
-    return compiled
+    return _countsim.load()
 
 
 INTEGER_FIELD_SPECS = {
@@ -169,9 +168,7 @@ def test_integer_fields_rejected_before_any_draw(monkeypatch, loop, model, field
     # checked when the spec is built: a float burn_in would reach the count loops, where
     # the compiled one raises DomainError and the numpy one TypeError; a bool would run as 1
     if loop == "python":
-        monkeypatch.setattr(_countsim, "load", lambda: None)
-    elif _countsim.load() is None:
-        pytest.skip("the compiled count loop cannot be built here")
+        monkeypatch.setattr(_countsim, "load", ReferenceKernel)
     spec = INTEGER_FIELD_SPECS[model]
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
         simulate_series(dataclasses.replace(spec, **{field: value}), 30, 0)
@@ -222,15 +219,13 @@ def test_real_spec_fields_rejected(field, value):
 
 @pytest.fixture(scope="module", params=["compiled", "python"])
 def hawkes_path(request):
-    """``simulate_hawkes`` through the compiled loop, or with it unavailable."""
+    """``simulate_hawkes`` through the compiled loop, or through the numpy reference loop."""
     if request.param == "compiled":
-        if _countsim.load() is None:
-            pytest.skip("the compiled loop cannot be built here")
         return simulate_hawkes
 
     def python_loop(spec, seed):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(_countsim, "load", lambda: None)
+            m.setattr(_countsim, "load", ReferenceKernel)
             return simulate_hawkes(spec, seed)
     return python_loop
 
@@ -298,9 +293,7 @@ def load_variant(monkeypatch, tmp_path, old: str, new: str):
     monkeypatch.setattr(_countsim, "_SOURCE", str(variant))
     monkeypatch.setattr(_countsim, "_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-    variant_kernel = _countsim.load()
-    assert variant_kernel is not None
-    return variant_kernel
+    return _countsim.load()
 
 
 @pytest.mark.parametrize("spec", [
@@ -324,7 +317,7 @@ def test_sample_holds_no_burn_in(spec):
 
 
 def count_draws(steps, spec, n: int, rng: np.random.Generator):
-    """``steps`` (a compiled or numpy count loop) run on ``rng`` for ``spec``: its return,
+    """``steps`` (a compiled or reference count loop) run on ``rng`` for ``spec``: its return,
     the bytes it wrote and the generator's state after."""
     if isinstance(spec, InarSpec):
         out = np.empty(spec.order + n)
@@ -338,12 +331,13 @@ def count_draws(steps, spec, n: int, rng: np.random.Generator):
 class TestDrawRule:
     """The compiled loops draw each count from uniforms fetched ahead and step the
     generator back over those left: the series and the generator's final state are
-    the numpy loop's."""
+    the numpy reference loop's."""
 
     @staticmethod
     def assert_same_draws(kernel, spec, n, seed=3, rng_of=make_rng):
         compiled = kernel.inar if isinstance(spec, InarSpec) else kernel.minar1
-        numpy_steps = simulate._inar_steps if isinstance(spec, InarSpec) else simulate._minar1_steps
+        numpy_steps = (ReferenceKernel().inar if isinstance(spec, InarSpec)
+                       else ReferenceKernel().minar1)
         got = count_draws(compiled, spec, n, rng_of(seed))
         assert got == count_draws(numpy_steps, spec, n, rng_of(seed))
         return got
@@ -404,7 +398,7 @@ class TestDrawRule:
         # p = 3: out[:3] holds the last three burn-in steps, zeros where fewer were drawn
         spec = InarSpec(mu_eps=2.0, alpha=np.array([0.3, 0.2, 0.1]), burn_in=burn_in)
         _, rows, _ = self.assert_same_draws(kernel, spec, 40)
-        _, whole, _ = count_draws(simulate._inar_steps, dataclasses.replace(spec, burn_in=0),
+        _, whole, _ = count_draws(ReferenceKernel().inar, dataclasses.replace(spec, burn_in=0),
                                   burn_in + 40, make_rng(3))
         assert rows == whole[8 * burn_in:]
 
@@ -430,7 +424,7 @@ class TestDrawRule:
 
 
 class TestCompiledCountLoop:
-    """The compiled loop of ``_countsim`` against the numpy loop it stands in for."""
+    """The compiled loop of ``_countsim`` against its numpy reference loop."""
 
     def test_case1_case2_seeds(self, kernel, numpy_loop):
         for case_id in ("case1", "case2"):
@@ -623,42 +617,52 @@ class TestCompiledCountLoop:
         rng = make_rng(0)
         untouched = rng.bit_generator.state
         alpha = np.array([0.3, 0.2])
-        for inar in (kernel.inar, simulate._inar_steps):
+        for inar in (kernel.inar, ReferenceKernel().inar):
             for out, burn_in in ((np.empty(10), -5), (np.empty(1), 0)):
                 with pytest.raises(ValueError, match="burn_in >= 0 and at least 2 output"):
                     inar(rng, 0.5, alpha, out, 1e12, burn_in)
-        for minar1 in (kernel.minar1, simulate._minar1_steps):
+        for minar1 in (kernel.minar1, ReferenceKernel().minar1):
             for out, burn_in in ((np.empty((10, 2)), -5), (np.empty((0, 2)), 0)):
                 with pytest.raises(ValueError, match="burn_in >= 0 and at least 1 output"):
                     minar1(rng, np.ones(2), np.zeros((2, 2)), out, 1e12, burn_in)
         assert rng.bit_generator.state == untouched
 
-    def test_cold_cache_without_compiler_falls_back(self, numpy_loop, monkeypatch, tmp_path):
+    def test_cold_cache_without_compiler_raises(self, monkeypatch, tmp_path):
+        # the inputs are made while the compiled loops load
         rng = np.random.default_rng(4)
         m = rng.standard_normal((12, 10))
         system = LinearScoreSystem(gram=m.T @ m / 12, moment=rng.standard_normal(10))
-        lams = np.geomspace(0.01, 1.0, 8) * np.abs(system.moment).max()
-        expected = solve_dantzig_path(system, lams)  # by the loaded loop, where it loads
         data = center_design(np.column_stack([np.ones(60), rng.standard_normal((60, 4))]),
                              rng.standard_normal(60))
-        expected_cv = cross_validate_lambda(data, folds=4)
+        series = tmp_path / "counts.csv"
+        write_series_csv(simulate_inar(builtin_case("case1").model, 300, 5), series)
         empty_bin = tmp_path / "bin"
         empty_bin.mkdir()
         cache = tmp_path / "cache"
         monkeypatch.setenv("PATH", str(empty_bin))
         monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
         monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-        spec = builtin_case("case1").model
-        assert _countsim.load() is None
-        assert_same_series(simulate_inar(spec, 300, 5), numpy_loop(simulate_inar, spec, 300, 5))
-        hawkes = hawkes_spec("narrow_long_tail")
-        assert simulate_hawkes(hawkes, 3).tobytes() == hawkes_reference_events(hawkes, 3).tobytes()
-        for fit, ref in zip(solve_dantzig_path(system, lams), expected, strict=True):
-            assert fit.theta_hat.tobytes() == ref.theta_hat.tobytes()
-            assert (fit.iterations, fit.status) == (ref.iterations, ref.status)
-        cv = cross_validate_lambda(data, folds=4)
-        assert cv.cv_loss.tobytes() == expected_cv.cv_loss.tobytes()
-        assert cv.chosen_lambda == expected_cv.chosen_lambda
+        builds, real_run = [], subprocess.run
+
+        def counted_run(*args, **kwargs):
+            builds.append(args)
+            return real_run(*args, **kwargs)
+        monkeypatch.setattr(subprocess, "run", counted_run)
+        runs = {
+            "simulate_inar": lambda: simulate_inar(builtin_case("case1").model, 300, 5),
+            "simulate_hawkes": lambda: simulate_hawkes(hawkes_spec("narrow_long_tail"), 3),
+            "solve_dantzig_path": lambda: solve_dantzig_path(system, [0.5, 0.1]),
+            "cross_validate_lambda": lambda: cross_validate_lambda(data, folds=4),
+            # an error of the machine, not of the user's configuration (exit 2)
+            "cli cv": lambda: cli.main(["cv", "--series", str(series)]),
+            # and not a failed replication either
+            "run_case": lambda: run_case(builtin_case("case1", n=300, reps=2), jobs=1),
+        }
+        for name, run in runs.items():
+            with pytest.raises(RuntimeError, match="No such file or directory: 'cc'") as raised:
+                run()
+            assert isinstance(raised.value.__cause__, FileNotFoundError), name
+        assert len(builds) == 1  # the failure is kept: cc is not looked for again
         # the failed build leaves no temporary file behind
         assert list(cache.iterdir()) == []
 
@@ -675,7 +679,7 @@ class TestCompiledCountLoop:
         for source in (_countsim._SOURCE, str(edited)):
             monkeypatch.setattr(_countsim, "_SOURCE", source)
             monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-            assert _countsim.load() is not None
+            _countsim.load()
             assert_same_series(simulate_inar(spec, 300, 5),
                                numpy_loop(simulate_inar, spec, 300, 5))
             built.append([p.name for p in cache.glob("_countsim.*")])
@@ -690,9 +694,10 @@ class TestCompiledCountLoop:
         monkeypatch.setattr(_countsim, "_CACHE_DIR", str(cache))
         monkeypatch.setattr(_countsim, "_SOURCE", str(broken))
         monkeypatch.setattr(_countsim, "_kernel", _countsim._UNSET)
-        if shutil.which("cc"):
-            assert _countsim.load() is None  # cc exits non-zero
-            assert list(cache.iterdir()) == []
+        with pytest.raises(RuntimeError, match=r"cc exited with \d+: ") as raised:
+            _countsim.load()
+        assert isinstance(raised.value.__cause__, OSError)
+        assert list(cache.iterdir()) == []
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -743,6 +748,111 @@ maps = "/proc/self/maps"
 mapped = os.path.exists(maps) and "_countsim." in open(maps).read()
 print(json.dumps({"unset": _countsim._kernel is _countsim._UNSET, "mapped": mapped}))
 """
+
+
+BITGEN_INCLUDE = '#include "numpy/random/bitgen.h"\n'
+
+# after the includes of _countsim.c: every malloc, calloc and free of the file is
+# counted, and the k-th malloc or calloc after a probe returns NULL
+ALLOCATION_PROBE = """
+static int64_t probe_calls, probe_live, probe_fail_at = -1;
+
+static void *probe_malloc(size_t size)
+{
+    void *ptr = probe_calls++ == probe_fail_at ? NULL : malloc(size);
+    probe_live += ptr != NULL;
+    return ptr;
+}
+
+static void *probe_calloc(size_t count, size_t size)
+{
+    void *ptr = probe_calls++ == probe_fail_at ? NULL : calloc(count, size);
+    probe_live += ptr != NULL;
+    return ptr;
+}
+
+static void probe_free(void *ptr)
+{
+    probe_live -= ptr != NULL;
+    free(ptr);
+}
+
+/* the allocations since the last probe and the blocks still live; from now on the
+   allocation numbered fail_at (from 0) fails, and none where it is negative */
+int64_t allocation_probe(int64_t fail_at, int64_t *live)
+{
+    const int64_t calls = probe_calls;
+    *live = probe_live;
+    probe_calls = 0;
+    probe_fail_at = fail_at;
+    return calls;
+}
+
+#define malloc probe_malloc
+#define calloc probe_calloc
+#define free probe_free
+"""
+
+
+class TestAllocationFailures:
+    """Each malloc and calloc that the LP loop and the CV fold loop reach, failed in
+    turn in a variant of ``_countsim.c``: the loop raises ``MemoryError`` and leaves
+    no block allocated.  (gcc's -fanalyzer stops early on this file, so these branches
+    are checked here.)"""
+
+    @pytest.fixture
+    def probed(self, monkeypatch, tmp_path):
+        """The variant's kernel, and ``allocations(fail_at)``: the calls to malloc and
+        calloc since the last probe and the blocks still live."""
+        variant = load_variant(monkeypatch, tmp_path, BITGEN_INCLUDE,
+                               BITGEN_INCLUDE + ALLOCATION_PROBE)
+        library, = (tmp_path / "cache").glob("_countsim.*.so")
+        probe = ctypes.CDLL(str(library)).allocation_probe  # the variant's own statics
+        probe.argtypes = [ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)]
+        probe.restype = ctypes.c_int64
+
+        def allocations(fail_at=-1):
+            live = ctypes.c_int64()
+            return probe(fail_at, ctypes.byref(live)), live.value
+        return variant, allocations
+
+    @staticmethod
+    def fold_loop_args(folds=3, p=3, n=30):
+        rng = np.random.default_rng(6)
+        zc = rng.standard_normal((n, p))
+        yc = zc @ np.array([0.5, 0.0, -0.3]) + rng.standard_normal(n)
+        zc, yc = zc - zc.mean(axis=0), yc - yc.mean()
+        bounds = np.linspace(0, n, folds + 1).astype(np.int64)
+        blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        cross = np.array([zc[rows].T @ zc[rows] for rows in blocks])
+        cross_y = np.array([zc[rows].T @ yc[rows] for rows in blocks])
+        return zc, yc, bounds, cross, cross_y, np.array([0.01, 0.1, 0.5]), 100
+
+    def check(self, allocations, run, expected_calls):
+        allocations()
+        run()
+        assert allocations() == (expected_calls, 0)  # every block freed on success too
+        for fail_at in range(expected_calls):
+            allocations(fail_at)
+            with pytest.raises(MemoryError, match="no scratch memory"):
+                run()
+            calls, live = allocations()
+            assert calls > fail_at and live == 0, f"allocation {fail_at} failed"
+
+    def test_lp_loop(self, probed):
+        kernel, allocations = probed
+        gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+        # the tableau and the index: two allocations
+        self.check(allocations, lambda: kernel.dantzig_path(gram, np.array([1.0, -2.0, 0.5]),
+                                                            [2.0, 0.5, 0.0], 100), 2)
+
+    def test_cv_fold_loop(self, probed):
+        kernel, allocations = probed
+        args = self.fold_loop_args()
+        losses, pivots, statuses, slacks = kernel.cv_folds(*args)
+        assert statuses == [["optimal"] * 3] * 3 and pivots.any()  # every fold runs
+        # the loop's scratch and its codes, then two in each fold's LP
+        self.check(allocations, lambda: kernel.cv_folds(*args), 2 + 2 * 3)
 
 
 class TestOu:
@@ -864,8 +974,9 @@ class TestHawkes:
             yield from (1.0, 0.35999999999999976, 0.5)
             while True:
                 yield 50.0
-        monkeypatch.setattr(simulate, "_standard_exponentials", exponentials)
-        events = simulate._hawkes_events(make_rng(0), 1.0, np.array([0.2]), np.array([0.8]), 5.0)
+        monkeypatch.setattr(reference_loops, "standard_exponentials", exponentials)
+        events = ReferenceKernel().hawkes(make_rng(0), 1.0, np.array([0.2]), np.array([0.8]),
+                                          5.0)
         assert events.tolist() == [1.0, 1.2]
         assert 1.2 - 0.2 == 1.0 and 1.2 - 1.0 < 0.2
 

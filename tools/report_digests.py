@@ -3,7 +3,12 @@
 Run from the root of a checkout, once per tree to compare:
 
     python tools/report_digests.py             # the compiled loops of _countsim
-    python tools/report_digests.py --fallback  # the numpy loops (_countsim.load -> None)
+    python tools/report_digests.py --fallback  # the numpy reference loops of the tests
+
+``--fallback`` patches ``_countsim.load`` to return the ``ReferenceKernel`` of
+``tests/reference_loops.py``, the numpy loops the compiled ones are checked
+against, so the two runs print the same lines.  The package itself has no
+other path than the compiled loops.
 
 Each line is ``<sha256>  <name>``.  The six reports are ``report_to_json`` of
 the built-in cases at their default seed with ``jobs=2``: ``case1`` (20 reps),
@@ -89,10 +94,14 @@ def cli_digests(workdir: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fallback", action="store_true",
-                        help="run the numpy loops: patch _countsim.load to return None")
+                        help="run the numpy reference loops of tests/reference_loops.py: "
+                             "patch _countsim.load to return a ReferenceKernel")
     args = parser.parse_args(argv)
     if args.fallback:
-        _countsim.load = lambda: None
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+        from reference_loops import ReferenceKernel
+
+        _countsim.load = ReferenceKernel
     for name, digest in report_digests():
         print(f"{digest}  {name}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
