@@ -89,16 +89,16 @@ def _cmd_fit(args) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """``--grid lo,hi,num``: ``num`` >= 1 log-spaced values from ``lo`` to ``hi``, both
+    """``--grid lo,hi,num``: ``num`` >= 1 log-spaced values from ``lo`` up to ``hi``, both
     finite and > 0; any other text raises one ``ValueError`` that names the flag."""
     try:
         lo, hi, num = text.split(",")
         lo, hi = (as_float(float(v), "--grid", positive=True) for v in (lo, hi))
         num = int(num)
-        if num < 1:
+        if num < 1 or lo > hi:
             raise ValueError
     except ValueError:
-        raise ValueError(f"--grid takes lo,hi,num: lo and hi finite numbers > 0 and num an "
+        raise ValueError(f"--grid takes lo,hi,num: lo <= hi finite numbers > 0 and num an "
                          f"integer >= 1, got {text!r}") from None
     return np.geomspace(lo, hi, num)
 
@@ -151,8 +151,7 @@ def _cmd_finfty(args) -> int:
     series = read_series_csv(args.series, kind="counts")
     gram = build_inar_score(series, args.order).gram
     support = [int(s) for s in args.support.split(",")]
-    est = estimate_f_infinity(gram, support, args.samples, args.seed,
-                              method=args.method)
+    est = estimate_f_infinity(gram, support, args.samples, args.seed)
     _write_out(harness.report_to_json(est), args.out)
     return 0
 
@@ -222,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--support", required=True, help="comma-separated indices")
     p_f.add_argument("--samples", type=int, default=20000)
     p_f.add_argument("--seed", type=int, default=0)
-    p_f.add_argument("--method", choices=["cone_sampling", "grid_oracle"],
-                     default="cone_sampling")
     p_f.add_argument("--out", default=None)
     p_f.set_defaults(func=_cmd_finfty)
 

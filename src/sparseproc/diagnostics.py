@@ -3,7 +3,7 @@
 The compatibility factor is the infimum of |v'Mv| / (||v_T||_1 ||v||_inf)
 over the cone {v : ||v_{T^c}||_1 <= ||v_T||_1}; it controls the first-step
 error bound but is intractable exactly, so the estimator here is a
-sampled upper bound (with a dense grid oracle for p <= 3).
+sampled upper bound.
 
 The normality checks are the Shapiro-Wilk W test with the published
 coefficient and p-value approximations, and Royston's H statistic that
@@ -21,13 +21,11 @@ from .errors import DegenerateVarianceError
 from .simulate import as_int, make_rng
 
 _REFINE_ROUNDS = 60  # rounds of the pattern search polishing the best sampled direction
-_GRID_RESOLUTION = 720  # angles per sphere coordinate of the grid oracle
 
 
 @dataclass(frozen=True)
 class FInftyEstimate:
     value: float
-    method: str  # cone_sampling | grid_oracle
     samples: int
     support: Tuple[int, ...]
 
@@ -54,15 +52,14 @@ def _project_into_cone(v: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray) -> 
 
 
 def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
-                        seed: int, method: str = "cone_sampling") -> FInftyEstimate:
+                        seed: int) -> FInftyEstimate:
     """Upper bound on the cone compatibility factor of ``m`` at ``support``.
 
-    ``cone_sampling`` draws directions with the support block on the unit
-    sphere and the complement scaled to a uniformly drawn fraction of the
-    allowed l1 budget, keeps the running minimum, then polishes the best
-    direction by a deterministic coordinate pattern search.  The returned
-    value is always >= the true infimum.  ``grid_oracle`` does a dense
-    direction sweep and is available for p <= 3 only.
+    Draws directions with the support block on the unit sphere and the
+    complement scaled to a uniformly drawn fraction of the allowed l1
+    budget, keeps the running minimum, then polishes the best direction by
+    a deterministic coordinate pattern search.  The returned value is
+    always >= the true infimum.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -76,10 +73,6 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
     if t_idx[0] < 0 or t_idx[-1] >= p or np.any(np.diff(t_idx) == 0):
         raise ValueError(f"support must hold distinct indices in [0, {p}), got {list(support)}")
     tc_idx = np.setdiff1d(np.arange(p), t_idx)
-    if method == "grid_oracle":
-        return _f_infinity_grid(m, t_idx, tc_idx)
-    if method != "cone_sampling":
-        raise ValueError(f"unknown method {method!r}")
     n_samples = as_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -122,38 +115,8 @@ def estimate_f_infinity(m: np.ndarray, support: Sequence[int], n_samples: int,
                 step *= 0.5
                 if step < 1e-6:
                     break
-    return FInftyEstimate(value=float(best), method="cone_sampling",
-                          samples=n_samples, support=tuple(int(j) for j in t_idx))
-
-
-def _f_infinity_grid(m: np.ndarray, t_idx: np.ndarray, tc_idx: np.ndarray) -> FInftyEstimate:
-    """Dense direction sweep; the ratio is scale-invariant so directions suffice."""
-    p = m.shape[0]
-    if p > 3:
-        raise ValueError("grid oracle available for p <= 3 only")
-    if p == 1:
-        dirs = np.array([[1.0]])
-    elif p == 2:
-        ang = np.linspace(0.0, np.pi, _GRID_RESOLUTION, endpoint=False)
-        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    else:
-        ang1 = np.linspace(0.0, np.pi, _GRID_RESOLUTION, endpoint=False)
-        ang2 = np.linspace(0.0, 2 * np.pi, _GRID_RESOLUTION, endpoint=False)
-        a1, a2 = np.meshgrid(ang1, ang2, indexing="ij")
-        dirs = np.column_stack([
-            (np.sin(a1) * np.cos(a2)).ravel(),
-            (np.sin(a1) * np.sin(a2)).ravel(),
-            np.cos(a1).ravel(),
-        ])
-    l1_t = np.abs(dirs[:, t_idx]).sum(axis=1)
-    l1_tc = np.abs(dirs[:, tc_idx]).sum(axis=1) if tc_idx.size else np.zeros(len(dirs))
-    mask = (l1_tc <= l1_t) & (l1_t > 0)
-    dirs = dirs[mask]
-    num = np.abs(np.einsum("ij,jk,ik->i", dirs, m, dirs))
-    den = np.abs(dirs[:, t_idx]).sum(axis=1) * np.abs(dirs).max(axis=1)
-    vals = num / den
-    return FInftyEstimate(value=float(vals.min()), method="grid_oracle",
-                          samples=len(dirs), support=tuple(int(j) for j in t_idx))
+    return FInftyEstimate(value=float(best), samples=n_samples,
+                          support=tuple(int(j) for j in t_idx))
 
 
 # ---------------------------------------------------------------------------

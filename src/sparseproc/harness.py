@@ -27,7 +27,7 @@ from .diagnostics import royston_test, selection_and_errors
 from .errors import NumericError
 from .scores import DiffusionDesign, center_lags, diffusion_design
 from .simulate import (HawkesSpec, InarSpec, Minar1Spec, OuSpec, SeriesSample, as_float,
-                       as_int, bin_counts, derive_seed, make_rng, simulate_hawkes,
+                       as_int, bin_counts, derive_seed, make_rng, n_bins, simulate_hawkes,
                        simulate_inar, simulate_minar1, simulate_ou, spec_from_dict,
                        spec_to_dict, to_jsonable)
 from .twostep import FitData, first_step, project_statistic, two_step_fit
@@ -95,7 +95,7 @@ class CaseConfig:
             delta = as_float(self.hawkes_bin_delta, "hawkes_bin_delta", positive=True)
             object.__setattr__(self, "hawkes_bin_delta", delta)
         if isinstance(self.model, HawkesSpec):
-            bins = int(np.ceil(self.model.horizon / delta))  # as bin_counts makes them
+            bins = n_bins(self.model.horizon, delta)
             if bins <= self.p:
                 raise ValueError("horizon too short for the requested lag order")
             if self.n != bins:
@@ -113,7 +113,7 @@ class CaseConfig:
             raise ValueError("p must be >= 1")
         if isinstance(self.model, (Minar1Spec, OuSpec)) and self.p != dim:
             raise ValueError(f"p must equal the model dimension {dim}, got {self.p}")
-        # an INAR sample holds the model's order of lag rows, so a fit reads no more lags
+        # an INAR sample holds the model's order of lag rows, so a fit of order p fits all n
         if isinstance(self.model, InarSpec) and self.p > self.model.order:
             raise ValueError(f"p must be at most the INAR model's order {self.model.order}, "
                              f"got {self.p}")
@@ -128,7 +128,7 @@ class CaseConfig:
         if self.theta_true is not None and not np.all(np.isfinite(self.theta_true)):
             raise ValueError("theta_true must be finite")
         if self.lambda_mode == "cv":
-            # a binned Hawkes sample keeps its first p bins as lag rows, and fits the rest
+            # a binned Hawkes sample has no lag rows: its first p bins give the first lags
             fit_rows = self.n - self.p if isinstance(self.model, HawkesSpec) else self.n
             check_cv_arguments(fit_rows, self.cv_folds, self.cv_grid)
 
@@ -200,7 +200,7 @@ def builtin_case(case_id: str, n: Optional[int] = None, reps: Optional[int] = No
         horizon = float(_default(n, 1000))
         model = HawkesSpec(eta=1.0, kernel_breakpoints=np.array([1.0]),
                            kernel_values=np.array([0.8]), horizon=horizon)
-        n_obs = int(np.ceil(horizon / bin_delta))
+        n_obs = n_bins(horizon, bin_delta)
     else:
         raise ValueError(f"unknown case id {case_id!r}")
     return CaseConfig(
@@ -420,10 +420,7 @@ def _hawkes_rep(config: CaseConfig, rep: int) -> dict:
     spec = config.model
     delta = config.hawkes_bin_delta
     events = simulate_hawkes(spec, seed)
-    binned = bin_counts(events, delta, spec.horizon)
-    p = config.p
-    series = SeriesSample(binned.rows, lag_rows=p)
-    data = _fit_data(config, series)
+    data = _fit_data(config, bin_counts(events, delta, spec.horizon))
     lam = _choose_lambda(config, data)
     _, _, sel = first_step(data, lam, config.tau)
     lags = [j + 1 for j in sel.indices]

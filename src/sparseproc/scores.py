@@ -202,19 +202,25 @@ def center_design(design: np.ndarray, response: np.ndarray, *,
 
 
 def _lags(series: SeriesSample, order: int, target: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Lag rows (X_{t-1}, ..., X_{t-p}) and responses X_t: the rule of ``lagged_design``."""
-    rows, p, n, d = series.rows, series.lag_rows, series.n, series.dim
+    """Lag rows (X_{t-1}, ..., X_{t-p}) and responses X_t: the rule of ``lagged_design``.
+
+    The first response is row max(lag_rows, order) of ``rows``, and the rows
+    before it supply the lags: a sample with fewer lag rows than ``order``
+    conditions on its first ``order`` rows, as conditional least squares does.
+    """
+    rows, d, total = series.rows, series.dim, series.rows.shape[0]
     order, target = as_int(order, "order"), as_int(target, "target")
     if not 0 <= target < d:
         raise ValueError(f"target must lie in [0, {d}), got {target}")
     if order < 1 or (d > 1 and order != 1):
         raise ValueError("order must be >= 1, and 1 for a multivariate series")
-    start = p - order
-    if start < 0:
-        raise ValueError(f"lag buffer has {p} rows; order {order} requires at least {order}")
-    # row t holds lags 1..order of x_t: for one column its window at start + t, reversed
+    first = max(series.lag_rows, order)
+    if first >= total:
+        raise ValueError(f"order {order} and {series.lag_rows} lag rows leave no response "
+                         f"among the {total} rows")
+    # response row t has lags 1..order: for one column its window at t - order, reversed
     lags = sliding_window_view(rows[:, 0], order)[:, ::-1] if d == 1 else rows
-    return lags[start: start + n], rows[p:, target]
+    return lags[first - order: total - order], rows[first:, target]
 
 
 def lagged_design(series: SeriesSample, order: int, target: int = 0

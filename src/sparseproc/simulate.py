@@ -411,8 +411,13 @@ def simulate_hawkes(spec: HawkesSpec, seed: int) -> np.ndarray:
                                    spec.kernel_values, spec.horizon)
 
 
+def n_bins(horizon: float, delta: float) -> int:
+    """The number of width-``delta`` bins that ``bin_counts`` makes of (0, horizon]."""
+    return int(np.ceil(horizon / delta))
+
+
 def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample:
-    """Counts per interval (k*delta, (k+1)*delta], k = 0..ceil(horizon/delta)-1."""
+    """Counts per interval (k*delta, (k+1)*delta], k = 0..n_bins(horizon, delta) - 1."""
     delta = as_float(delta, "delta", positive=True)
     horizon = as_float(horizon, "horizon", positive=True)
     events = np.asarray(events, dtype=float)
@@ -420,9 +425,8 @@ def bin_counts(events: np.ndarray, delta: float, horizon: float) -> SeriesSample
         raise ValueError("events must be finite")
     if events.size and (events.min() <= 0 or events.max() > horizon):
         raise ValueError("events must lie in (0, horizon]")
-    n_bins = int(np.ceil(horizon / delta))
     idx = np.ceil(events / delta).astype(int) - 1
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
+    counts = np.bincount(idx, minlength=n_bins(horizon, delta)).astype(float)
     return SeriesSample(counts, delta=delta)
 
 

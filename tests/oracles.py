@@ -204,6 +204,41 @@ def reference_lagged_design(series, order: int, target: int = 0):
     return np.hstack([np.ones((n, 1)), prev]), x[:, target]
 
 
+GRID_RESOLUTION = 720  # angles per sphere coordinate of ``f_infinity_grid``
+
+
+def f_infinity_grid(m: np.ndarray, support: Sequence[int]) -> float:
+    """The cone compatibility factor of ``m`` at ``support`` by a dense direction sweep:
+    the reference that ``diagnostics.estimate_f_infinity``'s sampled upper bound is
+    checked against, for p <= 3.  The ratio is scale-invariant, so directions suffice.
+    """
+    p = m.shape[0]
+    if p > 3:
+        raise ValueError("grid oracle available for p <= 3 only")
+    t_idx = np.array(sorted(support), dtype=int)
+    tc_idx = np.setdiff1d(np.arange(p), t_idx)
+    if p == 1:
+        dirs = np.array([[1.0]])
+    elif p == 2:
+        ang = np.linspace(0.0, np.pi, GRID_RESOLUTION, endpoint=False)
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        ang1 = np.linspace(0.0, np.pi, GRID_RESOLUTION, endpoint=False)
+        ang2 = np.linspace(0.0, 2 * np.pi, GRID_RESOLUTION, endpoint=False)
+        a1, a2 = np.meshgrid(ang1, ang2, indexing="ij")
+        dirs = np.column_stack([
+            (np.sin(a1) * np.cos(a2)).ravel(),
+            (np.sin(a1) * np.sin(a2)).ravel(),
+            np.cos(a1).ravel(),
+        ])
+    l1_t = np.abs(dirs[:, t_idx]).sum(axis=1)
+    l1_tc = np.abs(dirs[:, tc_idx]).sum(axis=1) if tc_idx.size else np.zeros(len(dirs))
+    dirs = dirs[(l1_tc <= l1_t) & (l1_t > 0)]
+    num = np.abs(np.einsum("ij,jk,ik->i", dirs, m, dirs))
+    den = np.abs(dirs[:, t_idx]).sum(axis=1) * np.abs(dirs).max(axis=1)
+    return float((num / den).min())
+
+
 def reference_diffusion_score(covariates: np.ndarray, increments: np.ndarray,
                               delta: float) -> LinearScoreSystem:
     """The drift score written out: gram = Y'Y / n, moment = Y' dX / (n delta).

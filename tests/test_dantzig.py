@@ -19,8 +19,7 @@ from sparseproc.dantzig import (cross_validate_lambda, default_lambda_grid,
 from sparseproc.errors import UncertifiedFitError
 from sparseproc.scores import LinearScoreSystem, build_regression_score, center_design
 from sparseproc.twostep import first_step
-from sparseproc.simulate import (InarSpec, SeriesSample, bin_counts, simulate_hawkes,
-                                 simulate_inar)
+from sparseproc.simulate import InarSpec, bin_counts, simulate_hawkes, simulate_inar
 from sparseproc.scores import lagged_design
 
 
@@ -244,9 +243,7 @@ def case_design(case_id, rep=1):
     seed = harness.derive_seed(cfg.base_seed, rep)
     if case_id == "hawkes":
         events = simulate_hawkes(cfg.model, seed)
-        binned = bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon)
-        series = SeriesSample(binned.rows, lag_rows=cfg.p)
-        return lagged_design(series, cfg.p)
+        return lagged_design(bin_counts(events, cfg.hawkes_bin_delta, cfg.model.horizon), cfg.p)
     sample = harness.simulate_series(cfg.model, cfg.n, seed)
     return lagged_design(sample, cfg.p if sample.dim == 1 else 1, cfg.target)
 

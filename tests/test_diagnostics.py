@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import f_infinity_grid
 from scipy import stats
 
 from sparseproc import diagnostics
@@ -24,20 +25,20 @@ class TestFInfinity:
 
     def test_identity_p2_matches_grid(self):
         samp = estimate_f_infinity(np.eye(2), [0], 3000, seed=1)
-        grid = estimate_f_infinity(np.eye(2), [0], 1, seed=1, method="grid_oracle")
-        assert abs(grid.value - 1.0) < 1e-6
+        grid = f_infinity_grid(np.eye(2), [0])
+        assert abs(grid - 1.0) < 1e-6
         assert abs(samp.value - 1.0) < 0.02
 
     def test_sampling_upper_bounds_grid_p3(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((5, 3))
         gram = m.T @ m / 5
-        grid = estimate_f_infinity(gram, [0, 2], 1, seed=0, method="grid_oracle")
+        grid = f_infinity_grid(gram, [0, 2])
         samp = estimate_f_infinity(gram, [0, 2], 5000, seed=5)
         # both are upper bounds on the true infimum; the polished sample may
         # undercut the finite-resolution grid by its discretization error
-        assert samp.value >= grid.value * (1 - 1e-3)
-        assert samp.value < grid.value * 1.3 + 1e-6
+        assert samp.value >= grid * (1 - 1e-3)
+        assert samp.value < grid * 1.3 + 1e-6
 
     def test_case1_gram_positive_and_seed_stable(self):
         spec = InarSpec(mu_eps=0.5, alpha=CASE1_ALPHA)
@@ -66,16 +67,11 @@ class TestFInfinity:
         scaled = estimate_f_infinity(2.5 * gram, [0, 3], 500, seed=11).value
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
-    def test_grid_oracle_dimension_limit(self):
-        with pytest.raises(ValueError, match="p <= 3"):
-            estimate_f_infinity(np.eye(4), [0], 1, seed=0, method="grid_oracle")
-
     @pytest.mark.parametrize("support", [[-1], [0, 0], [4], [1, 4], []])
-    @pytest.mark.parametrize("method", ["cone_sampling", "grid_oracle"])
-    def test_bad_support_rejected(self, support, method):
+    def test_bad_support_rejected(self, support):
         # -1 would put coordinate 3 in both T and its complement; 0,0 counts 0 twice
         with pytest.raises(ValueError, match="support"):
-            estimate_f_infinity(np.eye(4), support, 10, seed=0, method=method)
+            estimate_f_infinity(np.eye(4), support, 10, seed=0)
 
     @pytest.mark.parametrize("m, message", [
         ([[np.nan, 0.0], [0.0, 1.0]], "m must be finite"),
@@ -83,10 +79,9 @@ class TestFInfinity:
         (np.ones((2, 3)), "m must be a square matrix"),
         (np.ones(4), "m must be a square matrix"),
     ])
-    @pytest.mark.parametrize("method", ["cone_sampling", "grid_oracle"])
-    def test_matrix_it_cannot_bound_rejected(self, m, message, method):
+    def test_matrix_it_cannot_bound_rejected(self, m, message):
         with pytest.raises(ValueError, match=message):
-            estimate_f_infinity(np.array(m), [0], 50, seed=0, method=method)
+            estimate_f_infinity(np.array(m), [0], 50, seed=0)
 
 
 class TestShapiroWilk:
@@ -204,7 +199,6 @@ class TestSelectionAndErrors:
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"method": "exact"}, "unknown method 'exact'"),
     ({"n_samples": 0}, "n_samples must be >= 1"),
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": 2.5}, "seed must be an integer, got 2.5"),

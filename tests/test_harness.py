@@ -26,7 +26,7 @@ from sparseproc.harness import (CaseConfig, HawkesReport, builtin_case, emit_his
                                 run_case, run_hawkes_support, report_to_json,
                                 write_per_rep_csv)
 from sparseproc.scores import LinearScoreSystem, center_lags, diffusion_design
-from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, SeriesSample,
+from sparseproc.simulate import (HawkesSpec, InarSpec, Minar1Spec, SeriesSample, derive_seed,
                                  read_series_csv, simulate_inar, simulate_minar1, spec_to_dict)
 from sparseproc.twostep import two_step_fit
 
@@ -1004,7 +1004,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0.1,0.5", "0.1,0.5,2.5", "a,b,c", "0,1,5", "",
-                                      "0.1,inf,5", "-0.5,-0.1,3", "0.1,0.5,0", "1,2,3,4"])
+                                      "0.1,inf,5", "-0.5,-0.1,3", "0.1,0.5,0", "1,2,3,4",
+                                      "0.5,0.01,5"])
     def test_cv_grid_that_does_not_parse_names_the_flag(self, tmp_path, capsys, grid):
         series = tmp_path / "s.csv"
         series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-2, 40)))
@@ -1012,17 +1013,14 @@ class TestCli:
         assert main(["cv", "--series", str(series), "--order", "2", f"--grid={grid}",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: --grid takes lo,hi,num: lo and hi finite numbers > 0 and "
+            "configuration error: --grid takes lo,hi,num: lo <= hi finite numbers > 0 and "
             f"num an integer >= 1, got {grid!r}\n")
         assert not out.exists()
 
-    def test_cv_grid_that_parses_is_checked_as_a_grid(self, tmp_path, capsys):
+    def test_cv_grid_that_parses_is_the_cv_grid(self, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("t,x1\n" + "".join(f"{k},{k % 3}\n" for k in range(-2, 40)))
         out = tmp_path / "cv.json"
-        assert main(["cv", "--series", str(series), "--order", "2", "--grid", "0.5,0.1,3",
-                     "--out", str(out)]) == 2
-        assert "cv grid must be sorted ascending" in capsys.readouterr().err
         assert main(["cv", "--series", str(series), "--order", "2", "--grid", "0.01,0.5,4",
                      "--folds", "2", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -1062,6 +1060,40 @@ class TestCli:
                      "--lambda", "0.1"]) == rc
         kind = "numeric failure" if rc == 3 else "configuration error"
         assert capsys.readouterr().err == f"{kind}: synthetic\n"
+
+    @pytest.mark.parametrize("verb", [["fit", "--lambda", "0.1"], ["cv", "--folds", "4"],
+                                      ["finfty", "--support", "0,1", "--samples", "50"]],
+                             ids=["fit", "cv", "finfty"])
+    def test_count_csv_without_lag_rows(self, tmp_path, verb):
+        # with no negative-t rows, the first --order rows supply the lags: the output is
+        # that of the same rows with those made lag rows
+        counts = np.random.default_rng(3).poisson(2.0, size=80)
+        plain, lagged = tmp_path / "plain.csv", tmp_path / "lagged.csv"
+        plain.write_text("t,x1\n" + "".join(f"{k + 1},{x}\n" for k, x in enumerate(counts)))
+        lagged.write_text("t,x1\n" + "".join(f"{k - 4 if k < 4 else k - 3},{x}\n"
+                                             for k, x in enumerate(counts)))
+        for series in (plain, lagged):
+            assert main([verb[0], "--series", str(series), "--order", "4", *verb[1:],
+                         "--out", str(series.with_suffix(".json"))]) == 0
+        assert plain.with_suffix(".json").read_text() == lagged.with_suffix(".json").read_text()
+
+    def test_binned_hawkes_csv_gives_the_replication_lambda(self, tmp_path):
+        # simulate --bin-delta writes no lag rows; cv --order 20 on it chooses the lambda of
+        # the hawkes replication drawn from the same seed, and fit and finfty take it too
+        cfg = builtin_case("hawkes", reps=1)
+        spec, series, out = tmp_path / "spec.json", tmp_path / "bins.csv", tmp_path / "o.json"
+        spec.write_text(json.dumps(spec_to_dict(cfg.model)))
+        assert main(["simulate", "--config", str(spec), "--seed",
+                     str(derive_seed(20240801, 1)), "--bin-delta", "0.1",
+                     "--out", str(series)]) == 0
+        assert read_series_csv(series).lag_rows == 0
+        assert main(["cv", "--series", str(series), "--order", "20", "--out", str(out)]) == 0
+        lam = json.loads(out.read_text())["chosen_lambda"]
+        assert lam == run_hawkes_support(cfg).per_rep[0]["lambda"]
+        assert main(["fit", "--series", str(series), "--order", "20", "--lambda", repr(lam),
+                     "--out", str(out)]) == 0
+        assert main(["finfty", "--series", str(series), "--order", "20", "--support", "0,1",
+                     "--samples", "20", "--out", str(out)]) == 0
 
     def test_fit_writes_the_two_step_document(self, tmp_path):
         series = tmp_path / "s.csv"

@@ -90,10 +90,17 @@ class TestInarScore:
         assert_array_equal(sys.gram, expected)
         assert_array_equal(sys.moment, np.zeros(4))
 
-    def test_insufficient_lag_buffer(self):
-        sample = SeriesSample(np.ones(12), lag_rows=2)
-        with pytest.raises(ValueError, match="lag buffer"):
-            build_inar_score(sample, order=5)
+    @pytest.mark.parametrize("rows, lag_rows, order", [(5, 0, 5), (5, 2, 5), (5, 5, 2),
+                                                        (1, 0, 1)])
+    def test_no_response_row_rejected(self, rows, lag_rows, order):
+        # only a sample with no row after max(lag_rows, order) has nothing to fit
+        sample = SeriesSample(np.ones(rows), lag_rows=lag_rows)
+        message = (f"order {order} and {lag_rows} lag rows leave no response "
+                   f"among the {rows} rows")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_inar_score(sample, order=order)
+        assert lagged_design(SeriesSample(np.ones(rows + 1), lag_rows=lag_rows),
+                             order)[1].size == rows + 1 - max(lag_rows, order)
 
     def test_reals_rejected(self):
         sample = SeriesSample(np.ones(12), lag_rows=2, kind="reals")
@@ -145,6 +152,29 @@ class TestLaggedDesign:
         assert design.tobytes() == ref_design.tobytes()
         assert response.tobytes() == ref_response.tobytes()
 
+    @pytest.mark.parametrize("lag_rows", ["none", "one", "order-1", "order", "order+2"])
+    @pytest.mark.parametrize("order, dim, target", [(10, 1, 0), (1, 1, 0), (1, 4, 2)])
+    def test_first_rows_supply_missing_lags(self, lag_rows, order, dim, target):
+        # a sample with fewer lag rows than the order conditions on its first order
+        # rows: it prepares the bytes of the same rows with max(lag_rows, order) lag rows
+        lag_rows = {"none": 0, "one": 1, "order-1": order - 1, "order": order,
+                    "order+2": order + 2}[lag_rows]
+        rows = np.random.default_rng(order + dim + lag_rows).poisson(3.0, size=(120, dim))
+        sample = SeriesSample(rows, lag_rows=lag_rows)
+        relabelled = SeriesSample(rows, lag_rows=max(lag_rows, order))
+        design, response = lagged_design(sample, order, target)
+        ref_design, ref_response = reference_lagged_design(relabelled, order, target)
+        assert design.shape == ref_design.shape
+        assert response.size == 120 - max(lag_rows, order)
+        assert design.tobytes() == ref_design.tobytes()
+        assert response.tobytes() == ref_response.tobytes()
+        data = center_lags(sample, order, target)
+        ref = center_design(ref_design, ref_response)
+        for f in dataclasses.fields(CenteredDesign):
+            new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+            assert (new.shape, new.dtype, new.tobytes()) == (old.shape, old.dtype,
+                                                             old.tobytes()), f.name
+
     @pytest.mark.parametrize("dim, target", [(2, -1), (2, 2), (1, 1)])
     def test_target_out_of_range_rejected(self, dim, target):
         sample = SeriesSample(np.ones((11, dim)), lag_rows=1)
@@ -153,11 +183,11 @@ class TestLaggedDesign:
 
 
 def hawkes_bins(seed):
-    """The binned series of a ``hawkes`` replication, order p lags in its buffer."""
+    """The binned series of a ``hawkes`` replication: no lag rows, so its first p bins
+    give the first lags."""
     cfg = builtin_case("hawkes")
-    binned = bin_counts(simulate_hawkes(cfg.model, seed), cfg.hawkes_bin_delta,
-                        cfg.model.horizon)
-    return SeriesSample(binned.rows, lag_rows=cfg.p)
+    return bin_counts(simulate_hawkes(cfg.model, seed), cfg.hawkes_bin_delta,
+                      cfg.model.horizon)
 
 
 def relaid(rows, layout):
@@ -227,16 +257,30 @@ class TestCenterLags:
             assert np.shares_memory(data.lags, sample.values)
             assert np.shares_memory(ref.lags, copied.values)
 
+    def test_hawkes_bins_fit_as_their_first_p_bins_relabelled(self):
+        # the design of the binned counts, whose first p bins give the first lags, is the
+        # design of the same rows with those bins made lag rows, strides included
+        binned, p = hawkes_bins(7), builtin_case("hawkes").p
+        relabelled = SeriesSample(binned.rows, lag_rows=p)
+        for poisson in (False, True):
+            data = center_lags(binned, p, poisson=poisson)
+            ref = center_lags(relabelled, p, poisson=poisson)
+            for f in dataclasses.fields(CenteredDesign):
+                new, old = np.asarray(getattr(data, f.name)), np.asarray(getattr(ref, f.name))
+                assert (new.shape, new.dtype, new.strides, new.tobytes()) == (
+                    old.shape, old.dtype, old.strides, old.tobytes()), f.name
+        assert data.n == binned.n - p
+
     @pytest.mark.parametrize("kind", ["inar", "hawkes", "csv"])
     def test_univariate_count_lags_are_a_view(self, kind, tmp_path):
-        # a simulated INAR sample, a binned Hawkes one with its first p bins as lag rows,
-        # and one read from CSV each hold their lag rows and values in one array
+        # a simulated INAR sample, a binned Hawkes one with no lag rows, and one read
+        # from CSV each hold their lag rows and values in one array
         if kind == "csv":
             write_series_csv(case_series("case1", 5), tmp_path / "series.csv")
             sample = read_series_csv(tmp_path / "series.csv")
         else:
             sample = case_series("case1", 5) if kind == "inar" else hawkes_bins(5)
-        order = sample.lag_buffer.shape[0]
+        order = 20 if kind == "hawkes" else 10
         copied = SeriesSample(sample.rows.copy(), lag_rows=sample.lag_rows)
         for poisson in (False, True):
             data = center_lags(sample, order, poisson=poisson)
